@@ -133,15 +133,20 @@ def _validate_common(s: dict):
     for key in ("trials", "iterations", "memory_length"):
         if key in s and s[key] < 1:
             raise ConfigError(f"key '{key}': must be >= 1, got {s[key]}")
-    if "mu" in s and s["mu"] is not None and not s["mu"] > 0:
-        raise ConfigError(f"key 'mu': must be positive, got {s['mu']}")
-    if "mu_fraction" in s and s["mu_fraction"] is not None \
-            and not s["mu_fraction"] > 0:
+    for key in ("mu", "mu_fraction"):
+        if s.get(key) is not None and not (math.isfinite(s[key]) and s[key] > 0):
+            raise ConfigError(
+                f"key '{key}': must be positive and finite, got {s[key]}"
+            )
+    if "q_values" in s and not all(math.isfinite(q) and q > 0 for q in s["q_values"]):
         raise ConfigError(
-            f"key 'mu_fraction': must be positive, got {s['mu_fraction']}"
+            f"key 'q_values': all q must be positive and finite, got {s['q_values']}"
         )
-    if "q_values" in s and any(q <= 0 for q in s["q_values"]):
-        raise ConfigError(f"key 'q_values': all q must be positive, got {s['q_values']}")
+    # +inf is a noiseless run; NaN and -inf have no meaning as an SNR
+    if "snr_db" in s and any(math.isnan(v) or v == -math.inf for v in s["snr_db"]):
+        raise ConfigError(
+            f"key 'snr_db': must be numbers or inf, got {s['snr_db']}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +240,7 @@ P2_DEFAULTS = {
 RUN_DEFAULTS = {
     "memory_length": 3, "trials": 100, "iterations": 5000, "seed": 0,
     "snr_db": (20.0,), "q_values": (5.0,), "mu": None, "mu_fraction": None,
-    "regressor_mode": RegressorMode.RAW,
+    "regressor_mode": RegressorMode.RAW, "algorithms": ("qvlms",),
 }
 
 _COMMON_FLAGS = {
@@ -380,18 +385,18 @@ def cmd_run(args) -> int:
     file_values = parse_config_file(args.config) if args.config else {}
     s = _merge_settings(RUN_DEFAULTS, file_values, args,
                         {**_COMMON_FLAGS, "mu": "mu", "mu_fraction": "mu_frac",
-                         "q_values": "q", "snr_db": "snr"})
+                         "q_values": "q", "snr_db": "snr",
+                         "algorithms": "algorithm"})
     _validate_common(s)
     if (s["mu"] is None) == (s["mu_fraction"] is None):
         raise ConfigError("key 'mu': set exactly one of mu and mu_fraction")
     out_dir = _resolve_out_dir(args)
 
-    algorithms = tuple(args.algorithm) if args.algorithm else ("qvlms",)
     config = ExperimentConfig(
         iterations=s["iterations"], trials=s["trials"], master_seed=s["seed"],
         step_size=s["mu"], step_size_fraction=s["mu_fraction"],
         q_values=tuple(s["q_values"]), snr_db_values=tuple(s["snr_db"]),
-        algorithms=algorithms,
+        algorithms=tuple(s["algorithms"]),
     )
     channel = ChannelSpec(memory_length=s["memory_length"],
                           regressor_mode=s["regressor_mode"])
@@ -473,7 +478,8 @@ def cmd_rerun(args) -> int:
     for key in ("snr_db", "q_values"):
         if key in config and isinstance(config[key], list):
             config[key] = tuple(config[key])
-    ns = argparse.Namespace(config=None, out=args.out, algorithm=None)
+    ns = argparse.Namespace(config=None, out=args.out,
+                            algorithm=config.get("algorithms"))
     for key in ("seed", "trials", "iterations", "memory_length"):
         setattr(ns, key, config.get(key))
     ns.mode = config.get("regressor_mode")

@@ -6,16 +6,33 @@ same regressor. Channel coefficients and initial weights are drawn per
 trial from a seeded generator, so every protocol output is a pure function
 of its configuration and master seed. Trials are averaged with the
 divergence guard applied: a trial whose normalized weight deviation
-exceeds the threshold is frozen, marked and excluded from the averages
-(never silently dropped).
+exceeds the threshold is marked at the triggering iteration and excluded
+from the averages (never silently dropped).
 
-``run_trial`` and the Monte-Carlo runner share one vectorized kernel that
-advances all trials of a chunk in lockstep, so a single trial is
-bit-identical whichever entry point produced it.
+One streaming kernel runs every simulation: ``run_trial``, ``monte_carlo``
+and both protocols.
+
+* Each trial's channel, initial weights, input and unit noise streams are
+  drawn once per run, one chunk of trials at a time, and shared by every
+  (algorithm, q, SNR) cell; SNR only rescales the noise.
+* All cells advance together along a cell axis: diagonal-gain cells
+  (q-VLMS and VLMS, each with its own step size and gain) in one stack,
+  matrix-gain ``whitened`` cells in a second.
+* Regressors and the clean desired signal are built for a block of steps
+  at once, so the per-step loop only forms the error and updates weights.
+* NWD, absolute weight error and squared error are reduced per block,
+  into per-cell sums over trials for the averages or into full per-trial
+  curves for ``run_trial``.
+* Trials are deterministic and independent, so a chunk in which some
+  (cell, trial) pair diverged is replayed once with the diverged pairs
+  left out of the sums; the kept trials come out unchanged.
+
+A single trial is therefore bit-identical whichever entry point produced
+it.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +74,10 @@ ALGORITHMS = ("qvlms", "vlms", "whitened")
 
 DIVERGENCE_THRESHOLD = 1e6
 
+#: Trials drawn and advanced together.
 _CHUNK = 256
+#: Steps whose regressors are built, and whose curves are reduced, at once.
+_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +169,19 @@ class ChannelSpec:
     def autocorrelation(self) -> np.ndarray:
         return gaussian_autocorrelation(self.memory_length, self.regressor_mode)
 
-    def signal_power(self, h_flat) -> float:
-        h = np.asarray(h_flat, dtype=np.float64)
-        return float(h @ self.autocorrelation() @ h)
+    def signal_power(self, h):
+        """``h . R h`` for each channel vector along the last axis of ``h``.
 
-    def noise_variance(self, h_flat) -> float:
-        return noise_variance_for_snr(self.signal_power(h_flat), self.snr_db)
+        Elementwise products and last-axis sums only, so one channel gives
+        the same bits alone as inside a stack of channels.
+        """
+        h = np.asarray(h, dtype=np.float64)
+        rh = (h[..., None, :] * self.autocorrelation()).sum(axis=-1)
+        return (rh * h).sum(axis=-1)
+
+    def noise_variance(self, h):
+        """Noise power per channel vector at the configured SNR."""
+        return self.signal_power(h) * noise_variance_for_snr(1.0, self.snr_db)
 
 
 @dataclass(frozen=True)
@@ -228,26 +255,32 @@ def whitened_gain(channel: ChannelSpec) -> np.ndarray:
     return s[:, None] * np.linalg.inv(r) * s[None, :]
 
 
-def _cell_gain(algorithm: str, q_value: float,
-               channel: ChannelSpec) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(diagonal gain, matrix gain) for one algorithm cell."""
-    k = channel.num_coefficients
-    if algorithm == "qvlms":
-        return QParams.uniform(q_value, k).g, None
-    if algorithm == "vlms":
-        return np.ones(k), None
-    if algorithm == "whitened":
-        return None, whitened_gain(channel)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+@dataclass(frozen=True)
+class _Cell:
+    """One (algorithm, q, SNR) cell at its resolved step size."""
+
+    algorithm: str
+    q_value: float | None
+    snr_db: float
+    step_size: float
+
+
+def _config_cell(config: ExperimentConfig, channel: ChannelSpec, algorithm: str,
+                 q_value: float, snr_db: float) -> _Cell:
+    """A cell of ``config``; q applies to q-VLMS only."""
+    q = float(q_value) if algorithm == "qvlms" else None
+    mu = resolve_step_size(config, channel, 1.0 if q is None else q)
+    return _Cell(algorithm, q, float(snr_db), mu)
 
 
 # ---------------------------------------------------------------------------
-# trial simulation
+# the streaming kernel
 # ---------------------------------------------------------------------------
 
-def _draw_channel_and_init(rng: np.random.Generator, channel: ChannelSpec,
-                           random_init: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial channel vector and initial weights, in fixed draw order."""
+def _draw_trial(seed, channel: ChannelSpec, iterations: int, random_init: bool):
+    """All randomness of one trial, in fixed draw order: h, w0, input
+    stream, unit noise stream."""
+    rng = np.random.default_rng(seed)
     k = channel.num_coefficients
     if channel.kernel is None:
         v = rng.standard_normal(k)
@@ -258,73 +291,100 @@ def _draw_channel_and_init(rng: np.random.Generator, channel: ChannelSpec,
         w0 = rng.standard_normal(k) / np.sqrt(k)
     else:
         w0 = np.zeros(k)
-    return h, w0
-
-
-def _draw_trial(seed, channel: ChannelSpec, iterations: int, random_init: bool):
-    """All randomness of one trial: h, w0, input stream, unit noise stream."""
-    rng = np.random.default_rng(seed)
-    h, w0 = _draw_channel_and_init(rng, channel, random_init)
     x = rng.standard_normal(iterations + channel.memory_length - 1)
     z = rng.standard_normal(iterations)
     return h, w0, x, z
 
 
-def _simulate_chunk(h, w0, x, noise, mu, memory_length, mode,
-                    gain_diag, gain_matrix, threshold):
-    """Advance a chunk of trials in lockstep.
+def _draw_chunk(seeds, channel: ChannelSpec, iterations: int, random_init: bool):
+    """Draws of a chunk of trials, stacked: ``h, w0 (T, K)``,
+    ``x (T, N+M-1)``, ``z (T, N)``."""
+    t, k = len(seeds), channel.num_coefficients
+    h, w0 = np.empty((t, k)), np.empty((t, k))
+    x = np.empty((t, iterations + channel.memory_length - 1))
+    z = np.empty((t, iterations))
+    for i, seed in enumerate(seeds):
+        h[i], w0[i], x[i], z[i] = _draw_trial(seed, channel, iterations, random_init)
+    return h, w0, x, z
 
-    Arrays are stacked per trial: ``h, w0 (T, K)``, ``x (T, N+M-1)``,
-    ``noise (T, N)``. Returns per-trial NWD, absolute weight-error and
-    squared prediction-error curves (rows 0 hold the initial state, the
-    squared error is NaN there), final weights, and divergence bookkeeping.
-    A diverged trial stops adapting and its curve is NaN past the
-    triggering iteration.
-    """
-    t_count, k = h.shape
-    n = noise.shape[1]
+
+def _regressors(x, r0: int, r1: int, memory_length: int,
+                mode: RegressorMode) -> np.ndarray:
+    """Regressors of steps ``r0 .. r1-1`` for every trial, shape (B, T, K),
+    from newest-first windows of the input streams ``x (T, N+M-1)``."""
     m = memory_length
+    lin = x[:, np.arange(r0 + m - 1, r1 + m - 1)[:, None] - np.arange(m)]
+    lin = lin.transpose(1, 0, 2)
     iu, ju = np.triu_indices(m)
-    diag_cols = np.flatnonzero(iu == ju)
-    ortho = mode is RegressorMode.ORTHONORMALIZED
+    quad = lin[..., iu] * lin[..., ju]
+    if mode is RegressorMode.ORTHONORMALIZED:
+        quad[..., np.flatnonzero(iu == ju)] = (lin * lin - 1.0) / SQRT2
+    return np.concatenate([lin, quad], axis=-1)
 
-    w = w0.copy()
-    hh = (h * h).sum(axis=1)
-    nwd_curve = np.empty((t_count, n + 1))
-    abs_err = np.empty((t_count, n + 1, k))
-    sq_err = np.empty((t_count, n + 1))
-    delta0 = h - w0
-    nwd_curve[:, 0] = (delta0 * delta0).sum(axis=1) / hh
-    abs_err[:, 0] = np.abs(delta0)
-    sq_err[:, 0] = np.nan
-    alive = np.ones(t_count, dtype=bool)
-    div_iter = np.full(t_count, -1, dtype=np.int64)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(n):
-            lin = x[:, r:r + m][:, ::-1]
-            quad = lin[:, iu] * lin[:, ju]
-            if ortho:
-                quad[:, diag_cols] = (lin * lin - 1.0) / SQRT2
-            u = np.concatenate([lin, quad], axis=1)
-            d = (u * h).sum(axis=1) + noise[:, r]
-            e = d - (u * w).sum(axis=1)
-            if gain_matrix is None:
-                upd = (gain_diag[None, :] * (mu * e)[:, None]) * u
-            else:
-                upd = (mu * e)[:, None] * (u @ gain_matrix.T)
-            w = np.where(alive[:, None], w + upd, w)
-            delta = h - w
-            cur = (delta * delta).sum(axis=1) / hh
-            dead_before = ~alive
-            nwd_curve[:, r + 1] = np.where(dead_before, np.nan, cur)
-            abs_err[:, r + 1] = np.where(dead_before[:, None], np.nan, np.abs(delta))
-            sq_err[:, r + 1] = np.where(dead_before, np.nan, e * e)
-            newly_dead = alive & ~(cur <= threshold)
-            div_iter[newly_dead] = r + 1
-            alive &= ~newly_dead
+def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
+    """Advance a chunk of trials through every cell in lockstep.
 
-    return nwd_curve, abs_err, sq_err, w, alive, div_iter
+    ``h, w0 (T, K)``, ``x (T, N+M-1)`` and the unit noise ``z (T, N)`` are
+    shared by all cells; diagonal-gain cells must precede ``whitened``
+    ones. Yields ``(row, w, e)`` per block of steps: ``w (B, C, T, K)``
+    holds the weights at curve rows ``row .. row+B-1`` and ``e (B, C, T)``
+    the a priori errors of the steps that produced them. The first yield
+    is row 0, the initial weights, with NaN errors. Yielded arrays are
+    reused by the next block. A diverged pair keeps adapting and may
+    overflow, so callers run under ``np.errstate`` and mask it.
+    """
+    t, k = h.shape
+    n = z.shape[1]
+    c = len(cells)
+    nd = sum(cell.algorithm != "whitened" for cell in cells)
+    mu = np.array([cell.step_size for cell in cells])[:, None]
+    mu_d, mu_m = mu[:nd], mu[nd:]
+    # every diagonal gain is uniform over the coefficients (one q per cell)
+    gain = np.array([
+        QParams.uniform(cell.q_value, 1).g[0] if cell.algorithm == "qvlms"
+        else 1.0 for cell in cells[:nd]
+    ])[:, None]
+    gain_t = whitened_gain(channel).T if nd < c else None
+    factor = np.array([noise_variance_for_snr(1.0, cell.snr_db) for cell in cells])
+    sigma = np.sqrt(factor[:, None] * channel.signal_power(h))
+
+    yield 0, np.broadcast_to(w0, (1, c, t, k)), np.full((1, c, t), np.nan)
+    w_hist = np.empty((_BLOCK, c, t, k))
+    e_hist = np.empty((_BLOCK, c, t))
+    w = np.repeat(w0[None], c, axis=0)
+    for r0 in range(0, n, _BLOCK):
+        r1 = min(r0 + _BLOCK, n)
+        u = _regressors(x, r0, r1, channel.memory_length, channel.regressor_mode)
+        d = (u * h).sum(axis=-1)[:, None] + z[:, r0:r1].T[:, None] * sigma
+        if gain_t is not None:
+            ug = u @ gain_t
+        for j in range(r1 - r0):
+            # prediction and update groupings match adapt.qvlms_step and
+            # adapt.matrix_gain_step, so every cell is bit-exact per trial;
+            # np.repeat spreads the scaled error over the coefficients
+            # faster than a broadcast along the last axis
+            if nd:
+                e = np.subtract(d[j, :nd], (u[j] * w[:nd]).sum(axis=-1),
+                                out=e_hist[j, :nd])
+                step = np.repeat(gain * (mu_d * e), k).reshape(nd, t, k)
+                np.add(w[:nd], np.multiply(step, u[j], out=step),
+                       out=w_hist[j, :nd])
+            if nd < c:
+                e = np.subtract(d[j, nd:], (u[j] * w[nd:]).sum(axis=-1),
+                                out=e_hist[j, nd:])
+                step = np.repeat(mu_m * e, k).reshape(c - nd, t, k)
+                np.add(w[nd:], np.multiply(step, ug[j], out=step),
+                       out=w_hist[j, nd:])
+            w = w_hist[j]
+        yield r0 + 1, w_hist[:r1 - r0], e_hist[:r1 - r0]
+        w = w.copy()  # the next block overwrites w_hist
+
+
+def _block_curves(h, hh, w):
+    """NWD (B, C, T) and weight error ``h - w`` (B, C, T, K) of a block."""
+    delta = h - w
+    return np.einsum("...k,...k->...", delta, delta) / hh, delta
 
 
 @dataclass(frozen=True)
@@ -356,30 +416,49 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
 
     The trial's channel, initial weights, input and noise streams are all
     drawn from ``seed``; the same seed always reproduces the identical
-    ``TrialCurves``, bit for bit.
+    ``TrialCurves``, bit for bit. A diverged trial stops adapting at the
+    triggering iteration and its curves are NaN past it.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    q = float(config.q_values[0] if q_value is None else q_value)
-    h, w0, x, z = _draw_trial(seed, channel, config.iterations, config.random_init)
-    sigma2 = channel.noise_variance(h)
-    mu = resolve_step_size(config, channel, q if algorithm == "qvlms" else 1.0)
-    gain_diag, gain_matrix = _cell_gain(algorithm, q, channel)
-    nwd_curve, abs_err, sq_err, w_final, alive, div_iter = _simulate_chunk(
-        h[None, :], w0[None, :], x[None, :], (z * math.sqrt(sigma2))[None, :],
-        mu, channel.memory_length, channel.regressor_mode,
-        gain_diag, gain_matrix, config.divergence_threshold,
-    )
-    diverged = not bool(alive[0])
+    cell = _config_cell(config, channel, algorithm,
+                        config.q_values[0] if q_value is None else q_value,
+                        channel.snr_db)
+    n = config.iterations
+    h, w0, x, z = _draw_trial(seed, channel, n, config.random_init)
+    hs = h[None, :]
+    hh = (hs * hs).sum(axis=1)
+    nwd_curve = np.full(n + 1, np.nan)
+    abs_err = np.full((n + 1, h.size), np.nan)
+    sq_err = np.full(n + 1, np.nan)
+    div_iter = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, w, e in _lockstep(hs, w0[None, :], x[None, :], z[None, :],
+                                   (cell,), channel):
+            cur, delta = _block_curves(hs, hh, w)
+            cur, delta, e = cur[:, 0, 0], delta[:, 0, 0], e[:, 0, 0]
+            stop = len(cur)
+            if row:
+                bad = np.flatnonzero(~(cur <= config.divergence_threshold))
+                if bad.size:
+                    stop = int(bad[0]) + 1
+                    div_iter = row + stop - 1
+            rows = slice(row, row + stop)
+            nwd_curve[rows] = cur[:stop]
+            abs_err[rows] = np.abs(delta[:stop])
+            sq_err[rows] = e[:stop] * e[:stop]
+            w_final = w[stop - 1, 0, 0].copy()
+            if div_iter is not None:
+                break
     return TrialCurves(
-        nwd=nwd_curve[0],
-        abs_weight_error=abs_err[0],
-        squared_error=sq_err[0],
-        final_weights=w_final[0],
+        nwd=nwd_curve,
+        abs_weight_error=abs_err,
+        squared_error=sq_err,
+        final_weights=w_final,
         channel=h,
         initial_weights=w0,
-        diverged=diverged,
-        divergence_iteration=int(div_iter[0]) if diverged else None,
+        diverged=div_iter is not None,
+        divergence_iteration=div_iter,
     )
 
 
@@ -415,73 +494,97 @@ class AveragedCurves:
         return float(nwd_db(steady_state_level(self.nwd, fraction)))
 
 
-def _run_cell(config: ExperimentConfig, channel: ChannelSpec,
-              seeds, algorithm: str, q_value: float | None) -> AveragedCurves:
-    """Average one (algorithm, q, snr) cell over all trials, chunked."""
-    n = config.iterations
+def _chunk_sums(draw, cells, channel: ChannelSpec, threshold: float, keep=None):
+    """Per-cell curve sums over one chunk's trials, and its (C, T) mask of
+    diverged (cell, trial) pairs.
+
+    The sums are NWD (N+1, C), absolute weight error (N+1, C, K) and
+    squared error (N+1, C; NaN at row 0). ``keep (C, T)`` leaves pairs out
+    of the sums; without it the sums stop once any pair diverges, because
+    the caller then replays the chunk with the diverged pairs left out.
+    """
+    h, _, _, z = draw
+    (t, k), n, c = h.shape, z.shape[1], len(cells)
+    hh = (h * h).sum(axis=1)
+    nwd_sum = np.zeros((n + 1, c))
+    abs_sum = np.zeros((n + 1, c, k))
+    sq_sum = np.zeros((n + 1, c))
+    diverged = np.zeros((c, t), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, w, e in _lockstep(*draw, cells, channel):
+            cur, delta = _block_curves(h, hh, w)
+            if row:
+                diverged |= (~(cur <= threshold)).any(axis=0)
+                if diverged.all():
+                    break
+            if keep is None and diverged.any():
+                continue
+            err = np.abs(delta, out=delta)
+            sq = e * e
+            if keep is not None:
+                cur = np.where(keep, cur, 0.0)
+                err = np.where(keep[..., None], err, 0.0)
+                sq = np.where(keep, sq, 0.0)
+            rows = slice(row, row + len(cur))
+            nwd_sum[rows] = cur.sum(axis=-1)
+            abs_sum[rows] = np.einsum("bctk->bck", err)
+            sq_sum[rows] = sq.sum(axis=-1)
+    return (nwd_sum, abs_sum, sq_sum), diverged
+
+
+def _simulate(cells, channel: ChannelSpec, seeds, iterations: int,
+              random_init: bool, threshold: float):
+    """Average every cell over all trials on shared per-trial draws.
+
+    Returns the averaged curves in ``cells`` order and each trial's initial
+    weight error ``h - w0`` (trials, K).
+    """
+    # the kernel stacks diagonal-gain cells ahead of matrix-gain ones
+    order = sorted(range(len(cells)), key=lambda i: cells[i].algorithm == "whitened")
+    stacked = [cells[i] for i in order]
     k = channel.num_coefficients
-    q = float(q_value) if q_value is not None else 1.0
-    mu = resolve_step_size(config, channel, q if algorithm == "qvlms" else 1.0)
-    gain_diag, gain_matrix = _cell_gain(algorithm, q, channel)
-
-    nwd_sum = np.zeros(n + 1)
-    mae_sum = np.zeros((n + 1, k))
-    mse_sum = np.zeros(n + 1)
-    kept = 0
-    diverged_mask = np.zeros(len(seeds), dtype=bool)
-
+    totals = (np.zeros((iterations + 1, len(cells))),
+              np.zeros((iterations + 1, len(cells), k)),
+              np.zeros((iterations + 1, len(cells))))
+    diverged = np.zeros((len(cells), len(seeds)), dtype=bool)
+    initial_error = np.empty((len(seeds), k))
     for start in range(0, len(seeds), _CHUNK):
-        batch = seeds[start:start + _CHUNK]
-        t_count = len(batch)
-        h = np.empty((t_count, k))
-        w0 = np.empty((t_count, k))
-        x = np.empty((t_count, n + channel.memory_length - 1))
-        noise = np.empty((t_count, n))
-        for i, seed in enumerate(batch):
-            h[i], w0[i], x[i], z = _draw_trial(seed, channel, n, config.random_init)
-            noise[i] = z * math.sqrt(channel.noise_variance(h[i]))
-        nwd_curve, abs_err, sq_err, _, alive, _ = _simulate_chunk(
-            h, w0, x, noise, mu, channel.memory_length, channel.regressor_mode,
-            gain_diag, gain_matrix, config.divergence_threshold,
-        )
-        diverged_mask[start:start + t_count] = ~alive
-        if alive.any():
-            nwd_sum += nwd_curve[alive].sum(axis=0)
-            mae_sum += abs_err[alive].sum(axis=0)
-            # squared error is NaN at row 0 by construction
-            mse_sum[1:] += sq_err[alive, 1:].sum(axis=0)
-            kept += int(alive.sum())
+        draw = _draw_chunk(seeds[start:start + _CHUNK], channel, iterations,
+                           random_init)
+        sums, div = _chunk_sums(draw, stacked, channel, threshold)
+        if div.any():
+            sums, _ = _chunk_sums(draw, stacked, channel, threshold, keep=~div)
+        for total, part in zip(totals, sums):
+            total += part
+        stop = start + div.shape[1]
+        diverged[:, start:stop] = div
+        h, w0, _, _ = draw
+        initial_error[start:stop] = h - w0
 
-    if kept == 0:
-        raise RuntimeError(
-            f"all {len(seeds)} trials diverged (algorithm={algorithm}, "
-            f"q={q_value}, snr={channel.snr_db} dB, mu={mu:.3e})"
-        )
-    mse = np.full(n + 1, np.nan)
-    mse[1:] = mse_sum[1:] / kept
-    per_coef = mae_sum / kept
-    return AveragedCurves(
-        algorithm=algorithm,
-        q_value=q_value,
-        snr_db=channel.snr_db,
-        step_size=mu,
-        nwd=nwd_sum / kept,
-        mae=per_coef.mean(axis=1),
-        abs_weight_error=per_coef,
-        mse=mse,
-        trials=len(seeds),
-        diverged=int(diverged_mask.sum()),
-        diverged_mask=diverged_mask,
-    )
-
-
-def _config_cells(config: ExperimentConfig):
-    for algorithm in config.algorithms:
-        if algorithm == "qvlms":
-            for q in config.q_values:
-                yield algorithm, float(q)
-        else:
-            yield algorithm, None
+    curves = []
+    for i, cell in enumerate(cells):
+        j = order.index(i)
+        kept = len(seeds) - int(diverged[j].sum())
+        if kept == 0:
+            raise RuntimeError(
+                f"all {len(seeds)} trials diverged (algorithm={cell.algorithm}, "
+                f"q={cell.q_value}, snr={cell.snr_db} dB, mu={cell.step_size:.3e})"
+            )
+        per_coef = totals[1][:, j] / kept
+        curves.append(AveragedCurves(
+            algorithm=cell.algorithm,
+            q_value=cell.q_value,
+            snr_db=cell.snr_db,
+            step_size=cell.step_size,
+            nwd=totals[0][:, j] / kept,
+            mae=per_coef.mean(axis=1),
+            abs_weight_error=per_coef,
+            mse=totals[2][:, j] / kept,
+            trials=len(seeds),
+            diverged=len(seeds) - kept,
+            diverged_mask=diverged[j],
+        ))
+    return curves, initial_error
 
 
 def monte_carlo(config: ExperimentConfig, channel: ChannelSpec) -> list[AveragedCurves]:
@@ -489,15 +592,18 @@ def monte_carlo(config: ExperimentConfig, channel: ChannelSpec) -> list[Averaged
 
     The channel argument acts as the family template; its SNR is replaced
     by each entry of ``config.snr_db_values``. All cells share the same
-    per-trial seeds, so cross-algorithm comparisons are paired.
+    per-trial draws, so cross-algorithm comparisons are paired.
     """
-    seeds = trial_seeds(config.master_seed, config.trials)
-    results = []
-    for snr in config.snr_db_values:
-        cell_channel = replace(channel, snr_db=float(snr))
-        for algorithm, q in _config_cells(config):
-            results.append(_run_cell(config, cell_channel, seeds, algorithm, q))
-    return results
+    cells = [
+        _config_cell(config, channel, algorithm, q, snr)
+        for snr in config.snr_db_values
+        for algorithm in config.algorithms
+        for q in (config.q_values if algorithm == "qvlms" else (None,))
+    ]
+    curves, _ = _simulate(cells, channel, trial_seeds(config.master_seed, config.trials),
+                          config.iterations, config.random_init,
+                          config.divergence_threshold)
+    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -533,25 +639,19 @@ class Protocol1Report:
     mu_rule: str
 
 
-def _theory_mae_curve(seeds, channel: ChannelSpec, mu: float,
-                      update_matrix: np.ndarray, iterations: int,
-                      random_init: bool, keep_mask: np.ndarray) -> np.ndarray:
+def _theory_mae_curve(initial_error: np.ndarray, mu: float,
+                      update_matrix: np.ndarray, iterations: int) -> np.ndarray:
     """Trial-averaged absolute mean-error trajectory from the recursion.
 
     Runs the mean recursion from every kept trial's actual initial error
-    and averages the absolute values, mirroring how the simulated mean
-    absolute weight error is aggregated.
+    ``h - w0`` (rows of ``initial_error``) and averages the absolute
+    values, mirroring how the simulated mean absolute weight error is
+    aggregated.
     """
     k = update_matrix.shape[0]
-    errors = np.empty((len(seeds), k))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        h, w0 = _draw_channel_and_init(rng, channel, random_init)
-        errors[i] = h - w0
-    errors = errors[keep_mask]
     step = np.eye(k) - mu * update_matrix
     out = np.empty(iterations + 1)
-    cur = errors
+    cur = initial_error
     out[0] = np.abs(cur).mean()
     for t in range(1, iterations + 1):
         cur = cur @ step.T
@@ -588,9 +688,7 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
     k = channel.num_coefficients
     r_in = channel.autocorrelation()
     lam = np.linalg.eigvalsh(r_in)
-    seeds = trial_seeds(master_seed, trials)
-
-    comparisons = []
+    cells, update_matrices = [], []
     for q in q_values:
         qp = QParams.uniform(q, k)
         a_matrix = build_update_matrix(qp, r_in)
@@ -600,18 +698,18 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
             mu = mu_fraction / float(np.max(np.linalg.eigvals(a_matrix).real))
         else:
             raise ValueError(f"unknown mu rule {mu_rule!r}")
-        config = ExperimentConfig(
-            iterations=iterations, trials=trials, master_seed=master_seed,
-            step_size=mu, q_values=(float(q),), snr_db_values=(snr_db,),
-            algorithms=("qvlms",), random_init=True,
-        )
-        cell = _run_cell(config, channel, seeds, "qvlms", float(q))
-        theory = _theory_mae_curve(
-            seeds, channel, mu, a_matrix, iterations, True, ~cell.diverged_mask
-        )
+        cells.append(_Cell("qvlms", float(q), float(snr_db), mu))
+        update_matrices.append(a_matrix)
+    curves, initial_error = _simulate(cells, channel, trial_seeds(master_seed, trials),
+                                      iterations, True, DIVERGENCE_THRESHOLD)
+
+    comparisons = []
+    for cell, a_matrix in zip(curves, update_matrices):
+        theory = _theory_mae_curve(initial_error[~cell.diverged_mask],
+                                   cell.step_size, a_matrix, iterations)
         comparisons.append(CurveComparison(
-            q_value=float(q),
-            step_size=mu,
+            q_value=cell.q_value,
+            step_size=cell.step_size,
             theory_mae=theory,
             simulated_mae=cell.mae,
             simulated_nwd=cell.nwd,

@@ -11,6 +11,7 @@ with ratio ``1 - mu (q + 1) / 2``.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,21 +49,30 @@ def gaussian_autocorrelation(memory_length: int,
     (odd moments), squared entries have ``E[x^4] = 3`` on the diagonal and
     1 against other squared entries, and distinct-pair products are
     orthonormal.
+
+    The matrix is built once per ``(memory_length, mode)`` and the same
+    read-only array is returned to every caller; copy it to modify it.
     """
-    m = int(memory_length)
+    if not isinstance(mode, RegressorMode):
+        raise ValueError(f"unknown regressor mode: {mode!r}")
+    return _autocorrelation(int(memory_length), mode)
+
+
+@lru_cache(maxsize=None)
+def _autocorrelation(m: int, mode: RegressorMode) -> np.ndarray:
     k = num_coefficients(m)
     if mode is RegressorMode.ORTHONORMALIZED:
-        return np.eye(k)
-    if mode is not RegressorMode.RAW:
-        raise ValueError(f"unknown regressor mode: {mode!r}")
-    pairs = quadratic_pairs(m)
-    r = np.zeros((k, k))
-    r[:m, :m] = np.eye(m)
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            r[m + i, m + j] = (
-                (a == b) * (c == d) + (a == c) * (b == d) + (a == d) * (b == c)
-            )
+        r = np.eye(k)
+    else:
+        pairs = quadratic_pairs(m)
+        r = np.zeros((k, k))
+        r[:m, :m] = np.eye(m)
+        for i, (a, b) in enumerate(pairs):
+            for j, (c, d) in enumerate(pairs):
+                r[m + i, m + j] = (
+                    (a == b) * (c == d) + (a == c) * (b == d) + (a == d) * (b == c)
+                )
+    r.setflags(write=False)
     return r
 
 

@@ -165,6 +165,28 @@ class TestRunCommand:
         assert rc == 1
         assert "mu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, key", [
+        (["run", "--mu", "inf"], "mu"),
+        (["run", "--mu-frac", "inf"], "mu_fraction"),
+        (["protocol1", "--mu-fraction", "inf"], "mu_fraction"),
+        (["protocol2", "--mu", "nan"], "mu"),
+        (["run", "--mu", "0.001", "--q", "inf"], "q_values"),
+        (["protocol2", "--q", "5", "nan"], "q_values"),
+        (["protocol2", "--snr", "nan"], "snr_db"),
+        (["run", "--mu", "0.001", "--snr=-inf"], "snr_db"),
+    ])
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys,
+                                                argv, key):
+        rc = main(argv + ["--trials", "2", "--iterations", "10",
+                          "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_infinite_snr_is_a_noiseless_run(self, tmp_path):
+        rc = main(["run", "--out", str(tmp_path / "x"), "--trials", "2",
+                   "--iterations", "10", "--mu", "0.001", "--snr", "inf"])
+        assert rc == 0
+
 
 class TestRerun:
     def test_rerun_reproduces_bytes(self, tmp_path):
@@ -179,6 +201,18 @@ class TestRerun:
         for name in ("protocol2_curves.csv", "protocol2_summary.csv",
                      "protocol2_gaps.csv"):
             assert _read(out_a / name) == _read(out_b / name)
+
+    def test_rerun_keeps_algorithms(self, tmp_path):
+        out_a = tmp_path / "orig"
+        assert main(["run", "--out", str(out_a), "--seed", "6", "--trials", "3",
+                     "--iterations", "40", "--mu", "0.002", "--snr", "20",
+                     "--algorithm", "vlms", "whitened"]) == 0
+        out_b = tmp_path / "redo"
+        assert main(["rerun", str(out_a / "manifest.json"),
+                     "--out", str(out_b)]) == 0
+        for name in ("run_curves.csv", "run_summary.csv"):
+            assert _read(out_a / name) == _read(out_b / name)
+        assert "whitened" in (out_b / "run_summary.csv").read_text()
 
     def test_rerun_protocol1(self, tmp_path):
         out_a = tmp_path / "orig"

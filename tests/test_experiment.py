@@ -1,9 +1,13 @@
 import math
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qvlms import experiment
 from qvlms.adapt import FilterState, QParams, matrix_gain_step, qvlms_step
 from qvlms.experiment import (
     ChannelSpec,
@@ -269,6 +273,77 @@ class TestMonteCarlo:
         b = monte_carlo(cfg, spec)[0]
         assert np.array_equal(a.nwd, b.nwd)
         assert np.array_equal(a.mae, b.mae)
+
+
+def _mean_of_trials(config, spec, cell, keep=None):
+    """Per-seed ``run_trial`` curves of one cell, averaged over ``keep``."""
+    trials = [run_trial(config, replace(spec, snr_db=cell.snr_db), seed,
+                        algorithm=cell.algorithm, q_value=cell.q_value)
+              for seed in trial_seeds(config.master_seed, config.trials)]
+    keep = np.ones(len(trials), dtype=bool) if keep is None else keep
+    kept = [t for t, k in zip(trials, keep) if k]
+    return trials, {
+        "nwd": np.mean([t.nwd for t in kept], axis=0),
+        "mae": np.mean([t.mae for t in kept], axis=0),
+        "mse": np.mean([t.squared_error for t in kept], axis=0),
+    }
+
+
+class TestStreamingKernel:
+    """``monte_carlo`` against per-seed ``run_trial`` curves, with small
+    trial chunks and step blocks so that several of each (and a partial
+    last block) are crossed."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_CHUNK", 16)
+        monkeypatch.setattr(experiment, "_BLOCK", 7)
+
+    def test_cells_equal_mean_of_run_trial_curves(self):
+        cfg = small_config(iterations=60, trials=40, master_seed=21,
+                           step_size=0.01, q_values=(2.0, 5.0),
+                           snr_db_values=(10.0, 30.0),
+                           algorithms=("vlms", "qvlms", "whitened"))
+        spec = ChannelSpec()
+        cells = monte_carlo(cfg, spec)
+        assert len(cells) == 8
+        for cell in cells:
+            assert cell.diverged == 0
+            _, mean = _mean_of_trials(cfg, spec, cell)
+            for name in ("nwd", "mae", "mse"):
+                np.testing.assert_allclose(getattr(cell, name), mean[name],
+                                           rtol=1e-12, atol=0, err_msg=name)
+
+    def test_partial_divergence_matches_run_trial(self):
+        cfg = small_config(iterations=150, trials=40, master_seed=4,
+                           step_size=0.1, q_values=(2.0,),
+                           algorithms=("qvlms", "vlms", "whitened"))
+        spec = ChannelSpec()
+        cells = monte_carlo(cfg, spec)
+        for cell in cells:
+            assert 0 < cell.diverged < cfg.trials
+            trials, mean = _mean_of_trials(cfg, spec, cell, ~cell.diverged_mask)
+            assert np.array_equal(cell.diverged_mask,
+                                  [t.diverged for t in trials])
+            for name in ("nwd", "mae", "mse"):
+                np.testing.assert_allclose(getattr(cell, name), mean[name],
+                                           rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_monte_carlo_memory_is_below_per_trial_curve_size():
+    # the kernel streams its curves: one call must stay below the size of
+    # the (trials, N+1, K) weight-error array that a per-trial kernel
+    # would hold for a single chunk
+    cfg = small_config(iterations=1000, trials=256, step_size=0.005)
+    spec = ChannelSpec()
+    per_trial_bytes = cfg.trials * (cfg.iterations + 1) * spec.num_coefficients * 8
+    tracemalloc.start()
+    try:
+        monte_carlo(cfg, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < per_trial_bytes
 
 
 class TestStepSizeResolution:

@@ -84,6 +84,17 @@ class TestGaussianAutocorrelation:
         closed = gaussian_autocorrelation(m, RegressorMode.RAW)
         assert np.all(np.abs(estimate - closed) <= 3.0 * se + 1e-12)
 
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    def test_cached_matrix_is_read_only_and_equals_fresh_build(self, mode):
+        r = gaussian_autocorrelation(4, mode)
+        assert gaussian_autocorrelation(4, mode) is r
+        assert not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[0, 0] = 2.0
+        fresh = _monomial_moment_autocorrelation(4) \
+            if mode is RegressorMode.RAW else np.eye(num_coefficients(4))
+        assert np.array_equal(r, fresh)
+
     def test_symmetric_positive_definite(self):
         for m in (1, 2, 3, 4):
             r = gaussian_autocorrelation(m, RegressorMode.RAW)
