@@ -1,8 +1,9 @@
 """Command-line harness: protocol runs, ad-hoc Monte-Carlo, bound calculator.
 
 Every run writes a JSON manifest carrying the fully resolved configuration,
-tool version, master seed and output paths; re-running from the manifest
-(``qvlms rerun manifest.json``) reproduces the CSV outputs byte for byte.
+tool, Python and numpy versions, master seed and output paths; re-running
+from the manifest (``qvlms rerun manifest.json``) reproduces the CSV outputs
+byte for byte, and warns when the Python or numpy version differs.
 
 Config files are flat ``key = value`` text ('#' starts a comment). Flags
 override file values. Exit codes: 0 success, 1 configuration error,
@@ -14,6 +15,7 @@ import datetime
 import json
 import math
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -191,6 +193,12 @@ def _curve_rows(algorithm, q, snr_db, nwd=None, mae=None, mse=None):
         }
 
 
+def _environment() -> dict:
+    """Versions the outputs' bits depend on: the kernel reproduces numpy's
+    summation order, and numpy's generators and math follow the release."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
 def _manifest(protocol: str, settings: dict, out_dir: Path, outputs, checks,
               started: str) -> dict:
     serializable = {
@@ -200,6 +208,7 @@ def _manifest(protocol: str, settings: dict, out_dir: Path, outputs, checks,
     return {
         "tool": "qvlms",
         "version": __version__,
+        "environment": _environment(),
         "protocol": protocol,
         "master_seed": settings.get("seed"),
         "config": serializable,
@@ -256,6 +265,10 @@ def cmd_protocol1(args) -> int:
                         {**_COMMON_FLAGS, "mu_fraction": "mu_fraction",
                          "q_values": "q", "snr_db": "snr"})
     _validate_common(s)
+    if len(s["snr_db"]) != 1:
+        raise ConfigError(
+            f"key 'snr_db': protocol1 runs at one SNR, got {list(s['snr_db'])}"
+        )
     out_dir = _resolve_out_dir(args)
 
     report = protocol1(
@@ -403,7 +416,7 @@ def cmd_run(args) -> int:
 
     # warn when the requested step exceeds twice the stability bound
     k = channel.num_coefficients
-    lam = np.linalg.eigvalsh(channel.autocorrelation())
+    lam = channel.eigenvalues()
     for q in config.q_values:
         bound = step_size_bound(QParams.uniform(q, k), lam)
         mu = s["mu"] if s["mu"] is not None else s["mu_fraction"] * bound
@@ -471,6 +484,13 @@ def cmd_bound(args) -> int:
 
 def cmd_rerun(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text())
+    # manifests written before versions were recorded carry none to compare
+    recorded = manifest.get("environment", {})
+    for name, version in _environment().items():
+        if recorded.get(name, version) != version:
+            print(f"warning: manifest was written with {name} "
+                  f"{recorded[name]}, this is {name} {version}; outputs may "
+                  f"differ in the last digits", file=sys.stderr)
     protocol = manifest.get("protocol")
     config = dict(manifest.get("config", {}))
     if "regressor_mode" in config:

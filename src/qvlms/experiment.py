@@ -20,6 +20,11 @@ and both protocols.
   matrix-gain ``whitened`` cells in a second.
 * Regressors and the clean desired signal are built for a block of steps
   at once, so the per-step loop only forms the error and updates weights.
+* Weights are stored coefficient-major, (K, cells, trials), so every
+  per-step operation runs on contiguous (cells, trials) slabs. The
+  prediction ``w . u`` adds the K product slabs by a fixed plan that
+  repeats numpy's pairwise summation order for a row of length K, which
+  keeps each trial bit-identical to the scalar steps in ``adapt``.
 * NWD, absolute weight error and squared error are reduced per block,
   into per-cell sums over trials for the averages or into full per-trial
   curves for ``run_trial``.
@@ -33,11 +38,16 @@ it.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from qvlms.adapt import QParams, step_size_bound
-from qvlms.theory import build_update_matrix, gaussian_autocorrelation
+from qvlms.theory import (
+    build_update_matrix,
+    gaussian_autocorrelation,
+    gaussian_eigenvalues,
+)
 from qvlms.volterra import (
     SQRT2,
     RegressorMode,
@@ -169,6 +179,10 @@ class ChannelSpec:
     def autocorrelation(self) -> np.ndarray:
         return gaussian_autocorrelation(self.memory_length, self.regressor_mode)
 
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of ``autocorrelation()`` (cached, read-only)."""
+        return gaussian_eigenvalues(self.memory_length, self.regressor_mode)
+
     def signal_power(self, h):
         """``h . R h`` for each channel vector along the last axis of ``h``.
 
@@ -242,17 +256,27 @@ def resolve_step_size(config: ExperimentConfig, channel: ChannelSpec,
     """
     if config.step_size is not None:
         return float(config.step_size)
-    k = channel.num_coefficients
-    lam = np.linalg.eigvalsh(channel.autocorrelation())
-    bound = step_size_bound(QParams.uniform(q_value, k), lam)
+    bound = step_size_bound(QParams.uniform(q_value, channel.num_coefficients),
+                            channel.eigenvalues())
     return float(config.step_size_fraction) * bound
 
 
 def whitened_gain(channel: ChannelSpec) -> np.ndarray:
-    """Fixed gain matrix ``S R^-1 S`` for the whitened comparison variant."""
-    s = scaling_diag(channel.memory_length).entries
-    r = channel.autocorrelation()
-    return s[:, None] * np.linalg.inv(r) * s[None, :]
+    """Fixed gain matrix ``S R^-1 S`` for the whitened comparison variant.
+
+    Built once per (memory length, regressor mode); the same read-only
+    array is returned to every caller.
+    """
+    return _whitened_gain(channel.memory_length, channel.regressor_mode)
+
+
+@lru_cache(maxsize=None)
+def _whitened_gain(memory_length: int, mode: RegressorMode) -> np.ndarray:
+    s = scaling_diag(memory_length).entries
+    r = gaussian_autocorrelation(memory_length, mode)
+    gain = s[:, None] * np.linalg.inv(r) * s[None, :]
+    gain.setflags(write=False)
+    return gain
 
 
 @dataclass(frozen=True)
@@ -322,69 +346,158 @@ def _regressors(x, r0: int, r1: int, memory_length: int,
     return np.concatenate([lin, quad], axis=-1)
 
 
+def _sum_plan(n: int) -> tuple[list[tuple[int, int, int]], int]:
+    """Additions ``slot[out] = slot[a] + slot[b]``, as triples
+    ``(a, b, out)``, that sum the values in slots ``0 .. n-1`` in the
+    order numpy's pairwise summation adds a contiguous vector of length
+    ``n``; and the slot that ends up holding the sum.
+
+    * ``n < 8``: sequentially.
+    * ``8 <= n <= 128``: eight accumulators take whole blocks of eight, are
+      combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the
+      remainder is added sequentially.
+    * ``n > 128``: the two halves, split at ``n // 2`` rounded down to a
+      multiple of 8, are summed this way and then added.
+
+    Like numpy's, the sum starts from +0.0, which slot ``n`` must hold: it
+    turns an all-(-0.0) sum into +0.0. The plan uses ``n + 2`` slots and
+    never writes to an operand of its own addition: numpy runs such
+    in-place calls more slowly on small slabs, as at batch 1.
+    """
+    adds = []  # (a, b) value ids; value n + 1 + i is the sum made by adds[i]
+
+    def add(a, b):
+        adds.append((a, b))
+        return n + len(adds)
+
+    def pairwise(lo, m):
+        if m < 8:
+            acc = lo
+            for i in range(lo + 1, lo + m):
+                acc = add(acc, i)
+            return acc
+        if m <= 128:
+            whole = lo + m - m % 8
+            r = list(range(lo, lo + 8))
+            for i in range(lo + 8, whole, 8):
+                r = [add(r[j], i + j) for j in range(8)]
+            acc = add(add(add(r[0], r[1]), add(r[2], r[3])),
+                      add(add(r[4], r[5]), add(r[6], r[7])))
+            for i in range(whole, lo + m):
+                acc = add(acc, i)
+            return acc
+        half = m // 2 - m // 2 % 8
+        return add(pairwise(lo, half), pairwise(lo + half, m - half))
+
+    total = add(pairwise(0, n), n)
+    # every value is an operand once: a sum takes a free slot, and the
+    # slots of its operands other than the +0.0 are free once it is made
+    slot, free, plan = list(range(n + 1)) + [0] * len(adds), [n + 1], []
+    for i, (a, b) in enumerate(adds):
+        slot[n + 1 + i] = free.pop()
+        plan.append((slot[a], slot[b], slot[n + 1 + i]))
+        free += [slot[v] for v in (a, b) if v != n]
+    return plan, slot[total]
+
+
 def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
     """Advance a chunk of trials through every cell in lockstep.
 
     ``h, w0 (T, K)``, ``x (T, N+M-1)`` and the unit noise ``z (T, N)`` are
     shared by all cells; diagonal-gain cells must precede ``whitened``
-    ones. Yields ``(row, w, e)`` per block of steps: ``w (B, C, T, K)``
-    holds the weights at curve rows ``row .. row+B-1`` and ``e (B, C, T)``
-    the a priori errors of the steps that produced them. The first yield
-    is row 0, the initial weights, with NaN errors. Yielded arrays are
-    reused by the next block. A diverged pair keeps adapting and may
-    overflow, so callers run under ``np.errstate`` and mask it.
+    ones. Yields ``(row, w, e)`` per block of steps: ``w (B, K, C, T)``
+    holds the weights at curve rows ``row .. row+B-1``, coefficient-major,
+    and ``e (B, C, T)`` the a priori errors of the steps that produced
+    them. The first yield is row 0, the initial weights, with NaN errors.
+    Yielded arrays are reused by the next block. A diverged pair keeps
+    adapting and may overflow, so callers run under ``np.errstate`` and
+    mask it.
+
+    Weights are stored coefficient-major so that every per-step operation
+    runs on contiguous (C, T) slabs. The prediction ``w . u`` is the
+    product's K slabs summed by ``_sum_plan``: the same additions in the
+    same order as numpy's row sum in ``adapt.predict``, so diagonal-gain
+    cells are bit-exact per trial against ``adapt.qvlms_step`` (``whitened``
+    cells differ from ``adapt.matrix_gain_step`` only in how BLAS orders
+    ``u @ (S R^-1 S)^T``). The update forms ``g * (mu * e)`` per
+    (cell, trial) and broadcasts it over the coefficients. All buffers,
+    views and the per-step ufunc calls are built once per call.
     """
     t, k = h.shape
     n = z.shape[1]
     c = len(cells)
     nd = sum(cell.algorithm != "whitened" for cell in cells)
+    # every diagonal gain is uniform over the coefficients (one q per cell);
+    # whitened cells take g = 1, which leaves mu * e unchanged, and step
+    # along S R^-1 S u instead of u
     mu = np.array([cell.step_size for cell in cells])[:, None]
-    mu_d, mu_m = mu[:nd], mu[nd:]
-    # every diagonal gain is uniform over the coefficients (one q per cell)
     gain = np.array([
         QParams.uniform(cell.q_value, 1).g[0] if cell.algorithm == "qvlms"
-        else 1.0 for cell in cells[:nd]
+        else 1.0 for cell in cells
     ])[:, None]
     gain_t = whitened_gain(channel).T if nd < c else None
     factor = np.array([noise_variance_for_snr(1.0, cell.snr_db) for cell in cells])
     sigma = np.sqrt(factor[:, None] * channel.signal_power(h))
 
-    yield 0, np.broadcast_to(w0, (1, c, t, k)), np.full((1, c, t), np.nan)
-    w_hist = np.empty((_BLOCK, c, t, k))
+    yield (0, np.broadcast_to(w0.T[None, :, None], (1, k, c, t)),
+           np.full((1, c, t), np.nan))
+    w_hist = np.empty((_BLOCK, k, c, t))
     e_hist = np.empty((_BLOCK, c, t))
-    w = np.repeat(w0[None], c, axis=0)
+    d = np.empty((_BLOCK, c, t))
+    # regressors, and the whitened direction S R^-1 S u, coefficient-major
+    ut = np.empty((_BLOCK, k, 1, t))
+    ugt = np.empty((_BLOCK, k, 1, t)) if gain_t is not None else None
+    w_last = np.empty((k, c, t))
+    w_last[...] = w0.T[:, None]
+    # the products u_k w_k, +0.0 and the partial sums of the plan; then
+    # the update step (g * (mu * e)) u_k
+    work = np.empty((k + 2, c, t))
+    work[k] = 0.0
+    prod = work[:k]
+    plan, total = _sum_plan(k)
+    adds = [(np.add, (work[a], work[b], work[o])) for a, b, o in plan]
+    # step sizes and gains spread to (C, T) so that no call broadcasts them
+    mu, gain = np.repeat(mu, t, axis=1), np.repeat(gain, t, axis=1)
+    scaled = np.empty((2, c, t))
+    stacks = [(cs, direction) for cs, direction in
+              ((slice(0, nd), ut), (slice(nd, c), ugt)) if cs.start < cs.stop]
+
+    # the ufunc calls of each step of a block: prediction, error, update
+    steps = []
+    for j in range(_BLOCK):
+        w_prev = w_last if j == 0 else w_hist[j - 1]
+        steps.append([
+            (np.multiply, (ut[j], w_prev, prod)),
+            *adds,
+            (np.subtract, (d[j], work[total], e_hist[j])),
+            (np.multiply, (mu, e_hist[j], scaled[0])),
+            (np.multiply, (gain, scaled[0], scaled[1])),
+            *((np.multiply, (scaled[1, cs], direction[j], prod[:, cs]))
+              for cs, direction in stacks),
+            (np.add, (w_prev, prod, w_hist[j])),
+        ])
+
     for r0 in range(0, n, _BLOCK):
-        r1 = min(r0 + _BLOCK, n)
-        u = _regressors(x, r0, r1, channel.memory_length, channel.regressor_mode)
-        d = (u * h).sum(axis=-1)[:, None] + z[:, r0:r1].T[:, None] * sigma
+        b = min(_BLOCK, n - r0)
+        u = _regressors(x, r0, r0 + b, channel.memory_length, channel.regressor_mode)
+        np.add((u * h).sum(axis=-1)[:, None], z[:, r0:r0 + b].T[:, None] * sigma,
+               out=d[:b])
+        ut[:b, :, 0] = u.transpose(0, 2, 1)
         if gain_t is not None:
-            ug = u @ gain_t
-        for j in range(r1 - r0):
-            # prediction and update groupings match adapt.qvlms_step and
-            # adapt.matrix_gain_step, so every cell is bit-exact per trial;
-            # np.repeat spreads the scaled error over the coefficients
-            # faster than a broadcast along the last axis
-            if nd:
-                e = np.subtract(d[j, :nd], (u[j] * w[:nd]).sum(axis=-1),
-                                out=e_hist[j, :nd])
-                step = np.repeat(gain * (mu_d * e), k).reshape(nd, t, k)
-                np.add(w[:nd], np.multiply(step, u[j], out=step),
-                       out=w_hist[j, :nd])
-            if nd < c:
-                e = np.subtract(d[j, nd:], (u[j] * w[nd:]).sum(axis=-1),
-                                out=e_hist[j, nd:])
-                step = np.repeat(mu_m * e, k).reshape(c - nd, t, k)
-                np.add(w[nd:], np.multiply(step, ug[j], out=step),
-                       out=w_hist[j, nd:])
-            w = w_hist[j]
-        yield r0 + 1, w_hist[:r1 - r0], e_hist[:r1 - r0]
-        w = w.copy()  # the next block overwrites w_hist
+            ugt[:b, :, 0] = (u @ gain_t).transpose(0, 2, 1)
+        del u  # copied into ut; freed before the consumers allocate theirs
+        for calls in steps[:b]:
+            for ufunc, operands in calls:
+                ufunc(*operands)
+        yield r0 + 1, w_hist[:b], e_hist[:b]
+        np.copyto(w_last, w_hist[b - 1])  # the next block overwrites w_hist
 
 
-def _block_curves(h, hh, w):
-    """NWD (B, C, T) and weight error ``h - w`` (B, C, T, K) of a block."""
-    delta = h - w
-    return np.einsum("...k,...k->...", delta, delta) / hh, delta
+def _block_curves(hb, hh, w):
+    """NWD (B, C, T) and weight error ``h - w`` (B, K, C, T) of a block;
+    ``hb`` is the channel spread to (K, C, T), so that only B broadcasts."""
+    delta = hb - w
+    return np.einsum("bkct,bkct->bct", delta, delta) / hh, delta
 
 
 @dataclass(frozen=True)
@@ -428,6 +541,7 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
     h, w0, x, z = _draw_trial(seed, channel, n, config.random_init)
     hs = h[None, :]
     hh = (hs * hs).sum(axis=1)
+    hb = h[:, None, None]
     nwd_curve = np.full(n + 1, np.nan)
     abs_err = np.full((n + 1, h.size), np.nan)
     sq_err = np.full(n + 1, np.nan)
@@ -435,8 +549,8 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
     with np.errstate(over="ignore", invalid="ignore"):
         for row, w, e in _lockstep(hs, w0[None, :], x[None, :], z[None, :],
                                    (cell,), channel):
-            cur, delta = _block_curves(hs, hh, w)
-            cur, delta, e = cur[:, 0, 0], delta[:, 0, 0], e[:, 0, 0]
+            cur, delta = _block_curves(hb, hh, w)
+            cur, delta, e = cur[:, 0, 0], delta[:, :, 0, 0], e[:, 0, 0]
             stop = len(cur)
             if row:
                 bad = np.flatnonzero(~(cur <= config.divergence_threshold))
@@ -447,7 +561,7 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
             nwd_curve[rows] = cur[:stop]
             abs_err[rows] = np.abs(delta[:stop])
             sq_err[rows] = e[:stop] * e[:stop]
-            w_final = w[stop - 1, 0, 0].copy()
+            w_final = w[stop - 1, :, 0, 0].copy()
             if div_iter is not None:
                 break
     return TrialCurves(
@@ -506,13 +620,14 @@ def _chunk_sums(draw, cells, channel: ChannelSpec, threshold: float, keep=None):
     h, _, _, z = draw
     (t, k), n, c = h.shape, z.shape[1], len(cells)
     hh = (h * h).sum(axis=1)
+    hb = np.repeat(h.T[:, None], c, axis=1)
     nwd_sum = np.zeros((n + 1, c))
     abs_sum = np.zeros((n + 1, c, k))
     sq_sum = np.zeros((n + 1, c))
     diverged = np.zeros((c, t), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for row, w, e in _lockstep(*draw, cells, channel):
-            cur, delta = _block_curves(h, hh, w)
+            cur, delta = _block_curves(hb, hh, w)
             if row:
                 diverged |= (~(cur <= threshold)).any(axis=0)
                 if diverged.all():
@@ -523,11 +638,11 @@ def _chunk_sums(draw, cells, channel: ChannelSpec, threshold: float, keep=None):
             sq = e * e
             if keep is not None:
                 cur = np.where(keep, cur, 0.0)
-                err = np.where(keep[..., None], err, 0.0)
+                err = np.where(keep, err, 0.0)
                 sq = np.where(keep, sq, 0.0)
             rows = slice(row, row + len(cur))
             nwd_sum[rows] = cur.sum(axis=-1)
-            abs_sum[rows] = np.einsum("bctk->bck", err)
+            abs_sum[rows] = np.einsum("bkct->bck", err)
             sq_sum[rows] = sq.sum(axis=-1)
     return (nwd_sum, abs_sum, sq_sum), diverged
 
@@ -687,7 +802,7 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
                           regressor_mode=regressor_mode)
     k = channel.num_coefficients
     r_in = channel.autocorrelation()
-    lam = np.linalg.eigvalsh(r_in)
+    lam = channel.eigenvalues()
     cells, update_matrices = [], []
     for q in q_values:
         qp = QParams.uniform(q, k)

@@ -27,6 +27,7 @@ __all__ = [
     "TheoryModel",
     "build_update_matrix",
     "gaussian_autocorrelation",
+    "gaussian_eigenvalues",
     "mean_weight_error_trajectory",
     "minimum_error",
     "wiener_optimum",
@@ -74,6 +75,25 @@ def _autocorrelation(m: int, mode: RegressorMode) -> np.ndarray:
                 )
     r.setflags(write=False)
     return r
+
+
+def gaussian_eigenvalues(memory_length: int,
+                         mode: RegressorMode = RegressorMode.RAW) -> np.ndarray:
+    """Ascending eigenvalues of ``gaussian_autocorrelation(memory_length, mode)``.
+
+    Like the matrix, they are computed once per ``(memory_length, mode)``
+    and the same read-only array is returned to every caller.
+    """
+    if not isinstance(mode, RegressorMode):
+        raise ValueError(f"unknown regressor mode: {mode!r}")
+    return _eigenvalues(int(memory_length), mode)
+
+
+@lru_cache(maxsize=None)
+def _eigenvalues(m: int, mode: RegressorMode) -> np.ndarray:
+    lam = np.linalg.eigvalsh(_autocorrelation(m, mode))
+    lam.setflags(write=False)
+    return lam
 
 
 def build_update_matrix(qp: QParams, autocorrelation: np.ndarray,

@@ -88,6 +88,20 @@ class TestProtocolCommands:
         assert rc == 1
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_protocol1_rejects_several_snrs(self, tmp_path, capsys, source):
+        argv = ["protocol1", "--out", str(tmp_path / "x"), "--trials", "2",
+                "--iterations", "10"]
+        if source == "flag":
+            argv += ["--snr", "10", "30"]
+        else:
+            cfg = tmp_path / "p1.cfg"
+            cfg.write_text("snr_db = 10, 30\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        assert "'snr_db'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_single_trial_smoke_run_is_fast(self, tmp_path):
         import time
         t0 = time.monotonic()
@@ -213,6 +227,36 @@ class TestRerun:
         for name in ("run_curves.csv", "run_summary.csv"):
             assert _read(out_a / name) == _read(out_b / name)
         assert "whitened" in (out_b / "run_summary.csv").read_text()
+
+    def test_manifest_records_environment(self, tmp_path):
+        import platform
+
+        import numpy as np
+        out = tmp_path / "run"
+        assert main(["protocol1", "--out", str(out), "--trials", "2",
+                     "--iterations", "10", "--q", "5"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+        }
+        assert "environment" not in manifest["checks"]
+
+    def test_rerun_warns_when_versions_differ(self, tmp_path, capsys):
+        out_a = tmp_path / "orig"
+        assert main(["protocol1", "--out", str(out_a), "--trials", "2",
+                     "--iterations", "10", "--q", "5"]) == 0
+        path = out_a / "manifest.json"
+        redo = ["rerun", str(path), "--out", str(tmp_path / "redo")]
+        capsys.readouterr()
+        assert main(redo) == 0
+        assert "warning" not in capsys.readouterr().err
+        manifest = json.loads(path.read_text())
+        manifest["environment"]["numpy"] = "0.0.1"
+        path.write_text(json.dumps(manifest))
+        assert main(redo) == 0
+        err = capsys.readouterr().err
+        assert "warning" in err and "numpy 0.0.1" in err
+        assert "python" not in err
 
     def test_rerun_protocol1(self, tmp_path):
         out_a = tmp_path / "orig"

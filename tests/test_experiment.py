@@ -8,7 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qvlms import experiment
-from qvlms.adapt import FilterState, QParams, matrix_gain_step, qvlms_step
+from qvlms.adapt import (
+    FilterState,
+    QParams,
+    matrix_gain_step,
+    qvlms_step,
+    vlms_step,
+)
 from qvlms.experiment import (
     ChannelSpec,
     ExperimentConfig,
@@ -19,13 +25,21 @@ from qvlms.experiment import (
     nwd_db,
     protocol1,
     protocol2,
+    resolve_step_size,
     run_trial,
     steady_state_level,
     trial_seeds,
     whitened_gain,
 )
 from qvlms.experiment import _draw_trial  # noqa: F401  (shared draw order)
-from qvlms.volterra import RegressorMode, VolterraKernel, expand_regressor
+from qvlms.experiment import _sum_plan
+from qvlms.volterra import (
+    RegressorMode,
+    VolterraKernel,
+    expand_regressor,
+    num_coefficients,
+    scaling_diag,
+)
 
 
 def small_config(**kwargs):
@@ -168,6 +182,33 @@ class TestRunTrial:
             state, _ = qvlms_step(state, u, desired, qp)
             assert np.isclose(curves.nwd[r + 1], nwd(h, state.weights),
                               rtol=1e-12, atol=0)
+        assert np.array_equal(state.weights, curves.final_weights)
+
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    @pytest.mark.parametrize("algorithm", ["qvlms", "vlms"])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_zero_init_final_weights_match_scalar_steps(self, m, algorithm,
+                                                       mode):
+        # the kernel's summation plan must reproduce the scalar prediction
+        # for every K = 2 .. 44 (sequential and eight-accumulator branches)
+        cfg = small_config(iterations=80, step_size=None,
+                           step_size_fraction=0.05, random_init=False)
+        spec = ChannelSpec(memory_length=m, snr_db=20.0, regressor_mode=mode)
+        seed = 100 + m
+        curves = run_trial(cfg, spec, seed, algorithm=algorithm)
+        assert not curves.diverged
+
+        h, w0, x, z = _draw_trial(seed, spec, cfg.iterations, cfg.random_init)
+        assert not w0.any()
+        sigma = math.sqrt(spec.noise_variance(h))
+        q = cfg.q_values[0] if algorithm == "qvlms" else 1.0
+        state = FilterState(w0, resolve_step_size(cfg, spec, q))
+        qp = QParams.uniform(q, spec.num_coefficients)
+        for r in range(cfg.iterations):
+            u = expand_regressor(x[r:r + m][::-1], mode)
+            desired = float((u.values * h).sum()) + z[r] * sigma
+            state, _ = (qvlms_step(state, u, desired, qp) if algorithm == "qvlms"
+                        else vlms_step(state, u, desired))
         assert np.array_equal(state.weights, curves.final_weights)
 
     def test_whitened_trial_matches_matrix_gain_reference(self):
@@ -314,6 +355,24 @@ class TestStreamingKernel:
                 np.testing.assert_allclose(getattr(cell, name), mean[name],
                                            rtol=1e-12, atol=0, err_msg=name)
 
+    def test_wide_kernel_with_whitened_matches_run_trial(self):
+        # K = 20: the (B, K, C, T) blocks cross chunk and block edges with
+        # both stacks present
+        cfg = small_config(iterations=30, trials=20, master_seed=8,
+                           step_size=None, step_size_fraction=0.2,
+                           q_values=(3.0,), snr_db_values=(15.0,),
+                           algorithms=("whitened", "qvlms", "vlms"))
+        spec = ChannelSpec(memory_length=5)
+        cells = monte_carlo(cfg, spec)
+        assert [c.algorithm for c in cells] == ["whitened", "qvlms", "vlms"]
+        for cell in cells:
+            assert cell.diverged == 0
+            assert cell.abs_weight_error.shape == (31, 20)
+            _, mean = _mean_of_trials(cfg, spec, cell)
+            for name in ("nwd", "mae", "mse"):
+                np.testing.assert_allclose(getattr(cell, name), mean[name],
+                                           rtol=1e-12, atol=0, err_msg=name)
+
     def test_partial_divergence_matches_run_trial(self):
         cfg = small_config(iterations=150, trials=40, master_seed=4,
                            step_size=0.1, q_values=(2.0,),
@@ -328,6 +387,42 @@ class TestStreamingKernel:
             for name in ("nwd", "mae", "mse"):
                 np.testing.assert_allclose(getattr(cell, name), mean[name],
                                            rtol=1e-12, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("n", range(1, 301))
+def test_sum_plan_matches_numpy_row_sum(n):
+    # rows of mixed magnitude and sign, plus all-(-0.0) and mixed-zero rows
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-8, 9, (6, n))
+    rows[1] = -0.0
+    rows[2, ::2] = -0.0
+    rows[2, 1::2] = 0.0
+    rows[3] = rng.standard_normal(n) * 1e-300
+    plan, total = _sum_plan(n)
+    slots = np.empty((n + 2, len(rows)))
+    slots[:n] = rows.T
+    slots[n] = 0.0
+    for a, b, out in plan:
+        assert out not in (a, b)
+        np.add(slots[a], slots[b], out=slots[out])
+    expected = rows.sum(axis=-1)
+    assert np.array_equal(slots[total], expected)
+    assert np.array_equal(np.signbit(slots[total]), np.signbit(expected))
+
+
+class TestWhitenedGain:
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    def test_cached_gain_is_read_only_and_equals_fresh_build(self, mode):
+        spec = ChannelSpec(memory_length=4, regressor_mode=mode)
+        gain = whitened_gain(spec)
+        assert whitened_gain(ChannelSpec(memory_length=4, regressor_mode=mode)) is gain
+        assert not gain.flags.writeable
+        with pytest.raises(ValueError):
+            gain[0, 0] = 1.0
+        s = scaling_diag(4).entries
+        fresh = s[:, None] * np.linalg.inv(spec.autocorrelation()) * s[None, :]
+        assert np.array_equal(gain, fresh)
+        assert gain.shape == (num_coefficients(4),) * 2
 
 
 def test_monte_carlo_memory_is_below_per_trial_curve_size():

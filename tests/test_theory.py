@@ -6,6 +6,7 @@ from qvlms.theory import (
     TheoryModel,
     build_update_matrix,
     gaussian_autocorrelation,
+    gaussian_eigenvalues,
     mean_weight_error_trajectory,
     minimum_error,
     wiener_optimum,
@@ -94,6 +95,16 @@ class TestGaussianAutocorrelation:
         fresh = _monomial_moment_autocorrelation(4) \
             if mode is RegressorMode.RAW else np.eye(num_coefficients(4))
         assert np.array_equal(r, fresh)
+
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    def test_cached_eigenvalues_are_read_only_and_equal_fresh_build(self, mode):
+        lam = gaussian_eigenvalues(4, mode)
+        assert gaussian_eigenvalues(4, mode) is lam
+        assert not lam.flags.writeable
+        with pytest.raises(ValueError):
+            lam[0] = 2.0
+        fresh = np.linalg.eigvalsh(np.array(gaussian_autocorrelation(4, mode)))
+        assert np.array_equal(lam, fresh)
 
     def test_symmetric_positive_definite(self):
         for m in (1, 2, 3, 4):
