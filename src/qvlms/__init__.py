@@ -27,18 +27,13 @@ from qvlms.experiment import (
     run_trial,
 )
 from qvlms.theory import (
-    TheoryModel,
     build_update_matrix,
     gaussian_autocorrelation,
     mean_weight_error_trajectory,
-    minimum_error,
-    wiener_optimum,
     wiener_solution,
 )
 from qvlms.volterra import (
-    Regressor,
     RegressorMode,
-    ScalingDiag,
     VolterraKernel,
     expand_regressor,
     flatten_index,

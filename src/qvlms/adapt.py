@@ -17,8 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qvlms.volterra import Regressor
-
 __all__ = [
     "FilterState",
     "QParams",
@@ -88,29 +86,13 @@ class FilterState:
     def zeros(cls, size: int, step_size: float) -> "FilterState":
         return cls(weights=np.zeros(int(size)), step_size=step_size)
 
-    @classmethod
-    def random(cls, size: int, step_size: float, rng: np.random.Generator,
-               scale: float | None = None) -> "FilterState":
-        """Randomly initialized weights, standard normal scaled by
-        ``scale`` (default ``1/sqrt(K)`` so the expected squared norm is 1)."""
-        k = int(size)
-        if scale is None:
-            scale = 1.0 / np.sqrt(k)
-        return cls(weights=rng.standard_normal(k) * scale, step_size=step_size)
-
-
-def _regressor_values(u) -> np.ndarray:
-    if isinstance(u, Regressor):
-        return u.values
-    return np.asarray(u, dtype=np.float64)
-
 
 def predict(state: FilterState, u) -> tuple[FilterState, float]:
     """Filter output ``w . u`` plus the state with counters advanced.
 
     Charges K multiplications and K-1 additions.
     """
-    v = _regressor_values(u)
+    v = np.asarray(u, dtype=np.float64)
     k = state.weights.size
     if v.shape != (k,):
         raise ValueError(f"regressor length {v.size} != weight length {k}")
@@ -128,7 +110,7 @@ def qvlms_step(state: FilterState, u, desired: float,
     ----------
     state : FilterState
         Current weights and step size.
-    u : Regressor or array_like
+    u : array_like
         Expanded input vector of length K.
     desired : float
         Reference sample the prediction is compared against.
@@ -141,7 +123,7 @@ def qvlms_step(state: FilterState, u, desired: float,
         The advanced state and the a priori error ``desired - w . u``.
         Non-finite inputs raise instead of contaminating the state.
     """
-    v = _regressor_values(u)
+    v = np.asarray(u, dtype=np.float64)
     k = state.weights.size
     if v.shape != (k,):
         raise ValueError(f"regressor length {v.size} != weight length {k}")
@@ -183,7 +165,7 @@ def matrix_gain_step(state: FilterState, u, desired: float,
     charges ``K^2 + 2K + 1`` multiplications and ``K^2 + K`` additions per
     step (matrix-vector product included).
     """
-    v = _regressor_values(u)
+    v = np.asarray(u, dtype=np.float64)
     k = state.weights.size
     gain = np.asarray(gain, dtype=np.float64)
     if v.shape != (k,):

@@ -1,13 +1,18 @@
 """Command-line harness: protocol runs, ad-hoc Monte-Carlo, bound calculator.
 
-Every run writes a JSON manifest carrying the fully resolved configuration,
-tool, Python and numpy versions, master seed and output paths; re-running
-from the manifest (``qvlms rerun manifest.json``) reproduces the CSV outputs
-byte for byte, and warns when the Python or numpy version differs.
+Every run is one ``RunSpec``: a protocol and its settings, merged as
+defaults < config file < flags and validated in one place. ``execute``
+runs a spec and writes its CSVs, plot series and a JSON manifest carrying
+the resolved configuration, tool, Python and numpy versions, master seed
+and output paths. ``qvlms rerun manifest.json`` rebuilds the spec from the
+manifest, reproduces the CSV outputs byte for byte, and warns when the
+Python or numpy version differs.
 
-Config files are flat ``key = value`` text ('#' starts a comment). Flags
-override file values. Exit codes: 0 success, 1 configuration error,
-2 runtime failure (for example every trial diverging).
+Config files are flat ``key = value`` text ('#' starts a comment). Each
+protocol takes only the keys of its entry in ``DEFAULTS``; any other key,
+in a config file or a manifest, is a configuration error. Exit codes:
+0 success, 1 configuration error, 2 runtime failure (for example every
+trial diverging).
 """
 
 import argparse
@@ -17,13 +22,16 @@ import math
 import os
 import platform
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from qvlms import __version__
 from qvlms.adapt import QParams, step_size_bound
 from qvlms.experiment import (
+    ALGORITHMS,
     ChannelSpec,
     ExperimentConfig,
     monte_carlo,
@@ -47,33 +55,45 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# settings: one parser per key, which also checks the value's range
 # ---------------------------------------------------------------------------
 
 def _parse_float(key, text):
     try:
         return float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"key '{key}': expected a number, got {text!r}")
 
 
-def _parse_float_list(key, text):
-    parts = [p for p in str(text).replace(",", " ").split() if p]
-    if not parts:
-        raise ConfigError(f"key '{key}': expected a list of numbers")
-    return tuple(_parse_float(key, p) for p in parts)
+def _parse_positive(key, text):
+    value = _parse_float(key, text)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"key '{key}': must be positive and finite, got {value}")
+    return value
 
 
-def _parse_int(key, text):
+def _parse_snr(key, text):
+    value = _parse_float(key, text)
+    # +inf is a noiseless run; NaN and -inf have no meaning as an SNR
+    if math.isnan(value) or value == -math.inf:
+        raise ConfigError(f"key '{key}': must be a number or inf, got {value}")
+    return value
+
+
+def _parse_int(key, text, low=1):
     try:
-        return int(str(text))
+        value = int(str(text))
     except ValueError:
         raise ConfigError(f"key '{key}': expected an integer, got {text!r}")
+    if value < low:
+        raise ConfigError(f"key '{key}': must be >= {low}, got {value}")
+    return value
 
 
 def _parse_mode(key, text):
     try:
-        return RegressorMode(str(text).strip().lower())
+        return RegressorMode(text if isinstance(text, RegressorMode)
+                             else str(text).strip().lower())
     except ValueError:
         raise ConfigError(
             f"key '{key}': expected 'raw' or 'orthonormalized', got {text!r}"
@@ -89,17 +109,59 @@ def _parse_bool(key, text):
     raise ConfigError(f"key '{key}': expected a boolean, got {text!r}")
 
 
-_CONFIG_PARSERS = {
+def _parse_algorithm(key, text):
+    if text not in ALGORITHMS:
+        raise ConfigError(f"key '{key}': expected one of {ALGORITHMS}, got {text!r}")
+    return text
+
+
+def _list_of(parse_item):
+    """Parser of a list: comma- or space-separated text (config files) or a
+    sequence (flags, manifests)."""
+    def parse(key, value):
+        items = (list(value) if isinstance(value, (list, tuple))
+                 else str(value).replace(",", " ").split())
+        if not items:
+            raise ConfigError(f"key '{key}': expected a list of values")
+        return tuple(parse_item(key, item) for item in items)
+    return parse
+
+
+_parse_positives = _list_of(_parse_positive)
+
+_PARSERS = {
     "memory_length": _parse_int,
     "trials": _parse_int,
     "iterations": _parse_int,
-    "seed": _parse_int,
-    "snr_db": _parse_float_list,
-    "q_values": _parse_float_list,
-    "mu": _parse_float,
-    "mu_fraction": _parse_float,
+    # numpy's SeedSequence takes non-negative integers only
+    "seed": lambda key, text: _parse_int(key, text, low=0),
+    "snr_db": _list_of(_parse_snr),
+    "q_values": _parse_positives,
+    "mu": _parse_positive,
+    "mu_fraction": _parse_positive,
     "regressor_mode": _parse_mode,
     "include_whitened": _parse_bool,
+    "algorithms": _list_of(_parse_algorithm),
+}
+
+#: Each protocol's settings and their defaults. A protocol takes these keys
+#: and no other; the manifest's ``config`` holds exactly them, in this order.
+DEFAULTS = {
+    "protocol1": {
+        "memory_length": 3, "trials": 1000, "iterations": 2000, "seed": 0,
+        "snr_db": (20.0,), "q_values": (1.0, 5.0, 10.0), "mu_fraction": 0.05,
+        "regressor_mode": RegressorMode.RAW,
+    },
+    "protocol2": {
+        "memory_length": 3, "trials": 1000, "iterations": 2500, "seed": 0,
+        "snr_db": (10.0, 20.0, 30.0), "q_values": (2.0, 5.0, 10.0), "mu": 1e-3,
+        "regressor_mode": RegressorMode.RAW, "include_whitened": False,
+    },
+    "run": {
+        "memory_length": 3, "trials": 100, "iterations": 5000, "seed": 0,
+        "snr_db": (20.0,), "q_values": (5.0,), "mu": None, "mu_fraction": None,
+        "regressor_mode": RegressorMode.RAW, "algorithms": ("qvlms",),
+    },
 }
 
 
@@ -113,42 +175,59 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, text = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_PARSERS:
+        if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-        values[key] = _CONFIG_PARSERS[key](key, text)
+        values[key] = _PARSERS[key](key, text)
     return values
 
 
-def _merge_settings(defaults: dict, file_values: dict, args,
-                    flag_keys: dict) -> dict:
-    """defaults < config file < command-line flags."""
-    merged = dict(defaults)
-    merged.update(file_values)
-    for key, attr in flag_keys.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            merged[key] = value
-    return merged
+@dataclass(frozen=True)
+class RunSpec:
+    """A protocol and its resolved, validated settings.
 
+    ``config()`` is the manifest's ``config`` object and ``from_manifest``
+    reads it back, so a rerun resolves the same spec.
+    """
 
-def _validate_common(s: dict):
-    for key in ("trials", "iterations", "memory_length"):
-        if key in s and s[key] < 1:
-            raise ConfigError(f"key '{key}': must be >= 1, got {s[key]}")
-    for key in ("mu", "mu_fraction"):
-        if s.get(key) is not None and not (math.isfinite(s[key]) and s[key] > 0):
+    protocol: str
+    settings: MappingProxyType
+
+    @classmethod
+    def resolve(cls, protocol, *sources: dict) -> "RunSpec":
+        """The protocol's defaults overridden by each source in turn; a
+        ``None`` value leaves a setting as it is."""
+        if protocol not in DEFAULTS:
+            raise ConfigError(f"key 'protocol': unknown value {protocol!r}")
+        s = dict(DEFAULTS[protocol])
+        for source in sources:
+            for key, value in source.items():
+                if key not in s:
+                    raise ConfigError(f"key '{key}': not a setting of {protocol}")
+                if value is not None:
+                    s[key] = _PARSERS[key](key, value)
+        if protocol == "protocol1" and len(s["snr_db"]) != 1:
             raise ConfigError(
-                f"key '{key}': must be positive and finite, got {s[key]}"
+                f"key 'snr_db': protocol1 runs at one SNR, got {list(s['snr_db'])}"
             )
-    if "q_values" in s and not all(math.isfinite(q) and q > 0 for q in s["q_values"]):
-        raise ConfigError(
-            f"key 'q_values': all q must be positive and finite, got {s['q_values']}"
-        )
-    # +inf is a noiseless run; NaN and -inf have no meaning as an SNR
-    if "snr_db" in s and any(math.isnan(v) or v == -math.inf for v in s["snr_db"]):
-        raise ConfigError(
-            f"key 'snr_db': must be numbers or inf, got {s['snr_db']}"
-        )
+        if protocol == "run" and (s["mu"] is None) == (s["mu_fraction"] is None):
+            raise ConfigError("key 'mu': set exactly one of mu and mu_fraction")
+        return cls(protocol, MappingProxyType(s))
+
+    @classmethod
+    def from_args(cls, args) -> "RunSpec":
+        """Defaults < ``--config`` file < flags; each flag's ``dest`` is its key."""
+        file_values = parse_config_file(args.config) if args.config else {}
+        flags = {k: v for k, v in vars(args).items() if k in DEFAULTS[args.command]}
+        return cls.resolve(args.command, file_values, flags)
+
+    @classmethod
+    def from_manifest(cls, manifest: dict) -> "RunSpec":
+        return cls.resolve(manifest.get("protocol"), manifest.get("config", {}))
+
+    def config(self) -> dict:
+        """The settings as JSON values."""
+        return {k: (v.value if isinstance(v, RegressorMode) else v)
+                for k, v in self.settings.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -193,37 +272,27 @@ def _curve_rows(algorithm, q, snr_db, nwd=None, mae=None, mse=None):
         }
 
 
+def _cell_key(cell) -> str:
+    return f"{cell.algorithm},q={cell.q_value},snr={cell.snr_db:g}"
+
+
+def _averaged_tables(name: str, cells) -> list:
+    """The curves and summary tables of ``AveragedCurves`` cells."""
+    rows, summary = [], []
+    for cell in cells:
+        rows.extend(_curve_rows(cell.algorithm, cell.q_value, cell.snr_db,
+                                nwd=cell.nwd, mae=cell.mae, mse=cell.mse))
+        summary.append(dict(zip(SUMMARY_COLUMNS, (
+            cell.algorithm, cell.q_value, cell.snr_db,
+            cell.steady_state_nwd_db(), None, cell.diverged))))
+    return [(f"{name}_curves.csv", CURVE_COLUMNS, rows),
+            (f"{name}_summary.csv", SUMMARY_COLUMNS, summary)]
+
+
 def _environment() -> dict:
     """Versions the outputs' bits depend on: the kernel reproduces numpy's
     summation order, and numpy's generators and math follow the release."""
     return {"python": platform.python_version(), "numpy": np.__version__}
-
-
-def _manifest(protocol: str, settings: dict, out_dir: Path, outputs, checks,
-              started: str) -> dict:
-    serializable = {
-        k: (v.value if isinstance(v, RegressorMode) else v)
-        for k, v in settings.items()
-    }
-    return {
-        "tool": "qvlms",
-        "version": __version__,
-        "environment": _environment(),
-        "protocol": protocol,
-        "master_seed": settings.get("seed"),
-        "config": serializable,
-        "started_utc": started,
-        "finished_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": [str(p.relative_to(out_dir)) for p in outputs],
-        "checks": checks,
-    }
-
-
-def _resolve_out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUT_DIR_ENV) or "qvlms-out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _utc_now() -> str:
@@ -231,80 +300,34 @@ def _utc_now() -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# protocols: each runs its settings and returns its outputs as
+# (tables, plot series, manifest checks, summary lines)
 # ---------------------------------------------------------------------------
 
-P1_DEFAULTS = {
-    "memory_length": 3, "trials": 1000, "iterations": 2000, "seed": 0,
-    "snr_db": (20.0,), "q_values": (1.0, 5.0, 10.0), "mu_fraction": 0.05,
-    "regressor_mode": RegressorMode.RAW,
-}
-
-P2_DEFAULTS = {
-    "memory_length": 3, "trials": 1000, "iterations": 2500, "seed": 0,
-    "snr_db": (10.0, 20.0, 30.0), "q_values": (2.0, 5.0, 10.0), "mu": 1e-3,
-    "regressor_mode": RegressorMode.RAW, "include_whitened": False,
-}
-
-RUN_DEFAULTS = {
-    "memory_length": 3, "trials": 100, "iterations": 5000, "seed": 0,
-    "snr_db": (20.0,), "q_values": (5.0,), "mu": None, "mu_fraction": None,
-    "regressor_mode": RegressorMode.RAW, "algorithms": ("qvlms",),
-}
-
-_COMMON_FLAGS = {
-    "seed": "seed", "trials": "trials", "iterations": "iterations",
-    "memory_length": "memory_length", "regressor_mode": "mode",
-}
-
-
-def cmd_protocol1(args) -> int:
-    started = _utc_now()
-    file_values = parse_config_file(args.config) if args.config else {}
-    s = _merge_settings(P1_DEFAULTS, file_values, args,
-                        {**_COMMON_FLAGS, "mu_fraction": "mu_fraction",
-                         "q_values": "q", "snr_db": "snr"})
-    _validate_common(s)
-    if len(s["snr_db"]) != 1:
-        raise ConfigError(
-            f"key 'snr_db': protocol1 runs at one SNR, got {list(s['snr_db'])}"
-        )
-    out_dir = _resolve_out_dir(args)
-
+def _protocol1_outputs(s):
     report = protocol1(
         s["seed"], trials=s["trials"], iterations=s["iterations"],
         snr_db=s["snr_db"][0], q_values=s["q_values"],
         memory_length=s["memory_length"], regressor_mode=s["regressor_mode"],
         mu_fraction=s["mu_fraction"],
     )
-
-    outputs = []
-    rows = []
-    summary = []
+    rows, summary, series = [], [], []
     for comp in report.comparisons:
         rows.extend(_curve_rows("qvlms", comp.q_value, report.snr_db,
                                 nwd=comp.simulated_nwd, mae=comp.simulated_mae))
         rows.extend(_curve_rows("theory", comp.q_value, report.snr_db,
                                 mae=comp.theory_mae))
-        summary.append({
-            "algorithm": "qvlms", "q": comp.q_value, "snr_db": report.snr_db,
-            "steady_state_nwd_db": float(nwd_db(float(np.mean(
-                comp.simulated_nwd[-max(1, len(comp.simulated_nwd) // 10):])))),
-            "correlation": comp.correlation,
-            "divergence_count": comp.diverged,
-        })
+        steady = float(nwd_db(float(np.mean(
+            comp.simulated_nwd[-max(1, len(comp.simulated_nwd) // 10):]))))
+        summary.append(dict(zip(SUMMARY_COLUMNS, (
+            "qvlms", comp.q_value, report.snr_db, steady, comp.correlation,
+            comp.diverged))))
         tag = f"q{comp.q_value:g}"
-        for kind, curve in (("sim", comp.simulated_mae), ("theory", comp.theory_mae)):
-            p = out_dir / f"plot_protocol1_{tag}_{kind}.dat"
-            _write_plot_series(p, curve)
-            outputs.append(p)
+        series.append((f"plot_protocol1_{tag}_sim.dat", comp.simulated_mae))
+        series.append((f"plot_protocol1_{tag}_theory.dat", comp.theory_mae))
 
-    curves_path = out_dir / "protocol1_curves.csv"
-    _write_csv(curves_path, CURVE_COLUMNS, rows)
-    summary_path = out_dir / "protocol1_summary.csv"
-    _write_csv(summary_path, SUMMARY_COLUMNS, summary)
-    outputs = [curves_path, summary_path] + outputs
-
+    tables = [("protocol1_curves.csv", CURVE_COLUMNS, rows),
+              ("protocol1_summary.csv", SUMMARY_COLUMNS, summary)]
     checks = {
         "correlations": {f"q={c.q_value:g}": c.correlation
                          for c in report.comparisons},
@@ -316,166 +339,120 @@ def cmd_protocol1(args) -> int:
         "divergence_counts": {f"q={c.q_value:g}": c.diverged
                               for c in report.comparisons},
     }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(
-        _manifest("protocol1", s, out_dir, outputs, checks, started), indent=2
-    ) + "\n")
-
-    print(f"protocol1: average correlation {report.average_correlation:.5f} "
-          f"over q={list(s['q_values'])}")
-    print(f"protocol1: outputs in {out_dir}")
-    return 0
+    line = (f"protocol1: average correlation {report.average_correlation:.5f} "
+            f"over q={list(s['q_values'])}")
+    return tables, series, checks, [line]
 
 
-def cmd_protocol2(args) -> int:
-    started = _utc_now()
-    file_values = parse_config_file(args.config) if args.config else {}
-    s = _merge_settings(P2_DEFAULTS, file_values, args,
-                        {**_COMMON_FLAGS, "mu": "mu", "q_values": "q",
-                         "snr_db": "snr", "include_whitened": "whitened"})
-    _validate_common(s)
-    out_dir = _resolve_out_dir(args)
-
+def _protocol2_outputs(s):
     report = protocol2(
         s["seed"], trials=s["trials"], iterations=s["iterations"],
         snr_db_values=s["snr_db"], q_values=s["q_values"], step_size=s["mu"],
         include_whitened=s["include_whitened"],
         memory_length=s["memory_length"], regressor_mode=s["regressor_mode"],
     )
-
-    rows = []
-    summary = []
-    outputs = []
-    for cell in report.curves:
-        rows.extend(_curve_rows(cell.algorithm, cell.q_value, cell.snr_db,
-                                nwd=cell.nwd, mae=cell.mae, mse=cell.mse))
-        summary.append({
-            "algorithm": cell.algorithm, "q": cell.q_value,
-            "snr_db": cell.snr_db,
-            "steady_state_nwd_db": cell.steady_state_nwd_db(),
-            "correlation": None,
-            "divergence_count": cell.diverged,
-        })
-        qtag = f"_q{cell.q_value:g}" if cell.q_value is not None else ""
-        p = out_dir / f"plot_protocol2_{cell.algorithm}{qtag}_snr{cell.snr_db:g}.dat"
-        _write_plot_series(p, nwd_db(cell.nwd))
-        outputs.append(p)
-
-    curves_path = out_dir / "protocol2_curves.csv"
-    _write_csv(curves_path, CURVE_COLUMNS, rows)
-    summary_path = out_dir / "protocol2_summary.csv"
-    _write_csv(summary_path, SUMMARY_COLUMNS, summary)
-    gaps_path = out_dir / "protocol2_gaps.csv"
-    _write_csv(gaps_path, ("q", "snr_db", "advantage_db"), [
+    tables = _averaged_tables("protocol2", report.curves)
+    tables.append(("protocol2_gaps.csv", ("q", "snr_db", "advantage_db"), [
         {"q": q, "snr_db": snr, "advantage_db": adv}
         for (q, snr), adv in sorted(report.advantages_db.items())
-    ] + [{"q": "average", "snr_db": "", "advantage_db": report.average_advantage_db}])
-    outputs = [curves_path, summary_path, gaps_path] + outputs
+    ] + [{"q": "average", "snr_db": "", "advantage_db": report.average_advantage_db}]))
+    series = []
+    for cell in report.curves:
+        qtag = f"_q{cell.q_value:g}" if cell.q_value is not None else ""
+        series.append((f"plot_protocol2_{cell.algorithm}{qtag}_snr{cell.snr_db:g}.dat",
+                       nwd_db(cell.nwd)))
 
     checks = {
         "average_advantage_db": report.average_advantage_db,
         "advantage_positive_everywhere": bool(
             all(v > 0 for v in report.advantages_db.values())
         ),
-        "divergence_counts": {
-            f"{c.algorithm},q={c.q_value},snr={c.snr_db:g}": c.diverged
-            for c in report.curves
-        },
+        "divergence_counts": {_cell_key(c): c.diverged for c in report.curves},
     }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(
-        _manifest("protocol2", s, out_dir, outputs, checks, started), indent=2
-    ) + "\n")
-
-    print(f"protocol2: average q-VLMS advantage "
-          f"{report.average_advantage_db:+.2f} dB over SNR={list(s['snr_db'])}")
-    print(f"protocol2: outputs in {out_dir}")
-    return 0
+    line = (f"protocol2: average q-VLMS advantage "
+            f"{report.average_advantage_db:+.2f} dB over SNR={list(s['snr_db'])}")
+    return tables, series, checks, [line]
 
 
-def cmd_run(args) -> int:
-    started = _utc_now()
-    file_values = parse_config_file(args.config) if args.config else {}
-    s = _merge_settings(RUN_DEFAULTS, file_values, args,
-                        {**_COMMON_FLAGS, "mu": "mu", "mu_fraction": "mu_frac",
-                         "q_values": "q", "snr_db": "snr",
-                         "algorithms": "algorithm"})
-    _validate_common(s)
-    if (s["mu"] is None) == (s["mu_fraction"] is None):
-        raise ConfigError("key 'mu': set exactly one of mu and mu_fraction")
-    out_dir = _resolve_out_dir(args)
-
+def _run_outputs(s):
     config = ExperimentConfig(
         iterations=s["iterations"], trials=s["trials"], master_seed=s["seed"],
         step_size=s["mu"], step_size_fraction=s["mu_fraction"],
-        q_values=tuple(s["q_values"]), snr_db_values=tuple(s["snr_db"]),
-        algorithms=tuple(s["algorithms"]),
+        q_values=s["q_values"], snr_db_values=s["snr_db"],
+        algorithms=s["algorithms"],
     )
     channel = ChannelSpec(memory_length=s["memory_length"],
                           regressor_mode=s["regressor_mode"])
 
-    # warn when the requested step exceeds twice the stability bound
+    # warn per cell when its step exceeds twice its stability bound; as in
+    # the step-size resolution, q-VLMS cells take their q and the others 1
     k = channel.num_coefficients
     lam = channel.eigenvalues()
-    for q in config.q_values:
-        bound = step_size_bound(QParams.uniform(q, k), lam)
-        mu = s["mu"] if s["mu"] is not None else s["mu_fraction"] * bound
-        if mu > 2.0 * bound:
-            print(f"warning: mu={mu:.3e} exceeds twice the stability bound "
-                  f"{bound:.3e} for q={q:g}; divergence likely", file=sys.stderr)
+    for algorithm in config.algorithms:
+        for q in config.q_values if algorithm == "qvlms" else (1.0,):
+            bound = step_size_bound(QParams.uniform(q, k), lam)
+            mu = s["mu"] if s["mu"] is not None else s["mu_fraction"] * bound
+            if mu > 2.0 * bound:
+                print(f"warning: mu={mu:.3e} exceeds twice the stability bound "
+                      f"{bound:.3e} for {algorithm} at q={q:g}; divergence "
+                      f"likely", file=sys.stderr)
 
     cells = monte_carlo(config, channel)
-
-    rows = []
-    summary = []
-    resolved = {}
-    for cell in cells:
-        rows.extend(_curve_rows(cell.algorithm, cell.q_value, cell.snr_db,
-                                nwd=cell.nwd, mae=cell.mae, mse=cell.mse))
-        summary.append({
-            "algorithm": cell.algorithm, "q": cell.q_value,
-            "snr_db": cell.snr_db,
-            "steady_state_nwd_db": cell.steady_state_nwd_db(),
-            "correlation": None,
-            "divergence_count": cell.diverged,
-        })
-        resolved[f"{cell.algorithm},q={cell.q_value},snr={cell.snr_db:g}"] = \
-            cell.step_size
-
-    curves_path = out_dir / "run_curves.csv"
-    _write_csv(curves_path, CURVE_COLUMNS, rows)
-    summary_path = out_dir / "run_summary.csv"
-    _write_csv(summary_path, SUMMARY_COLUMNS, summary)
-    outputs = [curves_path, summary_path]
-
     checks = {
-        "resolved_step_sizes": resolved,
-        "divergence_counts": {
-            f"{c.algorithm},q={c.q_value},snr={c.snr_db:g}": c.diverged
-            for c in cells
-        },
+        "resolved_step_sizes": {_cell_key(c): c.step_size for c in cells},
+        "divergence_counts": {_cell_key(c): c.diverged for c in cells},
     }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(
-        _manifest("run", s, out_dir, outputs, checks, started), indent=2
-    ) + "\n")
-    print(f"run: outputs in {out_dir}")
+    return _averaged_tables("run", cells), [], checks, []
+
+
+_OUTPUTS = {"protocol1": _protocol1_outputs, "protocol2": _protocol2_outputs,
+            "run": _run_outputs}
+
+
+def execute(spec: RunSpec, out=None) -> int:
+    """Run ``spec``; write its tables, plot series and ``manifest.json`` to
+    ``out`` (default ``$QVLMS_OUT_DIR``, else ``./qvlms-out``)."""
+    started = _utc_now()
+    out_dir = Path(out or os.environ.get(OUT_DIR_ENV) or "qvlms-out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tables, series, checks, lines = _OUTPUTS[spec.protocol](spec.settings)
+    for name, columns, rows in tables:
+        _write_csv(out_dir / name, columns, rows)
+    for name, ys in series:
+        _write_plot_series(out_dir / name, ys)
+    manifest = {
+        "tool": "qvlms",
+        "version": __version__,
+        "environment": _environment(),
+        "protocol": spec.protocol,
+        "master_seed": spec.settings["seed"],
+        "config": spec.config(),
+        "started_utc": started,
+        "finished_utc": _utc_now(),
+        "outputs": [entry[0] for entry in tables + series],
+        "checks": checks,
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    for line in lines + [f"{spec.protocol}: outputs in {out_dir}"]:
+        print(line)
     return 0
 
 
+# ---------------------------------------------------------------------------
+# subcommands without a run spec
+# ---------------------------------------------------------------------------
+
 def cmd_bound(args) -> int:
-    qs = tuple(args.q) if args.q else (1.0,)
+    qs = _parse_positives("q_values", args.q_values or (1.0,))
     if args.eigenvalues:
-        lam = np.asarray(args.eigenvalues, dtype=np.float64)
-        for q in qs:
-            qp = QParams.uniform(q, lam.size)
-            print(f"q={q:g}: bound = {step_size_bound(qp, lam):.10g}")
-        return 0
-    mode = args.mode or RegressorMode.RAW
-    m = args.memory_length or 3
-    lam = np.linalg.eigvalsh(gaussian_autocorrelation(m, mode))
-    print(f"eigenvalues (M={m}, {mode.value}): "
-          + " ".join(f"{v:.6g}" for v in lam))
+        lam = np.array(_parse_positives("eigenvalues", args.eigenvalues))
+    else:
+        mode = _parse_mode("regressor_mode", args.regressor_mode or "raw")
+        m = _parse_int("memory_length",
+                       3 if args.memory_length is None else args.memory_length)
+        lam = np.linalg.eigvalsh(gaussian_autocorrelation(m, mode))
+        print(f"eigenvalues (M={m}, {mode.value}): "
+              + " ".join(f"{v:.6g}" for v in lam))
     for q in qs:
         qp = QParams.uniform(q, lam.size)
         print(f"q={q:g}: bound = {step_size_bound(qp, lam):.10g}")
@@ -491,31 +468,7 @@ def cmd_rerun(args) -> int:
             print(f"warning: manifest was written with {name} "
                   f"{recorded[name]}, this is {name} {version}; outputs may "
                   f"differ in the last digits", file=sys.stderr)
-    protocol = manifest.get("protocol")
-    config = dict(manifest.get("config", {}))
-    if "regressor_mode" in config:
-        config["regressor_mode"] = RegressorMode(config["regressor_mode"])
-    for key in ("snr_db", "q_values"):
-        if key in config and isinstance(config[key], list):
-            config[key] = tuple(config[key])
-    ns = argparse.Namespace(config=None, out=args.out,
-                            algorithm=config.get("algorithms"))
-    for key in ("seed", "trials", "iterations", "memory_length"):
-        setattr(ns, key, config.get(key))
-    ns.mode = config.get("regressor_mode")
-    ns.q = config.get("q_values")
-    ns.snr = config.get("snr_db")
-    ns.mu = config.get("mu")
-    ns.mu_frac = config.get("mu_fraction")
-    ns.mu_fraction = config.get("mu_fraction")
-    ns.whitened = config.get("include_whitened")
-    if protocol == "protocol1":
-        return cmd_protocol1(ns)
-    if protocol == "protocol2":
-        return cmd_protocol2(ns)
-    if protocol == "run":
-        return cmd_run(ns)
-    raise ConfigError(f"key 'protocol': unknown value {protocol!r} in manifest")
+    return execute(RunSpec.from_manifest(manifest), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +476,7 @@ def cmd_rerun(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser):
+    """Flags of every run command; each ``dest`` is the setting's key."""
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} "
                                  "or ./qvlms-out)")
@@ -530,8 +484,11 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--trials", type=int)
     p.add_argument("--iterations", type=int)
     p.add_argument("--memory-length", dest="memory_length", type=int)
-    p.add_argument("--mode", type=lambda t: _parse_mode("regressor_mode", t),
+    p.add_argument("--mode", dest="regressor_mode",
                    help="regressor mode: raw or orthonormalized")
+    p.add_argument("--q", dest="q_values", type=float, nargs="+")
+    p.add_argument("--snr", dest="snr_db", type=float, nargs="+")
+    p.set_defaults(func=lambda args: execute(RunSpec.from_args(args), args.out))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,35 +501,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p1 = sub.add_parser("protocol1", help="validate the convergence analysis")
     _add_common(p1)
-    p1.add_argument("--q", type=float, nargs="+")
-    p1.add_argument("--snr", type=float, nargs="+")
     p1.add_argument("--mu-fraction", dest="mu_fraction", type=float)
-    p1.set_defaults(func=cmd_protocol1)
 
     p2 = sub.add_parser("protocol2", help="q sensitivity versus plain VLMS")
     _add_common(p2)
-    p2.add_argument("--q", type=float, nargs="+")
-    p2.add_argument("--snr", type=float, nargs="+")
     p2.add_argument("--mu", type=float)
-    p2.add_argument("--whitened", action="store_true", default=None,
-                    help="add the fixed-gain S R^-1 S variant")
-    p2.set_defaults(func=cmd_protocol2)
+    p2.add_argument("--whitened", dest="include_whitened", action="store_true",
+                    default=None, help="add the fixed-gain S R^-1 S variant")
 
     run = sub.add_parser("run", help="ad-hoc Monte-Carlo run")
     _add_common(run)
-    run.add_argument("--q", type=float, nargs="+")
-    run.add_argument("--snr", type=float, nargs="+")
     run.add_argument("--mu", type=float)
-    run.add_argument("--mu-frac", dest="mu_frac", type=float,
+    run.add_argument("--mu-frac", dest="mu_fraction", type=float,
                      help="step size as a fraction of the stability bound")
-    run.add_argument("--algorithm", nargs="+", choices=("qvlms", "vlms", "whitened"))
-    run.set_defaults(func=cmd_run)
+    run.add_argument("--algorithm", dest="algorithms", nargs="+",
+                     choices=ALGORITHMS)
 
     bound = sub.add_parser("bound", help="print the step-size stability bound")
-    bound.add_argument("--q", type=float, nargs="+")
+    bound.add_argument("--q", dest="q_values", type=float, nargs="+")
     bound.add_argument("--eigenvalues", type=float, nargs="+")
     bound.add_argument("--memory-length", dest="memory_length", type=int)
-    bound.add_argument("--mode", type=lambda t: _parse_mode("regressor_mode", t))
+    bound.add_argument("--mode", dest="regressor_mode")
     bound.set_defaults(func=cmd_bound)
 
     rr = sub.add_parser("rerun", help="re-run an experiment from its manifest")

@@ -6,8 +6,8 @@ same regressor. Channel coefficients and initial weights are drawn per
 trial from a seeded generator, so every protocol output is a pure function
 of its configuration and master seed. Trials are averaged with the
 divergence guard applied: a trial whose normalized weight deviation
-exceeds the threshold is marked at the triggering iteration and excluded
-from the averages (never silently dropped).
+exceeds ``DIVERGENCE_THRESHOLD`` is marked at the triggering iteration and
+excluded from the averages (never silently dropped).
 
 One streaming kernel runs every simulation: ``run_trial``, ``monte_carlo``
 and both protocols.
@@ -218,7 +218,6 @@ class ExperimentConfig:
     snr_db_values: tuple[float, ...] = (20.0,)
     algorithms: tuple[str, ...] = ("qvlms",)
     random_init: bool = True
-    divergence_threshold: float = DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
         if int(self.trials) < 1:
@@ -238,8 +237,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {alg!r}; expected {ALGORITHMS}")
         if any(q <= 0.0 for q in self.q_values):
             raise ValueError("all q values must be positive")
-        if not self.divergence_threshold > 0.0:
-            raise ValueError("divergence threshold must be positive")
 
 
 def trial_seeds(master_seed: int, trials: int) -> list[np.random.SeedSequence]:
@@ -272,7 +269,7 @@ def whitened_gain(channel: ChannelSpec) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _whitened_gain(memory_length: int, mode: RegressorMode) -> np.ndarray:
-    s = scaling_diag(memory_length).entries
+    s = scaling_diag(memory_length)
     r = gaussian_autocorrelation(memory_length, mode)
     gain = s[:, None] * np.linalg.inv(r) * s[None, :]
     gain.setflags(write=False)
@@ -553,7 +550,7 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
             cur, delta, e = cur[:, 0, 0], delta[:, :, 0, 0], e[:, 0, 0]
             stop = len(cur)
             if row:
-                bad = np.flatnonzero(~(cur <= config.divergence_threshold))
+                bad = np.flatnonzero(~(cur <= DIVERGENCE_THRESHOLD))
                 if bad.size:
                     stop = int(bad[0]) + 1
                     div_iter = row + stop - 1
@@ -608,7 +605,7 @@ class AveragedCurves:
         return float(nwd_db(steady_state_level(self.nwd, fraction)))
 
 
-def _chunk_sums(draw, cells, channel: ChannelSpec, threshold: float, keep=None):
+def _chunk_sums(draw, cells, channel: ChannelSpec, keep=None):
     """Per-cell curve sums over one chunk's trials, and its (C, T) mask of
     diverged (cell, trial) pairs.
 
@@ -629,7 +626,7 @@ def _chunk_sums(draw, cells, channel: ChannelSpec, threshold: float, keep=None):
         for row, w, e in _lockstep(*draw, cells, channel):
             cur, delta = _block_curves(hb, hh, w)
             if row:
-                diverged |= (~(cur <= threshold)).any(axis=0)
+                diverged |= (~(cur <= DIVERGENCE_THRESHOLD)).any(axis=0)
                 if diverged.all():
                     break
             if keep is None and diverged.any():
@@ -648,7 +645,7 @@ def _chunk_sums(draw, cells, channel: ChannelSpec, threshold: float, keep=None):
 
 
 def _simulate(cells, channel: ChannelSpec, seeds, iterations: int,
-              random_init: bool, threshold: float):
+              random_init: bool):
     """Average every cell over all trials on shared per-trial draws.
 
     Returns the averaged curves in ``cells`` order and each trial's initial
@@ -666,9 +663,9 @@ def _simulate(cells, channel: ChannelSpec, seeds, iterations: int,
     for start in range(0, len(seeds), _CHUNK):
         draw = _draw_chunk(seeds[start:start + _CHUNK], channel, iterations,
                            random_init)
-        sums, div = _chunk_sums(draw, stacked, channel, threshold)
+        sums, div = _chunk_sums(draw, stacked, channel)
         if div.any():
-            sums, _ = _chunk_sums(draw, stacked, channel, threshold, keep=~div)
+            sums, _ = _chunk_sums(draw, stacked, channel, keep=~div)
         for total, part in zip(totals, sums):
             total += part
         stop = start + div.shape[1]
@@ -716,8 +713,7 @@ def monte_carlo(config: ExperimentConfig, channel: ChannelSpec) -> list[Averaged
         for q in (config.q_values if algorithm == "qvlms" else (None,))
     ]
     curves, _ = _simulate(cells, channel, trial_seeds(config.master_seed, config.trials),
-                          config.iterations, config.random_init,
-                          config.divergence_threshold)
+                          config.iterations, config.random_init)
     return curves
 
 
@@ -816,7 +812,7 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
         cells.append(_Cell("qvlms", float(q), float(snr_db), mu))
         update_matrices.append(a_matrix)
     curves, initial_error = _simulate(cells, channel, trial_seeds(master_seed, trials),
-                                      iterations, True, DIVERGENCE_THRESHOLD)
+                                      iterations, True)
 
     comparisons = []
     for cell, a_matrix in zip(curves, update_matrices):
@@ -869,7 +865,6 @@ class Protocol2Report:
     step_size: float
     memory_length: int
     regressor_mode: RegressorMode
-    steady_fraction: float
 
     def cell(self, algorithm: str, snr_db: float,
              q_value: float | None = None) -> AveragedCurves:
@@ -885,15 +880,14 @@ def protocol2(master_seed: int, *, trials: int = 1000, iterations: int = 2500,
               q_values: tuple[float, ...] = (2.0, 5.0, 10.0),
               step_size: float = 1e-3, include_whitened: bool = False,
               memory_length: int = 3,
-              regressor_mode: RegressorMode = RegressorMode.RAW,
-              steady_fraction: float = 0.1) -> Protocol2Report:
+              regressor_mode: RegressorMode = RegressorMode.RAW) -> Protocol2Report:
     """Compare q-VLMS against conventional VLMS across noise levels.
 
     Runs every (algorithm, q, SNR) cell at the fixed step size, reports
     the averaged NWD curves, the steady-state NWD (mean of the trailing
-    ``steady_fraction`` of iterations) in dB, and the q-VLMS advantage
-    over VLMS per cell and on average. ``include_whitened`` adds the
-    fixed-gain ``S R^-1 S`` variant's curves for reference.
+    tenth of iterations) in dB, and the q-VLMS advantage over VLMS per
+    cell and on average. ``include_whitened`` adds the fixed-gain
+    ``S R^-1 S`` variant's curves for reference.
     """
     algorithms = ("vlms", "qvlms") + (("whitened",) if include_whitened else ())
     config = ExperimentConfig(
@@ -910,12 +904,12 @@ def protocol2(master_seed: int, *, trials: int = 1000, iterations: int = 2500,
     for snr in config.snr_db_values:
         vlms_db = next(
             c for c in curves if c.algorithm == "vlms" and c.snr_db == snr
-        ).steady_state_nwd_db(steady_fraction)
+        ).steady_state_nwd_db()
         for q in config.q_values:
             q_db = next(
                 c for c in curves
                 if c.algorithm == "qvlms" and c.snr_db == snr and c.q_value == q
-            ).steady_state_nwd_db(steady_fraction)
+            ).steady_state_nwd_db()
             advantages[(q, snr)] = vlms_db - q_db
 
     return Protocol2Report(
@@ -930,5 +924,4 @@ def protocol2(master_seed: int, *, trials: int = 1000, iterations: int = 2500,
         step_size=step_size,
         memory_length=memory_length,
         regressor_mode=regressor_mode,
-        steady_fraction=steady_fraction,
     )

@@ -10,27 +10,22 @@ identity and ``A = diag(g)``, so the trajectory is componentwise geometric
 with ratio ``1 - mu (q + 1) / 2``.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from qvlms.adapt import QParams, step_size_bound
+from qvlms.adapt import QParams
 from qvlms.volterra import (
     RegressorMode,
-    ScalingDiag,
     num_coefficients,
     quadratic_pairs,
 )
 
 __all__ = [
-    "TheoryModel",
     "build_update_matrix",
     "gaussian_autocorrelation",
     "gaussian_eigenvalues",
     "mean_weight_error_trajectory",
-    "minimum_error",
-    "wiener_optimum",
     "wiener_solution",
 ]
 
@@ -96,14 +91,12 @@ def _eigenvalues(m: int, mode: RegressorMode) -> np.ndarray:
     return lam
 
 
-def build_update_matrix(qp: QParams, autocorrelation: np.ndarray,
-                        scaling: ScalingDiag | None = None) -> np.ndarray:
-    """Mean-recursion matrix ``A = diag(g) @ R`` (optionally sandwiched).
+def build_update_matrix(qp: QParams, autocorrelation: np.ndarray) -> np.ndarray:
+    """Mean-recursion matrix ``A = diag(g) @ R``.
 
     ``autocorrelation`` is the second-moment matrix of the regressor the
-    filter actually sees. When ``scaling`` is given, ``R`` is first
-    sandwiched as ``S^-1 R S^-1``, which maps the centered-but-unscaled
-    autocorrelation into the orthonormalized coordinates.
+    filter actually sees. The mean trajectory contracts if and only if
+    ``0 < mu < 2 / lambda_max(A)``.
     """
     r = np.asarray(autocorrelation, dtype=np.float64)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -112,11 +105,6 @@ def build_update_matrix(qp: QParams, autocorrelation: np.ndarray,
         raise ValueError(
             f"q vector length {len(qp)} != matrix dimension {r.shape[0]}"
         )
-    if scaling is not None:
-        s_inv = scaling.inverse_entries
-        if s_inv.size != r.shape[0]:
-            raise ValueError("scaling diagonal does not match matrix dimension")
-        r = s_inv[:, None] * r * s_inv[None, :]
     return qp.g[:, None] * r
 
 
@@ -164,73 +152,3 @@ def wiener_solution(autocorrelation, cross_correlation) -> np.ndarray:
             f"autocorrelation matrix is ill-conditioned (cond ~ {cond:.3e})"
         )
     return np.linalg.solve(r, p)
-
-
-def wiener_optimum(autocorrelation, cross_correlation,
-                   scaling: ScalingDiag) -> np.ndarray:
-    """Optimum rescaled into raw coordinates: ``S @ w*``."""
-    return scaling.entries * wiener_solution(autocorrelation, cross_correlation)
-
-
-def minimum_error(noise_variance: float) -> float:
-    """Minimum mean-square error at the optimum: the noise power itself."""
-    v = float(noise_variance)
-    if v < 0.0:
-        raise ValueError(f"noise variance must be >= 0, got {v}")
-    return v
-
-
-@dataclass(frozen=True)
-class TheoryModel:
-    """Analysis bundle for one filter configuration.
-
-    Attributes
-    ----------
-    autocorrelation : ndarray, shape (K, K)
-        ``E[u u^T]`` of the regressor the filter is fed.
-    update_matrix : ndarray, shape (K, K)
-        ``A = diag(g) @ R``, the matrix of the mean weight-error recursion.
-    eigenvalues : ndarray, shape (K,)
-        Eigenvalues of the autocorrelation, ascending.
-    mu_bound : float
-        ``1 / max_i((q_i + 1) lambda_i)``, the conservative stability bound.
-    noise_variance : float
-        Observation noise power; also the minimum mean-square error.
-    """
-
-    autocorrelation: np.ndarray
-    update_matrix: np.ndarray
-    eigenvalues: np.ndarray
-    mu_bound: float
-    noise_variance: float
-
-    @classmethod
-    def for_gaussian_input(cls, memory_length: int, mode: RegressorMode,
-                           qp: QParams, noise_variance: float = 0.0) -> "TheoryModel":
-        r = gaussian_autocorrelation(memory_length, mode)
-        if len(qp) != r.shape[0]:
-            raise ValueError(
-                f"q vector length {len(qp)} != coefficient count {r.shape[0]}"
-            )
-        lam = np.linalg.eigvalsh(r)
-        return cls(
-            autocorrelation=r,
-            update_matrix=build_update_matrix(qp, r),
-            eigenvalues=lam,
-            mu_bound=step_size_bound(qp, lam),
-            noise_variance=minimum_error(noise_variance),
-        )
-
-    @property
-    def max_update_eigenvalue(self) -> float:
-        """Largest eigenvalue of the mean-recursion matrix A.
-
-        The mean trajectory contracts if and only if
-        ``0 < mu < 2 / max_update_eigenvalue``.
-        """
-        return float(np.max(np.linalg.eigvals(self.update_matrix).real))
-
-    def trajectory(self, initial_error, mu: float, iterations: int) -> np.ndarray:
-        return mean_weight_error_trajectory(
-            initial_error, mu, self.update_matrix, iterations
-        )

@@ -5,8 +5,7 @@ Canonical flattened layout for a memory-``M`` second-order filter: positions
 ``M(M+1)/2`` positions hold the quadratic coefficients for lag pairs
 ``(d, e)`` with ``d <= e`` in lexicographic order ``(0,0), (0,1), ...,
 (M-1,M-1)``. Symmetric quadratic mass is pre-summed into the ``d <= e``
-slot, so the flattened length is ``K = M + M(M+1)/2``. The constant (bias)
-term is carried separately and is not part of the adaptive vector.
+slot, so the flattened length is ``K = M + M(M+1)/2``.
 
 This flattened order is also the canonical serialization order for every
 file the experiment harness writes.
@@ -21,8 +20,6 @@ import numpy as np
 __all__ = [
     "SQRT2",
     "RegressorMode",
-    "Regressor",
-    "ScalingDiag",
     "VolterraKernel",
     "expand_regressor",
     "flatten_index",
@@ -87,58 +84,21 @@ def squared_positions(memory_length: int) -> np.ndarray:
     return np.array([flatten_index(d, d, m) for d in range(m)], dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class Regressor:
-    """Expanded input vector of length ``K`` in a given mode."""
-
-    values: np.ndarray
-    mode: RegressorMode
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class ScalingDiag:
-    """Diagonal scaling matrix with ``sqrt(2)`` on squared-term slots.
+def scaling_diag(memory_length: int) -> np.ndarray:
+    """Diagonal of the scaling matrix for memory length ``M``: ``sqrt(2)``
+    exactly at the flattened positions of squared terms, 1 elsewhere.
 
     Together with mean-centering of the squared terms, dividing a raw
     regressor elementwise by these entries whitens it under unit-variance
     white Gaussian input.
     """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def inverse_entries(self) -> np.ndarray:
-        return 1.0 / self.entries
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.entries)
-
-    def __len__(self) -> int:
-        return self.entries.size
-
-
-def scaling_diag(memory_length: int) -> ScalingDiag:
-    """Scaling diagonal for memory length ``M``: ``sqrt(2)`` exactly at the
-    flattened positions of squared terms, 1 elsewhere."""
     m = _checked_memory(memory_length)
     entries = np.ones(num_coefficients(m))
     entries[squared_positions(m)] = SQRT2
-    return ScalingDiag(entries)
+    return entries
 
 
-def expand_regressor(window, mode: RegressorMode = RegressorMode.RAW) -> Regressor:
+def expand_regressor(window, mode: RegressorMode = RegressorMode.RAW) -> np.ndarray:
     """Expand an input window into the flattened second-order regressor.
 
     Parameters
@@ -152,7 +112,7 @@ def expand_regressor(window, mode: RegressorMode = RegressorMode.RAW) -> Regress
 
     Returns
     -------
-    Regressor
+    ndarray, shape (K,)
         Length ``K = M + M(M+1)/2``: linear taps followed by quadratic
         products in lexicographic pair order.
     """
@@ -166,7 +126,7 @@ def expand_regressor(window, mode: RegressorMode = RegressorMode.RAW) -> Regress
         quad[np.flatnonzero(iu == ju)] = (w * w - 1.0) / SQRT2
     elif mode is not RegressorMode.RAW:
         raise ValueError(f"unknown regressor mode: {mode!r}")
-    return Regressor(np.concatenate([w, quad]), mode)
+    return np.concatenate([w, quad])
 
 
 @dataclass(frozen=True)
@@ -175,9 +135,6 @@ class VolterraKernel:
 
     Attributes
     ----------
-    bias : float
-        Constant output term. Excluded from the flattened vector and from
-        the adaptive weight vector; fixed to 0 in all shipped experiments.
     linear : ndarray, shape (M,)
         Linear tap weights, newest lag first.
     quadratic : ndarray, shape (M(M+1)/2,)
@@ -185,7 +142,6 @@ class VolterraKernel:
         with symmetric off-diagonal mass pre-summed into the ``d <= e`` slot.
     """
 
-    bias: float
     linear: np.ndarray
     quadratic: np.ndarray
 
@@ -202,7 +158,6 @@ class VolterraKernel:
             )
         linear.setflags(write=False)
         quadratic.setflags(write=False)
-        object.__setattr__(self, "bias", float(self.bias))
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "quadratic", quadratic)
 
@@ -215,11 +170,11 @@ class VolterraKernel:
         return self.linear.size + self.quadratic.size
 
     def flat(self) -> np.ndarray:
-        """Flattened coefficient vector (bias excluded)."""
+        """Flattened coefficient vector."""
         return np.concatenate([self.linear, self.quadratic])
 
     @classmethod
-    def from_flat(cls, flat, bias: float = 0.0) -> "VolterraKernel":
+    def from_flat(cls, flat) -> "VolterraKernel":
         """Rebuild a kernel from its flattened vector; inverse of ``flat``."""
         v = np.asarray(flat, dtype=np.float64)
         if v.ndim != 1:
@@ -228,15 +183,15 @@ class VolterraKernel:
         m = int(round((-3.0 + math.sqrt(9.0 + 8.0 * k)) / 2.0))
         if num_coefficients(max(m, 1)) != k:
             raise ValueError(f"length {k} is not M + M(M+1)/2 for any M >= 1")
-        return cls(bias=bias, linear=v[:m], quadratic=v[m:])
+        return cls(linear=v[:m], quadratic=v[m:])
 
 
 def kernel_output(kernel: VolterraKernel, window) -> float:
     """Output of a second-order Volterra system for one input window.
 
-    Equals ``bias + flat(kernel) . expand_regressor(window, RAW)``: the
-    constant term plus the linear taps and the pre-summed symmetric
-    quadratic taps applied to the raw lag products.
+    Equals ``flat(kernel) . expand_regressor(window, RAW)``: the linear
+    taps and the pre-summed symmetric quadratic taps applied to the raw lag
+    products.
     """
     w = np.asarray(window, dtype=np.float64)
     if w.shape != (kernel.memory_length,):
@@ -244,5 +199,4 @@ def kernel_output(kernel: VolterraKernel, window) -> float:
             f"window length {w.size} does not match memory length "
             f"{kernel.memory_length}"
         )
-    u = expand_regressor(w, RegressorMode.RAW)
-    return kernel.bias + float(kernel.flat() @ u.values)
+    return float(kernel.flat() @ expand_regressor(w, RegressorMode.RAW))

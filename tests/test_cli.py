@@ -1,12 +1,31 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qvlms.cli import ConfigError, main, parse_config_file
+from qvlms.cli import ConfigError, RunSpec, main, parse_config_file
+from qvlms.experiment import ALGORITHMS
 
 
 def _read(path):
     return path.read_bytes()
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()
+            if p.suffix in (".csv", ".dat")}
+
+
+def _tiny_manifest(tmp_path, protocol):
+    """Run ``protocol`` at toy size and return its manifest path."""
+    out = tmp_path / "orig"
+    argv = [protocol, "--out", str(out), "--trials", "2", "--iterations", "10"]
+    assert main(argv + (["--mu", "0.001"] if protocol == "run" else [])) == 0
+    return out / "manifest.json"
 
 
 class TestConfigParsing:
@@ -51,6 +70,18 @@ class TestBoundCommand:
                      "--mode", "orthonormalized"]) == 0
         out = capsys.readouterr().out
         assert f"{1.0 / 11.0:.10g}" in out
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--q", "0"], "q_values"),
+        (["--eigenvalues", "-1"], "eigenvalues"),
+        (["--memory-length", "0"], "memory_length"),
+        (["--mode", "sideways"], "regressor_mode"),
+    ])
+    def test_invalid_input_is_config_error(self, capsys, argv, key):
+        assert main(["bound"] + argv) == 1
+        captured = capsys.readouterr()
+        assert f"'{key}'" in captured.err
+        assert "bound" not in captured.out
 
 
 class TestProtocolCommands:
@@ -196,6 +227,59 @@ class TestRunCommand:
         assert rc == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q, mu, warns", [
+        # a vlms cell's bound is the q = 1 bound, 0.1, whatever q is: 0.3
+        # diverges though it is within twice the q = 0.1 bound
+        ("0.1", "0.3", True),
+        # 0.02 converges though it is past twice the q = 50 bound
+        ("50", "0.02", False),
+    ])
+    def test_step_size_warning_uses_each_cells_bound(self, tmp_path, capsys,
+                                                     q, mu, warns):
+        rc = main(["run", "--algorithm", "vlms", "--q", q, "--mu", mu,
+                   "--trials", "3", "--iterations", "200",
+                   "--out", str(tmp_path / "x")])
+        assert ("warning" in capsys.readouterr().err) == warns
+        assert rc == (2 if warns else 0)
+
+    @pytest.mark.parametrize("source", ["flag", "config", "manifest"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, source):
+        if source == "manifest":
+            path = _tiny_manifest(tmp_path, "run")
+            manifest = json.loads(path.read_text())
+            manifest["config"]["seed"] = -1
+            path.write_text(json.dumps(manifest))
+            argv = ["rerun", str(path)]
+        else:
+            argv = ["run", "--mu", "0.001", "--trials", "2", "--iterations", "10"]
+            if source == "flag":
+                argv += ["--seed", "-1"]
+            else:
+                cfg = tmp_path / "run.cfg"
+                cfg.write_text("seed = -1\n")
+                argv += ["--config", str(cfg)]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("protocol, key, value", [
+        ("protocol1", "mu", "0.5"),
+        ("protocol1", "include_whitened", "yes"),
+        ("protocol2", "mu_fraction", "0.1"),
+        ("protocol2", "algorithms", "vlms"),
+        ("run", "include_whitened", "yes"),
+    ])
+    def test_key_outside_protocol_is_config_error(self, tmp_path, capsys,
+                                                  protocol, key, value):
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = [protocol, "--config", str(cfg), "--trials", "2",
+                "--iterations", "10", "--out", str(tmp_path / "x")]
+        assert main(argv + (["--mu", "0.001"] if protocol == "run" else [])) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_infinite_snr_is_a_noiseless_run(self, tmp_path):
         rc = main(["run", "--out", str(tmp_path / "x"), "--trials", "2",
                    "--iterations", "10", "--mu", "0.001", "--snr", "inf"])
@@ -267,6 +351,101 @@ class TestRerun:
                      "--out", str(out_b)]) == 0
         assert _read(out_a / "protocol1_curves.csv") == \
             _read(out_b / "protocol1_curves.csv")
+
+
+    @pytest.mark.parametrize("protocol, key, value", [
+        ("protocol1", "mu", 0.5),
+        ("protocol2", "algorithms", ["vlms"]),
+        ("run", "stepsize", 0.1),
+    ])
+    def test_manifest_key_outside_protocol_is_config_error(
+            self, tmp_path, capsys, protocol, key, value):
+        path = _tiny_manifest(tmp_path, protocol)
+        manifest = json.loads(path.read_text())
+        manifest["config"][key] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(path), "--out", str(tmp_path / "redo")]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "redo").exists()
+
+
+_FLAGS = {"seed": "--seed", "trials": "--trials", "iterations": "--iterations",
+          "memory_length": "--memory-length", "regressor_mode": "--mode",
+          "q_values": "--q", "snr_db": "--snr", "mu": "--mu",
+          "algorithms": "--algorithm"}
+
+
+@st.composite
+def run_specs(draw):
+    """A valid run of any protocol at toy size: (protocol, settings).
+
+    Step sizes stay within a fifth of the stability bound, where no trial
+    diverges, so every run exits 0.
+    """
+    protocol = draw(st.sampled_from(["protocol1", "protocol2", "run"]))
+    snr = st.sampled_from([-5.0, 0.0, 12.5, 20.0, 30.0, math.inf])
+    s = {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "trials": draw(st.integers(1, 3)),
+        "iterations": draw(st.integers(2, 30)),
+        "memory_length": draw(st.integers(1, 3)),
+        "regressor_mode": draw(st.sampled_from(["raw", "orthonormalized"])),
+        "q_values": draw(st.lists(st.floats(0.5, 10.0), min_size=1, max_size=3)),
+        "snr_db": draw(st.lists(snr, min_size=1,
+                                max_size=1 if protocol == "protocol1" else 3)),
+    }
+    if protocol == "protocol1":
+        s["mu_fraction"] = draw(st.floats(0.01, 0.2))
+    elif protocol == "protocol2":
+        s["mu"] = draw(st.floats(1e-4, 2e-3))
+        s["include_whitened"] = draw(st.booleans())
+    else:
+        s["algorithms"] = draw(st.lists(st.sampled_from(ALGORITHMS),
+                                        min_size=1, max_size=3, unique=True))
+        if draw(st.booleans()):
+            s["mu"] = draw(st.floats(1e-4, 2e-3))
+        else:
+            s["mu_fraction"] = draw(st.floats(0.01, 0.2))
+    return protocol, s
+
+
+def _argv(protocol, s, via_file: bool, tmp: Path) -> list:
+    """Command line giving settings ``s``: as flags, or in a config file."""
+    def text(value):
+        if isinstance(value, list):
+            return " ".join(text(v) for v in value)
+        return repr(value) if isinstance(value, float) else str(value)
+
+    if via_file:
+        cfg = tmp / "run.cfg"
+        cfg.write_text("".join(f"{k} = {text(v)}\n" for k, v in s.items()))
+        return [protocol, "--config", str(cfg)]
+    argv = [protocol]
+    for key, value in s.items():
+        if key == "include_whitened":
+            argv += ["--whitened"] if value else []
+        elif key == "mu_fraction":
+            argv += ["--mu-frac" if protocol == "run" else "--mu-fraction", text(value)]
+        else:
+            argv += [_FLAGS[key]] + text(value).split()
+    return argv
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=run_specs(), via_file=st.booleans())
+def test_rerun_reproduces_every_output_of_any_valid_spec(spec, via_file):
+    protocol, s = spec
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        assert main(_argv(protocol, s, via_file, tmp) + ["--out", str(tmp / "a")]) == 0
+        manifest = json.loads((tmp / "a" / "manifest.json").read_text())
+        assert json.loads(json.dumps(RunSpec.from_manifest(manifest).config())) \
+            == manifest["config"]
+        assert main(["rerun", str(tmp / "a" / "manifest.json"),
+                     "--out", str(tmp / "b")]) == 0
+        first = _outputs(tmp / "a")
+        assert first and first == _outputs(tmp / "b")
 
 
 class TestEnvDefaultOutDir:

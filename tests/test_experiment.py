@@ -178,7 +178,7 @@ class TestRunTrial:
         for r in range(cfg.iterations):
             window = x[r:r + 3][::-1]
             u = expand_regressor(window, spec.regressor_mode)
-            desired = float((u.values * h).sum()) + z[r] * sigma
+            desired = float((u * h).sum()) + z[r] * sigma
             state, _ = qvlms_step(state, u, desired, qp)
             assert np.isclose(curves.nwd[r + 1], nwd(h, state.weights),
                               rtol=1e-12, atol=0)
@@ -206,7 +206,7 @@ class TestRunTrial:
         qp = QParams.uniform(q, spec.num_coefficients)
         for r in range(cfg.iterations):
             u = expand_regressor(x[r:r + m][::-1], mode)
-            desired = float((u.values * h).sum()) + z[r] * sigma
+            desired = float((u * h).sum()) + z[r] * sigma
             state, _ = (qvlms_step(state, u, desired, qp) if algorithm == "qvlms"
                         else vlms_step(state, u, desired))
         assert np.array_equal(state.weights, curves.final_weights)
@@ -223,7 +223,7 @@ class TestRunTrial:
         state = FilterState(w0, cfg.step_size)
         for r in range(cfg.iterations):
             u = expand_regressor(x[r:r + 3][::-1], spec.regressor_mode)
-            desired = float((u.values * h).sum()) + z[r] * sigma
+            desired = float((u * h).sum()) + z[r] * sigma
             state, _ = matrix_gain_step(state, u, desired, gain)
         assert np.allclose(state.weights, curves.final_weights, rtol=1e-10)
 
@@ -419,7 +419,7 @@ class TestWhitenedGain:
         assert not gain.flags.writeable
         with pytest.raises(ValueError):
             gain[0, 0] = 1.0
-        s = scaling_diag(4).entries
+        s = scaling_diag(4)
         fresh = s[:, None] * np.linalg.inv(spec.autocorrelation()) * s[None, :]
         assert np.array_equal(gain, fresh)
         assert gain.shape == (num_coefficients(4),) * 2

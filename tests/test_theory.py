@@ -1,23 +1,15 @@
 import numpy as np
 import pytest
 
-from qvlms.adapt import QParams
+from qvlms.adapt import QParams, step_size_bound
 from qvlms.theory import (
-    TheoryModel,
     build_update_matrix,
     gaussian_autocorrelation,
     gaussian_eigenvalues,
     mean_weight_error_trajectory,
-    minimum_error,
-    wiener_optimum,
     wiener_solution,
 )
-from qvlms.volterra import (
-    RegressorMode,
-    num_coefficients,
-    quadratic_pairs,
-    scaling_diag,
-)
+from qvlms.volterra import RegressorMode, num_coefficients, quadratic_pairs
 
 
 def _monomial_moment_autocorrelation(m):
@@ -121,19 +113,6 @@ class TestBuildUpdateMatrix:
     def test_identity_input_uniform_q_scales_diagonally(self):
         qp = QParams.uniform(5.0, 4)
         assert np.array_equal(build_update_matrix(qp, np.eye(4)), 3.0 * np.eye(4))
-
-    def test_sandwich_matches_triple_product_oracle(self):
-        rng = np.random.default_rng(13)
-        k = num_coefficients(3)
-        a = rng.standard_normal((k, k))
-        r = a @ a.T + k * np.eye(k)  # SPD
-        qp = QParams(rng.uniform(0.5, 10.0, size=k))
-        s = scaling_diag(3)
-        result = build_update_matrix(qp, r, scaling=s)
-        # naive elementwise oracle: G S^-1 R S^-1
-        oracle = np.diag(qp.g) @ np.diag(s.inverse_entries) @ r \
-            @ np.diag(s.inverse_entries)
-        assert np.allclose(result, oracle, rtol=1e-13, atol=1e-13)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -255,45 +234,20 @@ class TestWienerSolution:
         with pytest.raises(np.linalg.LinAlgError):
             wiener_solution(r, np.ones(2))
 
-    def test_wiener_optimum_applies_scaling(self):
-        s = scaling_diag(3)
-        r = np.eye(9)
-        p = np.ones(9)
-        assert np.array_equal(wiener_optimum(r, p, s), s.entries)
 
+class TestGaussianStability:
+    """The bound and the mean-recursion matrix of the paper's M = 3 filter."""
 
-class TestMinimumError:
-    def test_zero(self):
-        assert minimum_error(0.0) == 0.0
+    def test_raw_m3_largest_eigenvalue_and_bound(self):
+        lam = gaussian_eigenvalues(3, RegressorMode.RAW)
+        assert np.isclose(lam.max(), 5.0)
+        assert np.isclose(step_size_bound(QParams.uniform(1.0, 9), lam), 0.1)
 
-    def test_passthrough(self):
-        assert minimum_error(0.01) == 0.01
-
-    def test_snr_derived_value(self):
-        # 20 dB SNR at unit signal power
-        sigma2 = 1.0 * 10.0 ** (-20.0 / 10.0)
-        assert np.isclose(minimum_error(sigma2), 1e-2)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            minimum_error(-1e-9)
-
-
-class TestTheoryModel:
-    def test_orthonormalized_identity_case(self):
+    def test_orthonormalized_update_matrix(self):
         qp = QParams.uniform(5.0, 9)
-        model = TheoryModel.for_gaussian_input(
-            3, RegressorMode.ORTHONORMALIZED, qp, noise_variance=0.01
-        )
-        assert np.array_equal(model.autocorrelation, np.eye(9))
-        assert np.array_equal(model.update_matrix, 3.0 * np.eye(9))
-        assert np.allclose(model.eigenvalues, 1.0)
-        assert np.isclose(model.mu_bound, 1.0 / 6.0)
-        assert model.noise_variance == 0.01
-        assert np.isclose(model.max_update_eigenvalue, 3.0)
-
-    def test_raw_mode_eigenvalues(self):
-        qp = QParams.uniform(1.0, 9)
-        model = TheoryModel.for_gaussian_input(3, RegressorMode.RAW, qp)
-        assert np.isclose(model.eigenvalues.max(), 5.0)
-        assert np.isclose(model.mu_bound, 1.0 / 10.0)
+        mode = RegressorMode.ORTHONORMALIZED
+        a = build_update_matrix(qp, gaussian_autocorrelation(3, mode))
+        assert np.array_equal(a, 3.0 * np.eye(9))
+        assert np.isclose(np.max(np.linalg.eigvals(a).real), 3.0)
+        assert np.isclose(step_size_bound(qp, gaussian_eigenvalues(3, mode)),
+                          1.0 / 6.0)

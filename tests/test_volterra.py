@@ -48,20 +48,16 @@ class TestFlattenIndex:
 class TestScalingDiag:
     def test_m3_entries(self):
         expected = [1, 1, 1, SQRT2, 1, 1, SQRT2, 1, SQRT2]
-        assert np.array_equal(scaling_diag(3).entries, expected)
+        assert np.array_equal(scaling_diag(3), expected)
 
     def test_m1_entries(self):
-        assert np.array_equal(scaling_diag(1).entries, [1.0, SQRT2])
+        assert np.array_equal(scaling_diag(1), [1.0, SQRT2])
 
     def test_m4_sqrt2_positions(self):
         s = scaling_diag(4)
-        assert np.flatnonzero(s.entries == SQRT2).tolist() == [4, 8, 11, 13]
-        assert np.array_equal(np.flatnonzero(s.entries == SQRT2),
+        assert np.flatnonzero(s == SQRT2).tolist() == [4, 8, 11, 13]
+        assert np.array_equal(np.flatnonzero(s == SQRT2),
                               squared_positions(4))
-
-    def test_inverse_entries(self):
-        s = scaling_diag(3)
-        assert np.allclose(s.entries * s.inverse_entries, 1.0)
 
     def test_zero_memory_rejected(self):
         with pytest.raises(ValueError):
@@ -71,18 +67,18 @@ class TestScalingDiag:
 class TestExpandRegressor:
     def test_raw_m2(self):
         u = expand_regressor([2.0, 3.0], RegressorMode.RAW)
-        assert np.array_equal(u.values, [2, 3, 4, 6, 9])
+        assert np.array_equal(u, [2, 3, 4, 6, 9])
 
     def test_orthonormalized_m2(self):
         u = expand_regressor([1.0, 1.0], RegressorMode.ORTHONORMALIZED)
-        assert np.array_equal(u.values, [1, 1, 0, 1, 0])
+        assert np.array_equal(u, [1, 1, 0, 1, 0])
 
     def test_raw_matches_double_loop_oracle(self):
         # independent oracle: explicit two-index loop over all lag pairs
         rng = np.random.default_rng(7)
         for _ in range(20):
             window = rng.standard_normal(3)
-            u = expand_regressor(window, RegressorMode.RAW).values
+            u = expand_regressor(window, RegressorMode.RAW)
             expected = list(window)
             for d in range(3):
                 for e in range(d, 3):
@@ -100,10 +96,10 @@ class TestExpandRegressor:
         rng = np.random.default_rng(21)
         for m in (1, 2, 3, 5):
             window = rng.standard_normal(m)
-            raw = expand_regressor(window, RegressorMode.RAW).values.copy()
+            raw = expand_regressor(window, RegressorMode.RAW)
             raw[squared_positions(m)] -= 1.0
-            expected = raw * scaling_diag(m).inverse_entries
-            ortho = expand_regressor(window, RegressorMode.ORTHONORMALIZED).values
+            expected = raw / scaling_diag(m)
+            ortho = expand_regressor(window, RegressorMode.ORTHONORMALIZED)
             assert np.allclose(ortho, expected, rtol=1e-15, atol=1e-15)
 
     def test_bad_window_shape_rejected(self):
@@ -118,10 +114,9 @@ class TestVolterraKernel:
         rng = np.random.default_rng(3)
         for m in (1, 2, 3, 4):
             flat = rng.standard_normal(num_coefficients(m))
-            kernel = VolterraKernel.from_flat(flat, bias=0.5)
+            kernel = VolterraKernel.from_flat(flat)
             assert kernel.memory_length == m
             assert np.array_equal(kernel.flat(), flat)
-            assert kernel.bias == 0.5
 
     def test_from_flat_rejects_bad_lengths(self):
         for bad in (4, 6, 8, 10):  # not of the form M + M(M+1)/2
@@ -130,19 +125,12 @@ class TestVolterraKernel:
 
     def test_quadratic_length_validated(self):
         with pytest.raises(ValueError):
-            VolterraKernel(bias=0.0, linear=np.zeros(3), quadratic=np.zeros(5))
+            VolterraKernel(linear=np.zeros(3), quadratic=np.zeros(5))
 
 
 class TestKernelOutput:
-    def test_all_zero_kernel_returns_bias(self):
-        kernel = VolterraKernel.from_flat(np.zeros(9), bias=1.25)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            assert kernel_output(kernel, rng.standard_normal(3)) == 1.25
-
     def test_direct_substitution_m2(self):
-        kernel = VolterraKernel(bias=0.0, linear=[1.0, 0.0],
-                                quadratic=[1.0, 0.0, 0.0])
+        kernel = VolterraKernel(linear=[1.0, 0.0], quadratic=[1.0, 0.0, 0.0])
         assert kernel_output(kernel, [2.0, 5.0]) == 6.0
 
     def test_matches_full_double_sum_oracle(self):
@@ -152,8 +140,7 @@ class TestKernelOutput:
         m = 3
         for _ in range(25):
             flat = rng.standard_normal(num_coefficients(m))
-            bias = rng.standard_normal()
-            kernel = VolterraKernel.from_flat(flat, bias=bias)
+            kernel = VolterraKernel.from_flat(flat)
             window = rng.standard_normal(m)
 
             b_full = np.zeros((m, m))
@@ -163,7 +150,7 @@ class TestKernelOutput:
                 else:
                     b_full[d, e] = kernel.quadratic[idx] / 2.0
                     b_full[e, d] = kernel.quadratic[idx] / 2.0
-            expected = bias + kernel.linear @ window
+            expected = kernel.linear @ window
             for d in range(m):
                 for e in range(m):
                     expected += b_full[d, e] * window[d] * window[e]
