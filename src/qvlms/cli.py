@@ -38,6 +38,7 @@ from qvlms.experiment import (
     nwd_db,
     protocol1,
     protocol2,
+    steady_state_level,
 )
 from qvlms.theory import gaussian_autocorrelation
 from qvlms.volterra import RegressorMode
@@ -196,7 +197,7 @@ class RunSpec:
     def resolve(cls, protocol, *sources: dict) -> "RunSpec":
         """The protocol's defaults overridden by each source in turn; a
         ``None`` value leaves a setting as it is."""
-        if protocol not in DEFAULTS:
+        if not isinstance(protocol, str) or protocol not in DEFAULTS:
             raise ConfigError(f"key 'protocol': unknown value {protocol!r}")
         s = dict(DEFAULTS[protocol])
         for source in sources:
@@ -222,7 +223,10 @@ class RunSpec:
 
     @classmethod
     def from_manifest(cls, manifest: dict) -> "RunSpec":
-        return cls.resolve(manifest.get("protocol"), manifest.get("config", {}))
+        config = manifest.get("config", {})
+        if not isinstance(config, dict):
+            raise ConfigError(f"key 'config': expected an object, got {config!r}")
+        return cls.resolve(manifest.get("protocol"), config)
 
     def config(self) -> dict:
         """The settings as JSON values."""
@@ -245,10 +249,12 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header and then each row of the iterable ``rows`` as it
+    comes, so that no table is held whole."""
+    with path.open("w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
 
 
 def _write_plot_series(path: Path, ys):
@@ -277,14 +283,14 @@ def _cell_key(cell) -> str:
 
 
 def _averaged_tables(name: str, cells) -> list:
-    """The curves and summary tables of ``AveragedCurves`` cells."""
-    rows, summary = [], []
-    for cell in cells:
-        rows.extend(_curve_rows(cell.algorithm, cell.q_value, cell.snr_db,
-                                nwd=cell.nwd, mae=cell.mae, mse=cell.mse))
-        summary.append(dict(zip(SUMMARY_COLUMNS, (
-            cell.algorithm, cell.q_value, cell.snr_db,
-            cell.steady_state_nwd_db(), None, cell.diverged))))
+    """The curves and summary tables of ``AveragedCurves`` cells; rows are
+    made as the table is written."""
+    rows = (row for cell in cells
+            for row in _curve_rows(cell.algorithm, cell.q_value, cell.snr_db,
+                                   nwd=cell.nwd, mae=cell.mae, mse=cell.mse))
+    summary = (dict(zip(SUMMARY_COLUMNS, (
+        cell.algorithm, cell.q_value, cell.snr_db,
+        cell.steady_state_nwd_db(), None, cell.diverged))) for cell in cells)
     return [(f"{name}_curves.csv", CURVE_COLUMNS, rows),
             (f"{name}_summary.csv", SUMMARY_COLUMNS, summary)]
 
@@ -311,22 +317,25 @@ def _protocol1_outputs(s):
         memory_length=s["memory_length"], regressor_mode=s["regressor_mode"],
         mu_fraction=s["mu_fraction"],
     )
-    rows, summary, series = [], [], []
-    for comp in report.comparisons:
-        rows.extend(_curve_rows("qvlms", comp.q_value, report.snr_db,
-                                nwd=comp.simulated_nwd, mae=comp.simulated_mae))
-        rows.extend(_curve_rows("theory", comp.q_value, report.snr_db,
-                                mae=comp.theory_mae))
-        steady = float(nwd_db(float(np.mean(
-            comp.simulated_nwd[-max(1, len(comp.simulated_nwd) // 10):]))))
-        summary.append(dict(zip(SUMMARY_COLUMNS, (
-            "qvlms", comp.q_value, report.snr_db, steady, comp.correlation,
-            comp.diverged))))
-        tag = f"q{comp.q_value:g}"
-        series.append((f"plot_protocol1_{tag}_sim.dat", comp.simulated_mae))
-        series.append((f"plot_protocol1_{tag}_theory.dat", comp.theory_mae))
+    comps = report.comparisons
 
-    tables = [("protocol1_curves.csv", CURVE_COLUMNS, rows),
+    def rows():
+        for comp in comps:
+            yield from _curve_rows("qvlms", comp.q_value, report.snr_db,
+                                   nwd=comp.simulated_nwd, mae=comp.simulated_mae)
+            yield from _curve_rows("theory", comp.q_value, report.snr_db,
+                                   mae=comp.theory_mae)
+
+    summary = (dict(zip(SUMMARY_COLUMNS, (
+        "qvlms", comp.q_value, report.snr_db,
+        float(nwd_db(steady_state_level(comp.simulated_nwd))),
+        comp.correlation, comp.diverged))) for comp in comps)
+    series = [(f"plot_protocol1_q{comp.q_value:g}_{kind}.dat", ys)
+              for comp in comps
+              for kind, ys in (("sim", comp.simulated_mae),
+                               ("theory", comp.theory_mae))]
+
+    tables = [("protocol1_curves.csv", CURVE_COLUMNS, rows()),
               ("protocol1_summary.csv", SUMMARY_COLUMNS, summary)]
     checks = {
         "correlations": {f"q={c.q_value:g}": c.correlation
@@ -460,15 +469,24 @@ def cmd_bound(args) -> int:
 
 
 def cmd_rerun(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
+    try:
+        manifest = json.loads(Path(args.manifest).read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigError(f"manifest {args.manifest}: not a JSON file ({exc})")
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest {args.manifest}: expected a JSON object, "
+                          f"got {type(manifest).__name__}")
+    spec = RunSpec.from_manifest(manifest)
     # manifests written before versions were recorded carry none to compare
     recorded = manifest.get("environment", {})
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"key 'environment': expected an object, got {recorded!r}")
     for name, version in _environment().items():
         if recorded.get(name, version) != version:
             print(f"warning: manifest was written with {name} "
                   f"{recorded[name]}, this is {name} {version}; outputs may "
                   f"differ in the last digits", file=sys.stderr)
-    return execute(RunSpec.from_manifest(manifest), args.out)
+    return execute(spec, args.out)
 
 
 # ---------------------------------------------------------------------------

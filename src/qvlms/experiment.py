@@ -14,20 +14,26 @@ and both protocols.
 
 * Each trial's channel, initial weights, input and unit noise streams are
   drawn once per run, one chunk of trials at a time, and shared by every
-  (algorithm, q, SNR) cell; SNR only rescales the noise.
+  (algorithm, q, SNR) cell; SNR only rescales the noise. A chunk's seeds
+  are built when it is reached, and its draws and sums are dropped before
+  the next chunk is drawn, so memory does not grow with the trial count.
 * All cells advance together along a cell axis: diagonal-gain cells
   (q-VLMS and VLMS, each with its own step size and gain) in one stack,
   matrix-gain ``whitened`` cells in a second.
 * Regressors and the clean desired signal are built for a block of steps
   at once, so the per-step loop only forms the error and updates weights.
+  A block holds up to 16 steps, fewer when their weight history would
+  exceed ``_BLOCK_BYTES`` (1 MiB, half the per-core L2 cache), so that the
+  block reductions read it from cache. Block length never changes a bit
+  of the results.
 * Weights are stored coefficient-major, (K, cells, trials), so every
   per-step operation runs on contiguous (cells, trials) slabs. The
   prediction ``w . u`` adds the K product slabs by a fixed plan that
   repeats numpy's pairwise summation order for a row of length K, which
   keeps each trial bit-identical to the scalar steps in ``adapt``.
-* NWD, absolute weight error and squared error are reduced per block,
-  into per-cell sums over trials for the averages or into full per-trial
-  curves for ``run_trial``.
+* NWD, absolute weight error and squared error are reduced per block, in
+  buffers reused by every block, into per-cell sums over trials for the
+  averages or into full per-trial curves for ``run_trial``.
 * Trials are deterministic and independent, so a chunk in which some
   (cell, trial) pair diverged is replayed once with the diverged pairs
   left out of the sums; the kept trials come out unchanged.
@@ -86,8 +92,12 @@ DIVERGENCE_THRESHOLD = 1e6
 
 #: Trials drawn and advanced together.
 _CHUNK = 256
-#: Steps whose regressors are built, and whose curves are reduced, at once.
+#: Most steps whose regressors are built, and whose curves are reduced, at
+#: once.
 _BLOCK = 16
+#: Budget of a block's weight history (B, K, cells, trials): half the
+#: per-core L2 cache, so that the block reductions read it from cache.
+_BLOCK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +250,20 @@ class ExperimentConfig:
 
 
 def trial_seeds(master_seed: int, trials: int) -> list[np.random.SeedSequence]:
-    """Independent per-trial seed sequences derived from the master seed."""
+    """Independent per-trial seed sequences derived from the master seed.
+
+    Seed ``i`` is ``SeedSequence(master_seed, spawn_key=(i,))``, so the
+    Monte-Carlo runs build each chunk's seeds as they reach it
+    (``_chunk_seeds``).
+    """
     return np.random.SeedSequence(int(master_seed)).spawn(int(trials))
+
+
+def _chunk_seeds(master_seed: int, start: int, stop: int) -> list:
+    """``trial_seeds(master_seed, n)[start:stop]`` for any ``n >= stop``,
+    built without the seeds before ``start``."""
+    return [np.random.SeedSequence(int(master_seed), spawn_key=(i,))
+            for i in range(start, stop)]
 
 
 def resolve_step_size(config: ExperimentConfig, channel: ChannelSpec,
@@ -397,6 +419,13 @@ def _sum_plan(n: int) -> tuple[list[tuple[int, int, int]], int]:
     return plan, slot[total]
 
 
+def _block_steps(k: int, c: int, t: int) -> int:
+    """Steps per block for K coefficients, C cells and T trials: at most
+    ``_BLOCK``, and as many as keep the weight history (B, K, C, T) within
+    ``_BLOCK_BYTES``, but at least one."""
+    return max(1, min(_BLOCK, _BLOCK_BYTES // (8 * k * c * t)))
+
+
 def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
     """Advance a chunk of trials through every cell in lockstep.
 
@@ -409,6 +438,14 @@ def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
     Yielded arrays are reused by the next block. A diverged pair keeps
     adapting and may overflow, so callers run under ``np.errstate`` and
     mask it.
+
+    A block holds ``_block_steps(K, C, T)`` steps: up to 16, fewer when
+    16 steps of weight history would exceed ``_BLOCK_BYTES`` (1 MiB, half
+    the per-core L2), so that the consumers' block reductions read the
+    history from cache; 12 protocol-2 cells of 256 trials take 4 steps.
+    Block length never changes a bit of the results: the regressors, the
+    desired signal and the prediction's additions are elementwise per
+    step, and the consumers reduce along K or T only.
 
     Weights are stored coefficient-major so that every per-step operation
     runs on contiguous (C, T) slabs. The prediction ``w . u`` is the
@@ -438,12 +475,13 @@ def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
 
     yield (0, np.broadcast_to(w0.T[None, :, None], (1, k, c, t)),
            np.full((1, c, t), np.nan))
-    w_hist = np.empty((_BLOCK, k, c, t))
-    e_hist = np.empty((_BLOCK, c, t))
-    d = np.empty((_BLOCK, c, t))
+    blk = _block_steps(k, c, t)
+    w_hist = np.empty((blk, k, c, t))
+    e_hist = np.empty((blk, c, t))
+    d = np.empty((blk, c, t))
     # regressors, and the whitened direction S R^-1 S u, coefficient-major
-    ut = np.empty((_BLOCK, k, 1, t))
-    ugt = np.empty((_BLOCK, k, 1, t)) if gain_t is not None else None
+    ut = np.empty((blk, k, 1, t))
+    ugt = np.empty((blk, k, 1, t)) if gain_t is not None else None
     w_last = np.empty((k, c, t))
     w_last[...] = w0.T[:, None]
     # the products u_k w_k, +0.0 and the partial sums of the plan; then
@@ -461,7 +499,7 @@ def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
 
     # the ufunc calls of each step of a block: prediction, error, update
     steps = []
-    for j in range(_BLOCK):
+    for j in range(blk):
         w_prev = w_last if j == 0 else w_hist[j - 1]
         steps.append([
             (np.multiply, (ut[j], w_prev, prod)),
@@ -474,15 +512,15 @@ def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
             (np.add, (w_prev, prod, w_hist[j])),
         ])
 
-    for r0 in range(0, n, _BLOCK):
-        b = min(_BLOCK, n - r0)
+    for r0 in range(0, n, blk):
+        b = min(blk, n - r0)
         u = _regressors(x, r0, r0 + b, channel.memory_length, channel.regressor_mode)
         np.add((u * h).sum(axis=-1)[:, None], z[:, r0:r0 + b].T[:, None] * sigma,
                out=d[:b])
         ut[:b, :, 0] = u.transpose(0, 2, 1)
         if gain_t is not None:
             ugt[:b, :, 0] = (u @ gain_t).transpose(0, 2, 1)
-        del u  # copied into ut; freed before the consumers allocate theirs
+        del u  # copied into ut; freed before the block is consumed
         for calls in steps[:b]:
             for ufunc, operands in calls:
                 ufunc(*operands)
@@ -490,11 +528,22 @@ def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
         np.copyto(w_last, w_hist[b - 1])  # the next block overwrites w_hist
 
 
-def _block_curves(hb, hh, w):
-    """NWD (B, C, T) and weight error ``h - w`` (B, K, C, T) of a block;
-    ``hb`` is the channel spread to (K, C, T), so that only B broadcasts."""
-    delta = hb - w
-    return np.einsum("bkct,bkct->bct", delta, delta) / hh, delta
+def _block_curves(hb, hh, w, out):
+    """NWD (B, C, T) and weight error ``h - w`` (B, K, C, T) of a block,
+    written into the first B rows of the buffers ``out = (nwd, delta)``
+    and returned; ``hb`` is the channel spread to (K, C, T), so that only B
+    broadcasts."""
+    cur, delta = (buf[:len(w)] for buf in out)
+    np.subtract(hb, w, out=delta)
+    np.einsum("bkct,bkct->bct", delta, delta, out=cur)
+    np.divide(cur, hh, out=cur)
+    return cur, delta
+
+
+def _block_buffers(k: int, c: int, t: int):
+    """``out`` buffers of ``_block_curves`` for blocks of this shape."""
+    blk = _block_steps(k, c, t)
+    return np.empty((blk, c, t)), np.empty((blk, k, c, t))
 
 
 @dataclass(frozen=True)
@@ -539,6 +588,7 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
     hs = h[None, :]
     hh = (hs * hs).sum(axis=1)
     hb = h[:, None, None]
+    buffers = _block_buffers(h.size, 1, 1)
     nwd_curve = np.full(n + 1, np.nan)
     abs_err = np.full((n + 1, h.size), np.nan)
     sq_err = np.full(n + 1, np.nan)
@@ -546,7 +596,7 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
     with np.errstate(over="ignore", invalid="ignore"):
         for row, w, e in _lockstep(hs, w0[None, :], x[None, :], z[None, :],
                                    (cell,), channel):
-            cur, delta = _block_curves(hb, hh, w)
+            cur, delta = _block_curves(hb, hh, w, buffers)
             cur, delta, e = cur[:, 0, 0], delta[:, :, 0, 0], e[:, 0, 0]
             stop = len(cur)
             if row:
@@ -556,8 +606,8 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
                     div_iter = row + stop - 1
             rows = slice(row, row + stop)
             nwd_curve[rows] = cur[:stop]
-            abs_err[rows] = np.abs(delta[:stop])
-            sq_err[rows] = e[:stop] * e[:stop]
+            np.abs(delta[:stop], out=abs_err[rows])
+            np.multiply(e[:stop], e[:stop], out=sq_err[rows])
             w_final = w[stop - 1, :, 0, 0].copy()
             if div_iter is not None:
                 break
@@ -613,8 +663,10 @@ def _chunk_sums(draw, cells, channel: ChannelSpec, keep=None):
     squared error (N+1, C; NaN at row 0). ``keep (C, T)`` leaves pairs out
     of the sums; without it the sums stop once any pair diverges, because
     the caller then replays the chunk with the diverged pairs left out.
+    Every block is reduced in buffers made once per call, straight into the
+    rows of the sums.
     """
-    h, _, _, z = draw
+    h, z = draw[0], draw[3]
     (t, k), n, c = h.shape, z.shape[1], len(cells)
     hh = (h * h).sum(axis=1)
     hb = np.repeat(h.T[:, None], c, axis=1)
@@ -622,64 +674,73 @@ def _chunk_sums(draw, cells, channel: ChannelSpec, keep=None):
     abs_sum = np.zeros((n + 1, c, k))
     sq_sum = np.zeros((n + 1, c))
     diverged = np.zeros((c, t), dtype=bool)
+    buffers = _block_buffers(k, c, t)
+    sq_buf = np.empty_like(buffers[0])
+    ok_buf = np.empty(sq_buf.shape, dtype=bool)
+    drop = None if keep is None else ~keep
     with np.errstate(over="ignore", invalid="ignore"):
         for row, w, e in _lockstep(*draw, cells, channel):
-            cur, delta = _block_curves(hb, hh, w)
+            cur, delta = _block_curves(hb, hh, w, buffers)
+            b = len(cur)
             if row:
-                diverged |= (~(cur <= DIVERGENCE_THRESHOLD)).any(axis=0)
+                ok = np.less_equal(cur, DIVERGENCE_THRESHOLD, out=ok_buf[:b])
+                diverged |= ~ok.all(axis=0)
                 if diverged.all():
                     break
-            if keep is None and diverged.any():
+            if drop is None and diverged.any():
                 continue
             err = np.abs(delta, out=delta)
-            sq = e * e
-            if keep is not None:
-                cur = np.where(keep, cur, 0.0)
-                err = np.where(keep, err, 0.0)
-                sq = np.where(keep, sq, 0.0)
-            rows = slice(row, row + len(cur))
-            nwd_sum[rows] = cur.sum(axis=-1)
-            abs_sum[rows] = np.einsum("bkct->bck", err)
-            sq_sum[rows] = sq.sum(axis=-1)
+            sq = np.multiply(e, e, out=sq_buf[:b])
+            if drop is not None:
+                for part in (cur, err, sq):
+                    np.copyto(part, 0.0, where=drop)
+            rows = slice(row, row + b)
+            cur.sum(axis=-1, out=nwd_sum[rows])
+            np.einsum("bkct->bck", err, out=abs_sum[rows])
+            sq.sum(axis=-1, out=sq_sum[rows])
     return (nwd_sum, abs_sum, sq_sum), diverged
 
 
-def _simulate(cells, channel: ChannelSpec, seeds, iterations: int,
-              random_init: bool):
-    """Average every cell over all trials on shared per-trial draws.
+def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
+              iterations: int, random_init: bool):
+    """Average every cell over ``trials`` trials on shared per-trial draws.
 
-    Returns the averaged curves in ``cells`` order and each trial's initial
-    weight error ``h - w0`` (trials, K).
+    Trial ``i`` is drawn from ``trial_seeds(master_seed, trials)[i]``; the
+    seeds are built a chunk at a time, and a chunk's draws and sums are
+    dropped before the next chunk is drawn. Returns the averaged curves in
+    ``cells`` order and each trial's initial weight error ``h - w0``
+    (trials, K).
     """
     # the kernel stacks diagonal-gain cells ahead of matrix-gain ones
     order = sorted(range(len(cells)), key=lambda i: cells[i].algorithm == "whitened")
     stacked = [cells[i] for i in order]
-    k = channel.num_coefficients
+    k, trials = channel.num_coefficients, int(trials)
     totals = (np.zeros((iterations + 1, len(cells))),
               np.zeros((iterations + 1, len(cells), k)),
               np.zeros((iterations + 1, len(cells))))
-    diverged = np.zeros((len(cells), len(seeds)), dtype=bool)
-    initial_error = np.empty((len(seeds), k))
-    for start in range(0, len(seeds), _CHUNK):
-        draw = _draw_chunk(seeds[start:start + _CHUNK], channel, iterations,
-                           random_init)
+    diverged = np.zeros((len(cells), trials), dtype=bool)
+    initial_error = np.empty((trials, k))
+    for start in range(0, trials, _CHUNK):
+        stop = min(start + _CHUNK, trials)
+        draw = _draw_chunk(_chunk_seeds(master_seed, start, stop), channel,
+                           iterations, random_init)
         sums, div = _chunk_sums(draw, stacked, channel)
         if div.any():
+            del sums  # the replay's sums replace them
             sums, _ = _chunk_sums(draw, stacked, channel, keep=~div)
         for total, part in zip(totals, sums):
             total += part
-        stop = start + div.shape[1]
         diverged[:, start:stop] = div
-        h, w0, _, _ = draw
-        initial_error[start:stop] = h - w0
+        initial_error[start:stop] = draw[0] - draw[1]
+        del draw, sums
 
     curves = []
     for i, cell in enumerate(cells):
         j = order.index(i)
-        kept = len(seeds) - int(diverged[j].sum())
+        kept = trials - int(diverged[j].sum())
         if kept == 0:
             raise RuntimeError(
-                f"all {len(seeds)} trials diverged (algorithm={cell.algorithm}, "
+                f"all {trials} trials diverged (algorithm={cell.algorithm}, "
                 f"q={cell.q_value}, snr={cell.snr_db} dB, mu={cell.step_size:.3e})"
             )
         per_coef = totals[1][:, j] / kept
@@ -692,8 +753,8 @@ def _simulate(cells, channel: ChannelSpec, seeds, iterations: int,
             mae=per_coef.mean(axis=1),
             abs_weight_error=per_coef,
             mse=totals[2][:, j] / kept,
-            trials=len(seeds),
-            diverged=len(seeds) - kept,
+            trials=trials,
+            diverged=trials - kept,
             diverged_mask=diverged[j],
         ))
     return curves, initial_error
@@ -712,7 +773,7 @@ def monte_carlo(config: ExperimentConfig, channel: ChannelSpec) -> list[Averaged
         for algorithm in config.algorithms
         for q in (config.q_values if algorithm == "qvlms" else (None,))
     ]
-    curves, _ = _simulate(cells, channel, trial_seeds(config.master_seed, config.trials),
+    curves, _ = _simulate(cells, channel, config.master_seed, config.trials,
                           config.iterations, config.random_init)
     return curves
 
@@ -811,7 +872,7 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
             raise ValueError(f"unknown mu rule {mu_rule!r}")
         cells.append(_Cell("qvlms", float(q), float(snr_db), mu))
         update_matrices.append(a_matrix)
-    curves, initial_error = _simulate(cells, channel, trial_seeds(master_seed, trials),
+    curves, initial_error = _simulate(cells, channel, master_seed, trials,
                                       iterations, True)
 
     comparisons = []

@@ -1,14 +1,18 @@
+import csv
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvlms.cli import ConfigError, RunSpec, main, parse_config_file
-from qvlms.experiment import ALGORITHMS
+from qvlms import cli
+from qvlms.cli import ConfigError, RunSpec, execute, main, parse_config_file
+from qvlms.experiment import ALGORITHMS, nwd_db, protocol2, steady_state_level
 
 
 def _read(path):
@@ -157,6 +161,41 @@ class TestProtocolCommands:
         assert main(args + ["--out", str(out_b)]) == 0
         for name in ("protocol1_curves.csv", "protocol1_summary.csv"):
             assert _read(out_a / name) == _read(out_b / name)
+
+
+    def test_protocol1_steady_state_takes_the_shared_tail(self, tmp_path):
+        # 2,006 curve rows: the tail is round(0.1 * 2006) = 201 rows, as for
+        # every other summary, not 2006 // 10 = 200
+        out = tmp_path / "p1"
+        assert main(["protocol1", "--out", str(out), "--seed", "1", "--trials",
+                     "2", "--iterations", "2005", "--q", "5"]) == 0
+        with (out / "protocol1_curves.csv").open(newline="") as fh:
+            nwd = np.array([float(r["nwd"]) for r in csv.DictReader(fh)
+                            if r["algorithm"] == "qvlms"])
+        with (out / "protocol1_summary.csv").open(newline="") as fh:
+            (summary,) = csv.DictReader(fh)
+        assert nwd.size == 2006
+        steady = float(summary["steady_state_nwd_db"])
+        assert steady == float(nwd_db(steady_state_level(nwd)))
+        assert steady == float(nwd_db(nwd[-201:].mean()))
+        assert steady != float(nwd_db(nwd[-200:].mean()))
+
+    def test_writing_streams_rows(self, tmp_path, monkeypatch):
+        # 12 cells x 2,001 rows: writing holds a row at a time, not the
+        # table's 24,012 rows or its text
+        report = protocol2(3, trials=2, iterations=2000)
+        monkeypatch.setattr(cli, "protocol2", lambda *args, **kwargs: report)
+        spec = RunSpec.resolve("protocol2", {"trials": 2, "iterations": 2000})
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            assert execute(spec, tmp_path / "out") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        lines = (tmp_path / "out" / "protocol2_curves.csv").read_text().splitlines()
+        assert len(lines) == 1 + 12 * 2001
+        assert peak - start < 2 * 2**20
 
 
 class TestRunCommand:
@@ -352,6 +391,25 @@ class TestRerun:
         assert _read(out_a / "protocol1_curves.csv") == \
             _read(out_b / "protocol1_curves.csv")
 
+
+    @pytest.mark.parametrize("content, named", [
+        ("protocol = run\n", "manifest {path}"),
+        ('{"protocol": "run", "config": null}', "'config'"),
+        ("[1, 2]", "manifest {path}"),
+        ('{"protocol": ["run"], "config": {}}', "'protocol'"),
+        ('{"protocol": "run", "config": {"mu": 0.1}, "environment": [1]}',
+         "'environment'"),
+    ], ids=["not-json", "config-null", "list", "protocol-list", "environment-list"])
+    def test_malformed_manifest_is_config_error(self, tmp_path, capsys,
+                                                content, named):
+        path = tmp_path / "manifest.json"
+        path.write_text(content)
+        capsys.readouterr()
+        assert main(["rerun", str(path), "--out", str(tmp_path / "redo")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert named.format(path=path) in err
+        assert not (tmp_path / "redo").exists()
 
     @pytest.mark.parametrize("protocol, key, value", [
         ("protocol1", "mu", 0.5),

@@ -32,7 +32,7 @@ from qvlms.experiment import (
     whitened_gain,
 )
 from qvlms.experiment import _draw_trial  # noqa: F401  (shared draw order)
-from qvlms.experiment import _sum_plan
+from qvlms.experiment import _chunk_seeds, _sum_plan
 from qvlms.volterra import (
     RegressorMode,
     VolterraKernel,
@@ -439,6 +439,91 @@ def test_monte_carlo_memory_is_below_per_trial_curve_size():
     finally:
         tracemalloc.stop()
     assert peak < per_trial_bytes
+
+
+def test_monte_carlo_working_set_holds_cache_sized_blocks():
+    # 12 protocol-2 cells x 256 trials: 16 steps of weight history would be
+    # 3.5 MB, and the block reductions would allocate several times that
+    cfg = small_config(iterations=200, trials=256, step_size=1e-3,
+                       q_values=(2.0, 5.0, 10.0), snr_db_values=(10.0, 20.0, 30.0),
+                       algorithms=("vlms", "qvlms"))
+    tracemalloc.start()
+    try:
+        cells = monte_carlo(cfg, ChannelSpec())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cells) == 12
+    assert peak < 8 * 2**20
+
+
+def _same_arrays(a, b, names):
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+class TestBlockLength:
+    """Block length changes no bit: blocks of one step against the
+    default, across divergence and both gain stacks."""
+
+    def test_monte_carlo_is_block_length_invariant(self, monkeypatch):
+        cfg = small_config(iterations=150, trials=40, master_seed=4,
+                           step_size=0.1, q_values=(2.0,),
+                           algorithms=("qvlms", "vlms", "whitened"))
+        spec = ChannelSpec()
+        default = monte_carlo(cfg, spec)
+        monkeypatch.setattr(experiment, "_BLOCK_BYTES", 1)
+        one_step = monte_carlo(cfg, spec)
+        for a, b in zip(default, one_step):
+            assert 0 < a.diverged < cfg.trials
+            assert a.diverged == b.diverged
+            _same_arrays(a, b, ("nwd", "mae", "abs_weight_error", "mse",
+                                "diverged_mask"))
+
+    @pytest.mark.parametrize("algorithm", ["qvlms", "vlms", "whitened"])
+    def test_run_trial_is_block_length_invariant(self, monkeypatch, algorithm):
+        cfg = small_config(iterations=150, step_size=0.1, q_values=(2.0,))
+        spec = ChannelSpec()
+        seeds = trial_seeds(4, 20)[5:]  # each algorithm diverges on some
+        default = [run_trial(cfg, spec, s, algorithm) for s in seeds]
+        assert 0 < sum(t.diverged for t in default) < len(seeds)
+        monkeypatch.setattr(experiment, "_BLOCK_BYTES", 1)
+        for a, seed in zip(default, seeds):
+            b = run_trial(cfg, spec, seed, algorithm)
+            assert (a.diverged, a.divergence_iteration) == \
+                (b.diverged, b.divergence_iteration)
+            _same_arrays(a, b, ("nwd", "abs_weight_error", "squared_error",
+                                "final_weights"))
+
+    def test_block_steps_fit_the_history_budget(self):
+        assert experiment._block_steps(9, 12, 256) == 4    # protocol 2
+        assert experiment._block_steps(44, 3, 256) == 3    # M = 8, three cells
+        assert experiment._block_steps(9, 3, 256) == 16    # protocol 1
+        assert experiment._block_steps(9, 1, 1) == 16      # run_trial
+        assert experiment._block_steps(10**6, 12, 256) == 1
+
+
+class TestTrialSeeds:
+    def test_chunk_seeds_equal_trial_seeds(self):
+        seeds = trial_seeds(17, 1000)
+        built = _chunk_seeds(17, 0, 600) + _chunk_seeds(17, 600, 1000)
+        for a, b in zip(seeds, built, strict=True):
+            assert np.array_equal(a.generate_state(8), b.generate_state(8))
+            assert np.array_equal(np.random.default_rng(a).standard_normal(3),
+                                  np.random.default_rng(b).standard_normal(3))
+
+    def test_monte_carlo_builds_no_seed_list_up_front(self, monkeypatch):
+        cfg = small_config(trials=3, iterations=20)
+        expected = monte_carlo(cfg, ChannelSpec())[0]
+
+        def no_list(*args):
+            raise AssertionError("trial_seeds called")
+
+        monkeypatch.setattr(experiment, "trial_seeds", no_list)
+        got = monte_carlo(cfg, ChannelSpec())[0]
+        _same_arrays(expected, got, ("nwd", "abs_weight_error", "mse"))
+        protocol1(3, trials=2, iterations=10, q_values=(5.0,))
 
 
 class TestStepSizeResolution:
