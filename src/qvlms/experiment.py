@@ -15,8 +15,11 @@ and both protocols.
 * Each trial's channel, initial weights, input and unit noise streams are
   drawn once per run, one chunk of trials at a time, and shared by every
   (algorithm, q, SNR) cell; SNR only rescales the noise. A chunk's seeds
-  are built when it is reached, and its draws and sums are dropped before
-  the next chunk is drawn, so memory does not grow with the trial count.
+  are built when it is reached, and its draws are dropped before the next
+  chunk is drawn, so memory does not grow with the trial count. The input
+  and noise streams are drawn one segment of about ``_SEGMENT`` (512)
+  steps at a time from two generators per trial, and no buffer of the
+  kernel grows with the iteration count; only the curve sums do.
 * All cells advance together along a cell axis: diagonal-gain cells
   (q-VLMS and VLMS, each with its own step size and gain) in one stack,
   matrix-gain ``whitened`` cells in a second.
@@ -34,9 +37,10 @@ and both protocols.
 * NWD, absolute weight error and squared error are reduced per block, in
   buffers reused by every block, into per-cell sums over trials for the
   averages or into full per-trial curves for ``run_trial``.
-* Trials are deterministic and independent, so a chunk in which some
-  (cell, trial) pair diverged is replayed once with the diverged pairs
-  left out of the sums; the kept trials come out unchanged.
+* Trials are deterministic and independent, so the cells of a chunk in
+  which some (cell, trial) pair diverged are replayed once, alone, with
+  the diverged pairs left out of the sums; the kept trials come out
+  unchanged, and the other cells keep their sums.
 
 A single trial is therefore bit-identical whichever entry point produced
 it.
@@ -98,6 +102,9 @@ _BLOCK = 16
 #: Budget of a block's weight history (B, K, cells, trials): half the
 #: per-core L2 cache, so that the block reductions read it from cache.
 _BLOCK_BYTES = 1 << 20
+#: Steps whose input and noise are drawn at once, rounded down to whole
+#: blocks: the streams' buffers hold one segment, whatever the run length.
+_SEGMENT = 512
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +327,9 @@ def _config_cell(config: ExperimentConfig, channel: ChannelSpec, algorithm: str,
 # the streaming kernel
 # ---------------------------------------------------------------------------
 
-def _draw_trial(seed, channel: ChannelSpec, iterations: int, random_init: bool):
-    """All randomness of one trial, in fixed draw order: h, w0, input
-    stream, unit noise stream."""
-    rng = np.random.default_rng(seed)
+def _draw_head(rng, channel: ChannelSpec, random_init: bool):
+    """The channel ``h`` and initial weights ``w0`` of one trial: the first
+    draws of its generator."""
     k = channel.num_coefficients
     if channel.kernel is None:
         v = rng.standard_normal(k)
@@ -334,34 +340,58 @@ def _draw_trial(seed, channel: ChannelSpec, iterations: int, random_init: bool):
         w0 = rng.standard_normal(k) / np.sqrt(k)
     else:
         w0 = np.zeros(k)
-    x = rng.standard_normal(iterations + channel.memory_length - 1)
-    z = rng.standard_normal(iterations)
-    return h, w0, x, z
+    return h, w0
 
 
 def _draw_chunk(seeds, channel: ChannelSpec, iterations: int, random_init: bool):
-    """Draws of a chunk of trials, stacked: ``h, w0 (T, K)``,
-    ``x (T, N+M-1)``, ``z (T, N)``."""
+    """Draws of a chunk of trials: ``h, w0 (T, K)`` stacked, and two
+    generators per trial, standing at the start of its input stream x
+    (N+M-1 values) and of its unit noise stream z (N values).
+
+    Trial ``i`` draws h, w0, x and z, in this order, from
+    ``default_rng(seeds[i])``. The streams are not held: the kernel draws
+    them a segment at a time, and a generator gives the same values
+    whether a stream is drawn at once or in pieces. z's generator is a
+    second one from the same seed: it redraws h and w0, then draws x once,
+    in pieces of at most ``_SEGMENT`` values that are thrown away.
+    """
     t, k = len(seeds), channel.num_coefficients
     h, w0 = np.empty((t, k)), np.empty((t, k))
-    x = np.empty((t, iterations + channel.memory_length - 1))
-    z = np.empty((t, iterations))
+    x_rngs, z_rngs = [], []
+    x_size = iterations + channel.memory_length - 1
+    skip = np.empty(min(_SEGMENT, x_size))
     for i, seed in enumerate(seeds):
-        h[i], w0[i], x[i], z[i] = _draw_trial(seed, channel, iterations, random_init)
-    return h, w0, x, z
+        x_rng, z_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        h[i], w0[i] = _draw_head(x_rng, channel, random_init)
+        _draw_head(z_rng, channel, random_init)
+        for left in range(x_size, 0, -skip.size):
+            z_rng.standard_normal(out=skip[:min(left, skip.size)])
+        x_rngs.append(x_rng)
+        z_rngs.append(z_rng)
+    return h, w0, x_rngs, z_rngs
 
 
-def _regressors(x, r0: int, r1: int, memory_length: int,
-                mode: RegressorMode) -> np.ndarray:
-    """Regressors of steps ``r0 .. r1-1`` for every trial, shape (B, T, K),
-    from newest-first windows of the input streams ``x (T, N+M-1)``."""
+def _regressor_index(memory_length: int, steps: int):
+    """Index arrays of ``_regressors`` for blocks of up to ``steps`` steps:
+    the newest-first input windows (steps, M), the factors of each
+    quadratic term, and the positions of the squares among those terms."""
     m = memory_length
-    lin = x[:, np.arange(r0 + m - 1, r1 + m - 1)[:, None] - np.arange(m)]
-    lin = lin.transpose(1, 0, 2)
     iu, ju = np.triu_indices(m)
+    window = np.arange(m - 1, steps + m - 1)[:, None] - np.arange(m)
+    return window, iu, ju, np.flatnonzero(iu == ju)
+
+
+def _regressors(x, r0: int, r1: int, index, mode: RegressorMode) -> np.ndarray:
+    """Regressors of steps ``r0 .. r1-1`` for every trial, shape (B, T, K),
+    from newest-first windows of the input ``x (T, S+M-1)`` of a segment
+    of S steps, whose column ``j`` is the input at its step ``j-M+1``;
+    ``index`` is ``_regressor_index(M, B)`` or longer."""
+    window, iu, ju, diag = index
+    lin = x[:, r0:][:, window[:r1 - r0]]
+    lin = lin.transpose(1, 0, 2)
     quad = lin[..., iu] * lin[..., ju]
     if mode is RegressorMode.ORTHONORMALIZED:
-        quad[..., np.flatnonzero(iu == ju)] = (lin * lin - 1.0) / SQRT2
+        quad[..., diag] = (lin * lin - 1.0) / SQRT2
     return np.concatenate([lin, quad], axis=-1)
 
 
@@ -426,15 +456,18 @@ def _block_steps(k: int, c: int, t: int) -> int:
     return max(1, min(_BLOCK, _BLOCK_BYTES // (8 * k * c * t)))
 
 
-def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
-    """Advance a chunk of trials through every cell in lockstep.
+def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
+              channel: ChannelSpec):
+    """Advance a chunk of trials through ``iterations`` steps of every cell
+    in lockstep.
 
-    ``h, w0 (T, K)``, ``x (T, N+M-1)`` and the unit noise ``z (T, N)`` are
-    shared by all cells; diagonal-gain cells must precede ``whitened``
-    ones. Yields ``(row, w, e)`` per block of steps: ``w (B, K, C, T)``
-    holds the weights at curve rows ``row .. row+B-1``, coefficient-major,
-    and ``e (B, C, T)`` the a priori errors of the steps that produced
-    them. The first yield is row 0, the initial weights, with NaN errors.
+    ``h, w0 (T, K)`` and each trial's generators of its input and unit
+    noise streams (``_draw_chunk``) are shared by all cells, and are used
+    up; diagonal-gain cells must precede ``whitened`` ones. Yields
+    ``(row, w, e)`` per block of steps: ``w (B, K, C, T)`` holds the
+    weights at curve rows ``row .. row+B-1``, coefficient-major, and
+    ``e (B, C, T)`` the a priori errors of the steps that produced them.
+    The first yield is row 0, the initial weights, with NaN errors.
     Yielded arrays are reused by the next block. A diverged pair keeps
     adapting and may overflow, so callers run under ``np.errstate`` and
     mask it.
@@ -443,9 +476,14 @@ def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
     16 steps of weight history would exceed ``_BLOCK_BYTES`` (1 MiB, half
     the per-core L2), so that the consumers' block reductions read the
     history from cache; 12 protocol-2 cells of 256 trials take 4 steps.
-    Block length never changes a bit of the results: the regressors, the
-    desired signal and the prediction's additions are elementwise per
-    step, and the consumers reduce along K or T only.
+    The streams are drawn one segment at a time, the whole number of
+    blocks nearest ``_SEGMENT`` steps from below (at least one block),
+    into buffers x (T, S+M-1) and z (T, S) that every segment reuses; x
+    carries the last M-1 inputs of a segment into the next. So no buffer
+    grows with the iteration count. Neither block nor segment length
+    changes a bit of the results: the regressors, the desired signal and
+    the prediction's additions are elementwise per step, and the
+    consumers reduce along K or T only.
 
     Weights are stored coefficient-major so that every per-step operation
     runs on contiguous (C, T) slabs. The prediction ``w . u`` is the
@@ -455,11 +493,11 @@ def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
     cells differ from ``adapt.matrix_gain_step`` only in how BLAS orders
     ``u @ (S R^-1 S)^T``). The update forms ``g * (mu * e)`` per
     (cell, trial) and broadcasts it over the coefficients. All buffers,
-    views and the per-step ufunc calls are built once per call.
+    views, index arrays and the per-step ufunc calls are built once per
+    call.
     """
     t, k = h.shape
-    n = z.shape[1]
-    c = len(cells)
+    n, m, c = int(iterations), channel.memory_length, len(cells)
     nd = sum(cell.algorithm != "whitened" for cell in cells)
     # every diagonal gain is uniform over the coefficients (one q per cell);
     # whitened cells take g = 1, which leaves mu * e unchanged, and step
@@ -476,6 +514,10 @@ def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
     yield (0, np.broadcast_to(w0.T[None, :, None], (1, k, c, t)),
            np.full((1, c, t), np.nan))
     blk = _block_steps(k, c, t)
+    seg = max(blk, _SEGMENT // blk * blk)
+    x = np.empty((t, seg + m - 1))
+    z = np.empty((t, seg))
+    index = _regressor_index(m, blk)
     w_hist = np.empty((blk, k, c, t))
     e_hist = np.empty((blk, c, t))
     d = np.empty((blk, c, t))
@@ -512,20 +554,27 @@ def _lockstep(h, w0, x, z, cells, channel: ChannelSpec):
             (np.add, (w_prev, prod, w_hist[j])),
         ])
 
-    for r0 in range(0, n, blk):
-        b = min(blk, n - r0)
-        u = _regressors(x, r0, r0 + b, channel.memory_length, channel.regressor_mode)
-        np.add((u * h).sum(axis=-1)[:, None], z[:, r0:r0 + b].T[:, None] * sigma,
-               out=d[:b])
-        ut[:b, :, 0] = u.transpose(0, 2, 1)
-        if gain_t is not None:
-            ugt[:b, :, 0] = (u @ gain_t).transpose(0, 2, 1)
-        del u  # copied into ut; freed before the block is consumed
-        for calls in steps[:b]:
-            for ufunc, operands in calls:
-                ufunc(*operands)
-        yield r0 + 1, w_hist[:b], e_hist[:b]
-        np.copyto(w_last, w_hist[b - 1])  # the next block overwrites w_hist
+    for s0 in range(0, n, seg):
+        s = min(seg, n - s0)
+        if s0:
+            x[:, :m - 1] = x[:, seg:]  # only the last segment is short
+        for i in range(t):
+            x_rngs[i].standard_normal(out=x[i, (m - 1 if s0 else 0):s + m - 1])
+            z_rngs[i].standard_normal(out=z[i, :s])
+        for r0 in range(0, s, blk):
+            b = min(blk, s - r0)
+            u = _regressors(x, r0, r0 + b, index, channel.regressor_mode)
+            np.add((u * h).sum(axis=-1)[:, None],
+                   z[:, r0:r0 + b].T[:, None] * sigma, out=d[:b])
+            ut[:b, :, 0] = u.transpose(0, 2, 1)
+            if gain_t is not None:
+                ugt[:b, :, 0] = (u @ gain_t).transpose(0, 2, 1)
+            del u  # copied into ut; freed before the block is consumed
+            for calls in steps[:b]:
+                for ufunc, operands in calls:
+                    ufunc(*operands)
+            yield s0 + r0 + 1, w_hist[:b], e_hist[:b]
+            np.copyto(w_last, w_hist[b - 1])  # the next block overwrites w_hist
 
 
 def _block_curves(hb, hh, w, out):
@@ -584,8 +633,9 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
                         config.q_values[0] if q_value is None else q_value,
                         channel.snr_db)
     n = config.iterations
-    h, w0, x, z = _draw_trial(seed, channel, n, config.random_init)
-    hs = h[None, :]
+    draw = _draw_chunk([seed], channel, n, config.random_init)
+    hs, w0 = draw[0], draw[1][0]
+    h = hs[0]
     hh = (hs * hs).sum(axis=1)
     hb = h[:, None, None]
     buffers = _block_buffers(h.size, 1, 1)
@@ -594,8 +644,7 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
     sq_err = np.full(n + 1, np.nan)
     div_iter = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, w, e in _lockstep(hs, w0[None, :], x[None, :], z[None, :],
-                                   (cell,), channel):
+        for row, w, e in _lockstep(*draw, n, (cell,), channel):
             cur, delta = _block_curves(hb, hh, w, buffers)
             cur, delta, e = cur[:, 0, 0], delta[:, :, 0, 0], e[:, 0, 0]
             stop = len(cur)
@@ -655,19 +704,20 @@ class AveragedCurves:
         return float(nwd_db(steady_state_level(self.nwd, fraction)))
 
 
-def _chunk_sums(draw, cells, channel: ChannelSpec, keep=None):
+def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, keep=None):
     """Per-cell curve sums over one chunk's trials, and its (C, T) mask of
     diverged (cell, trial) pairs.
 
     The sums are NWD (N+1, C), absolute weight error (N+1, C, K) and
     squared error (N+1, C; NaN at row 0). ``keep (C, T)`` leaves pairs out
-    of the sums; without it the sums stop once any pair diverges, because
-    the caller then replays the chunk with the diverged pairs left out.
-    Every block is reduced in buffers made once per call, straight into the
-    rows of the sums.
+    of the sums; without it, a cell with a diverged pair has sums that
+    hold it, and the caller replays that cell with the pair left out. The
+    run stops early only once every pair has diverged. Every block is
+    reduced in buffers made once per call, straight into the rows of the
+    sums.
     """
-    h, z = draw[0], draw[3]
-    (t, k), n, c = h.shape, z.shape[1], len(cells)
+    h = draw[0]
+    (t, k), n, c = h.shape, int(iterations), len(cells)
     hh = (h * h).sum(axis=1)
     hb = np.repeat(h.T[:, None], c, axis=1)
     nwd_sum = np.zeros((n + 1, c))
@@ -679,7 +729,7 @@ def _chunk_sums(draw, cells, channel: ChannelSpec, keep=None):
     ok_buf = np.empty(sq_buf.shape, dtype=bool)
     drop = None if keep is None else ~keep
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, w, e in _lockstep(*draw, cells, channel):
+        for row, w, e in _lockstep(*draw, n, cells, channel):
             cur, delta = _block_curves(hb, hh, w, buffers)
             b = len(cur)
             if row:
@@ -687,8 +737,6 @@ def _chunk_sums(draw, cells, channel: ChannelSpec, keep=None):
                 diverged |= ~ok.all(axis=0)
                 if diverged.all():
                     break
-            if drop is None and diverged.any():
-                continue
             err = np.abs(delta, out=delta)
             sq = np.multiply(e, e, out=sq_buf[:b])
             if drop is not None:
@@ -706,33 +754,46 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
     """Average every cell over ``trials`` trials on shared per-trial draws.
 
     Trial ``i`` is drawn from ``trial_seeds(master_seed, trials)[i]``; the
-    seeds are built a chunk at a time, and a chunk's draws and sums are
-    dropped before the next chunk is drawn. Returns the averaged curves in
-    ``cells`` order and each trial's initial weight error ``h - w0``
-    (trials, K).
+    seeds are built a chunk at a time, and a chunk's draws are dropped
+    before the next chunk is drawn. The cells with a diverged pair in a
+    chunk are replayed, from fresh draws of its seeds, with their diverged
+    pairs left out, and the replay's sums replace theirs; the other cells
+    keep the first pass's sums, whose bits the replay would repeat. The
+    first chunk's sums are the totals that later chunks add into
+    (``0.0 + x == x`` for these non-negative or NaN sums), and each cell's
+    averages are divided in place, so the returned curves are views of the
+    totals. Returns the averaged curves in ``cells`` order and each
+    trial's initial weight error ``h - w0`` (trials, K).
     """
     # the kernel stacks diagonal-gain cells ahead of matrix-gain ones
     order = sorted(range(len(cells)), key=lambda i: cells[i].algorithm == "whitened")
     stacked = [cells[i] for i in order]
     k, trials = channel.num_coefficients, int(trials)
-    totals = (np.zeros((iterations + 1, len(cells))),
-              np.zeros((iterations + 1, len(cells), k)),
-              np.zeros((iterations + 1, len(cells))))
+    totals = None
     diverged = np.zeros((len(cells), trials), dtype=bool)
     initial_error = np.empty((trials, k))
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        draw = _draw_chunk(_chunk_seeds(master_seed, start, stop), channel,
-                           iterations, random_init)
-        sums, div = _chunk_sums(draw, stacked, channel)
-        if div.any():
-            del sums  # the replay's sums replace them
-            sums, _ = _chunk_sums(draw, stacked, channel, keep=~div)
-        for total, part in zip(totals, sums):
-            total += part
-        diverged[:, start:stop] = div
+        seeds = _chunk_seeds(master_seed, start, stop)
+        draw = _draw_chunk(seeds, channel, iterations, random_init)
         initial_error[start:stop] = draw[0] - draw[1]
-        del draw, sums
+        sums, div = _chunk_sums(draw, iterations, stacked, channel)
+        del draw
+        bad = np.flatnonzero(div.any(axis=1))
+        if bad.size:
+            replay, _ = _chunk_sums(
+                _draw_chunk(seeds, channel, iterations, random_init), iterations,
+                [stacked[j] for j in bad], channel, keep=~div[bad])
+            for part, fixed in zip(sums, replay):
+                part[:, bad] = fixed
+            del replay
+        if totals is None:
+            totals = sums
+        else:
+            for total, part in zip(totals, sums):
+                total += part
+        diverged[:, start:stop] = div
+        del sums
 
     curves = []
     for i, cell in enumerate(cells):
@@ -743,16 +804,18 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
                 f"all {trials} trials diverged (algorithm={cell.algorithm}, "
                 f"q={cell.q_value}, snr={cell.snr_db} dB, mu={cell.step_size:.3e})"
             )
-        per_coef = totals[1][:, j] / kept
+        nwd_mean, per_coef, mse = (total[:, j] for total in totals)
+        for mean in (nwd_mean, per_coef, mse):
+            mean /= kept
         curves.append(AveragedCurves(
             algorithm=cell.algorithm,
             q_value=cell.q_value,
             snr_db=cell.snr_db,
             step_size=cell.step_size,
-            nwd=totals[0][:, j] / kept,
+            nwd=nwd_mean,
             mae=per_coef.mean(axis=1),
             abs_weight_error=per_coef,
-            mse=totals[2][:, j] / kept,
+            mse=mse,
             trials=trials,
             diverged=trials - kept,
             diverged_mask=diverged[j],

@@ -16,6 +16,7 @@ from qvlms.adapt import (
     vlms_step,
 )
 from qvlms.experiment import (
+    ALGORITHMS,
     ChannelSpec,
     ExperimentConfig,
     correlation_coefficient,
@@ -31,7 +32,6 @@ from qvlms.experiment import (
     trial_seeds,
     whitened_gain,
 )
-from qvlms.experiment import _draw_trial  # noqa: F401  (shared draw order)
 from qvlms.experiment import _chunk_seeds, _sum_plan
 from qvlms.volterra import (
     RegressorMode,
@@ -40,6 +40,22 @@ from qvlms.volterra import (
     num_coefficients,
     scaling_diag,
 )
+
+
+def _draw_trial(seed, channel, iterations, random_init):
+    """Oracle of the draw order: h, w0, the whole input stream x (N+M-1)
+    and the whole unit noise stream z (N), from one generator."""
+    rng = np.random.default_rng(seed)
+    k = channel.num_coefficients
+    if channel.kernel is None:
+        v = rng.standard_normal(k)
+        h = v / np.linalg.norm(v)
+    else:
+        h = channel.kernel.flat()
+    w0 = rng.standard_normal(k) / np.sqrt(k) if random_init else np.zeros(k)
+    x = rng.standard_normal(iterations + channel.memory_length - 1)
+    z = rng.standard_normal(iterations)
+    return h, w0, x, z
 
 
 def small_config(**kwargs):
@@ -594,3 +610,132 @@ class TestProtocolSmoke:
 def test_steady_state_level_tail_mean():
     curve = np.concatenate([np.full(90, 5.0), np.full(10, 1.0)])
     assert steady_state_level(curve, 0.1) == 1.0
+
+
+class _Stream:
+    """Stands in for a trial's generator: hands out a whole drawn stream
+    in order."""
+
+    def __init__(self, values):
+        self.values, self.used = values, 0
+
+    def standard_normal(self, out):
+        out[...] = self.values[self.used:self.used + out.size]
+        self.used += out.size
+
+
+def _whole_stream_chunk(streams):
+    """A ``_draw_chunk`` that draws every stream whole by the oracle, and
+    keeps the streams it hands out in ``streams``."""
+    def draw_chunk(seeds, channel, iterations, random_init):
+        draws = [_draw_trial(s, channel, iterations, random_init) for s in seeds]
+        xs, zs = ([_Stream(d[i]) for d in draws] for i in (2, 3))
+        streams.extend(xs + zs)
+        return (np.array([d[0] for d in draws]), np.array([d[1] for d in draws]),
+                xs, zs)
+    return draw_chunk
+
+
+class TestStreamedDraws:
+    """The kernel draws each trial's input and noise a segment at a time
+    from two generators; the values are those of the whole streams drawn
+    in order from one generator."""
+
+    @pytest.mark.parametrize("random_init", [True, False])
+    @pytest.mark.parametrize("fixed_kernel", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_streamed_draws_equal_whole_stream_oracle(self, monkeypatch, m,
+                                                      fixed_kernel, random_init):
+        # 3-step blocks in 6-step segments: 40 steps cross six segments
+        # and end in a short one
+        monkeypatch.setattr(experiment, "_BLOCK", 3)
+        monkeypatch.setattr(experiment, "_SEGMENT", 7)
+        k = num_coefficients(m)
+        kernel = (VolterraKernel.from_flat(np.linspace(-0.6, 0.4, k))
+                  if fixed_kernel else None)
+        spec = ChannelSpec(memory_length=m, snr_db=20.0, kernel=kernel)
+        cfg = small_config(iterations=40, trials=5, master_seed=13,
+                           step_size=0.02, q_values=(5.0,),
+                           algorithms=("qvlms", "vlms", "whitened"),
+                           random_init=random_init)
+        seed = trial_seeds(13, 5)[2]
+        streamed = monte_carlo(cfg, spec), run_trial(cfg, spec, seed)
+        streams = []
+        monkeypatch.setattr(experiment, "_draw_chunk", _whole_stream_chunk(streams))
+        whole = monte_carlo(cfg, spec), run_trial(cfg, spec, seed)
+        assert streams and all(s.used == s.values.size for s in streams)
+        for a, b in zip(streamed[0], whole[0], strict=True):
+            _same_arrays(a, b, ("nwd", "abs_weight_error", "mse", "diverged_mask"))
+        _same_arrays(streamed[1], whole[1], ("nwd", "abs_weight_error",
+                                             "squared_error", "final_weights",
+                                             "channel", "initial_weights"))
+
+    @pytest.mark.parametrize("segment", [1, 7])
+    def test_monte_carlo_and_run_trial_are_segment_length_invariant(
+            self, monkeypatch, segment):
+        cfg = small_config(iterations=150, trials=40, master_seed=4,
+                           step_size=0.1, q_values=(2.0,),
+                           algorithms=("qvlms", "vlms", "whitened"))
+        spec = ChannelSpec()
+        runs = [(seed, a) for seed in trial_seeds(4, 20)[5:] for a in ALGORITHMS]
+        default = monte_carlo(cfg, spec)
+        trials = [run_trial(cfg, spec, seed, a) for seed, a in runs]
+        assert 0 < sum(t.diverged for t in trials) < len(trials)
+        monkeypatch.setattr(experiment, "_BLOCK", 3)
+        monkeypatch.setattr(experiment, "_SEGMENT", segment)
+        for a, b in zip(default, monte_carlo(cfg, spec), strict=True):
+            assert 0 < a.diverged < cfg.trials
+            _same_arrays(a, b, ("nwd", "mae", "abs_weight_error", "mse",
+                                "diverged_mask"))
+        for a, (seed, algorithm) in zip(trials, runs, strict=True):
+            b = run_trial(cfg, spec, seed, algorithm)
+            assert (a.diverged, a.divergence_iteration) == \
+                (b.diverged, b.divergence_iteration)
+            _same_arrays(a, b, ("nwd", "abs_weight_error", "squared_error",
+                                "final_weights"))
+
+
+def _monte_carlo_peak(iterations):
+    cfg = small_config(iterations=iterations, trials=256, step_size=0.005)
+    tracemalloc.start()
+    try:
+        monte_carlo(cfg, ChannelSpec())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_memory_is_bounded_in_iterations():
+    # one cell: only the curve sums (N+1) x (K+2) doubles may grow with N
+    k = ChannelSpec().num_coefficients
+    growth = _monte_carlo_peak(16_000) - _monte_carlo_peak(2_000)
+    assert growth <= 14_000 * (k + 2) * 8 + 0.5 * 2**20
+
+
+class TestReplay:
+    """A chunk is replayed only for the cells with a diverged pair."""
+
+    def test_one_diverged_cell_replays_that_cell_only(self, monkeypatch):
+        cfg = small_config(iterations=150, trials=20, master_seed=4,
+                           step_size=0.03, q_values=(2.0, 5.0),
+                           algorithms=("whitened", "qvlms", "vlms"))
+        spec = ChannelSpec()
+        calls = []
+        lockstep = experiment._lockstep
+
+        def spy(*args):
+            calls.append([(c.algorithm, c.q_value) for c in args[5]])
+            return lockstep(*args)
+
+        monkeypatch.setattr(experiment, "_lockstep", spy)
+        cells = monte_carlo(cfg, spec)
+        assert [c.diverged for c in cells] == [0, 0, 4, 0]
+        assert calls == [[("qvlms", 2.0), ("qvlms", 5.0), ("vlms", None),
+                          ("whitened", None)],
+                         [("qvlms", 5.0)]]
+        # the clean cells keep the bits they have without the diverging one
+        clean = monte_carlo(replace(cfg, q_values=(2.0,)), spec)
+        for a, b in zip([cells[i] for i in (0, 1, 3)], clean, strict=True):
+            _same_arrays(a, b, ("nwd", "abs_weight_error", "mse"))
+        _, mean = _mean_of_trials(cfg, spec, cells[2], ~cells[2].diverged_mask)
+        np.testing.assert_allclose(cells[2].nwd, mean["nwd"], rtol=1e-12, atol=0)
