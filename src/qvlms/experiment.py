@@ -711,8 +711,9 @@ def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, keep=None):
     The sums are NWD (N+1, C), absolute weight error (N+1, C, K) and
     squared error (N+1, C; NaN at row 0). ``keep (C, T)`` leaves pairs out
     of the sums; without it, a cell with a diverged pair has sums that
-    hold it, and the caller replays that cell with the pair left out. The
-    run stops early only once every pair has diverged. Every block is
+    hold it, and the caller replays that cell with the pair left out. Once
+    every cell has a diverged pair the blocks are no longer reduced, and
+    the run stops early once every pair has diverged. Every block is
     reduced in buffers made once per call, straight into the rows of the
     sums.
     """
@@ -737,6 +738,8 @@ def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, keep=None):
                 diverged |= ~ok.all(axis=0)
                 if diverged.all():
                     break
+            if drop is None and diverged.any(axis=1).all():
+                continue  # every cell will be replayed
             err = np.abs(delta, out=delta)
             sq = np.multiply(e, e, out=sq_buf[:b])
             if drop is not None:
@@ -756,14 +759,17 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
     Trial ``i`` is drawn from ``trial_seeds(master_seed, trials)[i]``; the
     seeds are built a chunk at a time, and a chunk's draws are dropped
     before the next chunk is drawn. The cells with a diverged pair in a
-    chunk are replayed, from fresh draws of its seeds, with their diverged
-    pairs left out, and the replay's sums replace theirs; the other cells
-    keep the first pass's sums, whose bits the replay would repeat. The
-    first chunk's sums are the totals that later chunks add into
-    (``0.0 + x == x`` for these non-negative or NaN sums), and each cell's
-    averages are divided in place, so the returned curves are views of the
-    totals. Returns the averaged curves in ``cells`` order and each
-    trial's initial weight error ``h - w0`` (trials, K).
+    chunk are replayed with those pairs left out, from the chunk's
+    generators set back to their start states, and the replay's sums are
+    added in place of theirs; the other cells keep the first pass's sums,
+    whose bits the replay would repeat. The first chunk's sums are the
+    totals (replayed cells zeroed) that later chunks add into column by
+    column (``0.0 + x == x`` for these non-negative or NaN sums), and a
+    chunk's first-pass sums are dropped before its replay, so at most two
+    sets of sums are alive. Each cell's averages are divided in place, so
+    the returned curves are views of the totals. Returns the averaged
+    curves in ``cells`` order and each trial's initial weight error
+    ``h - w0`` (trials, K).
     """
     # the kernel stacks diagonal-gain cells ahead of matrix-gain ones
     order = sorted(range(len(cells)), key=lambda i: cells[i].algorithm == "whitened")
@@ -774,26 +780,35 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
     initial_error = np.empty((trials, k))
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        seeds = _chunk_seeds(master_seed, start, stop)
-        draw = _draw_chunk(seeds, channel, iterations, random_init)
+        draw = _draw_chunk(_chunk_seeds(master_seed, start, stop), channel,
+                           iterations, random_init)
         initial_error[start:stop] = draw[0] - draw[1]
+        rngs = draw[2] + draw[3]
+        starts = [rng.bit_generator.state for rng in rngs]
         sums, div = _chunk_sums(draw, iterations, stacked, channel)
-        del draw
-        bad = np.flatnonzero(div.any(axis=1))
-        if bad.size:
-            replay, _ = _chunk_sums(
-                _draw_chunk(seeds, channel, iterations, random_init), iterations,
-                [stacked[j] for j in bad], channel, keep=~div[bad])
-            for part, fixed in zip(sums, replay):
-                part[:, bad] = fixed
-            del replay
+        bad = div.any(axis=1)
         if totals is None:
             totals = sums
+            for total in totals:
+                total[:, bad] = 0.0
         else:
-            for total, part in zip(totals, sums):
-                total += part
+            # column by column, so that no temporary copy is made
+            for j in np.flatnonzero(~bad):
+                for total, part in zip(totals, sums):
+                    total[:, j] += part[:, j]
+        del sums  # so that the replay's sums are the only other copy
+        if bad.any():
+            for rng, state in zip(rngs, starts):
+                rng.bit_generator.state = state
+            replayed = np.flatnonzero(bad)
+            replay, _ = _chunk_sums(draw, iterations, [stacked[j] for j in replayed],
+                                    channel, keep=~div[replayed])
+            for i, j in enumerate(replayed):
+                for total, part in zip(totals, replay):
+                    total[:, j] += part[:, i]
+            del replay
         diverged[:, start:stop] = div
-        del sums
+        del draw, rngs, starts
 
     curves = []
     for i, cell in enumerate(cells):

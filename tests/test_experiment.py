@@ -389,6 +389,28 @@ class TestStreamingKernel:
                 np.testing.assert_allclose(getattr(cell, name), mean[name],
                                            rtol=1e-12, atol=0, err_msg=name)
 
+    def test_replay_of_one_cell_in_every_chunk_matches_run_trial(self):
+        # every chunk replays the q = 5 cell and adds the others' first-pass
+        # sums into the totals column by column
+        cfg = small_config(iterations=150, trials=40, master_seed=4,
+                           step_size=0.03, q_values=(2.0, 5.0),
+                           algorithms=("whitened", "qvlms", "vlms"))
+        spec = ChannelSpec()
+        cells = monte_carlo(cfg, spec)
+        mask = cells[2].diverged_mask
+        assert [c.diverged for c in cells] == [0, 0, 7, 0]
+        assert all(mask[i:i + 16].any() for i in range(0, 40, 16))
+        clean = monte_carlo(replace(cfg, q_values=(2.0,)), spec)
+        for a, b in zip([cells[i] for i in (0, 1, 3)], clean, strict=True):
+            _same_arrays(a, b, ("nwd", "abs_weight_error", "mse"))
+        for cell in cells:
+            keep = ~cell.diverged_mask
+            trials, mean = _mean_of_trials(cfg, spec, cell, keep)
+            assert np.array_equal(cell.diverged_mask, [t.diverged for t in trials])
+            for name in ("nwd", "mae", "mse"):
+                np.testing.assert_allclose(getattr(cell, name), mean[name],
+                                           rtol=1e-12, atol=0, err_msg=name)
+
     def test_partial_divergence_matches_run_trial(self):
         cfg = small_config(iterations=150, trials=40, master_seed=4,
                            step_size=0.1, q_values=(2.0,),
@@ -614,7 +636,7 @@ def test_steady_state_level_tail_mean():
 
 class _Stream:
     """Stands in for a trial's generator: hands out a whole drawn stream
-    in order."""
+    in order. Its position is its state, so a replay can set it back."""
 
     def __init__(self, values):
         self.values, self.used = values, 0
@@ -622,6 +644,18 @@ class _Stream:
     def standard_normal(self, out):
         out[...] = self.values[self.used:self.used + out.size]
         self.used += out.size
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self.used
+
+    @state.setter
+    def state(self, used):
+        self.used = used
 
 
 def _whole_stream_chunk(streams):
