@@ -30,7 +30,6 @@ from qvlms.theory import (
     build_update_matrix,
     gaussian_autocorrelation,
     mean_weight_error_trajectory,
-    wiener_solution,
 )
 from qvlms.volterra import (
     RegressorMode,

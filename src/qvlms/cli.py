@@ -223,10 +223,17 @@ class RunSpec:
 
     @classmethod
     def from_manifest(cls, manifest: dict) -> "RunSpec":
+        """The spec a manifest recorded. Its ``config`` must hold every
+        setting of the protocol, null ones included: a missing key would
+        silently take its default."""
         config = manifest.get("config", {})
         if not isinstance(config, dict):
             raise ConfigError(f"key 'config': expected an object, got {config!r}")
-        return cls.resolve(manifest.get("protocol"), config)
+        protocol = manifest.get("protocol")
+        for key in DEFAULTS.get(protocol, ()) if isinstance(protocol, str) else ():
+            if key not in config:
+                raise ConfigError(f"key '{key}': missing from the manifest's config")
+        return cls.resolve(protocol, config)
 
     def config(self) -> dict:
         """The settings as JSON values."""
@@ -476,11 +483,11 @@ def cmd_rerun(args) -> int:
     if not isinstance(manifest, dict):
         raise ConfigError(f"manifest {args.manifest}: expected a JSON object, "
                           f"got {type(manifest).__name__}")
-    spec = RunSpec.from_manifest(manifest)
     # manifests written before versions were recorded carry none to compare
     recorded = manifest.get("environment", {})
     if not isinstance(recorded, dict):
         raise ConfigError(f"key 'environment': expected an object, got {recorded!r}")
+    spec = RunSpec.from_manifest(manifest)
     for name, version in _environment().items():
         if recorded.get(name, version) != version:
             print(f"warning: manifest was written with {name} "

@@ -34,9 +34,10 @@ and both protocols.
   prediction ``w . u`` adds the K product slabs by a fixed plan that
   repeats numpy's pairwise summation order for a row of length K, which
   keeps each trial bit-identical to the scalar steps in ``adapt``.
-* NWD, absolute weight error and squared error are reduced per block, in
-  buffers reused by every block, into per-cell sums over trials for the
-  averages or into full per-trial curves for ``run_trial``.
+* The kernel forms each block's squared error, NWD and weight error
+  ``h - w``, and applies the divergence guard, in buffers reused by every
+  block. ``run_trial`` and the averages only reduce them, into full
+  per-trial curves or into per-cell sums over trials.
 * Trials are deterministic and independent, so the cells of a chunk in
   which some (cell, trial) pair diverged are replayed once, alone, with
   the diverged pairs left out of the sums; the kept trials come out
@@ -54,6 +55,7 @@ import numpy as np
 
 from qvlms.adapt import QParams, step_size_bound
 from qvlms.theory import (
+    _mean_recursion,
     build_update_matrix,
     gaussian_autocorrelation,
     gaussian_eigenvalues,
@@ -263,7 +265,7 @@ def trial_seeds(master_seed: int, trials: int) -> list[np.random.SeedSequence]:
     Monte-Carlo runs build each chunk's seeds as they reach it
     (``_chunk_seeds``).
     """
-    return np.random.SeedSequence(int(master_seed)).spawn(int(trials))
+    return _chunk_seeds(master_seed, 0, trials)
 
 
 def _chunk_seeds(master_seed: int, start: int, stop: int) -> list:
@@ -459,31 +461,40 @@ def _block_steps(k: int, c: int, t: int) -> int:
 def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
               channel: ChannelSpec):
     """Advance a chunk of trials through ``iterations`` steps of every cell
-    in lockstep.
+    in lockstep, with the divergence guard applied.
 
     ``h, w0 (T, K)`` and each trial's generators of its input and unit
     noise streams (``_draw_chunk``) are shared by all cells, and are used
     up; diagonal-gain cells must precede ``whitened`` ones. Yields
-    ``(row, w, e)`` per block of steps: ``w (B, K, C, T)`` holds the
-    weights at curve rows ``row .. row+B-1``, coefficient-major, and
-    ``e (B, C, T)`` the a priori errors of the steps that produced them.
-    The first yield is row 0, the initial weights, with NaN errors.
-    Yielded arrays are reused by the next block. A diverged pair keeps
-    adapting and may overflow, so callers run under ``np.errstate`` and
-    mask it.
+    ``(row, w, e2, nwd, delta, ok)`` per block of steps of B rows:
+
+    * ``w (B, K, C, T)``: the weights at curve rows ``row .. row+B-1``,
+      coefficient-major;
+    * ``e2 (B, C, T)``: the squared a priori errors of the steps that
+      produced them;
+    * ``nwd (B, C, T)``: their normalized weight deviation;
+    * ``delta (B, K, C, T)``: their weight error ``h - w``;
+    * ``ok (B, C, T)``: the guard, ``nwd <= DIVERGENCE_THRESHOLD``. NaN
+      fails it, so a pair whose weights overflowed has diverged.
+
+    The first yield is row 0, the initial weights, with NaN squared errors
+    and a guard that passes every pair. Yielded arrays are the kernel's
+    buffers: the next block overwrites them, and a consumer may too.
+    A diverged pair keeps adapting and may overflow, so callers run under
+    ``np.errstate`` and mask it.
 
     A block holds ``_block_steps(K, C, T)`` steps: up to 16, fewer when
     16 steps of weight history would exceed ``_BLOCK_BYTES`` (1 MiB, half
-    the per-core L2), so that the consumers' block reductions read the
-    history from cache; 12 protocol-2 cells of 256 trials take 4 steps.
-    The streams are drawn one segment at a time, the whole number of
-    blocks nearest ``_SEGMENT`` steps from below (at least one block),
-    into buffers x (T, S+M-1) and z (T, S) that every segment reuses; x
-    carries the last M-1 inputs of a segment into the next. So no buffer
-    grows with the iteration count. Neither block nor segment length
-    changes a bit of the results: the regressors, the desired signal and
-    the prediction's additions are elementwise per step, and the
-    consumers reduce along K or T only.
+    the per-core L2), so that the block's curves and the consumers'
+    reductions read the history from cache; 12 protocol-2 cells of 256
+    trials take 4 steps. The streams are drawn one segment at a time, the
+    whole number of blocks nearest ``_SEGMENT`` steps from below (at least
+    one block), into buffers x (T, S+M-1) and z (T, S) that every segment
+    reuses; x carries the last M-1 inputs of a segment into the next. So
+    no buffer grows with the iteration count. Neither block nor segment
+    length changes a bit of the results: the regressors, the desired
+    signal and the prediction's additions are elementwise per step, and
+    the curves and the consumers reduce along K or T only.
 
     Weights are stored coefficient-major so that every per-step operation
     runs on contiguous (C, T) slabs. The prediction ``w . u`` is the
@@ -511,9 +522,33 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     factor = np.array([noise_variance_for_snr(1.0, cell.snr_db) for cell in cells])
     sigma = np.sqrt(factor[:, None] * channel.signal_power(h))
 
-    yield (0, np.broadcast_to(w0.T[None, :, None], (1, k, c, t)),
-           np.full((1, c, t), np.nan))
     blk = _block_steps(k, c, t)
+    # the buffer of h - w is made before hb: an output just past its input
+    # modulo 4 KiB, as a later allocation often is, stalls each load
+    delta_buf = np.empty((blk, k, c, t))
+    # the channel spread to (K, C, T), so that only B broadcasts
+    hb = np.repeat(h.T[:, None], c, axis=1)
+    hh = (h * h).sum(axis=1)
+    sq_buf = np.empty((blk, c, t))
+    nwd_buf = np.empty((blk, c, t))
+    ok_buf = np.empty((blk, c, t), dtype=bool)
+
+    def guarded(row, w, e):
+        """The yield of a block: its curves and guard; row 0, the initial
+        state, never diverges."""
+        b = len(w)
+        sq, cur, delta, ok = sq_buf[:b], nwd_buf[:b], delta_buf[:b], ok_buf[:b]
+        np.multiply(e, e, out=sq)
+        np.subtract(hb, w, out=delta)
+        np.einsum("bkct,bkct->bct", delta, delta, out=cur)
+        np.divide(cur, hh, out=cur)
+        np.less_equal(cur, DIVERGENCE_THRESHOLD, out=ok)
+        if not row:
+            ok[...] = True
+        return row, w, sq, cur, delta, ok
+
+    yield guarded(0, np.broadcast_to(w0.T[None, :, None], (1, k, c, t)),
+                  np.full((1, c, t), np.nan))
     seg = max(blk, _SEGMENT // blk * blk)
     x = np.empty((t, seg + m - 1))
     z = np.empty((t, seg))
@@ -573,26 +608,8 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
             for calls in steps[:b]:
                 for ufunc, operands in calls:
                     ufunc(*operands)
-            yield s0 + r0 + 1, w_hist[:b], e_hist[:b]
+            yield guarded(s0 + r0 + 1, w_hist[:b], e_hist[:b])
             np.copyto(w_last, w_hist[b - 1])  # the next block overwrites w_hist
-
-
-def _block_curves(hb, hh, w, out):
-    """NWD (B, C, T) and weight error ``h - w`` (B, K, C, T) of a block,
-    written into the first B rows of the buffers ``out = (nwd, delta)``
-    and returned; ``hb`` is the channel spread to (K, C, T), so that only B
-    broadcasts."""
-    cur, delta = (buf[:len(w)] for buf in out)
-    np.subtract(hb, w, out=delta)
-    np.einsum("bkct,bkct->bct", delta, delta, out=cur)
-    np.divide(cur, hh, out=cur)
-    return cur, delta
-
-
-def _block_buffers(k: int, c: int, t: int):
-    """``out`` buffers of ``_block_curves`` for blocks of this shape."""
-    blk = _block_steps(k, c, t)
-    return np.empty((blk, c, t)), np.empty((blk, k, c, t))
 
 
 @dataclass(frozen=True)
@@ -634,32 +651,23 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
                         channel.snr_db)
     n = config.iterations
     draw = _draw_chunk([seed], channel, n, config.random_init)
-    hs, w0 = draw[0], draw[1][0]
-    h = hs[0]
-    hh = (hs * hs).sum(axis=1)
-    hb = h[:, None, None]
-    buffers = _block_buffers(h.size, 1, 1)
+    h, w0 = draw[0][0], draw[1][0]
     nwd_curve = np.full(n + 1, np.nan)
     abs_err = np.full((n + 1, h.size), np.nan)
     sq_err = np.full(n + 1, np.nan)
     div_iter = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, w, e in _lockstep(*draw, n, (cell,), channel):
-            cur, delta = _block_curves(hb, hh, w, buffers)
-            cur, delta, e = cur[:, 0, 0], delta[:, :, 0, 0], e[:, 0, 0]
-            stop = len(cur)
-            if row:
-                bad = np.flatnonzero(~(cur <= DIVERGENCE_THRESHOLD))
-                if bad.size:
-                    stop = int(bad[0]) + 1
-                    div_iter = row + stop - 1
+        for row, w, e2, cur, delta, ok in _lockstep(*draw, n, (cell,), channel):
+            bad = np.flatnonzero(~ok[:, 0, 0])
+            stop = int(bad[0]) + 1 if bad.size else len(w)
             rows = slice(row, row + stop)
-            nwd_curve[rows] = cur[:stop]
-            np.abs(delta[:stop], out=abs_err[rows])
-            np.multiply(e[:stop], e[:stop], out=sq_err[rows])
-            w_final = w[stop - 1, :, 0, 0].copy()
-            if div_iter is not None:
+            nwd_curve[rows] = cur[:stop, 0, 0]
+            np.abs(delta[:stop, :, 0, 0], out=abs_err[rows])
+            sq_err[rows] = e2[:stop, 0, 0]
+            if bad.size:
+                div_iter = row + stop - 1
                 break
+    w_final = w[stop - 1, :, 0, 0].copy()
     return TrialCurves(
         nwd=nwd_curve,
         abs_weight_error=abs_err,
@@ -714,38 +722,26 @@ def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, keep=None):
     hold it, and the caller replays that cell with the pair left out. Once
     every cell has a diverged pair the blocks are no longer reduced, and
     the run stops early once every pair has diverged. Every block is
-    reduced in buffers made once per call, straight into the rows of the
-    sums.
+    reduced in the kernel's buffers, straight into the rows of the sums.
     """
-    h = draw[0]
-    (t, k), n, c = h.shape, int(iterations), len(cells)
-    hh = (h * h).sum(axis=1)
-    hb = np.repeat(h.T[:, None], c, axis=1)
+    (t, k), n, c = draw[0].shape, int(iterations), len(cells)
     nwd_sum = np.zeros((n + 1, c))
     abs_sum = np.zeros((n + 1, c, k))
     sq_sum = np.zeros((n + 1, c))
     diverged = np.zeros((c, t), dtype=bool)
-    buffers = _block_buffers(k, c, t)
-    sq_buf = np.empty_like(buffers[0])
-    ok_buf = np.empty(sq_buf.shape, dtype=bool)
     drop = None if keep is None else ~keep
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, w, e in _lockstep(*draw, n, cells, channel):
-            cur, delta = _block_curves(hb, hh, w, buffers)
-            b = len(cur)
-            if row:
-                ok = np.less_equal(cur, DIVERGENCE_THRESHOLD, out=ok_buf[:b])
-                diverged |= ~ok.all(axis=0)
-                if diverged.all():
-                    break
+        for row, w, sq, cur, delta, ok in _lockstep(*draw, n, cells, channel):
+            diverged |= ~ok.all(axis=0)
+            if diverged.all():
+                break
             if drop is None and diverged.any(axis=1).all():
                 continue  # every cell will be replayed
             err = np.abs(delta, out=delta)
-            sq = np.multiply(e, e, out=sq_buf[:b])
             if drop is not None:
                 for part in (cur, err, sq):
                     np.copyto(part, 0.0, where=drop)
-            rows = slice(row, row + b)
+            rows = slice(row, row + len(w))
             cur.sum(axis=-1, out=nwd_sum[rows])
             np.einsum("bkct->bck", err, out=abs_sum[rows])
             sq.sum(axis=-1, out=sq_sum[rows])
@@ -889,26 +885,6 @@ class Protocol1Report:
     mu_rule: str
 
 
-def _theory_mae_curve(initial_error: np.ndarray, mu: float,
-                      update_matrix: np.ndarray, iterations: int) -> np.ndarray:
-    """Trial-averaged absolute mean-error trajectory from the recursion.
-
-    Runs the mean recursion from every kept trial's actual initial error
-    ``h - w0`` (rows of ``initial_error``) and averages the absolute
-    values, mirroring how the simulated mean absolute weight error is
-    aggregated.
-    """
-    k = update_matrix.shape[0]
-    step = np.eye(k) - mu * update_matrix
-    out = np.empty(iterations + 1)
-    cur = initial_error
-    out[0] = np.abs(cur).mean()
-    for t in range(1, iterations + 1):
-        cur = cur @ step.T
-        out[t] = np.abs(cur).mean()
-    return out
-
-
 def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
               snr_db: float = 20.0, q_values: tuple[float, ...] = (1.0, 5.0, 10.0),
               memory_length: int = 3,
@@ -955,8 +931,12 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
 
     comparisons = []
     for cell, a_matrix in zip(curves, update_matrices):
-        theory = _theory_mae_curve(initial_error[~cell.diverged_mask],
-                                   cell.step_size, a_matrix, iterations)
+        # the mean recursion from each kept trial's initial error, averaged
+        # as the simulated absolute weight error is
+        steps = _mean_recursion(initial_error[~cell.diverged_mask],
+                                cell.step_size, a_matrix, iterations)
+        theory = np.fromiter((np.abs(cur).mean() for cur in steps), float,
+                             count=iterations + 1)
         comparisons.append(CurveComparison(
             q_value=cell.q_value,
             step_size=cell.step_size,
@@ -1039,17 +1019,10 @@ def protocol2(master_seed: int, *, trials: int = 1000, iterations: int = 2500,
                           regressor_mode=regressor_mode)
     curves = monte_carlo(config, channel)
 
-    advantages = {}
-    for snr in config.snr_db_values:
-        vlms_db = next(
-            c for c in curves if c.algorithm == "vlms" and c.snr_db == snr
-        ).steady_state_nwd_db()
-        for q in config.q_values:
-            q_db = next(
-                c for c in curves
-                if c.algorithm == "qvlms" and c.snr_db == snr and c.q_value == q
-            ).steady_state_nwd_db()
-            advantages[(q, snr)] = vlms_db - q_db
+    level = {(c.algorithm, c.q_value, c.snr_db): c.steady_state_nwd_db()
+             for c in curves}
+    advantages = {(q, snr): level["vlms", None, snr] - level["qvlms", q, snr]
+                  for snr in config.snr_db_values for q in config.q_values}
 
     return Protocol2Report(
         curves=tuple(curves),

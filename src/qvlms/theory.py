@@ -26,11 +26,7 @@ __all__ = [
     "gaussian_autocorrelation",
     "gaussian_eigenvalues",
     "mean_weight_error_trajectory",
-    "wiener_solution",
 ]
-
-#: Condition-number ceiling for linear solves.
-MAX_CONDITION = 1e12
 
 
 def gaussian_autocorrelation(memory_length: int,
@@ -116,7 +112,7 @@ def mean_weight_error_trajectory(initial_error, mu: float, update_matrix,
     explicit matrix power. Row ``t`` of the result is the trajectory after
     ``t`` steps; row 0 is the initial error unchanged.
     """
-    v = np.asarray(initial_error, dtype=np.float64).copy()
+    v = np.asarray(initial_error, dtype=np.float64)
     a = np.asarray(update_matrix, dtype=np.float64)
     n = int(iterations)
     if n < 0:
@@ -125,30 +121,22 @@ def mean_weight_error_trajectory(initial_error, mu: float, update_matrix,
         raise ValueError(
             f"update matrix shape {a.shape} does not match error length {v.size}"
         )
-    step = np.eye(v.size) - mu * a
     out = np.empty((n + 1, v.size))
-    out[0] = v
-    for t in range(1, n + 1):
-        v = step @ v
-        out[t] = v
+    for t, cur in enumerate(_mean_recursion(v, mu, a, n)):
+        out[t] = cur
     return out
 
 
-def wiener_solution(autocorrelation, cross_correlation) -> np.ndarray:
-    """Optimum weight vector ``w* = R^-1 r_ud`` via a stable linear solve.
+def _mean_recursion(initial_error, mu: float, update_matrix, iterations: int):
+    """Yield the mean weight error after ``t = 0 .. iterations`` steps of
+    ``delta(t) = (I - mu A) delta(t-1)``, from ``initial_error`` unchanged.
 
-    Raises ``numpy.linalg.LinAlgError`` when the condition estimate of R
-    exceeds ``MAX_CONDITION``.
+    ``initial_error`` is one error vector or a stack of them, (..., K); each
+    step is ``delta @ (I - mu A)^T``, and only the current step is held.
     """
-    r = np.asarray(autocorrelation, dtype=np.float64)
-    p = np.asarray(cross_correlation, dtype=np.float64)
-    if r.ndim != 2 or r.shape[0] != r.shape[1] or p.shape != (r.shape[0],):
-        raise ValueError(
-            f"incompatible shapes: R {r.shape}, cross-correlation {p.shape}"
-        )
-    cond = np.linalg.cond(r)
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise np.linalg.LinAlgError(
-            f"autocorrelation matrix is ill-conditioned (cond ~ {cond:.3e})"
-        )
-    return np.linalg.solve(r, p)
+    step_t = (np.eye(len(update_matrix)) - mu * update_matrix).T
+    cur = initial_error
+    yield cur
+    for _ in range(iterations):
+        cur = cur @ step_t
+        yield cur

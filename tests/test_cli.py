@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvlms import cli
+from qvlms import __version__, cli
 from qvlms.cli import ConfigError, RunSpec, execute, main, parse_config_file
 from qvlms.experiment import ALGORITHMS, nwd_db, protocol2, steady_state_level
 
@@ -411,6 +411,25 @@ class TestRerun:
         assert named.format(path=path) in err
         assert not (tmp_path / "redo").exists()
 
+    @pytest.mark.parametrize("protocol, key", [
+        ("protocol1", "q_values"),
+        ("protocol2", "snr_db"),
+        ("run", "algorithms"),
+        ("run", "mu_fraction"),   # null in a mu run, but a setting all the same
+    ])
+    def test_manifest_missing_key_is_config_error(self, tmp_path, capsys,
+                                                  protocol, key):
+        path = _tiny_manifest(tmp_path, protocol)
+        manifest = json.loads(path.read_text())
+        del manifest["config"][key]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(path), "--out", str(tmp_path / "redo")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and f"'{key}'" in err
+        assert "missing" in err
+        assert not (tmp_path / "redo").exists()
+
     @pytest.mark.parametrize("protocol, key, value", [
         ("protocol1", "mu", 0.5),
         ("protocol2", "algorithms", ["vlms"]),
@@ -514,3 +533,13 @@ class TestEnvDefaultOutDir:
                    "--iterations", "20", "--q", "1"])
         assert rc == 0
         assert (target / "protocol1_curves.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # setuptools: beta table
+def test_package_metadata_reads_the_manifest_version():
+    # pyproject.toml takes its version from the string the manifest records
+    pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+    project = pyproject.read_configuration(
+        Path(__file__).parents[1] / "pyproject.toml")["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == __version__

@@ -33,6 +33,7 @@ from qvlms.experiment import (
     whitened_gain,
 )
 from qvlms.experiment import _chunk_seeds, _sum_plan
+from qvlms.theory import build_update_matrix, mean_weight_error_trajectory
 from qvlms.volterra import (
     RegressorMode,
     VolterraKernel,
@@ -544,10 +545,12 @@ class TestBlockLength:
 
 class TestTrialSeeds:
     def test_chunk_seeds_equal_trial_seeds(self):
-        seeds = trial_seeds(17, 1000)
+        # the seed layout: trial i is child i of SeedSequence(master_seed)
+        spawned = np.random.SeedSequence(17).spawn(1000)
         built = _chunk_seeds(17, 0, 600) + _chunk_seeds(17, 600, 1000)
-        for a, b in zip(seeds, built, strict=True):
+        for a, b, c in zip(spawned, built, trial_seeds(17, 1000), strict=True):
             assert np.array_equal(a.generate_state(8), b.generate_state(8))
+            assert np.array_equal(a.generate_state(8), c.generate_state(8))
             assert np.array_equal(np.random.default_rng(a).standard_normal(3),
                                   np.random.default_rng(b).standard_normal(3))
 
@@ -601,6 +604,24 @@ class TestProtocolSmoke:
         # ratio 1 - mu, the q = 1 update matrix being the identity
         ratios = comp.theory_mae[1:] / comp.theory_mae[:-1]
         assert np.allclose(ratios, 1.0 - comp.step_size, rtol=1e-10)
+
+    def test_protocol1_theory_curve_is_the_public_recursion_over_kept_trials(self):
+        # raw mode, at a step where some trials diverge and leave the curve
+        report = protocol1(2, trials=16, iterations=300, q_values=(2.0,),
+                           mu_fraction=0.8)
+        comp = report.comparisons[0]
+        cfg = small_config(iterations=300, step_size=comp.step_size,
+                           q_values=(2.0,))
+        trials = [run_trial(cfg, ChannelSpec(), s) for s in trial_seeds(2, 16)]
+        kept = [t for t in trials if not t.diverged]
+        assert 0 < len(trials) - len(kept) == comp.diverged
+        a = build_update_matrix(QParams.uniform(2.0, 9),
+                                ChannelSpec().autocorrelation())
+        paths = [mean_weight_error_trajectory(t.channel - t.initial_weights,
+                                              comp.step_size, a, 300)
+                 for t in kept]
+        expected = np.abs(np.array(paths)).mean(axis=(0, 2))
+        assert np.allclose(comp.theory_mae, expected, rtol=1e-12, atol=0)
 
     def test_protocol2_structure(self):
         report = protocol2(5, trials=6, iterations=150,

@@ -7,7 +7,6 @@ from qvlms.theory import (
     gaussian_autocorrelation,
     gaussian_eigenvalues,
     mean_weight_error_trajectory,
-    wiener_solution,
 )
 from qvlms.volterra import RegressorMode, num_coefficients, quadratic_pairs
 
@@ -200,39 +199,6 @@ class TestMonotoneQEffect:
             if prev is not None:
                 assert np.all(magnitudes < prev)
             prev = magnitudes
-
-
-class TestWienerSolution:
-    def test_identity_autocorrelation(self):
-        p = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(wiener_solution(np.eye(3), p), p)
-
-    def test_scaled_identity(self):
-        p = np.full(4, 4.0)
-        assert np.allclose(wiener_solution(2.0 * np.eye(4), p), 2.0)
-
-    def test_residual_small_for_random_spd_system(self):
-        rng = np.random.default_rng(31)
-        k = 9
-        a = rng.standard_normal((k, k))
-        r = a @ a.T + k * np.eye(k)
-        p = rng.standard_normal(k)
-        w = wiener_solution(r, p)
-        assert np.linalg.norm(r @ w - p) <= 1e-10 * np.linalg.norm(p)
-
-    def test_self_consistency_recovers_channel(self):
-        # r_ud = R h must invert back to h
-        for mode in RegressorMode:
-            r = gaussian_autocorrelation(3, mode)
-            rng = np.random.default_rng(6)
-            h = rng.standard_normal(r.shape[0])
-            w = wiener_solution(r, r @ h)
-            assert np.allclose(w, h, rtol=1e-10, atol=1e-12)
-
-    def test_ill_conditioned_rejected(self):
-        r = np.diag([1.0, 1e-15])
-        with pytest.raises(np.linalg.LinAlgError):
-            wiener_solution(r, np.ones(2))
 
 
 class TestGaussianStability:
