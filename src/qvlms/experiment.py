@@ -34,6 +34,11 @@ and both protocols.
   prediction ``w . u`` adds the K product slabs by a fixed plan that
   repeats numpy's pairwise summation order for a row of length K, which
   keeps each trial bit-identical to the scalar steps in ``adapt``.
+* Every kernel buffer starts on a 4 KiB page (``_ALIGN``). A per-step
+  output that starts a few bytes past one of its inputs modulo 4 KiB makes
+  the core's loads wait on its stores (4K aliasing), and such a slab
+  product takes up to twice as long. Page-aligned buffers of one shape
+  share their offset, and a broadcast operand sits whole rows away.
 * The kernel forms each block's squared error, NWD and weight error
   ``h - w``, and applies the divergence guard, in buffers reused by every
   block. ``run_trial`` and the averages only reduce them, into full
@@ -107,6 +112,8 @@ _BLOCK_BYTES = 1 << 20
 #: Steps whose input and noise are drawn at once, rounded down to whole
 #: blocks: the streams' buffers hold one segment, whatever the run length.
 _SEGMENT = 512
+#: Every kernel buffer starts on a boundary of this many bytes, a page.
+_ALIGN = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +258,9 @@ class ExperimentConfig:
             raise ValueError("step_size must be positive")
         if self.step_size_fraction is not None and not self.step_size_fraction > 0.0:
             raise ValueError("step_size_fraction must be positive")
+        for name in ("algorithms", "q_values", "snr_db_values"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; expected {ALGORITHMS}")
@@ -458,6 +468,16 @@ def _block_steps(k: int, c: int, t: int) -> int:
     return max(1, min(_BLOCK, _BLOCK_BYTES // (8 * k * c * t)))
 
 
+def _page_aligned(shape, dtype=np.float64) -> np.ndarray:
+    """An empty array of ``shape`` whose data starts on an ``_ALIGN``-byte
+    boundary: a view into a ``uint8`` block ``_ALIGN`` bytes longer."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
 def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
               channel: ChannelSpec):
     """Advance a chunk of trials through ``iterations`` steps of every cell
@@ -506,15 +526,25 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     (cell, trial) and broadcasts it over the coefficients. All buffers,
     views, index arrays and the per-step ufunc calls are built once per
     call.
+
+    Every buffer comes from ``_page_aligned`` and starts on a 4 KiB page,
+    so buffers of one shape share their offset modulo 4 KiB; at 256
+    trials a (C, T) row is 2 KiB, and every slab a step reads or writes
+    starts 0 or 2 KiB from the others. Buffers left to the allocator can
+    start a few bytes apart modulo 4 KiB, and a product whose output
+    starts 8 to 48 bytes past an input runs up to twice as long: 9.2 us
+    against 18-20 us for one 27,648-double protocol-2 slab.
     """
     t, k = h.shape
     n, m, c = int(iterations), channel.memory_length, len(cells)
     nd = sum(cell.algorithm != "whitened" for cell in cells)
     # every diagonal gain is uniform over the coefficients (one q per cell);
     # whitened cells take g = 1, which leaves mu * e unchanged, and step
-    # along S R^-1 S u instead of u
-    mu = np.array([cell.step_size for cell in cells])[:, None]
-    gain = np.array([
+    # along S R^-1 S u instead of u; both are spread to (C, T), so that no
+    # call broadcasts them
+    mu, gain = _page_aligned((c, t)), _page_aligned((c, t))
+    mu[...] = np.array([cell.step_size for cell in cells])[:, None]
+    gain[...] = np.array([
         QParams.uniform(cell.q_value, 1).g[0] if cell.algorithm == "qvlms"
         else 1.0 for cell in cells
     ])[:, None]
@@ -523,15 +553,14 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     sigma = np.sqrt(factor[:, None] * channel.signal_power(h))
 
     blk = _block_steps(k, c, t)
-    # the buffer of h - w is made before hb: an output just past its input
-    # modulo 4 KiB, as a later allocation often is, stalls each load
-    delta_buf = np.empty((blk, k, c, t))
     # the channel spread to (K, C, T), so that only B broadcasts
-    hb = np.repeat(h.T[:, None], c, axis=1)
+    hb = _page_aligned((k, c, t))
+    hb[...] = h.T[:, None]
     hh = (h * h).sum(axis=1)
-    sq_buf = np.empty((blk, c, t))
-    nwd_buf = np.empty((blk, c, t))
-    ok_buf = np.empty((blk, c, t), dtype=bool)
+    delta_buf = _page_aligned((blk, k, c, t))
+    sq_buf = _page_aligned((blk, c, t))
+    nwd_buf = _page_aligned((blk, c, t))
+    ok_buf = _page_aligned((blk, c, t), dtype=bool)
 
     def guarded(row, w, e):
         """The yield of a block: its curves and guard; row 0, the initial
@@ -550,27 +579,25 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     yield guarded(0, np.broadcast_to(w0.T[None, :, None], (1, k, c, t)),
                   np.full((1, c, t), np.nan))
     seg = max(blk, _SEGMENT // blk * blk)
-    x = np.empty((t, seg + m - 1))
-    z = np.empty((t, seg))
+    x = _page_aligned((t, seg + m - 1))
+    z = _page_aligned((t, seg))
     index = _regressor_index(m, blk)
-    w_hist = np.empty((blk, k, c, t))
-    e_hist = np.empty((blk, c, t))
-    d = np.empty((blk, c, t))
+    w_hist = _page_aligned((blk, k, c, t))
+    e_hist = _page_aligned((blk, c, t))
+    d = _page_aligned((blk, c, t))
     # regressors, and the whitened direction S R^-1 S u, coefficient-major
-    ut = np.empty((blk, k, 1, t))
-    ugt = np.empty((blk, k, 1, t)) if gain_t is not None else None
-    w_last = np.empty((k, c, t))
+    ut = _page_aligned((blk, k, 1, t))
+    ugt = _page_aligned((blk, k, 1, t)) if gain_t is not None else None
+    w_last = _page_aligned((k, c, t))
     w_last[...] = w0.T[:, None]
     # the products u_k w_k, +0.0 and the partial sums of the plan; then
     # the update step (g * (mu * e)) u_k
-    work = np.empty((k + 2, c, t))
+    work = _page_aligned((k + 2, c, t))
     work[k] = 0.0
     prod = work[:k]
     plan, total = _sum_plan(k)
     adds = [(np.add, (work[a], work[b], work[o])) for a, b, o in plan]
-    # step sizes and gains spread to (C, T) so that no call broadcasts them
-    mu, gain = np.repeat(mu, t, axis=1), np.repeat(gain, t, axis=1)
-    scaled = np.empty((2, c, t))
+    scaled = _page_aligned((2, c, t))
     stacks = [(cs, direction) for cs, direction in
               ((slice(0, nd), ut), (slice(nd, c), ugt)) if cs.start < cs.stop]
 
@@ -909,6 +936,8 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
       with ``A = diag(g) R`` the mean-recursion matrix. Twice the step of
       the first rule at the same fraction.
     """
+    if not q_values:
+        raise ValueError("q_values must not be empty")
     channel = ChannelSpec(memory_length=memory_length, snr_db=snr_db,
                           regressor_mode=regressor_mode)
     k = channel.num_coefficients

@@ -583,6 +583,83 @@ class TestStepSizeResolution:
             small_config(step_size=0.1, step_size_fraction=0.1)
 
 
+class TestKernelLayout:
+    """Every buffer of the kernel starts on a 4 KiB page, so that no
+    per-step output starts just past one of its inputs modulo 4 KiB."""
+
+    @pytest.mark.parametrize("cells, memory_length, trials", [
+        pytest.param(
+            [experiment._Cell("vlms", None, snr, 1e-3) for snr in (10.0, 20.0, 30.0)]
+            + [experiment._Cell("qvlms", q, snr, 1e-3)
+               for snr in (10.0, 20.0, 30.0) for q in (2.0, 5.0, 10.0)],
+            3, 256, id="protocol2"),
+        pytest.param(
+            [experiment._Cell(a, q, 20.0, 1e-3)
+             for a, q in (("qvlms", 5.0), ("vlms", None), ("whitened", None))],
+            8, 256, id="wide"),
+        pytest.param([experiment._Cell("qvlms", 5.0, 20.0, 1e-2)], 3, 1,
+                     id="one-trial"),
+    ])
+    def test_kernel_buffers_start_on_a_page(self, monkeypatch, cells,
+                                            memory_length, trials):
+        made = []
+        helper = experiment._page_aligned
+
+        def spy(*args, **kwargs):
+            made.append(helper(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(experiment, "_page_aligned", spy)
+        spec = ChannelSpec(memory_length=memory_length)
+        draw = experiment._draw_chunk(trial_seeds(1, trials), spec, 40, True)
+        blocks = 0
+        for row, *arrays in experiment._lockstep(*draw, 40, cells, spec):
+            if row == 0:
+                continue
+            blocks += 1
+            for a in arrays:  # w, e2, nwd, delta, ok
+                assert a.ctypes.data % 4096 == 0
+                assert any(np.shares_memory(a, b) for b in made)
+        assert blocks >= 2
+        # one helper call for each buffer of the kernel, and no other buffer
+        k, c, t = spec.num_coefficients, len(cells), trials
+        b = experiment._block_steps(k, c, t)
+        seg = max(b, experiment._SEGMENT // b * b)
+        whitened = any(cell.algorithm == "whitened" for cell in cells)
+        f8, b1 = np.dtype(float).str, np.dtype(bool).str
+        expected = (
+            [((b, k, c, t), f8)] * 2                   # delta_buf, w_hist
+            + [((k, c, t), f8)] * 2                    # hb, w_last
+            + [((b, c, t), f8)] * 4                    # sq, nwd, e_hist, d
+            + [((b, c, t), b1)]                        # ok_buf
+            + [((t, seg + memory_length - 1), f8)]     # x
+            + [((t, seg), f8)]                         # z
+            + [((b, k, 1, t), f8)] * (1 + whitened)    # ut, ugt
+            + [((k + 2, c, t), f8), ((2, c, t), f8)]   # work, scaled
+            + [((c, t), f8)] * 2)                      # mu, gain
+        assert sorted((a.shape, a.dtype.str) for a in made) == sorted(expected)
+        assert all(a.ctypes.data % 4096 == 0 for a in made)
+
+
+@pytest.mark.parametrize("call, field", [
+    pytest.param(lambda: small_config(algorithms=()), "algorithms",
+                 id="config-algorithms"),
+    pytest.param(lambda: small_config(q_values=()), "q_values",
+                 id="config-q_values"),
+    pytest.param(lambda: small_config(snr_db_values=()), "snr_db_values",
+                 id="config-snr_db_values"),
+    pytest.param(lambda: protocol1(0, q_values=()), "q_values",
+                 id="protocol1-q_values"),
+    pytest.param(lambda: protocol2(0, q_values=()), "q_values",
+                 id="protocol2-q_values"),
+    pytest.param(lambda: protocol2(0, snr_db_values=()), "snr_db_values",
+                 id="protocol2-snr_db_values"),
+])
+def test_an_empty_grid_is_a_value_error_naming_it(call, field):
+    with pytest.raises(ValueError, match=field):
+        call()
+
+
 class TestProtocolSmoke:
     def test_protocol1_structure(self):
         report = protocol1(5, trials=8, iterations=120, q_values=(1.0, 5.0))
