@@ -8,9 +8,10 @@ and output paths. ``qvlms rerun manifest.json`` rebuilds the spec from the
 manifest, reproduces the CSV outputs byte for byte, and warns when the
 Python or numpy version differs.
 
-Config files are flat ``key = value`` text ('#' starts a comment). Each
-protocol takes only the keys of its entry in ``DEFAULTS``; any other key,
-in a config file or a manifest, is a configuration error. Exit codes:
+Config files are flat ``key = value`` text ('#' starts a comment), each
+key at most once. Each protocol takes only the keys of its entry in
+``DEFAULTS``; any other key, in a config file or a manifest, is a
+configuration error, as is an input file that cannot be read. Exit codes:
 0 success, 1 configuration error, 2 runtime failure (for example every
 trial diverging).
 """
@@ -166,10 +167,23 @@ DEFAULTS = {
 }
 
 
+def _read_input(path, what: str) -> str:
+    """The text of an input file; one that cannot be read (missing, a
+    directory, no permission, not text) is a configuration error naming it."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"{what} {path}: cannot be read ({exc.strerror})")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path}: not a text file ({exc.reason})")
+
+
 def parse_config_file(path) -> dict:
-    """Read a flat key = value config file into a typed dict."""
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    """Read a flat key = value config file into a typed dict. A key may
+    be given once."""
+    values, lines = {}, {}
+    for lineno, raw in enumerate(_read_input(path, "config file").splitlines(),
+                                 start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -178,6 +192,10 @@ def parse_config_file(path) -> dict:
         key, text = (part.strip() for part in line.split("=", 1))
         if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' given twice, "
+                              f"on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
         values[key] = _PARSERS[key](key, text)
     return values
 
@@ -461,6 +479,12 @@ def execute(spec: RunSpec, out=None) -> int:
 def cmd_bound(args) -> int:
     qs = _parse_positives("q_values", args.q_values or (1.0,))
     if args.eigenvalues:
+        mixed = [key for key in ("memory_length", "regressor_mode")
+                 if getattr(args, key) is not None]
+        if mixed:
+            raise ConfigError("key 'eigenvalues': cannot be combined with "
+                              + " or ".join(f"'{key}'" for key in mixed)
+                              + ", which set the eigenvalues themselves")
         lam = np.array(_parse_positives("eigenvalues", args.eigenvalues))
     else:
         mode = _parse_mode("regressor_mode", args.regressor_mode or "raw")
@@ -476,9 +500,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_rerun(args) -> int:
+    text = _read_input(args.manifest, "manifest")
     try:
-        manifest = json.loads(Path(args.manifest).read_text())
-    except ValueError as exc:  # not JSON, or not text
+        manifest = json.loads(text)
+    except ValueError as exc:  # not JSON
         raise ConfigError(f"manifest {args.manifest}: not a JSON file ({exc})")
     if not isinstance(manifest, dict):
         raise ConfigError(f"manifest {args.manifest}: expected a JSON object, "

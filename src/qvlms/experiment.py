@@ -19,21 +19,24 @@ and both protocols.
   chunk is drawn, so memory does not grow with the trial count. The input
   and noise streams are drawn one segment of about ``_SEGMENT`` (512)
   steps at a time from two generators per trial, and no buffer of the
-  kernel grows with the iteration count; only the curve sums do.
+  kernel grows with the iteration count; only the curve sums do. The
+  kernel holds a segment's streams time-major, (steps, trials), so that a
+  step's input or noise for every trial is one contiguous row.
 * All cells advance together along a cell axis: diagonal-gain cells
   (q-VLMS and VLMS, each with its own step size and gain) in one stack,
   matrix-gain ``whitened`` cells in a second.
 * Regressors and the clean desired signal are built for a block of steps
-  at once, so the per-step loop only forms the error and updates weights.
-  A block holds up to 16 steps, fewer when their weight history would
-  exceed ``_BLOCK_BYTES`` (1 MiB, half the per-core L2 cache), so that the
-  block reductions read it from cache. Block length never changes a bit
-  of the results.
-* Weights are stored coefficient-major, (K, cells, trials), so every
-  per-step operation runs on contiguous (cells, trials) slabs. The
-  prediction ``w . u`` adds the K product slabs by a fixed plan that
-  repeats numpy's pairwise summation order for a row of length K, which
-  keeps each trial bit-identical to the scalar steps in ``adapt``.
+  at once, from contiguous rows of the streams, so the per-step loop only
+  forms the error and updates weights. A block holds up to 16 steps,
+  fewer when their weight history would exceed ``_BLOCK_BYTES`` (1 MiB,
+  half the per-core L2 cache), so that the block reductions read it from
+  cache. Block length never changes a bit of the results.
+* Weights and regressors are stored coefficient-major, (K, cells,
+  trials), so every per-step operation runs on contiguous (cells, trials)
+  slabs. The prediction ``w . u`` and the clean desired signal ``h . u``
+  add their K product slabs by one fixed plan (``_sum_plan``) that repeats
+  numpy's pairwise summation order for a row of length K, which keeps
+  each trial bit-identical to the scalar steps in ``adapt``.
 * Every kernel buffer starts on a 4 KiB page (``_ALIGN``). A per-step
   output that starts a few bytes past one of its inputs modulo 4 KiB makes
   the core's loads wait on its stores (4K aliasing), and such a slab
@@ -57,6 +60,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from qvlms.adapt import QParams, step_size_bound
 from qvlms.theory import (
@@ -112,6 +116,10 @@ _BLOCK_BYTES = 1 << 20
 #: Steps whose input and noise are drawn at once, rounded down to whole
 #: blocks: the streams' buffers hold one segment, whatever the run length.
 _SEGMENT = 512
+#: Trials whose input and noise are drawn into the staging tile at once:
+#: 32 doubles of a time-major row, four cache lines. Eight trials (one
+#: line) made a 256-trial segment's draws about 20% slower.
+_TILE = 32
 #: Every kernel buffer starts on a boundary of this many bytes, a page.
 _ALIGN = 4096
 
@@ -363,9 +371,11 @@ def _draw_chunk(seeds, channel: ChannelSpec, iterations: int, random_init: bool)
     Trial ``i`` draws h, w0, x and z, in this order, from
     ``default_rng(seeds[i])``. The streams are not held: the kernel draws
     them a segment at a time, and a generator gives the same values
-    whether a stream is drawn at once or in pieces. z's generator is a
-    second one from the same seed: it redraws h and w0, then draws x once,
-    in pieces of at most ``_SEGMENT`` values that are thrown away.
+    whether a stream is drawn at once or in pieces, or into a tile of a
+    few trials that the kernel then writes across its time-major buffers.
+    z's generator is a second one from the same seed: it redraws h and w0,
+    then draws x once, in pieces of at most ``_SEGMENT`` values that are
+    thrown away.
     """
     t, k = len(seeds), channel.num_coefficients
     h, w0 = np.empty((t, k)), np.empty((t, k))
@@ -381,30 +391,6 @@ def _draw_chunk(seeds, channel: ChannelSpec, iterations: int, random_init: bool)
         x_rngs.append(x_rng)
         z_rngs.append(z_rng)
     return h, w0, x_rngs, z_rngs
-
-
-def _regressor_index(memory_length: int, steps: int):
-    """Index arrays of ``_regressors`` for blocks of up to ``steps`` steps:
-    the newest-first input windows (steps, M), the factors of each
-    quadratic term, and the positions of the squares among those terms."""
-    m = memory_length
-    iu, ju = np.triu_indices(m)
-    window = np.arange(m - 1, steps + m - 1)[:, None] - np.arange(m)
-    return window, iu, ju, np.flatnonzero(iu == ju)
-
-
-def _regressors(x, r0: int, r1: int, index, mode: RegressorMode) -> np.ndarray:
-    """Regressors of steps ``r0 .. r1-1`` for every trial, shape (B, T, K),
-    from newest-first windows of the input ``x (T, S+M-1)`` of a segment
-    of S steps, whose column ``j`` is the input at its step ``j-M+1``;
-    ``index`` is ``_regressor_index(M, B)`` or longer."""
-    window, iu, ju, diag = index
-    lin = x[:, r0:][:, window[:r1 - r0]]
-    lin = lin.transpose(1, 0, 2)
-    quad = lin[..., iu] * lin[..., ju]
-    if mode is RegressorMode.ORTHONORMALIZED:
-        quad[..., diag] = (lin * lin - 1.0) / SQRT2
-    return np.concatenate([lin, quad], axis=-1)
 
 
 def _sum_plan(n: int) -> tuple[list[tuple[int, int, int]], int]:
@@ -509,12 +495,22 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     reductions read the history from cache; 12 protocol-2 cells of 256
     trials take 4 steps. The streams are drawn one segment at a time, the
     whole number of blocks nearest ``_SEGMENT`` steps from below (at least
-    one block), into buffers x (T, S+M-1) and z (T, S) that every segment
-    reuses; x carries the last M-1 inputs of a segment into the next. So
-    no buffer grows with the iteration count. Neither block nor segment
+    one block), into time-major buffers x (S+M-1, T) and z (S, T) that
+    every segment reuses; x carries the last M-1 inputs of a segment into
+    the next. A generator fills contiguous values only, so ``_TILE``
+    trials at a time draw into a trial-major tile that is then written
+    across x or z; no second buffer of a segment's size exists. So no
+    buffer grows with the iteration count. Neither block nor segment
     length changes a bit of the results: the regressors, the desired
     signal and the prediction's additions are elementwise per step, and
     the curves and the consumers reduce along K or T only.
+
+    A block's regressors are built straight into the coefficient-major
+    ``ut (B, K, 1, T)`` from rows of x: the linear taps are a copy of the
+    lagged rows, the quadratic terms products of those, and in the
+    orthonormalized mode the squares become ``(x*x - 1)/sqrt(2)``. The
+    whitened direction is ``S R^-1 S`` times them, one matrix product per
+    block.
 
     Weights are stored coefficient-major so that every per-step operation
     runs on contiguous (C, T) slabs. The prediction ``w . u`` is the
@@ -522,10 +518,11 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     same order as numpy's row sum in ``adapt.predict``, so diagonal-gain
     cells are bit-exact per trial against ``adapt.qvlms_step`` (``whitened``
     cells differ from ``adapt.matrix_gain_step`` only in how BLAS orders
-    ``u @ (S R^-1 S)^T``). The update forms ``g * (mu * e)`` per
+    ``(S R^-1 S) u``). The clean desired signal ``h . u`` of a block is
+    summed by the same plan over (B, T) slabs, and its noise ``z sigma``
+    added from contiguous rows of z. The update forms ``g * (mu * e)`` per
     (cell, trial) and broadcasts it over the coefficients. All buffers,
-    views, index arrays and the per-step ufunc calls are built once per
-    call.
+    views and the per-step ufunc calls are built once per call.
 
     Every buffer comes from ``_page_aligned`` and starts on a 4 KiB page,
     so buffers of one shape share their offset modulo 4 KiB; at 256
@@ -548,7 +545,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
         QParams.uniform(cell.q_value, 1).g[0] if cell.algorithm == "qvlms"
         else 1.0 for cell in cells
     ])[:, None]
-    gain_t = whitened_gain(channel).T if nd < c else None
+    whitening = whitened_gain(channel) if nd < c else None
     factor = np.array([noise_variance_for_snr(1.0, cell.snr_db) for cell in cells])
     sigma = np.sqrt(factor[:, None] * channel.signal_power(h))
 
@@ -579,15 +576,19 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     yield guarded(0, np.broadcast_to(w0.T[None, :, None], (1, k, c, t)),
                   np.full((1, c, t), np.nan))
     seg = max(blk, _SEGMENT // blk * blk)
-    x = _page_aligned((t, seg + m - 1))
-    z = _page_aligned((t, seg))
-    index = _regressor_index(m, blk)
+    # the streams of a segment, time-major: row j of x is every trial's
+    # input at step j-M+1 of the segment, row j of z its unit noise at step j
+    x = _page_aligned((seg + m - 1, t))
+    z = _page_aligned((seg, t))
+    tile = _page_aligned((min(_TILE, t), seg + m - 1))
+    # the newest-first input window of every step of a segment, (S, M, T)
+    windows = sliding_window_view(x, m, axis=0)[..., ::-1].transpose(0, 2, 1)
     w_hist = _page_aligned((blk, k, c, t))
     e_hist = _page_aligned((blk, c, t))
     d = _page_aligned((blk, c, t))
     # regressors, and the whitened direction S R^-1 S u, coefficient-major
     ut = _page_aligned((blk, k, 1, t))
-    ugt = _page_aligned((blk, k, 1, t)) if gain_t is not None else None
+    ugt = _page_aligned((blk, k, 1, t)) if whitening is not None else None
     w_last = _page_aligned((k, c, t))
     w_last[...] = w0.T[:, None]
     # the products u_k w_k, +0.0 and the partial sums of the plan; then
@@ -600,6 +601,10 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     scaled = _page_aligned((2, c, t))
     stacks = [(cs, direction) for cs, direction in
               ((slice(0, nd), ut), (slice(nd, c), ugt)) if cs.start < cs.stop]
+    # the clean desired signal h . u of a block: the products h_k u_k, +0.0
+    # and the same plan's partial sums, over (B, T) slabs
+    clean = _page_aligned((k + 2, blk, t))
+    clean[k] = 0.0
 
     # the ufunc calls of each step of a block: prediction, error, update
     steps = []
@@ -616,22 +621,52 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
             (np.add, (w_prev, prod, w_hist[j])),
         ])
 
+    def expansion(b):
+        """The ufunc calls that complete a block of ``b`` steps once its
+        linear taps and its noise ``z sigma`` are in place: the quadratic
+        terms, the desired signal, and the whitened direction."""
+        u = ut[:b, :, 0]
+        lin = u[:, :m]
+        calls = []
+        for i in range(m):
+            # the terms u_i u_i .. u_i u_M-1, and the square's ortho form
+            at = m + i * m - i * (i - 1) // 2
+            calls.append((np.multiply,
+                          (lin[:, i:i + 1], lin[:, i:], u[:, at:at + m - i])))
+            if channel.regressor_mode is RegressorMode.ORTHONORMALIZED:
+                calls += [(np.subtract, (u[:, at], 1.0, u[:, at])),
+                          (np.divide, (u[:, at], SQRT2, u[:, at]))]
+        calls.append((np.multiply,
+                      (u.transpose(1, 0, 2), hb[:, :1], clean[:k, :b])))
+        calls += [(np.add, tuple(clean[slot, :b] for slot in add)) for add in plan]
+        calls.append((np.add, (clean[total, :b, None], d[:b], d[:b])))
+        if whitening is not None:
+            calls.append((np.matmul, (whitening, u, ugt[:b, :, 0])))
+        return calls
+
+    expand = expansion(blk)
+
+    def draw(rngs, rows):
+        """Each trial's next ``len(rows)`` values into its column of the
+        time-major ``rows``, one tile of trials at a time."""
+        for i0 in range(0, t, len(tile)):
+            part = tile[:min(len(tile), t - i0), :len(rows)]
+            for i, row in enumerate(part, i0):
+                rngs[i].standard_normal(out=row)
+            rows[:, i0:i0 + len(part)] = part.T
+
     for s0 in range(0, n, seg):
         s = min(seg, n - s0)
         if s0:
-            x[:, :m - 1] = x[:, seg:]  # only the last segment is short
-        for i in range(t):
-            x_rngs[i].standard_normal(out=x[i, (m - 1 if s0 else 0):s + m - 1])
-            z_rngs[i].standard_normal(out=z[i, :s])
+            x[:m - 1] = x[seg:]  # only the last segment is short
+        draw(x_rngs, x[(m - 1 if s0 else 0):s + m - 1])
+        draw(z_rngs, z[:s])
         for r0 in range(0, s, blk):
             b = min(blk, s - r0)
-            u = _regressors(x, r0, r0 + b, index, channel.regressor_mode)
-            np.add((u * h).sum(axis=-1)[:, None],
-                   z[:, r0:r0 + b].T[:, None] * sigma, out=d[:b])
-            ut[:b, :, 0] = u.transpose(0, 2, 1)
-            if gain_t is not None:
-                ugt[:b, :, 0] = (u @ gain_t).transpose(0, 2, 1)
-            del u  # copied into ut; freed before the block is consumed
+            np.copyto(ut[:b, :m, 0], windows[r0:r0 + b])
+            np.multiply(z[r0:r0 + b, None], sigma, out=d[:b])
+            for ufunc, operands in expand if b == blk else expansion(b):
+                ufunc(*operands)
             for calls in steps[:b]:
                 for ufunc, operands in calls:
                     ufunc(*operands)

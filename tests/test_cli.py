@@ -62,6 +62,33 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="trials"):
             parse_config_file(cfg)
 
+    def test_repeated_key_names_key_and_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("mu = 0.01\ntrials = 2\n# mu = 0.03\nmu = 0.02\n")
+        with pytest.raises(ConfigError, match=r"'mu' given twice, on lines 1 and 4"):
+            parse_config_file(cfg)
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "'mu' given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    @pytest.mark.parametrize("command", ["config", "rerun"])
+    def test_unreadable_input_file_is_config_error(self, tmp_path, capsys,
+                                                   command, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "binary":
+            path.write_bytes(b"\xff\xfe\x00mu = 0.01\n")
+        out = tmp_path / "out"
+        argv = (["run", "--config", str(path), "--mu", "0.001", "--out", str(out)]
+                if command == "config" else ["rerun", str(path), "--out", str(out)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and str(path) in err
+        assert not out.exists()
+
 
 class TestBoundCommand:
     def test_explicit_eigenvalues(self, capsys):
@@ -86,6 +113,21 @@ class TestBoundCommand:
         captured = capsys.readouterr()
         assert f"'{key}'" in captured.err
         assert "bound" not in captured.out
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["--memory-length", "5"], ["memory_length"]),
+        (["--mode", "orthonormalized"], ["regressor_mode"]),
+        (["--memory-length", "5", "--mode", "orthonormalized"],
+         ["memory_length", "regressor_mode"]),
+    ])
+    def test_eigenvalues_with_channel_keys_is_config_error(self, capsys, argv,
+                                                           keys):
+        assert main(["bound", "--eigenvalues", "1", "3"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error")
+        for key in ["eigenvalues"] + keys:
+            assert f"'{key}'" in captured.err
+        assert captured.out == ""
 
 
 class TestProtocolCommands:

@@ -632,10 +632,12 @@ class TestKernelLayout:
             + [((k, c, t), f8)] * 2                    # hb, w_last
             + [((b, c, t), f8)] * 4                    # sq, nwd, e_hist, d
             + [((b, c, t), b1)]                        # ok_buf
-            + [((t, seg + memory_length - 1), f8)]     # x
-            + [((t, seg), f8)]                         # z
+            + [((seg + memory_length - 1, t), f8)]     # x, time-major
+            + [((seg, t), f8)]                         # z, time-major
+            + [((min(experiment._TILE, t), seg + memory_length - 1), f8)]  # tile
             + [((b, k, 1, t), f8)] * (1 + whitened)    # ut, ugt
             + [((k + 2, c, t), f8), ((2, c, t), f8)]   # work, scaled
+            + [((k + 2, b, t), f8)]                    # clean desired signal
             + [((c, t), f8)] * 2)                      # mu, gain
         assert sorted((a.shape, a.dtype.str) for a in made) == sorted(expected)
         assert all(a.ctypes.data % 4096 == 0 for a in made)
@@ -773,24 +775,27 @@ class TestStreamedDraws:
     from two generators; the values are those of the whole streams drawn
     in order from one generator."""
 
+    @pytest.mark.parametrize("trials", [5, 77])
     @pytest.mark.parametrize("random_init", [True, False])
     @pytest.mark.parametrize("fixed_kernel", [False, True])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_streamed_draws_equal_whole_stream_oracle(self, monkeypatch, m,
-                                                      fixed_kernel, random_init):
+                                                      fixed_kernel, random_init,
+                                                      trials):
         # 3-step blocks in 6-step segments: 40 steps cross six segments
-        # and end in a short one
+        # and end in a short one; 77 trials cross three 32-trial staging
+        # tiles and end in a short one
         monkeypatch.setattr(experiment, "_BLOCK", 3)
         monkeypatch.setattr(experiment, "_SEGMENT", 7)
         k = num_coefficients(m)
         kernel = (VolterraKernel.from_flat(np.linspace(-0.6, 0.4, k))
                   if fixed_kernel else None)
         spec = ChannelSpec(memory_length=m, snr_db=20.0, kernel=kernel)
-        cfg = small_config(iterations=40, trials=5, master_seed=13,
+        cfg = small_config(iterations=40, trials=trials, master_seed=13,
                            step_size=0.02, q_values=(5.0,),
                            algorithms=("qvlms", "vlms", "whitened"),
                            random_init=random_init)
-        seed = trial_seeds(13, 5)[2]
+        seed = trial_seeds(13, trials)[2]
         streamed = monte_carlo(cfg, spec), run_trial(cfg, spec, seed)
         streams = []
         monkeypatch.setattr(experiment, "_draw_chunk", _whole_stream_chunk(streams))
