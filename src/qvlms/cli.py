@@ -2,18 +2,19 @@
 
 Every run is one ``RunSpec``: a protocol and its settings, merged as
 defaults < config file < flags and validated in one place. ``execute``
-runs a spec and writes its CSVs, plot series and a JSON manifest carrying
-the resolved configuration, tool, Python and numpy versions, master seed
-and output paths. ``qvlms rerun manifest.json`` rebuilds the spec from the
-manifest, reproduces the CSV outputs byte for byte, and warns when the
-Python or numpy version differs.
+runs a spec and writes, through one writer, its CSV tables and ``.dat``
+plot series (no header, space-separated; a float by its repr, NaN as
+empty), and a JSON manifest carrying the resolved configuration, tool,
+Python and numpy versions, master seed and output paths. ``qvlms rerun
+manifest.json`` rebuilds the spec from the manifest, reproduces every
+table byte for byte, and warns when the Python or numpy version differs.
 
 Config files are flat ``key = value`` text ('#' starts a comment), each
 key at most once. Each protocol takes only the keys of its entry in
 ``DEFAULTS``; any other key, in a config file or a manifest, is a
-configuration error, as is an input file that cannot be read. Exit codes:
-0 success, 1 configuration error, 2 runtime failure (for example every
-trial diverging).
+configuration error, as is an input file that cannot be read or an output
+directory that cannot be created. Exit codes: 0 success, 1 configuration
+error, 2 runtime failure (for example every trial diverging).
 """
 
 import argparse
@@ -24,6 +25,7 @@ import os
 import platform
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 
@@ -39,6 +41,7 @@ from qvlms.experiment import (
     nwd_db,
     protocol1,
     protocol2,
+    resolve_step_size,
     steady_state_level,
 )
 from qvlms.theory import gaussian_autocorrelation
@@ -61,10 +64,13 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _parse_float(key, text):
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key '{key}': expected a number, got {text!r}")
+    # float(True) is 1.0, but a JSON boolean is no number
+    if not isinstance(text, bool):
+        try:
+            return float(text)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"key '{key}': expected a number, got {text!r}")
 
 
 def _parse_positive(key, text):
@@ -263,44 +269,40 @@ class RunSpec:
 # output writing
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
+def _texts(values):
+    """Each value's text, as it is read: a float by its repr, NaN and None
+    as empty, anything else by str."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()  # Python floats: numpy 2 reprs np.float64(x)
+    return ("" if v is None or v != v else repr(v) if isinstance(v, float)
+            else str(v) for v in values)
 
 
-def _write_csv(path: Path, columns, rows):
-    """Write the header and then each row of the iterable ``rows`` as it
-    comes, so that no table is held whole."""
+def _write_table(path: Path, header, blocks):
+    """Write ``header`` and then each block as it comes, a row at a time,
+    so that no table or block is held as text. A block is a list of
+    columns, each one value for every row of the block or a sequence of one
+    value per row. A ``.dat`` plot series has no header (``None``) and
+    separates its columns by a space."""
+    sep = " " if path.suffix == ".dat" else ","
     with path.open("w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
+        for block in blocks:
+            columns = [_texts(c) if isinstance(c, (np.ndarray, list, tuple, range))
+                       else repeat(*_texts((c,))) for c in block]
+            fh.writelines(sep.join(row) + "\n" for row in zip(*columns))
 
 
-def _write_plot_series(path: Path, ys):
-    lines = [f"{i} {_fmt(float(y))}" for i, y in enumerate(ys)]
-    path.write_text("\n".join(lines) + "\n")
+def _curve_block(algorithm, q, snr_db, mae, nwd=None, mse=None) -> list:
+    """One curve's block of ``CURVE_COLUMNS``; a curve not given is empty."""
+    return [range(len(mae)), algorithm, q, snr_db, nwd,
+            None if nwd is None else nwd_db(nwd), mae, mse]
 
 
-def _curve_rows(algorithm, q, snr_db, nwd=None, mae=None, mse=None):
-    length = len(nwd) if nwd is not None else len(mae)
-    ndb = nwd_db(np.asarray(nwd)) if nwd is not None else None
-    for i in range(length):
-        yield {
-            "iteration": i,
-            "algorithm": algorithm,
-            "q": _fmt(q) if q is not None else "",
-            "snr_db": snr_db,
-            "nwd": float(nwd[i]) if nwd is not None else None,
-            "nwd_db": float(ndb[i]) if nwd is not None else None,
-            "mae": float(mae[i]) if mae is not None else None,
-            "mse": float(mse[i]) if mse is not None else None,
-        }
+def _series(name: str, ys) -> tuple:
+    """A ``.dat`` plot series: each iteration and its value."""
+    return name, None, [[range(len(ys)), ys]]
 
 
 def _cell_key(cell) -> str:
@@ -308,16 +310,15 @@ def _cell_key(cell) -> str:
 
 
 def _averaged_tables(name: str, cells) -> list:
-    """The curves and summary tables of ``AveragedCurves`` cells; rows are
-    made as the table is written."""
-    rows = (row for cell in cells
-            for row in _curve_rows(cell.algorithm, cell.q_value, cell.snr_db,
-                                   nwd=cell.nwd, mae=cell.mae, mse=cell.mse))
-    summary = (dict(zip(SUMMARY_COLUMNS, (
-        cell.algorithm, cell.q_value, cell.snr_db,
-        cell.steady_state_nwd_db(), None, cell.diverged))) for cell in cells)
-    return [(f"{name}_curves.csv", CURVE_COLUMNS, rows),
-            (f"{name}_summary.csv", SUMMARY_COLUMNS, summary)]
+    """The curves and summary tables of ``AveragedCurves`` cells: a block per
+    curve, made as it is written, and the summary rows as one block."""
+    curves = (_curve_block(c.algorithm, c.q_value, c.snr_db, c.mae, c.nwd, c.mse)
+              for c in cells)
+    summary = list(zip(*[(c.algorithm, c.q_value, c.snr_db,
+                          c.steady_state_nwd_db(), None, c.diverged)
+                         for c in cells]))
+    return [(f"{name}_curves.csv", CURVE_COLUMNS, curves),
+            (f"{name}_summary.csv", SUMMARY_COLUMNS, [summary])]
 
 
 def _environment() -> dict:
@@ -332,7 +333,7 @@ def _utc_now() -> str:
 
 # ---------------------------------------------------------------------------
 # protocols: each runs its settings and returns its outputs as
-# (tables, plot series, manifest checks, summary lines)
+# (tables, manifest checks, summary lines), plot series among the tables
 # ---------------------------------------------------------------------------
 
 def _protocol1_outputs(s):
@@ -342,26 +343,21 @@ def _protocol1_outputs(s):
         memory_length=s["memory_length"], regressor_mode=s["regressor_mode"],
         mu_fraction=s["mu_fraction"],
     )
-    comps = report.comparisons
-
-    def rows():
-        for comp in comps:
-            yield from _curve_rows("qvlms", comp.q_value, report.snr_db,
-                                   nwd=comp.simulated_nwd, mae=comp.simulated_mae)
-            yield from _curve_rows("theory", comp.q_value, report.snr_db,
-                                   mae=comp.theory_mae)
-
-    summary = (dict(zip(SUMMARY_COLUMNS, (
-        "qvlms", comp.q_value, report.snr_db,
-        float(nwd_db(steady_state_level(comp.simulated_nwd))),
-        comp.correlation, comp.diverged))) for comp in comps)
-    series = [(f"plot_protocol1_q{comp.q_value:g}_{kind}.dat", ys)
-              for comp in comps
-              for kind, ys in (("sim", comp.simulated_mae),
-                               ("theory", comp.theory_mae))]
-
-    tables = [("protocol1_curves.csv", CURVE_COLUMNS, rows()),
-              ("protocol1_summary.csv", SUMMARY_COLUMNS, summary)]
+    comps, snr = report.comparisons, report.snr_db
+    curves = (block for comp in comps for block in (
+        _curve_block("qvlms", comp.q_value, snr, comp.simulated_mae,
+                     comp.simulated_nwd),
+        _curve_block("theory", comp.q_value, snr, comp.theory_mae)))
+    summary = list(zip(*[
+        ("qvlms", comp.q_value, snr,
+         float(nwd_db(steady_state_level(comp.simulated_nwd))),
+         comp.correlation, comp.diverged) for comp in comps]))
+    tables = [("protocol1_curves.csv", CURVE_COLUMNS, curves),
+              ("protocol1_summary.csv", SUMMARY_COLUMNS, [summary])]
+    tables += [_series(f"plot_protocol1_q{comp.q_value:g}_{kind}.dat", ys)
+               for comp in comps
+               for kind, ys in (("sim", comp.simulated_mae),
+                                ("theory", comp.theory_mae))]
     checks = {
         "correlations": {f"q={c.q_value:g}": c.correlation
                          for c in report.comparisons},
@@ -375,7 +371,7 @@ def _protocol1_outputs(s):
     }
     line = (f"protocol1: average correlation {report.average_correlation:.5f} "
             f"over q={list(s['q_values'])}")
-    return tables, series, checks, [line]
+    return tables, checks, [line]
 
 
 def _protocol2_outputs(s):
@@ -385,16 +381,16 @@ def _protocol2_outputs(s):
         include_whitened=s["include_whitened"],
         memory_length=s["memory_length"], regressor_mode=s["regressor_mode"],
     )
+    gaps = [(q, snr, adv) for (q, snr), adv in sorted(report.advantages_db.items())]
+    gaps.append(("average", "", report.average_advantage_db))
     tables = _averaged_tables("protocol2", report.curves)
-    tables.append(("protocol2_gaps.csv", ("q", "snr_db", "advantage_db"), [
-        {"q": q, "snr_db": snr, "advantage_db": adv}
-        for (q, snr), adv in sorted(report.advantages_db.items())
-    ] + [{"q": "average", "snr_db": "", "advantage_db": report.average_advantage_db}]))
-    series = []
+    tables.append(("protocol2_gaps.csv", ("q", "snr_db", "advantage_db"),
+                   [list(zip(*gaps))]))
     for cell in report.curves:
         qtag = f"_q{cell.q_value:g}" if cell.q_value is not None else ""
-        series.append((f"plot_protocol2_{cell.algorithm}{qtag}_snr{cell.snr_db:g}.dat",
-                       nwd_db(cell.nwd)))
+        tables.append(_series(
+            f"plot_protocol2_{cell.algorithm}{qtag}_snr{cell.snr_db:g}.dat",
+            nwd_db(cell.nwd)))
 
     checks = {
         "average_advantage_db": report.average_advantage_db,
@@ -405,7 +401,7 @@ def _protocol2_outputs(s):
     }
     line = (f"protocol2: average q-VLMS advantage "
             f"{report.average_advantage_db:+.2f} dB over SNR={list(s['snr_db'])}")
-    return tables, series, checks, [line]
+    return tables, checks, [line]
 
 
 def _run_outputs(s):
@@ -425,7 +421,7 @@ def _run_outputs(s):
     for algorithm in config.algorithms:
         for q in config.q_values if algorithm == "qvlms" else (1.0,):
             bound = step_size_bound(QParams.uniform(q, k), lam)
-            mu = s["mu"] if s["mu"] is not None else s["mu_fraction"] * bound
+            mu = resolve_step_size(config, channel, q)
             if mu > 2.0 * bound:
                 print(f"warning: mu={mu:.3e} exceeds twice the stability bound "
                       f"{bound:.3e} for {algorithm} at q={q:g}; divergence "
@@ -436,7 +432,7 @@ def _run_outputs(s):
         "resolved_step_sizes": {_cell_key(c): c.step_size for c in cells},
         "divergence_counts": {_cell_key(c): c.diverged for c in cells},
     }
-    return _averaged_tables("run", cells), [], checks, []
+    return _averaged_tables("run", cells), checks, []
 
 
 _OUTPUTS = {"protocol1": _protocol1_outputs, "protocol2": _protocol2_outputs,
@@ -444,16 +440,19 @@ _OUTPUTS = {"protocol1": _protocol1_outputs, "protocol2": _protocol2_outputs,
 
 
 def execute(spec: RunSpec, out=None) -> int:
-    """Run ``spec``; write its tables, plot series and ``manifest.json`` to
-    ``out`` (default ``$QVLMS_OUT_DIR``, else ``./qvlms-out``)."""
+    """Run ``spec``; write its tables and ``manifest.json`` to ``out``
+    (default ``$QVLMS_OUT_DIR``, else ``./qvlms-out``), created before the
+    run: a directory that cannot be is a configuration error."""
     started = _utc_now()
     out_dir = Path(out or os.environ.get(OUT_DIR_ENV) or "qvlms-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tables, series, checks, lines = _OUTPUTS[spec.protocol](spec.settings)
-    for name, columns, rows in tables:
-        _write_csv(out_dir / name, columns, rows)
-    for name, ys in series:
-        _write_plot_series(out_dir / name, ys)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir}: cannot be created "
+                          f"({exc.strerror})")
+    tables, checks, lines = _OUTPUTS[spec.protocol](spec.settings)
+    for name, header, blocks in tables:
+        _write_table(out_dir / name, header, blocks)
     manifest = {
         "tool": "qvlms",
         "version": __version__,
@@ -463,7 +462,7 @@ def execute(spec: RunSpec, out=None) -> int:
         "config": spec.config(),
         "started_utc": started,
         "finished_utc": _utc_now(),
-        "outputs": [entry[0] for entry in tables + series],
+        "outputs": [name for name, _, _ in tables],
         "checks": checks,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

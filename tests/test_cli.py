@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from qvlms import __version__, cli
 from qvlms.cli import ConfigError, RunSpec, execute, main, parse_config_file
-from qvlms.experiment import ALGORITHMS, nwd_db, protocol2, steady_state_level
+from qvlms.experiment import (
+    ALGORITHMS,
+    AveragedCurves,
+    Protocol2Report,
+    nwd_db,
+    protocol2,
+    steady_state_level,
+)
+from qvlms.volterra import RegressorMode
 
 
 def _read(path):
@@ -239,6 +247,99 @@ class TestProtocolCommands:
         assert len(lines) == 1 + 12 * 2001
         assert peak - start < 2 * 2**20
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_out_dir_that_cannot_be_created_is_config_error(
+            self, tmp_path, capsys, monkeypatch, source):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["run", "--mu", "0.01", "--trials", "2", "--iterations", "5"]
+        for target in (blocker, blocker / "sub"):
+            if source == "flag":
+                rc = main(argv + ["--out", str(target)])
+            else:
+                monkeypatch.setenv("QVLMS_OUT_DIR", str(target))
+                rc = main(argv)
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error")
+            assert f"output directory {target}:" in err
+        assert blocker.read_text() == ""
+
+
+def _cell(algorithm, q, nwd, mae, mse, diverged):
+    nwd = np.array(nwd)
+    return AveragedCurves(
+        algorithm=algorithm, q_value=q, snr_db=math.inf, step_size=1e-3,
+        nwd=nwd, mae=np.array(mae), abs_weight_error=np.zeros((nwd.size, 1)),
+        mse=np.array(mse), trials=4, diverged=diverged)
+
+
+class TestOutputFormat:
+    """Every file's text, from hand-made results: a float by its repr, NaN
+    and None as empty, anything else by str; a ``.dat`` series has no
+    header and a space separator."""
+
+    VLMS = _cell("vlms", None, [1.0, 0.1 + 0.2, 0.0], [0.7, 1 / 3, 2 / 3],
+                 [math.nan, 0.1, 1e-300], diverged=3)
+    QVLMS = _cell("qvlms", 5.0, [1.0, math.nan, 0.25], [0.7, 0.5, 1 / 7],
+                  [math.nan, 2.5e-7, 0.125], diverged=0)
+
+    def _expected_tables(self, name):
+        r = lambda x: repr(float(x))
+        vdb, qdb = nwd_db(self.VLMS.nwd), nwd_db(self.QVLMS.nwd)
+        curves = [
+            "iteration,algorithm,q,snr_db,nwd,nwd_db,mae,mse",
+            "0,vlms,,inf,1.0,0.0,0.7,",
+            f"1,vlms,,inf,0.30000000000000004,{r(vdb[1])},{r(1 / 3)},0.1",
+            f"2,vlms,,inf,0.0,-inf,{r(2 / 3)},1e-300",
+            "0,qvlms,5.0,inf,1.0,0.0,0.7,",
+            "1,qvlms,5.0,inf,,,0.5,2.5e-07",
+            f"2,qvlms,5.0,inf,0.25,{r(qdb[2])},{r(1 / 7)},0.125",
+        ]
+        # the trailing tenth of three rows is the last row
+        summary = [
+            "algorithm,q,snr_db,steady_state_nwd_db,correlation,divergence_count",
+            "vlms,,inf,-inf,,3",
+            f"qvlms,5.0,inf,{r(qdb[2])},,0",
+        ]
+        return {f"{name}_curves.csv": curves, f"{name}_summary.csv": summary}
+
+    @staticmethod
+    def _texts(out):
+        return {p.name: p.read_text().splitlines() for p in out.iterdir()
+                if p.suffix in (".csv", ".dat")}
+
+    def test_protocol2_outputs(self, tmp_path, monkeypatch):
+        report = Protocol2Report(
+            curves=(self.VLMS, self.QVLMS),
+            advantages_db={(5.0, math.inf): 0.1 + 0.2},
+            average_advantage_db=math.nan, master_seed=0, trials=4,
+            iterations=2, snr_db_values=(math.inf,), q_values=(5.0,),
+            step_size=1e-3, memory_length=3,
+            regressor_mode=RegressorMode.RAW)
+        monkeypatch.setattr(cli, "protocol2", lambda *args, **kwargs: report)
+        spec = RunSpec.resolve("protocol2", {"trials": 4, "iterations": 2})
+        assert execute(spec, tmp_path) == 0
+        qdb = nwd_db(self.QVLMS.nwd)
+        expected = self._expected_tables("protocol2")
+        expected["protocol2_gaps.csv"] = [
+            "q,snr_db,advantage_db", "5.0,inf,0.30000000000000004", "average,,"]
+        expected["plot_protocol2_vlms_snrinf.dat"] = [
+            "0 0.0", f"1 {repr(float(nwd_db(0.1 + 0.2)))}", "2 -inf"]
+        expected["plot_protocol2_qvlms_q5_snrinf.dat"] = [
+            "0 0.0", "1 ", f"2 {repr(float(qdb[2]))}"]
+        assert self._texts(tmp_path) == expected
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == list(expected)
+
+    def test_run_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "monte_carlo",
+                            lambda *args: [self.VLMS, self.QVLMS])
+        spec = RunSpec.resolve("run", {"mu": 1e-3, "q_values": [5.0],
+                                       "algorithms": ["vlms", "qvlms"]})
+        assert execute(spec, tmp_path) == 0
+        assert self._texts(tmp_path) == self._expected_tables("run")
+
 
 class TestRunCommand:
     def test_adhoc_run(self, tmp_path):
@@ -451,6 +552,25 @@ class TestRerun:
         err = capsys.readouterr().err
         assert err.startswith("configuration error")
         assert named.format(path=path) in err
+        assert not (tmp_path / "redo").exists()
+
+    @pytest.mark.parametrize("protocol, key, value", [
+        ("run", "mu", True),
+        ("run", "q_values", [True]),
+        ("run", "snr_db", [False]),
+        ("protocol1", "mu_fraction", True),
+    ])
+    def test_manifest_boolean_for_number_is_config_error(
+            self, tmp_path, capsys, protocol, key, value):
+        # float(True) is 1.0: read as a number, the run would go ahead
+        path = _tiny_manifest(tmp_path, protocol)
+        manifest = json.loads(path.read_text())
+        manifest["config"][key] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(path), "--out", str(tmp_path / "redo")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and f"'{key}'" in err
         assert not (tmp_path / "redo").exists()
 
     @pytest.mark.parametrize("protocol, key", [
