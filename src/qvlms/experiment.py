@@ -46,10 +46,14 @@ and both protocols.
   ``h - w``, and applies the divergence guard, in buffers reused by every
   block. ``run_trial`` and the averages only reduce them, into full
   per-trial curves or into per-cell sums over trials.
-* Trials are deterministic and independent, so the cells of a chunk in
-  which some (cell, trial) pair diverged are replayed once, alone, with
-  the diverged pairs left out of the sums; the kept trials come out
-  unchanged, and the other cells keep their sums.
+* Every chunk adds its curve sums straight into one set of run totals.
+  Trials are deterministic and independent, so the cells of a chunk in
+  which some (cell, trial) pair diverged are replayed, alone, with the
+  diverged pairs left out of the sums; the kept trials come out
+  unchanged, and the other cells keep their sums. A cell that diverges
+  for the first time has its totals rebuilt by replaying the earlier
+  chunks for it too; from then on its sums of a chunk are kept apart
+  until the chunk is known to leave it clean.
 
 A single trial is therefore bit-identical whichever entry point produced
 it.
@@ -180,6 +184,20 @@ def steady_state_level(curve, fraction: float = 0.1) -> float:
 # configuration
 # ---------------------------------------------------------------------------
 
+def _check_positive(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is positive
+    and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_snr(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` if ``value`` is NaN or -inf;
+    +inf is a noiseless run."""
+    if math.isnan(value) or value == -math.inf:
+        raise ValueError(f"{name} must be a number or +inf, got {value}")
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Channel family for identification runs.
@@ -205,6 +223,7 @@ class ChannelSpec:
             )
         if int(self.memory_length) < 1:
             raise ValueError("memory length must be >= 1")
+        _check_snr("snr_db", self.snr_db)
 
     @property
     def num_coefficients(self) -> int:
@@ -224,7 +243,10 @@ class ChannelSpec:
         the same bits alone as inside a stack of channels.
         """
         h = np.asarray(h, dtype=np.float64)
-        rh = (h[..., None, :] * self.autocorrelation()).sum(axis=-1)
+        # R h one row of R at a time: no (..., K, K) temporary
+        rh = np.empty_like(h)
+        for i, row in enumerate(self.autocorrelation()):
+            rh[..., i] = (h * row).sum(axis=-1)
         return (rh * h).sum(axis=-1)
 
     def noise_variance(self, h):
@@ -262,18 +284,19 @@ class ExperimentConfig:
             raise ValueError(
                 "exactly one of step_size and step_size_fraction must be set"
             )
-        if self.step_size is not None and not self.step_size > 0.0:
-            raise ValueError("step_size must be positive")
-        if self.step_size_fraction is not None and not self.step_size_fraction > 0.0:
-            raise ValueError("step_size_fraction must be positive")
+        for name in ("step_size", "step_size_fraction"):
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
         for name in ("algorithms", "q_values", "snr_db_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; expected {ALGORITHMS}")
-        if any(q <= 0.0 for q in self.q_values):
-            raise ValueError("all q values must be positive")
+        for q in self.q_values:
+            _check_positive("q_values", q)
+        for snr in self.snr_db_values:
+            _check_snr("snr_db_values", snr)
 
 
 def trial_seeds(master_seed: int, trials: int) -> list[np.random.SeedSequence]:
@@ -774,22 +797,53 @@ class AveragedCurves:
         return float(nwd_db(steady_state_level(self.nwd, fraction)))
 
 
-def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, keep=None):
-    """Per-cell curve sums over one chunk's trials, and its (C, T) mask of
+def _zero_sums(iterations: int, cells: int, k: int) -> np.ndarray:
+    """Curve sums of ``cells`` cells, all zero, as one (N+1, C, K+2) array:
+    per row and cell, the absolute weight error (K values), then the NWD,
+    then the squared error, so that a block's rows are one contiguous run.
+
+    The zeros are written here rather than left to the allocator, as
+    ``np.zeros`` does: every block adds into rows that it first reads, and
+    a fresh page that is read before it is written faults twice.
+    """
+    return np.full((int(iterations) + 1, cells, k + 2), 0.0)
+
+
+def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, into,
+                keep=None):
+    """Add each cell's curve sums over one chunk's trials into a column of a
+    set of sums (``_zero_sums``), and return the chunk's (C, T) mask of
     diverged (cell, trial) pairs.
 
-    The sums are NWD (N+1, C), absolute weight error (N+1, C, K) and
-    squared error (N+1, C; NaN at row 0). ``keep (C, T)`` leaves pairs out
-    of the sums; without it, a cell with a diverged pair has sums that
-    hold it, and the caller replays that cell with the pair left out. Once
-    every cell has a diverged pair the blocks are no longer reduced, and
-    the run stops early once every pair has diverged. Every block is
-    reduced in the kernel's buffers, straight into the rows of the sums.
+    ``into[i]`` is ``(sums, j)``: cell ``i`` adds into column ``j`` of
+    ``sums`` (squared error NaN at row 0). Each block is reduced over the
+    trials in the kernel's buffers, into block sums of its own length,
+    which are then added into the rows of those columns; a column that
+    chunks add into in turn holds
+    ``((s0 + s1) + s2) + ...``. ``keep (C, T)`` leaves pairs out of the
+    sums; without it, a cell with a diverged pair adds sums that hold it,
+    and the caller replays that cell with the pair left out. Once every
+    cell has a diverged pair the blocks are no longer reduced, and the run
+    stops early once every pair has diverged.
     """
     (t, k), n, c = draw[0].shape, int(iterations), len(cells)
-    nwd_sum = np.zeros((n + 1, c))
-    abs_sum = np.zeros((n + 1, c, k))
-    sq_sum = np.zeros((n + 1, c))
+    # runs of cells that add into adjacent columns of one set of sums:
+    # (sums, first column, first cell, length)
+    runs = []
+    for i, (sums, j) in enumerate(into):
+        if runs and runs[-1][0] is sums and runs[-1][1] + runs[-1][3] == j:
+            runs[-1][3] += 1
+        else:
+            runs.append([sums, j, i, 1])
+
+    def additions(b):
+        """Block sums of ``b`` rows, and their runs' additions into the
+        columns of the sums, as ``(sums, columns, block sums)`` triples."""
+        part = np.empty((b, c, k + 2))
+        return part, [(sums, slice(j, j + m), part[:, i:i + m])
+                      for sums, j, i, m in runs]
+
+    blocks = {}
     diverged = np.zeros((c, t), dtype=bool)
     drop = None if keep is None else ~keep
     with np.errstate(over="ignore", invalid="ignore"):
@@ -803,11 +857,17 @@ def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, keep=None):
             if drop is not None:
                 for part in (cur, err, sq):
                     np.copyto(part, 0.0, where=drop)
-            rows = slice(row, row + len(w))
-            cur.sum(axis=-1, out=nwd_sum[rows])
-            np.einsum("bkct->bck", err, out=abs_sum[rows])
-            sq.sum(axis=-1, out=sq_sum[rows])
-    return (nwd_sum, abs_sum, sq_sum), diverged
+            b = len(w)
+            if b not in blocks:
+                blocks[b] = additions(b)
+            part, adds = blocks[b]
+            np.einsum("bkct->bck", err, out=part[..., :k])
+            cur.sum(axis=-1, out=part[..., k])
+            sq.sum(axis=-1, out=part[..., k + 1])
+            for sums, columns, block in adds:
+                rows = sums[row:row + b, columns]
+                np.add(rows, block, out=rows)
+    return diverged
 
 
 def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
@@ -816,56 +876,75 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
 
     Trial ``i`` is drawn from ``trial_seeds(master_seed, trials)[i]``; the
     seeds are built a chunk at a time, and a chunk's draws are dropped
-    before the next chunk is drawn. The cells with a diverged pair in a
-    chunk are replayed with those pairs left out, from the chunk's
-    generators set back to their start states, and the replay's sums are
-    added in place of theirs; the other cells keep the first pass's sums,
-    whose bits the replay would repeat. The first chunk's sums are the
-    totals (replayed cells zeroed) that later chunks add into column by
-    column (``0.0 + x == x`` for these non-negative or NaN sums), and a
-    chunk's first-pass sums are dropped before its replay, so at most two
-    sets of sums are alive. Each cell's averages are divided in place, so
-    the returned curves are views of the totals. Returns the averaged
-    curves in ``cells`` order and each trial's initial weight error
-    ``h - w0`` (trials, K).
+    before the next chunk is drawn. One set of totals is allocated with the
+    first chunk, and every chunk adds its sums straight into it, in chunk
+    order (``0.0 + x == x`` for these non-negative or NaN sums).
+
+    A cell with a diverged pair in a chunk is replayed with those pairs
+    left out, from the chunk's generators set back to their start states.
+    The first time a cell diverges, its totals already hold that chunk's
+    pairs: they are zeroed and rebuilt by replaying, for that cell, the
+    earlier chunks (drawn again from their seeds) and then this one. From
+    then on the cell is *held*: a chunk's first pass adds its sums into a
+    set sized for the held cells, which is added into the totals when that
+    chunk has no diverged pair of the cell, and is otherwise dropped for
+    the replay. So each cell's totals add, chunk by chunk, the sums of its
+    kept trials, bit for bit those of a run of that cell alone, and no more
+    than the totals and the held cells' sums are alive at once. Each cell's
+    averages are divided in place, so the returned curves are views of the
+    totals. Returns the averaged curves in ``cells`` order and each trial's
+    initial weight error ``h - w0`` (trials, K).
     """
     # the kernel stacks diagonal-gain cells ahead of matrix-gain ones
     order = sorted(range(len(cells)), key=lambda i: cells[i].algorithm == "whitened")
     stacked = [cells[i] for i in order]
-    k, trials = channel.num_coefficients, int(trials)
-    totals = None
-    diverged = np.zeros((len(cells), trials), dtype=bool)
+    c, k, n, trials = len(cells), channel.num_coefficients, int(iterations), int(trials)
+    totals, held = None, []
+    diverged = np.zeros((c, trials), dtype=bool)
     initial_error = np.empty((trials, k))
+
+    def first_pass(draw):
+        """Every cell's pass over a chunk; the held cells' sums are added
+        into the totals only if the chunk left them clean."""
+        pending = _zero_sums(n, len(held), k)
+        div = _chunk_sums(draw, n, stacked, channel,
+                          [(pending, held.index(j)) if j in held else (totals, j)
+                           for j in range(c)])
+        for i, j in enumerate(held):
+            if not div[j].any():
+                totals[:, j] += pending[:, i]
+        return div
+
+    def replay(draw, start, stop, replayed):
+        """Add the sums of trials ``start:stop`` of the cells ``replayed``,
+        their diverged pairs left out, into their totals."""
+        _chunk_sums(draw, n, [stacked[j] for j in replayed], channel,
+                    [(totals, j) for j in replayed],
+                    keep=~diverged[replayed, start:stop])
+
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
         draw = _draw_chunk(_chunk_seeds(master_seed, start, stop), channel,
-                           iterations, random_init)
+                           n, random_init)
         initial_error[start:stop] = draw[0] - draw[1]
         rngs = draw[2] + draw[3]
         starts = [rng.bit_generator.state for rng in rngs]
-        sums, div = _chunk_sums(draw, iterations, stacked, channel)
-        bad = div.any(axis=1)
         if totals is None:
-            totals = sums
-            for total in totals:
-                total[:, bad] = 0.0
-        else:
-            # column by column, so that no temporary copy is made
-            for j in np.flatnonzero(~bad):
-                for total, part in zip(totals, sums):
-                    total[:, j] += part[:, j]
-        del sums  # so that the replay's sums are the only other copy
-        if bad.any():
+            totals = _zero_sums(n, c, k)
+        diverged[:, start:stop] = first_pass(draw)
+        bad = np.flatnonzero(diverged[:, start:stop].any(axis=1))
+        fresh = [j for j in bad if j not in held]
+        if fresh:
+            totals[:, fresh] = 0.0
+            for s in range(0, start, _CHUNK):
+                replay(_draw_chunk(_chunk_seeds(master_seed, s, s + _CHUNK),
+                                   channel, n, random_init),
+                       s, s + _CHUNK, fresh)
+            held = sorted(held + fresh)
+        if bad.size:
             for rng, state in zip(rngs, starts):
                 rng.bit_generator.state = state
-            replayed = np.flatnonzero(bad)
-            replay, _ = _chunk_sums(draw, iterations, [stacked[j] for j in replayed],
-                                    channel, keep=~div[replayed])
-            for i, j in enumerate(replayed):
-                for total, part in zip(totals, replay):
-                    total[:, j] += part[:, i]
-            del replay
-        diverged[:, start:stop] = div
+            replay(draw, start, stop, bad)
         del draw, rngs, starts
 
     curves = []
@@ -877,9 +956,9 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
                 f"all {trials} trials diverged (algorithm={cell.algorithm}, "
                 f"q={cell.q_value}, snr={cell.snr_db} dB, mu={cell.step_size:.3e})"
             )
-        nwd_mean, per_coef, mse = (total[:, j] for total in totals)
-        for mean in (nwd_mean, per_coef, mse):
-            mean /= kept
+        means = totals[:, j]
+        means /= kept
+        per_coef, nwd_mean, mse = means[:, :k], means[:, k], means[:, k + 1]
         curves.append(AveragedCurves(
             algorithm=cell.algorithm,
             q_value=cell.q_value,
@@ -973,6 +1052,9 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
     """
     if not q_values:
         raise ValueError("q_values must not be empty")
+    for q in q_values:
+        _check_positive("q_values", q)
+    _check_positive("mu_fraction", mu_fraction)
     channel = ChannelSpec(memory_length=memory_length, snr_db=snr_db,
                           regressor_mode=regressor_mode)
     k = channel.num_coefficients

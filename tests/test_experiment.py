@@ -143,6 +143,19 @@ class TestChannelSpec:
         snr_hat = 10.0 * np.log10((d_clean**2).mean() / (eta**2).mean())
         assert abs(snr_hat - 20.0) < 0.2
 
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    @pytest.mark.parametrize("m", [3, 8, 14])
+    def test_signal_power_of_a_stack_is_each_channel_alone(self, m, mode):
+        # oracle: the whole (T, K, K) product, summed along its last axis
+        spec = ChannelSpec(memory_length=m, regressor_mode=mode)
+        h = np.random.default_rng(m).standard_normal((37, spec.num_coefficients))
+        r = spec.autocorrelation()
+        oracle = ((h[:, None, :] * r).sum(axis=-1) * h).sum(axis=-1)
+        stack = spec.signal_power(h)
+        assert stack.tobytes() == oracle.tobytes()
+        alone = np.array([spec.signal_power(row) for row in h])
+        assert alone.tobytes() == stack.tobytes()
+
     def test_kernel_memory_consistency_enforced(self):
         kernel = VolterraKernel.from_flat(np.ones(5))
         with pytest.raises(ValueError):
@@ -391,8 +404,8 @@ class TestStreamingKernel:
                                            rtol=1e-12, atol=0, err_msg=name)
 
     def test_replay_of_one_cell_in_every_chunk_matches_run_trial(self):
-        # every chunk replays the q = 5 cell and adds the others' first-pass
-        # sums into the totals column by column
+        # every chunk replays the q = 5 cell, while the others' first-pass
+        # sums go straight into the totals
         cfg = small_config(iterations=150, trials=40, master_seed=4,
                            step_size=0.03, q_values=(2.0, 5.0),
                            algorithms=("whitened", "qvlms", "vlms"))
@@ -662,6 +675,49 @@ def test_an_empty_grid_is_a_value_error_naming_it(call, field):
         call()
 
 
+@pytest.mark.parametrize("call, field", [
+    pytest.param(lambda: small_config(step_size=math.inf), "step_size",
+                 id="config-step_size-inf"),
+    pytest.param(lambda: small_config(step_size=math.nan), "step_size",
+                 id="config-step_size-nan"),
+    pytest.param(lambda: small_config(step_size=None, step_size_fraction=math.inf),
+                 "step_size_fraction", id="config-step_size_fraction-inf"),
+    pytest.param(lambda: small_config(q_values=(5.0, math.nan)), "q_values",
+                 id="config-q_values-nan"),
+    pytest.param(lambda: small_config(q_values=(math.inf,)), "q_values",
+                 id="config-q_values-inf"),
+    pytest.param(lambda: small_config(snr_db_values=(math.nan,)), "snr_db_values",
+                 id="config-snr_db_values-nan"),
+    pytest.param(lambda: small_config(snr_db_values=(20.0, -math.inf)),
+                 "snr_db_values", id="config-snr_db_values-minus-inf"),
+    pytest.param(lambda: ChannelSpec(snr_db=math.nan), "snr_db",
+                 id="channel-snr_db-nan"),
+    pytest.param(lambda: protocol1(0, mu_fraction=math.inf), "mu_fraction",
+                 id="protocol1-mu_fraction-inf"),
+    pytest.param(lambda: protocol1(0, mu_fraction=math.nan), "mu_fraction",
+                 id="protocol1-mu_fraction-nan"),
+    pytest.param(lambda: protocol1(0, snr_db=math.nan), "snr_db",
+                 id="protocol1-snr_db-nan"),
+    pytest.param(lambda: protocol1(0, snr_db=-math.inf), "snr_db",
+                 id="protocol1-snr_db-minus-inf"),
+    pytest.param(lambda: protocol1(0, q_values=(math.inf,)), "q_values",
+                 id="protocol1-q_values-inf"),
+    pytest.param(lambda: protocol2(0, step_size=math.inf), "step_size",
+                 id="protocol2-step_size-inf"),
+])
+def test_a_non_finite_setting_is_a_value_error_naming_it(call, field):
+    # raised as the run is set up, never as "all trials diverged"
+    with pytest.raises(ValueError, match=rf"^{field} must"):
+        call()
+
+
+def test_an_infinite_snr_is_a_noiseless_run():
+    assert small_config(snr_db_values=(math.inf,)).snr_db_values == (math.inf,)
+    report = protocol1(0, trials=2, iterations=20, q_values=(1.0,),
+                       snr_db=math.inf)
+    assert report.comparisons[0].diverged == 0
+
+
 class TestProtocolSmoke:
     def test_protocol1_structure(self):
         report = protocol1(5, trials=8, iterations=120, q_values=(1.0, 5.0))
@@ -832,8 +888,8 @@ class TestStreamedDraws:
                                 "final_weights"))
 
 
-def _monte_carlo_peak(iterations):
-    cfg = small_config(iterations=iterations, trials=256, step_size=0.005)
+def _monte_carlo_peak(iterations, trials):
+    cfg = small_config(iterations=iterations, trials=trials, step_size=0.005)
     tracemalloc.start()
     try:
         monte_carlo(cfg, ChannelSpec())
@@ -842,11 +898,26 @@ def _monte_carlo_peak(iterations):
         tracemalloc.stop()
 
 
-def test_monte_carlo_memory_is_bounded_in_iterations():
-    # one cell: only the curve sums (N+1) x (K+2) doubles may grow with N
+@pytest.mark.parametrize("trials", [256, 512])
+def test_monte_carlo_memory_is_bounded_in_iterations(trials):
+    # one cell: only one set of curve sums, (N+1) x (K+2) doubles, may grow
+    # with N, however many chunks add into it
     k = ChannelSpec().num_coefficients
-    growth = _monte_carlo_peak(16_000) - _monte_carlo_peak(2_000)
+    growth = _monte_carlo_peak(16_000, trials) - _monte_carlo_peak(2_000, trials)
     assert growth <= 14_000 * (k + 2) * 8 + 0.5 * 2**20
+
+
+def _spy_lockstep(monkeypatch):
+    """The cells, as (algorithm, q), of each ``_lockstep`` call to come."""
+    calls = []
+    lockstep = experiment._lockstep
+
+    def spy(*args):
+        calls.append([(c.algorithm, c.q_value) for c in args[5]])
+        return lockstep(*args)
+
+    monkeypatch.setattr(experiment, "_lockstep", spy)
+    return calls
 
 
 class TestReplay:
@@ -857,14 +928,7 @@ class TestReplay:
                            step_size=0.03, q_values=(2.0, 5.0),
                            algorithms=("whitened", "qvlms", "vlms"))
         spec = ChannelSpec()
-        calls = []
-        lockstep = experiment._lockstep
-
-        def spy(*args):
-            calls.append([(c.algorithm, c.q_value) for c in args[5]])
-            return lockstep(*args)
-
-        monkeypatch.setattr(experiment, "_lockstep", spy)
+        calls = _spy_lockstep(monkeypatch)
         cells = monte_carlo(cfg, spec)
         assert [c.diverged for c in cells] == [0, 0, 4, 0]
         assert calls == [[("qvlms", 2.0), ("qvlms", 5.0), ("vlms", None),
@@ -876,3 +940,36 @@ class TestReplay:
             _same_arrays(a, b, ("nwd", "abs_weight_error", "mse"))
         _, mean = _mean_of_trials(cfg, spec, cells[2], ~cells[2].diverged_mask)
         np.testing.assert_allclose(cells[2].nwd, mean["nwd"], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed, step, pattern, passes", [
+        # the q = 5 cell first diverges in chunk 2 (trial 42): its totals,
+        # which hold chunks 0 and 1, are rebuilt by replaying chunks 0, 1
+        # and 2 for it alone
+        pytest.param(3, 0.02, [False, False, True], "AAA555",
+                     id="first-divergence-in-chunk-2"),
+        # it diverges in chunk 0, is held, so chunk 1 adds its sums kept
+        # apart and chunk 2 drops them for a replay
+        pytest.param(2, 0.03, [True, False, True], "A5AA5",
+                     id="held-from-chunk-0"),
+    ])
+    def test_late_divergence_replays_match_run_trial(self, monkeypatch, seed,
+                                                     step, pattern, passes):
+        monkeypatch.setattr(experiment, "_CHUNK", 16)
+        cfg = small_config(iterations=150, trials=48, master_seed=seed,
+                           step_size=step, q_values=(2.0, 5.0),
+                           algorithms=("qvlms", "vlms"))
+        spec = ChannelSpec()
+        calls = _spy_lockstep(monkeypatch)
+        cells = monte_carlo(cfg, spec)
+        every = [("qvlms", 2.0), ("qvlms", 5.0), ("vlms", None)]
+        assert calls == [every if p == "A" else [("qvlms", 5.0)] for p in passes]
+        assert cells[0].diverged == cells[2].diverged == 0
+        assert list(cells[1].diverged_mask.reshape(3, 16).any(axis=1)) == pattern
+        clean = monte_carlo(replace(cfg, q_values=(2.0,)), spec)
+        for a, b in zip([cells[i] for i in (0, 2)], clean, strict=True):
+            _same_arrays(a, b, ("nwd", "abs_weight_error", "mse"))
+        trials, mean = _mean_of_trials(cfg, spec, cells[1], ~cells[1].diverged_mask)
+        assert np.array_equal(cells[1].diverged_mask, [t.diverged for t in trials])
+        for name in ("nwd", "mae", "mse"):
+            np.testing.assert_allclose(getattr(cells[1], name), mean[name],
+                                       rtol=1e-12, atol=0, err_msg=name)
