@@ -20,7 +20,6 @@ error, 2 runtime failure (for example every trial diverging).
 import argparse
 import datetime
 import json
-import math
 import os
 import platform
 import sys
@@ -44,6 +43,7 @@ from qvlms.experiment import (
     resolve_step_size,
     steady_state_level,
 )
+from qvlms.experiment import _check_positive, _check_snr
 from qvlms.theory import gaussian_autocorrelation
 from qvlms.volterra import RegressorMode
 
@@ -73,19 +73,22 @@ def _parse_float(key, text):
     raise ConfigError(f"key '{key}': expected a number, got {text!r}")
 
 
-def _parse_positive(key, text):
-    value = _parse_float(key, text)
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"key '{key}': must be positive and finite, got {value}")
+def _in_range(check, key, value):
+    """``value`` if the library's range rule ``check`` takes it; its
+    ``ValueError`` otherwise, as a ``ConfigError`` naming ``key``."""
+    try:
+        check(f"key '{key}':", value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return value
+
+
+def _parse_positive(key, text):
+    return _in_range(_check_positive, key, _parse_float(key, text))
 
 
 def _parse_snr(key, text):
-    value = _parse_float(key, text)
-    # +inf is a noiseless run; NaN and -inf have no meaning as an SNR
-    if math.isnan(value) or value == -math.inf:
-        raise ConfigError(f"key '{key}': must be a number or inf, got {value}")
-    return value
+    return _in_range(_check_snr, key, _parse_float(key, text))
 
 
 def _parse_int(key, text, low=1):

@@ -33,19 +33,24 @@ and both protocols.
   cache. Block length never changes a bit of the results.
 * Weights and regressors are stored coefficient-major, (K, cells,
   trials), so every per-step operation runs on contiguous (cells, trials)
-  slabs. The prediction ``w . u`` and the clean desired signal ``h . u``
-  add their K product slabs by one fixed plan (``_sum_plan``) that repeats
-  numpy's pairwise summation order for a row of length K, which keeps
-  each trial bit-identical to the scalar steps in ``adapt``.
+  slabs; with more than one cell, a step's regressors are copied to every
+  cell first, so that no per-step product broadcasts them. The prediction
+  ``w . u`` and the clean desired signal ``h . u`` add their K product
+  slabs by one fixed plan (``_sum_plan``) that repeats numpy's pairwise
+  summation order for a row of length K, which keeps each trial
+  bit-identical to the scalar steps in ``adapt``; each pass of its eight
+  accumulators is one addition over eight consecutive slabs.
 * Every kernel buffer starts on a 4 KiB page (``_ALIGN``). A per-step
   output that starts a few bytes past one of its inputs modulo 4 KiB makes
   the core's loads wait on its stores (4K aliasing), and such a slab
   product takes up to twice as long. Page-aligned buffers of one shape
   share their offset, and a broadcast operand sits whole rows away.
-* The kernel forms each block's squared error, NWD and weight error
-  ``h - w``, and applies the divergence guard, in buffers reused by every
-  block. ``run_trial`` and the averages only reduce them, into full
-  per-trial curves or into per-cell sums over trials.
+* The kernel forms each block's squared error, NWD and absolute weight
+  error ``|h - w|``, and applies the divergence guard, in buffers reused
+  by every block; the error is formed in place over the block's weight
+  history, once the weights of its last row are kept. ``run_trial`` and
+  the averages only reduce them, into full per-trial curves or into
+  per-cell sums over trials.
 * Every chunk adds its curve sums straight into one set of run totals.
   Trials are deterministic and independent, so the cells of a chunk in
   which some (cell, trial) pair diverged are replayed, alone, with the
@@ -416,29 +421,55 @@ def _draw_chunk(seeds, channel: ChannelSpec, iterations: int, random_init: bool)
     return h, w0, x_rngs, z_rngs
 
 
-def _sum_plan(n: int) -> tuple[list[tuple[int, int, int]], int]:
+def _sum_plan(n: int) -> tuple[list[tuple], int, int]:
     """Additions ``slot[out] = slot[a] + slot[b]``, as triples
     ``(a, b, out)``, that sum the values in slots ``0 .. n-1`` in the
     order numpy's pairwise summation adds a contiguous vector of length
-    ``n``; and the slot that ends up holding the sum.
+    ``n``; the slot that ends up holding the sum; and the number of slots
+    the plan uses. An addition of one value names its slots by index, an
+    addition of eight by a slice of eight consecutive slots.
 
     * ``n < 8``: sequentially.
-    * ``8 <= n <= 128``: eight accumulators take whole blocks of eight, are
-      combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the
-      remainder is added sequentially.
+    * ``8 <= n <= 128``: eight accumulators take whole blocks of eight, one
+      addition over eight slots per block, are combined as
+      ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the remainder is added
+      sequentially. So n = 44 takes 16 additions, not 44.
     * ``n > 128``: the two halves, split at ``n // 2`` rounded down to a
       multiple of 8, are summed this way and then added.
 
     Like numpy's, the sum starts from +0.0, which slot ``n`` must hold: it
-    turns an all-(-0.0) sum into +0.0. The plan uses ``n + 2`` slots and
-    never writes to an operand of its own addition: numpy runs such
-    in-place calls more slowly on small slabs, as at batch 1.
+    turns an all-(-0.0) sum into +0.0. No addition writes slot ``n`` or a
+    slot of its own operands: numpy runs such in-place calls more slowly on
+    small slabs, as at batch 1, and copies overlapping ranges first. An
+    addition of one value writes the slot freed last, one of eight the
+    lowest eight free consecutive slots; slots are added past the end only
+    when none fit, so below 16 values the plan uses ``n + 2`` slots.
     """
-    adds = []  # (a, b) value ids; value n + 1 + i is the sum made by adds[i]
+    plan, free, size = [], [], n + 1
 
-    def add(a, b):
-        adds.append((a, b))
-        return n + len(adds)
+    def take(width):
+        """The first of ``width`` free consecutive slots, which are no
+        longer free."""
+        nonlocal size
+        if width == 1 and free:
+            return free.pop()
+        start = next((s for s in sorted(free)
+                      if all(s + j in free or s + j >= size for j in range(width))),
+                     size)
+        for s in range(start, start + width):
+            if s in free:
+                free.remove(s)
+        size = max(size, start + width)
+        return start
+
+    def add(a, b, width=1):
+        out = take(width)
+        plan.append((a, b, out) if width == 1 else
+                    tuple(slice(i, i + width) for i in (a, b, out)))
+        # the operands' slots, but the +0.0's, are free once the sum is made
+        free.extend(s for s in (*range(a, a + width), *range(b, b + width))
+                    if s != n)
+        return out
 
     def pairwise(lo, m):
         if m < 8:
@@ -448,11 +479,11 @@ def _sum_plan(n: int) -> tuple[list[tuple[int, int, int]], int]:
             return acc
         if m <= 128:
             whole = lo + m - m % 8
-            r = list(range(lo, lo + 8))
+            r = lo  # the accumulators, in eight consecutive slots
             for i in range(lo + 8, whole, 8):
-                r = [add(r[j], i + j) for j in range(8)]
-            acc = add(add(add(r[0], r[1]), add(r[2], r[3])),
-                      add(add(r[4], r[5]), add(r[6], r[7])))
+                r = add(r, i, 8)
+            acc = add(add(add(r, r + 1), add(r + 2, r + 3)),
+                      add(add(r + 4, r + 5), add(r + 6, r + 7)))
             for i in range(whole, lo + m):
                 acc = add(acc, i)
             return acc
@@ -460,14 +491,7 @@ def _sum_plan(n: int) -> tuple[list[tuple[int, int, int]], int]:
         return add(pairwise(lo, half), pairwise(lo + half, m - half))
 
     total = add(pairwise(0, n), n)
-    # every value is an operand once: a sum takes a free slot, and the
-    # slots of its operands other than the +0.0 are free once it is made
-    slot, free, plan = list(range(n + 1)) + [0] * len(adds), [n + 1], []
-    for i, (a, b) in enumerate(adds):
-        slot[n + 1 + i] = free.pop()
-        plan.append((slot[a], slot[b], slot[n + 1 + i]))
-        free += [slot[v] for v in (a, b) if v != n]
-    return plan, slot[total]
+    return plan, total, size
 
 
 def _block_steps(k: int, c: int, t: int) -> int:
@@ -495,22 +519,25 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     ``h, w0 (T, K)`` and each trial's generators of its input and unit
     noise streams (``_draw_chunk``) are shared by all cells, and are used
     up; diagonal-gain cells must precede ``whitened`` ones. Yields
-    ``(row, w, e2, nwd, delta, ok)`` per block of steps of B rows:
+    ``(row, w_end, e2, nwd, err, ok)`` per block of steps of B rows, the
+    curve rows ``row .. row+B-1``:
 
-    * ``w (B, K, C, T)``: the weights at curve rows ``row .. row+B-1``,
-      coefficient-major;
+    * ``w_end (K, C, T)``: the weights at the block's last row,
+      coefficient-major, read-only (the next block steps from them);
     * ``e2 (B, C, T)``: the squared a priori errors of the steps that
-      produced them;
+      produced the block's rows;
     * ``nwd (B, C, T)``: their normalized weight deviation;
-    * ``delta (B, K, C, T)``: their weight error ``h - w``;
+    * ``err (B, K, C, T)``: their absolute weight error ``|h - w|``;
     * ``ok (B, C, T)``: the guard, ``nwd <= DIVERGENCE_THRESHOLD``. NaN
       fails it, so a pair whose weights overflowed has diverged.
 
     The first yield is row 0, the initial weights, with NaN squared errors
     and a guard that passes every pair. Yielded arrays are the kernel's
-    buffers: the next block overwrites them, and a consumer may too.
-    A diverged pair keeps adapting and may overflow, so callers run under
-    ``np.errstate`` and mask it.
+    buffers: the next block overwrites them, and a consumer may too, all
+    but ``w_end``. The weights of a block's other rows are not kept: a
+    consumer that needs the weights at some row runs the kernel that many
+    iterations. A diverged pair keeps adapting and may overflow, so
+    callers run under ``np.errstate`` and mask it.
 
     A block holds ``_block_steps(K, C, T)`` steps: up to 16, fewer when
     16 steps of weight history would exceed ``_BLOCK_BYTES`` (1 MiB, half
@@ -536,16 +563,31 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     block.
 
     Weights are stored coefficient-major so that every per-step operation
-    runs on contiguous (C, T) slabs. The prediction ``w . u`` is the
-    product's K slabs summed by ``_sum_plan``: the same additions in the
-    same order as numpy's row sum in ``adapt.predict``, so diagonal-gain
-    cells are bit-exact per trial against ``adapt.qvlms_step`` (``whitened``
-    cells differ from ``adapt.matrix_gain_step`` only in how BLAS orders
-    ``(S R^-1 S) u``). The clean desired signal ``h . u`` of a block is
-    summed by the same plan over (B, T) slabs, and its noise ``z sigma``
-    added from contiguous rows of z. The update forms ``g * (mu * e)`` per
-    (cell, trial) and broadcasts it over the coefficients. All buffers,
-    views and the per-step ufunc calls are built once per call.
+    runs on contiguous (C, T) slabs. With more than one cell, each step
+    first copies its regressors ``ut[j]`` to every cell, into
+    ``spread (K, C, T)``: a product that broadcasts over the cell axis
+    takes up to twice as long as a contiguous one, and the copy costs less
+    than that. The prediction ``w . u`` is the product's K slabs summed by
+    ``_sum_plan``: the same additions in the same order as numpy's row sum
+    in ``adapt.predict``, so diagonal-gain cells are bit-exact per trial
+    against ``adapt.qvlms_step`` (``whitened`` cells differ from
+    ``adapt.matrix_gain_step`` only in how BLAS orders ``(S R^-1 S) u``).
+    Each pass of the plan's eight accumulators over the next eight slabs
+    is one addition over eight consecutive slots, so K = 44 takes 16
+    additions; below 16 coefficients the plan adds one value at a time.
+    The clean desired signal ``h . u`` of a block is summed by the same
+    plan over (B, T) slabs, and its noise ``z sigma`` added from
+    contiguous rows of z. The update forms ``g * (mu * e)`` per (cell,
+    trial) and multiplies it into the spread regressors of every cell,
+    one contiguous product; the ``whitened`` cells' products are then
+    replaced by their step along ``S R^-1 S u``. All buffers, views and
+    the per-step ufunc calls are built once per call.
+
+    After a block's steps, the guard copies the weights of its last row to
+    ``w_last``, from which the next block steps, and then forms
+    ``|h - w|`` in place over the weight history: no second buffer of the
+    history's size exists. The NWD sums ``|h - w| |h - w|``, which has the
+    bits of ``(h - w) (h - w)``.
 
     Every buffer comes from ``_page_aligned`` and starts on a 4 KiB page,
     so buffers of one shape share their offset modulo 4 KiB; at 256
@@ -577,27 +619,9 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     hb = _page_aligned((k, c, t))
     hb[...] = h.T[:, None]
     hh = (h * h).sum(axis=1)
-    delta_buf = _page_aligned((blk, k, c, t))
     sq_buf = _page_aligned((blk, c, t))
     nwd_buf = _page_aligned((blk, c, t))
     ok_buf = _page_aligned((blk, c, t), dtype=bool)
-
-    def guarded(row, w, e):
-        """The yield of a block: its curves and guard; row 0, the initial
-        state, never diverges."""
-        b = len(w)
-        sq, cur, delta, ok = sq_buf[:b], nwd_buf[:b], delta_buf[:b], ok_buf[:b]
-        np.multiply(e, e, out=sq)
-        np.subtract(hb, w, out=delta)
-        np.einsum("bkct,bkct->bct", delta, delta, out=cur)
-        np.divide(cur, hh, out=cur)
-        np.less_equal(cur, DIVERGENCE_THRESHOLD, out=ok)
-        if not row:
-            ok[...] = True
-        return row, w, sq, cur, delta, ok
-
-    yield guarded(0, np.broadcast_to(w0.T[None, :, None], (1, k, c, t)),
-                  np.full((1, c, t), np.nan))
     seg = max(blk, _SEGMENT // blk * blk)
     # the streams of a segment, time-major: row j of x is every trial's
     # input at step j-M+1 of the segment, row j of z its unit noise at step j
@@ -612,37 +636,70 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     # regressors, and the whitened direction S R^-1 S u, coefficient-major
     ut = _page_aligned((blk, k, 1, t))
     ugt = _page_aligned((blk, k, 1, t)) if whitening is not None else None
+    # a step's regressors copied to every cell, so that no per-step product
+    # broadcasts them over the cells
+    spread = _page_aligned((k, c, t)) if c > 1 else None
+    # the weights at the last row of the latest block; consumers read them
+    # through a read-only view
     w_last = _page_aligned((k, c, t))
-    w_last[...] = w0.T[:, None]
+    w_end = w_last.view()
+    w_end.flags.writeable = False
+    plan, total, slots = _sum_plan(k)
     # the products u_k w_k, +0.0 and the partial sums of the plan; then
     # the update step (g * (mu * e)) u_k
-    work = _page_aligned((k + 2, c, t))
+    work = _page_aligned((slots, c, t))
     work[k] = 0.0
     prod = work[:k]
-    plan, total = _sum_plan(k)
     adds = [(np.add, (work[a], work[b], work[o])) for a, b, o in plan]
     scaled = _page_aligned((2, c, t))
-    stacks = [(cs, direction) for cs, direction in
-              ((slice(0, nd), ut), (slice(nd, c), ugt)) if cs.start < cs.stop]
     # the clean desired signal h . u of a block: the products h_k u_k, +0.0
     # and the same plan's partial sums, over (B, T) slabs
-    clean = _page_aligned((k + 2, blk, t))
+    clean = _page_aligned((slots, blk, t))
     clean[k] = 0.0
+
+    def guarded(row, b):
+        """The yield of a block whose ``b`` rows of weights are in
+        ``w_hist``: the weights of its last row are kept in ``w_last``, then
+        ``|h - w|`` is formed over the history, and the curves and the guard
+        from it; row 0, the initial state, never diverges."""
+        w = w_hist[:b]
+        np.copyto(w_last, w[b - 1])
+        sq, cur, ok = sq_buf[:b], nwd_buf[:b], ok_buf[:b]
+        np.multiply(e_hist[:b], e_hist[:b], out=sq)
+        err = np.abs(np.subtract(hb, w, out=w), out=w)
+        # |h - w| |h - w| has the bits of (h - w) (h - w)
+        np.einsum("bkct,bkct->bct", err, err, out=cur)
+        np.divide(cur, hh, out=cur)
+        np.less_equal(cur, DIVERGENCE_THRESHOLD, out=ok)
+        if not row:
+            ok[...] = True
+        return row, w_end, sq, cur, err, ok
+
+    w_hist[0] = w0.T[:, None]
+    e_hist[0] = np.nan
+    yield guarded(0, 1)
 
     # the ufunc calls of each step of a block: prediction, error, update
     steps = []
     for j in range(blk):
         w_prev = w_last if j == 0 else w_hist[j - 1]
-        steps.append([
-            (np.multiply, (ut[j], w_prev, prod)),
+        u = ut[j] if spread is None else spread
+        calls = [] if spread is None else [(np.copyto, (spread, ut[j]))]
+        calls += [
+            (np.multiply, (u, w_prev, prod)),
             *adds,
             (np.subtract, (d[j], work[total], e_hist[j])),
             (np.multiply, (mu, e_hist[j], scaled[0])),
             (np.multiply, (gain, scaled[0], scaled[1])),
-            *((np.multiply, (scaled[1, cs], direction[j], prod[:, cs]))
-              for cs, direction in stacks),
-            (np.add, (w_prev, prod, w_hist[j])),
-        ])
+        ]
+        # every cell's step along u, one contiguous product; the whitened
+        # cells' products are then replaced by their step along S R^-1 S u
+        if nd:
+            calls.append((np.multiply, (scaled[1], u, prod)))
+        if nd < c:
+            calls.append((np.multiply, (scaled[1, nd:], ugt[j], prod[:, nd:])))
+        calls.append((np.add, (w_prev, prod, w_hist[j])))
+        steps.append(calls)
 
     def expansion(b):
         """The ufunc calls that complete a block of ``b`` steps once its
@@ -693,8 +750,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
             for calls in steps[:b]:
                 for ufunc, operands in calls:
                     ufunc(*operands)
-            yield guarded(s0 + r0 + 1, w_hist[:b], e_hist[:b])
-            np.copyto(w_last, w_hist[b - 1])  # the next block overwrites w_hist
+            yield guarded(s0 + r0 + 1, b)
 
 
 @dataclass(frozen=True)
@@ -742,17 +798,23 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
     sq_err = np.full(n + 1, np.nan)
     div_iter = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, w, e2, cur, delta, ok in _lockstep(*draw, n, (cell,), channel):
+        for row, w_end, e2, cur, err, ok in _lockstep(*draw, n, (cell,), channel):
             bad = np.flatnonzero(~ok[:, 0, 0])
-            stop = int(bad[0]) + 1 if bad.size else len(w)
+            stop = int(bad[0]) + 1 if bad.size else len(ok)
             rows = slice(row, row + stop)
             nwd_curve[rows] = cur[:stop, 0, 0]
-            np.abs(delta[:stop, :, 0, 0], out=abs_err[rows])
+            abs_err[rows] = err[:stop, :, 0, 0]
             sq_err[rows] = e2[:stop, 0, 0]
             if bad.size:
                 div_iter = row + stop - 1
                 break
-    w_final = w[stop - 1, :, 0, 0].copy()
+        if div_iter is not None:
+            # the kernel keeps the weights of a block's last row only: the
+            # weights at the divergence come from a replay up to it
+            replay = _draw_chunk([seed], channel, n, config.random_init)
+            for _, w_end, *_ in _lockstep(*replay, div_iter, (cell,), channel):
+                pass
+    w_final = w_end[:, 0, 0].copy()
     return TrialCurves(
         nwd=nwd_curve,
         abs_weight_error=abs_err,
@@ -847,17 +909,16 @@ def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, into,
     diverged = np.zeros((c, t), dtype=bool)
     drop = None if keep is None else ~keep
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, w, sq, cur, delta, ok in _lockstep(*draw, n, cells, channel):
+        for row, _, sq, cur, err, ok in _lockstep(*draw, n, cells, channel):
             diverged |= ~ok.all(axis=0)
             if diverged.all():
                 break
             if drop is None and diverged.any(axis=1).all():
                 continue  # every cell will be replayed
-            err = np.abs(delta, out=delta)
             if drop is not None:
                 for part in (cur, err, sq):
                     np.copyto(part, 0.0, where=drop)
-            b = len(w)
+            b = len(ok)
             if b not in blocks:
                 blocks[b] = additions(b)
             part, adds = blocks[b]

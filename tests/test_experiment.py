@@ -450,16 +450,33 @@ def test_sum_plan_matches_numpy_row_sum(n):
     rows[2, ::2] = -0.0
     rows[2, 1::2] = 0.0
     rows[3] = rng.standard_normal(n) * 1e-300
-    plan, total = _sum_plan(n)
-    slots = np.empty((n + 2, len(rows)))
+    plan, total, size = _sum_plan(n)
+    slots = np.full((size, len(rows)), np.nan)
     slots[:n] = rows.T
     slots[n] = 0.0
+
+    def covered(index):
+        return set(range(size)[index]) if isinstance(index, slice) else {index}
+
     for a, b, out in plan:
-        assert out not in (a, b)
+        # one slot, or a range of eight slots in all three
+        assert len({len(covered(i)) for i in (a, b, out)}) == 1
+        assert len(covered(out)) in (1, 8)
+        assert not covered(out) & (covered(a) | covered(b))
+        assert n not in covered(out)
         np.add(slots[a], slots[b], out=slots[out])
     expected = rows.sum(axis=-1)
     assert np.array_equal(slots[total], expected)
     assert np.array_equal(np.signbit(slots[total]), np.signbit(expected))
+
+
+@pytest.mark.parametrize("n, additions, size", [
+    (9, 9, 11),     # M = 3: below 16 values, one value per addition
+    (44, 16, 53),   # M = 8: four eight-slot passes, 7 + 4 + 1 single sums
+])
+def test_sum_plan_adds_eight_accumulators_at_once(n, additions, size):
+    plan, _, slots = _sum_plan(n)
+    assert (len(plan), slots) == (additions, size)
 
 
 class TestWhitenedGain:
@@ -548,6 +565,37 @@ class TestBlockLength:
             _same_arrays(a, b, ("nwd", "abs_weight_error", "squared_error",
                                 "final_weights"))
 
+    @pytest.mark.parametrize("algorithm", ["qvlms", "vlms", "whitened"])
+    def test_diverged_trial_final_weights_match_scalar_steps(self, algorithm):
+        # the kernel keeps only a block's last weights, so run_trial replays
+        # a diverged trial up to its divergence iteration for its weights
+        cfg = small_config(iterations=150, step_size=0.1, q_values=(2.0,))
+        spec = ChannelSpec()
+        diverged = [(seed, t) for seed in trial_seeds(4, 20)[5:]
+                    if (t := run_trial(cfg, spec, seed, algorithm)).diverged]
+        assert diverged
+        gain = whitened_gain(spec)
+        qp = QParams.uniform(2.0, 9)
+        for seed, curves in diverged:
+            h, w0, x, z = _draw_trial(seed, spec, cfg.iterations, cfg.random_init)
+            sigma = math.sqrt(spec.noise_variance(h))
+            state = FilterState(w0, cfg.step_size)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for r in range(curves.divergence_iteration):
+                    u = expand_regressor(x[r:r + 3][::-1], spec.regressor_mode)
+                    desired = float((u * h).sum()) + z[r] * sigma
+                    if algorithm == "whitened":
+                        state, _ = matrix_gain_step(state, u, desired, gain)
+                    elif algorithm == "qvlms":
+                        state, _ = qvlms_step(state, u, desired, qp)
+                    else:
+                        state, _ = vlms_step(state, u, desired)
+            if algorithm == "whitened":
+                assert np.allclose(state.weights, curves.final_weights,
+                                   rtol=1e-10)
+            else:
+                assert np.array_equal(state.weights, curves.final_weights)
+
     def test_block_steps_fit_the_history_budget(self):
         assert experiment._block_steps(9, 12, 256) == 4    # protocol 2
         assert experiment._block_steps(44, 3, 256) == 3    # M = 8, three cells
@@ -630,7 +678,7 @@ class TestKernelLayout:
             if row == 0:
                 continue
             blocks += 1
-            for a in arrays:  # w, e2, nwd, delta, ok
+            for a in arrays:  # w_end, e2, nwd, err, ok
                 assert a.ctypes.data % 4096 == 0
                 assert any(np.shares_memory(a, b) for b in made)
         assert blocks >= 2
@@ -639,18 +687,19 @@ class TestKernelLayout:
         b = experiment._block_steps(k, c, t)
         seg = max(b, experiment._SEGMENT // b * b)
         whitened = any(cell.algorithm == "whitened" for cell in cells)
+        _, _, slots = experiment._sum_plan(k)
         f8, b1 = np.dtype(float).str, np.dtype(bool).str
         expected = (
-            [((b, k, c, t), f8)] * 2                   # delta_buf, w_hist
-            + [((k, c, t), f8)] * 2                    # hb, w_last
+            [((b, k, c, t), f8)]                       # w_hist
+            + [((k, c, t), f8)] * (2 + (c > 1))        # hb, w_last, spread
             + [((b, c, t), f8)] * 4                    # sq, nwd, e_hist, d
             + [((b, c, t), b1)]                        # ok_buf
             + [((seg + memory_length - 1, t), f8)]     # x, time-major
             + [((seg, t), f8)]                         # z, time-major
             + [((min(experiment._TILE, t), seg + memory_length - 1), f8)]  # tile
             + [((b, k, 1, t), f8)] * (1 + whitened)    # ut, ugt
-            + [((k + 2, c, t), f8), ((2, c, t), f8)]   # work, scaled
-            + [((k + 2, b, t), f8)]                    # clean desired signal
+            + [((slots, c, t), f8), ((2, c, t), f8)]   # work, scaled
+            + [((slots, b, t), f8)]                    # clean desired signal
             + [((c, t), f8)] * 2)                      # mu, gain
         assert sorted((a.shape, a.dtype.str) for a in made) == sorted(expected)
         assert all(a.ctypes.data % 4096 == 0 for a in made)
