@@ -22,15 +22,18 @@ and both protocols.
   kernel grows with the iteration count; only the curve sums do. The
   kernel holds a segment's streams time-major, (steps, trials), so that a
   step's input or noise for every trial is one contiguous row.
-* All cells advance together along a cell axis: diagonal-gain cells
-  (q-VLMS and VLMS, each with its own step size and gain) in one stack,
-  matrix-gain ``whitened`` cells in a second.
+* All cells advance together along a cell axis, each with its own step
+  size and gain: one update product covers every cell, and the
+  matrix-gain ``whitened`` cells then overwrite theirs with their step
+  along ``S R^-1 S u``.
 * Regressors and the clean desired signal are built for a block of steps
   at once, from contiguous rows of the streams, so the per-step loop only
-  forms the error and updates weights. A block holds up to 16 steps,
+  forms the error and updates weights. A block holds up to 64 steps,
   fewer when their weight history would exceed ``_BLOCK_BYTES`` (1 MiB,
   half the per-core L2 cache), so that the block reductions read it from
-  cache. Block length never changes a bit of the results.
+  cache: a single trial takes 64 steps, protocol 1's 3 cells x 256 trials
+  18, protocol 2's 12 cells 4, and 3 cells at M = 8 take 3. Block length
+  never changes a bit of the results.
 * Weights and regressors are stored coefficient-major, (K, cells,
   trials), so every per-step operation runs on contiguous (cells, trials)
   slabs; with more than one cell, a step's regressors are copied to every
@@ -39,7 +42,9 @@ and both protocols.
   slabs by one fixed plan (``_sum_plan``) that repeats numpy's pairwise
   summation order for a row of length K, which keeps each trial
   bit-identical to the scalar steps in ``adapt``; each pass of its eight
-  accumulators is one addition over eight consecutive slabs.
+  accumulators is one addition over eight consecutive slabs. Where a slab
+  holds one value, the prediction's K products are one contiguous row,
+  and numpy's row sum adds them in the plan's order, in one call.
 * Every kernel buffer starts on a 4 KiB page (``_ALIGN``). A per-step
   output that starts a few bytes past one of its inputs modulo 4 KiB makes
   the core's loads wait on its stores (4K aliasing), and such a slab
@@ -117,8 +122,11 @@ DIVERGENCE_THRESHOLD = 1e6
 #: Trials drawn and advanced together.
 _CHUNK = 256
 #: Most steps whose regressors are built, and whose curves are reduced, at
-#: once.
-_BLOCK = 16
+#: once. The history budget below decides wherever a block would hold more
+#: than 2,048 values a step: protocol 2 takes 4 steps, M = 8 with three
+#: cells 3, protocol 1 18; a single trial takes 64, so its guard, expansion
+#: and per-block slicing run once per 64 steps.
+_BLOCK = 64
 #: Budget of a block's weight history (B, K, cells, trials): half the
 #: per-core L2 cache, so that the block reductions read it from cache.
 _BLOCK_BYTES = 1 << 20
@@ -539,11 +547,14 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     iterations. A diverged pair keeps adapting and may overflow, so
     callers run under ``np.errstate`` and mask it.
 
-    A block holds ``_block_steps(K, C, T)`` steps: up to 16, fewer when
-    16 steps of weight history would exceed ``_BLOCK_BYTES`` (1 MiB, half
+    A block holds ``_block_steps(K, C, T)`` steps: up to 64, fewer when
+    64 steps of weight history would exceed ``_BLOCK_BYTES`` (1 MiB, half
     the per-core L2), so that the block's curves and the consumers'
-    reductions read the history from cache; 12 protocol-2 cells of 256
-    trials take 4 steps. The streams are drawn one segment at a time, the
+    reductions read the history from cache. A single trial takes 64
+    steps, so its guard, expansion and ``run_trial``'s slicing run once
+    per 64 steps; 3 protocol-1 cells of 256 trials take 18, 12 protocol-2
+    cells 4, and 3 cells at M = 8 take 3.
+    The streams are drawn one segment at a time, the
     whole number of blocks nearest ``_SEGMENT`` steps from below (at least
     one block), into time-major buffers x (S+M-1, T) and z (S, T) that
     every segment reuses; x carries the last M-1 inputs of a segment into
@@ -575,6 +586,12 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     Each pass of the plan's eight accumulators over the next eight slabs
     is one addition over eight consecutive slots, so K = 44 takes 16
     additions; below 16 coefficients the plan adds one value at a time.
+    Where a slab holds one value (C T = 1, as in every ``run_trial``), the
+    K products ``prod (K, 1, 1)`` are one contiguous row, and
+    ``np.add.reduce`` over it is numpy's pairwise row sum itself, from the
+    same +0.0, whose order the plan only repeats: one call into a free
+    slot of ``work`` gives the plan's bits, and a step makes 7 ufunc calls
+    where the plan made 15 at K = 9.
     The clean desired signal ``h . u`` of a block is summed by the same
     plan over (B, T) slabs, and its noise ``z sigma`` added from
     contiguous rows of z. The update forms ``g * (mu * e)`` per (cell,
@@ -650,7 +667,14 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     work = _page_aligned((slots, c, t))
     work[k] = 0.0
     prod = work[:k]
-    adds = [(np.add, (work[a], work[b], work[o])) for a, b, o in plan]
+    if c * t == 1:
+        # one value a slab: the K products are one contiguous row, which
+        # numpy's row sum adds in the plan's order, in one call
+        pred = work[k + 1]
+        adds = [(np.add.reduce, (prod, 0, None, pred))]
+    else:
+        adds = [(np.add, (work[a], work[b], work[o])) for a, b, o in plan]
+        pred = work[total]
     scaled = _page_aligned((2, c, t))
     # the clean desired signal h . u of a block: the products h_k u_k, +0.0
     # and the same plan's partial sums, over (B, T) slabs
@@ -688,7 +712,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
         calls += [
             (np.multiply, (u, w_prev, prod)),
             *adds,
-            (np.subtract, (d[j], work[total], e_hist[j])),
+            (np.subtract, (d[j], pred, e_hist[j])),
             (np.multiply, (mu, e_hist[j], scaled[0])),
             (np.multiply, (gain, scaled[0], scaled[1])),
         ]

@@ -479,6 +479,41 @@ def test_sum_plan_adds_eight_accumulators_at_once(n, additions, size):
     assert (len(plan), slots) == (additions, size)
 
 
+@pytest.mark.parametrize("mode", list(RegressorMode))
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_chunk_sum_plan_matches_run_trial(m, mode):
+    # run_trial, one value a slab, sums each prediction by numpy's row sum,
+    # a chunk of trials by _sum_plan: K = 2 and 5 take its sequential
+    # branch, K = 9 its eight accumulators, K = 44 its eight-slot passes
+    cfg = small_config(iterations=150, step_size=None, step_size_fraction=0.05,
+                       q_values=(3.0,))
+    spec = ChannelSpec(memory_length=m, regressor_mode=mode)
+    cells = [experiment._config_cell(cfg, spec, algorithm, 3.0, spec.snr_db)
+             for algorithm in ("qvlms", "vlms")]
+    seeds = trial_seeds(m, 5)
+    n, k, c, t = cfg.iterations, spec.num_coefficients, len(cells), len(seeds)
+    nwd_rows, e2_rows = np.empty((n + 1, c, t)), np.empty((n + 1, c, t))
+    err_rows = np.empty((n + 1, k, c, t))
+    draw = experiment._draw_chunk(seeds, spec, n, cfg.random_init)
+    for row, w_end, e2, cur, err, ok in experiment._lockstep(*draw, n, cells,
+                                                             spec):
+        assert ok.all()
+        rows = slice(row, row + len(ok))
+        nwd_rows[rows], e2_rows[rows], err_rows[rows] = cur, e2, err
+    assert row + len(ok) == n + 1
+    for i, cell in enumerate(cells):
+        for j, seed in enumerate(seeds):
+            trial = run_trial(cfg, spec, seed, cell.algorithm, 3.0)
+            for got, expected in ((err_rows[:, :, i, j], trial.abs_weight_error),
+                                  (e2_rows[:, i, j], trial.squared_error),
+                                  (w_end[:, i, j], trial.final_weights)):
+                assert got.tobytes() == expected.tobytes()
+            # einsum adds the NWD's K squares in another order for one value
+            # a slab than for more, so only its last bits may differ
+            np.testing.assert_allclose(nwd_rows[:, i, j], trial.nwd,
+                                       rtol=1e-15, atol=0)
+
+
 class TestWhitenedGain:
     @pytest.mark.parametrize("mode", list(RegressorMode))
     def test_cached_gain_is_read_only_and_equals_fresh_build(self, mode):
@@ -599,8 +634,9 @@ class TestBlockLength:
     def test_block_steps_fit_the_history_budget(self):
         assert experiment._block_steps(9, 12, 256) == 4    # protocol 2
         assert experiment._block_steps(44, 3, 256) == 3    # M = 8, three cells
-        assert experiment._block_steps(9, 3, 256) == 16    # protocol 1
-        assert experiment._block_steps(9, 1, 1) == 16      # run_trial
+        assert experiment._block_steps(9, 3, 256) == 18    # protocol 1
+        assert experiment._block_steps(9, 1, 256) == 56    # one cell
+        assert experiment._block_steps(9, 1, 1) == 64      # run_trial
         assert experiment._block_steps(10**6, 12, 256) == 1
 
 
@@ -672,9 +708,9 @@ class TestKernelLayout:
 
         monkeypatch.setattr(experiment, "_page_aligned", spy)
         spec = ChannelSpec(memory_length=memory_length)
-        draw = experiment._draw_chunk(trial_seeds(1, trials), spec, 40, True)
+        draw = experiment._draw_chunk(trial_seeds(1, trials), spec, 150, True)
         blocks = 0
-        for row, *arrays in experiment._lockstep(*draw, 40, cells, spec):
+        for row, *arrays in experiment._lockstep(*draw, 150, cells, spec):
             if row == 0:
                 continue
             blocks += 1
