@@ -23,12 +23,15 @@ and both protocols.
   kernel holds a segment's streams time-major, (steps, trials), so that a
   step's input or noise for every trial is one contiguous row.
 * All cells advance together along a cell axis, each with its own step
-  size and gain: one update product covers every cell, and the
-  matrix-gain ``whitened`` cells then overwrite theirs with their step
-  along ``S R^-1 S u``.
+  size and gain, and one update product covers every cell: once the
+  prediction has read a step's regressors, the matrix-gain ``whitened``
+  cells' copies of them are overwritten by their direction ``S R^-1 S u``.
 * Regressors and the clean desired signal are built for a block of steps
   at once, from contiguous rows of the streams, so the per-step loop only
-  forms the error and updates weights. A block holds up to 64 steps,
+  forms the error and updates weights. The quadratic terms
+  ``u_i u_i .. u_i u_M-1`` of a step are the products ``x(s) x(s-d)`` of
+  the step i earlier, so a block forms the M products of each of its
+  inputs once and copies the terms from them. A block holds up to 64 steps,
   fewer when their weight history would exceed ``_BLOCK_BYTES`` (1 MiB,
   half the per-core L2 cache), so that the block reductions read it from
   cache: a single trial takes 64 steps, protocol 1's 3 cells x 256 trials
@@ -37,14 +40,21 @@ and both protocols.
 * Weights and regressors are stored coefficient-major, (K, cells,
   trials), so every per-step operation runs on contiguous (cells, trials)
   slabs; with more than one cell, a step's regressors are copied to every
-  cell first, so that no per-step product broadcasts them. The prediction
-  ``w . u`` and the clean desired signal ``h . u`` add their K product
-  slabs by one fixed plan (``_sum_plan``) that repeats numpy's pairwise
+  cell first, and the update's step ``g (mu e)`` to every coefficient, so
+  that no per-step product broadcasts them (see numpy's buffer below).
+  The prediction ``w . u`` and the clean desired signal ``h . u`` add
+  their K product slabs by one fixed plan (``_sum_plan``) that repeats numpy's pairwise
   summation order for a row of length K, which keeps each trial
   bit-identical to the scalar steps in ``adapt``; each pass of its eight
   accumulators is one addition over eight consecutive slabs. Where a slab
   holds one value, the prediction's K products are one contiguous row,
   and numpy's row sum adds them in the plan's order, in one call.
+* numpy copies the operands of a ufunc call that do not form one
+  contiguous run through its ufunc buffer (``np.getbufsize()``, 8,192
+  elements) wherever their runs are shorter than it, and such a call
+  takes about twice as long as a contiguous one; ``np.copyto`` is not
+  buffered. So the kernel copies an operand out to a product's shape
+  rather than broadcast it over (cells, trials) slabs or rows of trials.
 * Every kernel buffer starts on a 4 KiB page (``_ALIGN``). A per-step
   output that starts a few bytes past one of its inputs modulo 4 KiB makes
   the core's loads wait on its stores (4K aliasing), and such a slab
@@ -53,7 +63,9 @@ and both protocols.
 * The kernel forms each block's squared error, NWD and absolute weight
   error ``|h - w|``, and applies the divergence guard, in buffers reused
   by every block; the error is formed in place over the block's weight
-  history, once the weights of its last row are kept. ``run_trial`` and
+  history, once the weights of its last row are kept; where a slab holds
+  one value, the error is copied K-major first, so that the NWD adds its
+  K squares in the order it does for larger slabs. ``run_trial`` and
   the averages only reduce them, into full per-trial curves or into
   per-cell sums over trials.
 * Every chunk adds its curve sums straight into one set of run totals.
@@ -66,7 +78,9 @@ and both protocols.
   until the chunk is known to leave it clean.
 
 A single trial is therefore bit-identical whichever entry point produced
-it.
+it, but for a ``whitened`` cell whose gain is a full matrix (the raw
+regressor mode): BLAS may order ``(S R^-1 S) u`` one way for one trial
+and another for several.
 """
 
 import math
@@ -568,21 +582,31 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
 
     A block's regressors are built straight into the coefficient-major
     ``ut (B, K, 1, T)`` from rows of x: the linear taps are a copy of the
-    lagged rows, the quadratic terms products of those, and in the
-    orthonormalized mode the squares become ``(x*x - 1)/sqrt(2)``. The
-    whitened direction is ``S R^-1 S`` times them, one matrix product per
-    block.
+    lagged rows, and the quadratic terms copies from the ring
+    ``g0 (B+M-1, M, T)`` of the products ``x(s) x(s-d)``, d = 0 .. M-1:
+    row M-1+j holds step j of the block, the rows before it the M-1 steps
+    before the block, carried from the last block or, before the first,
+    formed from the pre-samples. A step's terms ``u_i u_i .. u_i u_M-1``
+    are the first M-i products of the step i earlier, so a block forms the
+    M products of its inputs in one call, and in the orthonormalized mode
+    their squares' ``(x*x - 1)/sqrt(2)`` once; a product per group of
+    terms, broadcasting one tap over rows of T values, is a buffered call.
+    The whitened direction is ``S R^-1 S`` times the regressors, one
+    matrix product per block.
 
     Weights are stored coefficient-major so that every per-step operation
     runs on contiguous (C, T) slabs. With more than one cell, each step
     first copies its regressors ``ut[j]`` to every cell, into
     ``spread (K, C, T)``: a product that broadcasts over the cell axis
     takes up to twice as long as a contiguous one, and the copy costs less
-    than that. The prediction ``w . u`` is the product's K slabs summed by
-    ``_sum_plan``: the same additions in the same order as numpy's row sum
-    in ``adapt.predict``, so diagonal-gain cells are bit-exact per trial
-    against ``adapt.qvlms_step`` (``whitened`` cells differ from
-    ``adapt.matrix_gain_step`` only in how BLAS orders ``(S R^-1 S) u``).
+    than that. Once the prediction has read them, the ``whitened`` cells'
+    slabs of ``spread`` take ``S R^-1 S u`` (``ugt[j]``), so that it holds
+    every cell's update direction. The prediction ``w . u`` is the
+    product's K slabs summed by ``_sum_plan``: the same additions in the
+    same order as numpy's row sum in ``adapt.predict``, so diagonal-gain
+    cells are bit-exact per trial against ``adapt.qvlms_step``
+    (``whitened`` cells differ from ``adapt.matrix_gain_step`` only in how
+    BLAS orders ``(S R^-1 S) u``).
     Each pass of the plan's eight accumulators over the next eight slabs
     is one addition over eight consecutive slots, so K = 44 takes 16
     additions; below 16 coefficients the plan adds one value at a time.
@@ -595,16 +619,23 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     The clean desired signal ``h . u`` of a block is summed by the same
     plan over (B, T) slabs, and its noise ``z sigma`` added from
     contiguous rows of z. The update forms ``g * (mu * e)`` per (cell,
-    trial) and multiplies it into the spread regressors of every cell,
-    one contiguous product; the ``whitened`` cells' products are then
-    replaced by their step along ``S R^-1 S u``. All buffers, views and
-    the per-step ufunc calls are built once per call.
+    trial), copies it to every coefficient of ``prod`` and multiplies the
+    directions into it in place, one contiguous product with the bits of
+    ``s u``: broadcast over K, the (C, T) step would go through numpy's
+    ufunc buffer, at twice the cost of the copy and product together.
+    Where a slab holds one value, nothing is buffered, and one product
+    that broadcasts the step is cheaper than two calls. With one cell,
+    the direction is ``ut[j]`` or ``ugt[j]`` itself. All buffers, views
+    and the per-step ufunc calls are built once per call.
 
     After a block's steps, the guard copies the weights of its last row to
     ``w_last``, from which the next block steps, and then forms
     ``|h - w|`` in place over the weight history: no second buffer of the
     history's size exists. The NWD sums ``|h - w| |h - w|``, which has the
-    bits of ``(h - w) (h - w)``.
+    bits of ``(h - w) (h - w)``. einsum adds the K squares one after
+    another for slabs of more than one value, but in its own unrolled
+    order over one contiguous row, so at one value a slab the error is
+    first copied K-major into ``kmajor (K, B)``, at least two columns wide.
 
     Every buffer comes from ``_page_aligned`` and starts on a 4 KiB page,
     so buffers of one shape share their offset modulo 4 KiB; at 256
@@ -631,7 +662,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     factor = np.array([noise_variance_for_snr(1.0, cell.snr_db) for cell in cells])
     sigma = np.sqrt(factor[:, None] * channel.signal_power(h))
 
-    blk = _block_steps(k, c, t)
+    blk = min(_block_steps(k, c, t), n)
     # the channel spread to (K, C, T), so that only B broadcasts
     hb = _page_aligned((k, c, t))
     hb[...] = h.T[:, None]
@@ -639,6 +670,9 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     sq_buf = _page_aligned((blk, c, t))
     nwd_buf = _page_aligned((blk, c, t))
     ok_buf = _page_aligned((blk, c, t), dtype=bool)
+    # one value a slab: |h - w| copied K-major, so that einsum adds the K
+    # squares one after another (one column wide, it is a row again)
+    kmajor = _page_aligned((k, max(blk, 2))) if c * t == 1 else None
     seg = max(blk, _SEGMENT // blk * blk)
     # the streams of a segment, time-major: row j of x is every trial's
     # input at step j-M+1 of the segment, row j of z its unit noise at step j
@@ -653,8 +687,12 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     # regressors, and the whitened direction S R^-1 S u, coefficient-major
     ut = _page_aligned((blk, k, 1, t))
     ugt = _page_aligned((blk, k, 1, t)) if whitening is not None else None
+    # the products x(s) x(s-d), d = 0 .. M-1, of the block's steps (rows
+    # M-1 ..) and of the M-1 steps before it (rows 0 .. M-2)
+    g0 = _page_aligned((blk + m - 1, m, t))
     # a step's regressors copied to every cell, so that no per-step product
-    # broadcasts them over the cells
+    # broadcasts them over the cells; after the prediction, every cell's
+    # update direction
     spread = _page_aligned((k, c, t)) if c > 1 else None
     # the weights at the last row of the latest block; consumers read them
     # through a read-only view
@@ -692,7 +730,12 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
         np.multiply(e_hist[:b], e_hist[:b], out=sq)
         err = np.abs(np.subtract(hb, w, out=w), out=w)
         # |h - w| |h - w| has the bits of (h - w) (h - w)
-        np.einsum("bkct,bkct->bct", err, err, out=cur)
+        if kmajor is None:
+            np.einsum("bkct,bkct->bct", err, err, out=cur)
+        else:
+            col = kmajor[:, :b]
+            np.copyto(col, err[:, :, 0, 0].T)
+            np.einsum("kb,kb->b", col, col, out=cur[:, 0, 0])
         np.divide(cur, hh, out=cur)
         np.less_equal(cur, DIVERGENCE_THRESHOLD, out=ok)
         if not row:
@@ -707,23 +750,41 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     steps = []
     for j in range(blk):
         w_prev = w_last if j == 0 else w_hist[j - 1]
-        u = ut[j] if spread is None else spread
-        calls = [] if spread is None else [(np.copyto, (spread, ut[j]))]
+        # the regressors u, and every cell's direction v: u, or S R^-1 S u
+        # for the whitened cells, copied over u once the prediction has read it
+        if spread is None:
+            u, v, calls = ut[j], ut[j] if nd else ugt[j], []
+        else:
+            u = v = spread
+            calls = [(np.copyto, (spread, ut[j]))]
+        calls.append((np.multiply, (u, w_prev, prod)))
+        if spread is not None and nd < c:
+            calls.append((np.copyto, (spread[:, nd:], ugt[j])))
         calls += [
-            (np.multiply, (u, w_prev, prod)),
             *adds,
             (np.subtract, (d[j], pred, e_hist[j])),
             (np.multiply, (mu, e_hist[j], scaled[0])),
             (np.multiply, (gain, scaled[0], scaled[1])),
         ]
-        # every cell's step along u, one contiguous product; the whitened
-        # cells' products are then replaced by their step along S R^-1 S u
-        if nd:
-            calls.append((np.multiply, (scaled[1], u, prod)))
-        if nd < c:
-            calls.append((np.multiply, (scaled[1, nd:], ugt[j], prod[:, nd:])))
+        # the step g (mu e) spread over K, then multiplied by the directions
+        # in place: broadcast over K, it would pass through numpy's ufunc
+        # buffer. Do not shrink that buffer (np.setbufsize) instead: the
+        # setting would hold for any numpy call on this thread, such as
+        # perfbench's speed probe, which runs in a signal handler.
+        if c * t == 1:
+            calls.append((np.multiply, (scaled[1], v, prod)))
+        else:
+            calls += [(np.copyto, (prod, scaled[1])),
+                      (np.multiply, (prod, v, prod))]
         calls.append((np.add, (w_prev, prod, w_hist[j])))
         steps.append(calls)
+
+    def squares(col):
+        """The calls that turn the squares ``col`` into ``(x*x - 1)/sqrt(2)``
+        in the orthonormalized mode: none in the raw one."""
+        if channel.regressor_mode is RegressorMode.RAW:
+            return []
+        return [(np.subtract, (col, 1.0, col)), (np.divide, (col, SQRT2, col))]
 
     def expansion(b):
         """The ufunc calls that complete a block of ``b`` steps once its
@@ -731,15 +792,16 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
         terms, the desired signal, and the whitened direction."""
         u = ut[:b, :, 0]
         lin = u[:, :m]
-        calls = []
+        # the block's products x(s) x(s-d), and the squares' ortho form
+        calls = [(np.multiply, (lin[:, :1], lin, g0[m - 1:m - 1 + b])),
+                 *squares(g0[m - 1:m - 1 + b, 0])]
         for i in range(m):
-            # the terms u_i u_i .. u_i u_M-1, and the square's ortho form
+            # the terms u_i u_i .. u_i u_M-1 of step r are those of step r-i
             at = m + i * m - i * (i - 1) // 2
-            calls.append((np.multiply,
-                          (lin[:, i:i + 1], lin[:, i:], u[:, at:at + m - i])))
-            if channel.regressor_mode is RegressorMode.ORTHONORMALIZED:
-                calls += [(np.subtract, (u[:, at], 1.0, u[:, at])),
-                          (np.divide, (u[:, at], SQRT2, u[:, at]))]
+            calls.append((np.copyto, (u[:, at:at + m - i],
+                                      g0[m - 1 - i:m - 1 - i + b, :m - i])))
+        # the block's last M-1 steps precede the next block
+        calls.append((np.copyto, (g0[:m - 1], g0[b:b + m - 1])))
         calls.append((np.multiply,
                       (u.transpose(1, 0, 2), hb[:, :1], clean[:k, :b])))
         calls += [(np.add, tuple(clean[slot, :b] for slot in add)) for add in plan]
@@ -765,6 +827,12 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
             x[:m - 1] = x[seg:]  # only the last segment is short
         draw(x_rngs, x[(m - 1 if s0 else 0):s + m - 1])
         draw(z_rngs, z[:s])
+        if not s0:
+            # the products of the M-1 steps before the first: pre-samples
+            for i in range(1, m):
+                np.multiply(x[m - 1 - i], x[m - 1 - i::-1], out=g0[m - 1 - i, :m - i])
+            for ufunc, operands in squares(g0[:m - 1, 0]):
+                ufunc(*operands)
         for r0 in range(0, s, blk):
             b = min(blk, s - r0)
             np.copyto(ut[:b, :m, 0], windows[r0:r0 + b])
@@ -932,13 +1000,16 @@ def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, into,
     blocks = {}
     diverged = np.zeros((c, t), dtype=bool)
     drop = None if keep is None else ~keep
+    replayed = False  # every cell will be replayed
     with np.errstate(over="ignore", invalid="ignore"):
         for row, _, sq, cur, err, ok in _lockstep(*draw, n, cells, channel):
-            diverged |= ~ok.all(axis=0)
-            if diverged.all():
-                break
-            if drop is None and diverged.any(axis=1).all():
-                continue  # every cell will be replayed
+            if not ok.all():
+                diverged |= ~ok.all(axis=0)
+                if diverged.all():
+                    break
+                replayed = drop is None and diverged.any(axis=1).all()
+            if replayed:
+                continue
             if drop is not None:
                 for part in (cur, err, sq):
                     np.copyto(part, 0.0, where=drop)

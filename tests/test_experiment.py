@@ -506,12 +506,60 @@ def test_chunk_sum_plan_matches_run_trial(m, mode):
             trial = run_trial(cfg, spec, seed, cell.algorithm, 3.0)
             for got, expected in ((err_rows[:, :, i, j], trial.abs_weight_error),
                                   (e2_rows[:, i, j], trial.squared_error),
+                                  (nwd_rows[:, i, j], trial.nwd),
                                   (w_end[:, i, j], trial.final_weights)):
                 assert got.tobytes() == expected.tobytes()
-            # einsum adds the NWD's K squares in another order for one value
-            # a slab than for more, so only its last bits may differ
-            np.testing.assert_allclose(nwd_rows[:, i, j], trial.nwd,
-                                       rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("mode", list(RegressorMode))
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+@pytest.mark.parametrize("algorithms", [("qvlms", "vlms", "whitened"),
+                                        ("whitened",)], ids=["mixed", "whitened"])
+def test_chunk_matches_run_trial_across_segments(monkeypatch, m, mode,
+                                                 algorithms):
+    # 600 steps: the ring of quadratic products carries across blocks (of
+    # one step too, fewer than M - 1) and a segment boundary, and out of
+    # the pre-sample rows; with several cells every cell's update
+    # direction is spread, with one it is the cell's own
+    cfg = small_config(iterations=600, step_size=None, step_size_fraction=0.05,
+                       q_values=(3.0,))
+    spec = ChannelSpec(memory_length=m, regressor_mode=mode)
+    cells = [experiment._config_cell(cfg, spec, algorithm, 3.0, spec.snr_db)
+             for algorithm in algorithms]
+    seeds = trial_seeds(10 + m, 3)
+    n, k, c, t = cfg.iterations, spec.num_coefficients, len(cells), len(seeds)
+
+    def chunk():
+        curves = [np.empty((n + 1, c, t)), np.empty((n + 1, c, t)),
+                  np.empty((n + 1, k, c, t))]
+        draw = experiment._draw_chunk(seeds, spec, n, cfg.random_init)
+        for row, w_end, e2, cur, err, ok in experiment._lockstep(
+                *draw, n, cells, spec):
+            assert ok.all()
+            for curve, part in zip(curves, (cur, e2, err)):
+                curve[row:row + len(ok)] = part
+        return curves + [w_end.copy()]
+
+    default = chunk()
+    monkeypatch.setattr(experiment, "_BLOCK_BYTES", 1)
+    for a, b in zip(default, chunk(), strict=True):
+        assert a.tobytes() == b.tobytes()
+    monkeypatch.undo()
+    for i, cell in enumerate(cells):
+        for j, seed in enumerate(seeds):
+            trial = run_trial(cfg, spec, seed, cell.algorithm, 3.0)
+            for got, expected in ((default[0][:, i, j], trial.nwd),
+                                  (default[1][:, i, j], trial.squared_error),
+                                  (default[2][:, :, i, j], trial.abs_weight_error),
+                                  (default[3][:, i, j], trial.final_weights)):
+                if cell.algorithm == "whitened" and mode is RegressorMode.RAW:
+                    # BLAS orders S R^-1 S u, a full matrix here, one way
+                    # for one trial and another for several; a small
+                    # squared error keeps the absolute error of e
+                    np.testing.assert_allclose(got, expected, rtol=1e-10,
+                                               atol=1e-15)
+                else:
+                    assert got.tobytes() == expected.tobytes()
 
 
 class TestWhitenedGain:
@@ -734,6 +782,8 @@ class TestKernelLayout:
             + [((seg, t), f8)]                         # z, time-major
             + [((min(experiment._TILE, t), seg + memory_length - 1), f8)]  # tile
             + [((b, k, 1, t), f8)] * (1 + whitened)    # ut, ugt
+            + [((b + memory_length - 1, memory_length, t), f8)]  # g0 ring
+            + [((k, max(b, 2)), f8)] * (c * t == 1)    # K-major |h - w|
             + [((slots, c, t), f8), ((2, c, t), f8)]   # work, scaled
             + [((slots, b, t), f8)]                    # clean desired signal
             + [((c, t), f8)] * 2)                      # mu, gain
