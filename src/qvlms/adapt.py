@@ -6,9 +6,10 @@ LMS step exactly. States are immutable values and every step function
 returns a fresh state, so independent trials can run on any number of
 workers without shared mutable state.
 
-Arithmetic-cost accounting uses one fixed convention so that an n-step run
-reads exactly ``n * (3K + 1)`` multiplications and ``n * 2K`` additions:
-K multiplications and K-1 additions for the prediction, one addition for
+Arithmetic-cost accounting counts the operations a step performs, so an
+n-step run reads exactly ``n * (3K + 1)`` multiplications and ``n * 2K``
+additions: K multiplications and K-1 additions for the prediction, whose
+products are added left to right, one after another; one addition for
 the error, one multiplication for ``mu * e``, K for ``g_i * (mu e)``, K for
 the product with ``u_i`` and K additions for the weight accumulate.
 """
@@ -90,13 +91,15 @@ class FilterState:
 def predict(state: FilterState, u) -> tuple[FilterState, float]:
     """Filter output ``w . u`` plus the state with counters advanced.
 
-    Charges K multiplications and K-1 additions.
+    The K products are added left to right, the first one first,
+    ``((w0 u0 + w1 u1) + w2 u2) + ...``, as the experiment kernel adds
+    them. Charges K multiplications and K-1 additions.
     """
     v = np.asarray(u, dtype=np.float64)
     k = state.weights.size
     if v.shape != (k,):
         raise ValueError(f"regressor length {v.size} != weight length {k}")
-    y = float((state.weights * v).sum())
+    y = float(np.add.accumulate(state.weights * v)[-1])
     state = replace(state, mul_count=state.mul_count + k,
                     add_count=state.add_count + k - 1)
     return state, y

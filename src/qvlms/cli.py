@@ -7,7 +7,8 @@ plot series (no header, space-separated; a float by its repr, NaN as
 empty), and a JSON manifest carrying the resolved configuration, tool,
 Python and numpy versions, master seed and output paths. ``qvlms rerun
 manifest.json`` rebuilds the spec from the manifest, reproduces every
-table byte for byte, and warns when the Python or numpy version differs.
+table byte for byte, and warns when the tool, Python or numpy version
+differs.
 
 Config files are flat ``key = value`` text ('#' starts a comment), each
 key at most once. Each protocol takes only the keys of its entry in
@@ -325,8 +326,8 @@ def _averaged_tables(name: str, cells) -> list:
 
 
 def _environment() -> dict:
-    """Versions the outputs' bits depend on: the kernel reproduces numpy's
-    summation order, and numpy's generators and math follow the release."""
+    """Versions, besides the tool's own, that the outputs' bits depend on:
+    numpy's generators and math follow the release."""
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
@@ -515,7 +516,8 @@ def cmd_rerun(args) -> int:
     if not isinstance(recorded, dict):
         raise ConfigError(f"key 'environment': expected an object, got {recorded!r}")
     spec = RunSpec.from_manifest(manifest)
-    for name, version in _environment().items():
+    recorded = {**recorded, "qvlms": manifest.get("version", __version__)}
+    for name, version in {"qvlms": __version__, **_environment()}.items():
         if recorded.get(name, version) != version:
             print(f"warning: manifest was written with {name} "
                   f"{recorded[name]}, this is {name} {version}; outputs may "

@@ -9,78 +9,34 @@ divergence guard applied: a trial whose normalized weight deviation
 exceeds ``DIVERGENCE_THRESHOLD`` is marked at the triggering iteration and
 excluded from the averages (never silently dropped).
 
-One streaming kernel runs every simulation: ``run_trial``, ``monte_carlo``
-and both protocols.
+One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
+``monte_carlo`` and both protocols. It keeps these invariants:
 
+* A trial's curves and final weights have the same bits whichever entry
+  point ran it, beside whichever cells and trials, at any block or
+  segment length. Diagonal-gain trials have the bits of the scalar
+  ``adapt.qvlms_step`` / ``vlms_step``: the prediction ``w . u`` and the
+  clean desired signal ``h . u`` add their K terms left to right, the
+  first one first, as ``adapt.predict`` does. The one exception is a
+  ``whitened`` cell whose gain is a full matrix (the raw regressor mode):
+  BLAS may order ``(S R^-1 S) u`` one way for one trial and another for
+  several.
 * Each trial's channel, initial weights, input and unit noise streams are
-  drawn once per run, one chunk of trials at a time, and shared by every
-  (algorithm, q, SNR) cell; SNR only rescales the noise. A chunk's seeds
-  are built when it is reached, and its draws are dropped before the next
-  chunk is drawn, so memory does not grow with the trial count. The input
-  and noise streams are drawn one segment of about ``_SEGMENT`` (512)
-  steps at a time from two generators per trial, and no buffer of the
-  kernel grows with the iteration count; only the curve sums do. The
-  kernel holds a segment's streams time-major, (steps, trials), so that a
-  step's input or noise for every trial is one contiguous row.
-* All cells advance together along a cell axis, each with its own step
-  size and gain, and one update product covers every cell: once the
-  prediction has read a step's regressors, the matrix-gain ``whitened``
-  cells' copies of them are overwritten by their direction ``S R^-1 S u``.
-* Regressors and the clean desired signal are built for a block of steps
-  at once, from contiguous rows of the streams, so the per-step loop only
-  forms the error and updates weights. The quadratic terms
-  ``u_i u_i .. u_i u_M-1`` of a step are the products ``x(s) x(s-d)`` of
-  the step i earlier, so a block forms the M products of each of its
-  inputs once and copies the terms from them. A block holds up to 64 steps,
-  fewer when their weight history would exceed ``_BLOCK_BYTES`` (1 MiB,
-  half the per-core L2 cache), so that the block reductions read it from
-  cache: a single trial takes 64 steps, protocol 1's 3 cells x 256 trials
-  18, protocol 2's 12 cells 4, and 3 cells at M = 8 take 3. Block length
-  never changes a bit of the results.
-* Weights and regressors are stored coefficient-major, (K, cells,
-  trials), so every per-step operation runs on contiguous (cells, trials)
-  slabs; with more than one cell, a step's regressors are copied to every
-  cell first, and the update's step ``g (mu e)`` to every coefficient, so
-  that no per-step product broadcasts them (see numpy's buffer below).
-  The prediction ``w . u`` and the clean desired signal ``h . u`` add
-  their K product slabs by one fixed plan (``_sum_plan``) that repeats numpy's pairwise
-  summation order for a row of length K, which keeps each trial
-  bit-identical to the scalar steps in ``adapt``; each pass of its eight
-  accumulators is one addition over eight consecutive slabs. Where a slab
-  holds one value, the prediction's K products are one contiguous row,
-  and numpy's row sum adds them in the plan's order, in one call.
-* numpy copies the operands of a ufunc call that do not form one
-  contiguous run through its ufunc buffer (``np.getbufsize()``, 8,192
-  elements) wherever their runs are shorter than it, and such a call
-  takes about twice as long as a contiguous one; ``np.copyto`` is not
-  buffered. So the kernel copies an operand out to a product's shape
-  rather than broadcast it over (cells, trials) slabs or rows of trials.
-* Every kernel buffer starts on a 4 KiB page (``_ALIGN``). A per-step
-  output that starts a few bytes past one of its inputs modulo 4 KiB makes
-  the core's loads wait on its stores (4K aliasing), and such a slab
-  product takes up to twice as long. Page-aligned buffers of one shape
-  share their offset, and a broadcast operand sits whole rows away.
-* The kernel forms each block's squared error, NWD and absolute weight
-  error ``|h - w|``, and applies the divergence guard, in buffers reused
-  by every block; the error is formed in place over the block's weight
-  history, once the weights of its last row are kept; where a slab holds
-  one value, the error is copied K-major first, so that the NWD adds its
-  K squares in the order it does for larger slabs. ``run_trial`` and
-  the averages only reduce them, into full per-trial curves or into
-  per-cell sums over trials.
-* Every chunk adds its curve sums straight into one set of run totals.
-  Trials are deterministic and independent, so the cells of a chunk in
-  which some (cell, trial) pair diverged are replayed, alone, with the
-  diverged pairs left out of the sums; the kept trials come out
-  unchanged, and the other cells keep their sums. A cell that diverges
-  for the first time has its totals rebuilt by replaying the earlier
-  chunks for it too; from then on its sums of a chunk are kept apart
-  until the chunk is known to leave it clean.
-
-A single trial is therefore bit-identical whichever entry point produced
-it, but for a ``whitened`` cell whose gain is a full matrix (the raw
-regressor mode): BLAS may order ``(S R^-1 S) u`` one way for one trial
-and another for several.
+  drawn once per run and shared by every (algorithm, q, SNR) cell; SNR
+  only rescales the noise, so comparisons between cells are paired.
+* Trials run one chunk of ``_CHUNK`` at a time, their streams are drawn
+  one segment of about ``_SEGMENT`` steps at a time, and their weights are
+  kept one block of steps at a time, in buffers that every segment and
+  block of a chunk reuses: no kernel buffer grows with the trial or the
+  iteration count. The run's curve sums, (N+1) x cells x (K+2) doubles,
+  grow with the iterations, and ``protocol1``'s initial errors (trials, K)
+  with the trials.
+* The kernel applies the divergence guard, once for every caller. A
+  chunk's cells in which some trial diverged are replayed alone with the
+  diverged trials left out of their sums, and a cell that first diverges
+  in a later chunk has its totals rebuilt by replaying the earlier chunks
+  for it; so each cell's averages have the bits of a run of that cell
+  alone.
 """
 
 import math
@@ -443,77 +399,15 @@ def _draw_chunk(seeds, channel: ChannelSpec, iterations: int, random_init: bool)
     return h, w0, x_rngs, z_rngs
 
 
-def _sum_plan(n: int) -> tuple[list[tuple], int, int]:
-    """Additions ``slot[out] = slot[a] + slot[b]``, as triples
-    ``(a, b, out)``, that sum the values in slots ``0 .. n-1`` in the
-    order numpy's pairwise summation adds a contiguous vector of length
-    ``n``; the slot that ends up holding the sum; and the number of slots
-    the plan uses. An addition of one value names its slots by index, an
-    addition of eight by a slice of eight consecutive slots.
-
-    * ``n < 8``: sequentially.
-    * ``8 <= n <= 128``: eight accumulators take whole blocks of eight, one
-      addition over eight slots per block, are combined as
-      ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the remainder is added
-      sequentially. So n = 44 takes 16 additions, not 44.
-    * ``n > 128``: the two halves, split at ``n // 2`` rounded down to a
-      multiple of 8, are summed this way and then added.
-
-    Like numpy's, the sum starts from +0.0, which slot ``n`` must hold: it
-    turns an all-(-0.0) sum into +0.0. No addition writes slot ``n`` or a
-    slot of its own operands: numpy runs such in-place calls more slowly on
-    small slabs, as at batch 1, and copies overlapping ranges first. An
-    addition of one value writes the slot freed last, one of eight the
-    lowest eight free consecutive slots; slots are added past the end only
-    when none fit, so below 16 values the plan uses ``n + 2`` slots.
-    """
-    plan, free, size = [], [], n + 1
-
-    def take(width):
-        """The first of ``width`` free consecutive slots, which are no
-        longer free."""
-        nonlocal size
-        if width == 1 and free:
-            return free.pop()
-        start = next((s for s in sorted(free)
-                      if all(s + j in free or s + j >= size for j in range(width))),
-                     size)
-        for s in range(start, start + width):
-            if s in free:
-                free.remove(s)
-        size = max(size, start + width)
-        return start
-
-    def add(a, b, width=1):
-        out = take(width)
-        plan.append((a, b, out) if width == 1 else
-                    tuple(slice(i, i + width) for i in (a, b, out)))
-        # the operands' slots, but the +0.0's, are free once the sum is made
-        free.extend(s for s in (*range(a, a + width), *range(b, b + width))
-                    if s != n)
-        return out
-
-    def pairwise(lo, m):
-        if m < 8:
-            acc = lo
-            for i in range(lo + 1, lo + m):
-                acc = add(acc, i)
-            return acc
-        if m <= 128:
-            whole = lo + m - m % 8
-            r = lo  # the accumulators, in eight consecutive slots
-            for i in range(lo + 8, whole, 8):
-                r = add(r, i, 8)
-            acc = add(add(add(r, r + 1), add(r + 2, r + 3)),
-                      add(add(r + 4, r + 5), add(r + 6, r + 7)))
-            for i in range(whole, lo + m):
-                acc = add(acc, i)
-            return acc
-        half = m // 2 - m // 2 % 8
-        return add(pairwise(lo, half), pairwise(lo + half, m - half))
-
-    total = add(pairwise(0, n), n)
-    return plan, total, size
+def _sum_call(terms, out):
+    """The ufunc call that adds the K slabs of ``terms`` left to right,
+    ``((t0 + t1) + t2) + ...``, into ``out[-1]``. Where a slab holds one
+    value, numpy would add the K values pairwise, so their running sums are
+    formed into the K slabs of ``out`` instead; otherwise ``out`` needs one
+    slab. The reduction starts from -0.0, which leaves ``t0`` as it is."""
+    if terms[0].size == 1:
+        return np.add.accumulate, (terms, 0, None, out)
+    return np.add.reduce, (terms, 0, None, out[-1], False, -0.0)
 
 
 def _block_steps(k: int, c: int, t: int) -> int:
@@ -561,89 +455,47 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     iterations. A diverged pair keeps adapting and may overflow, so
     callers run under ``np.errstate`` and mask it.
 
-    A block holds ``_block_steps(K, C, T)`` steps: up to 64, fewer when
-    64 steps of weight history would exceed ``_BLOCK_BYTES`` (1 MiB, half
-    the per-core L2), so that the block's curves and the consumers'
-    reductions read the history from cache. A single trial takes 64
-    steps, so its guard, expansion and ``run_trial``'s slicing run once
-    per 64 steps; 3 protocol-1 cells of 256 trials take 18, 12 protocol-2
-    cells 4, and 3 cells at M = 8 take 3.
-    The streams are drawn one segment at a time, the
-    whole number of blocks nearest ``_SEGMENT`` steps from below (at least
-    one block), into time-major buffers x (S+M-1, T) and z (S, T) that
-    every segment reuses; x carries the last M-1 inputs of a segment into
-    the next. A generator fills contiguous values only, so ``_TILE``
-    trials at a time draw into a trial-major tile that is then written
-    across x or z; no second buffer of a segment's size exists. So no
-    buffer grows with the iteration count. Neither block nor segment
-    length changes a bit of the results: the regressors, the desired
-    signal and the prediction's additions are elementwise per step, and
-    the curves and the consumers reduce along K or T only.
+    Every buffer is allocated once per call and comes from
+    ``_page_aligned``: a per-step output that starts a few bytes past one
+    of its inputs modulo 4 KiB makes the core's loads wait on its stores
+    (4K aliasing), while page-aligned buffers of one shape share their
+    offset. The layout:
 
-    A block's regressors are built straight into the coefficient-major
-    ``ut (B, K, 1, T)`` from rows of x: the linear taps are a copy of the
-    lagged rows, and the quadratic terms copies from the ring
-    ``g0 (B+M-1, M, T)`` of the products ``x(s) x(s-d)``, d = 0 .. M-1:
-    row M-1+j holds step j of the block, the rows before it the M-1 steps
-    before the block, carried from the last block or, before the first,
-    formed from the pre-samples. A step's terms ``u_i u_i .. u_i u_M-1``
-    are the first M-i products of the step i earlier, so a block forms the
-    M products of its inputs in one call, and in the orthonormalized mode
-    their squares' ``(x*x - 1)/sqrt(2)`` once; a product per group of
-    terms, broadcasting one tap over rows of T values, is a buffered call.
-    The whitened direction is ``S R^-1 S`` times the regressors, one
-    matrix product per block.
-
-    Weights are stored coefficient-major so that every per-step operation
-    runs on contiguous (C, T) slabs. With more than one cell, each step
-    first copies its regressors ``ut[j]`` to every cell, into
-    ``spread (K, C, T)``: a product that broadcasts over the cell axis
-    takes up to twice as long as a contiguous one, and the copy costs less
-    than that. Once the prediction has read them, the ``whitened`` cells'
-    slabs of ``spread`` take ``S R^-1 S u`` (``ugt[j]``), so that it holds
-    every cell's update direction. The prediction ``w . u`` is the
-    product's K slabs summed by ``_sum_plan``: the same additions in the
-    same order as numpy's row sum in ``adapt.predict``, so diagonal-gain
-    cells are bit-exact per trial against ``adapt.qvlms_step``
-    (``whitened`` cells differ from ``adapt.matrix_gain_step`` only in how
-    BLAS orders ``(S R^-1 S) u``).
-    Each pass of the plan's eight accumulators over the next eight slabs
-    is one addition over eight consecutive slots, so K = 44 takes 16
-    additions; below 16 coefficients the plan adds one value at a time.
-    Where a slab holds one value (C T = 1, as in every ``run_trial``), the
-    K products ``prod (K, 1, 1)`` are one contiguous row, and
-    ``np.add.reduce`` over it is numpy's pairwise row sum itself, from the
-    same +0.0, whose order the plan only repeats: one call into a free
-    slot of ``work`` gives the plan's bits, and a step makes 7 ufunc calls
-    where the plan made 15 at K = 9.
-    The clean desired signal ``h . u`` of a block is summed by the same
-    plan over (B, T) slabs, and its noise ``z sigma`` added from
-    contiguous rows of z. The update forms ``g * (mu * e)`` per (cell,
-    trial), copies it to every coefficient of ``prod`` and multiplies the
-    directions into it in place, one contiguous product with the bits of
-    ``s u``: broadcast over K, the (C, T) step would go through numpy's
-    ufunc buffer, at twice the cost of the copy and product together.
-    Where a slab holds one value, nothing is buffered, and one product
-    that broadcasts the step is cheaper than two calls. With one cell,
-    the direction is ``ut[j]`` or ``ugt[j]`` itself. All buffers, views
-    and the per-step ufunc calls are built once per call.
-
-    After a block's steps, the guard copies the weights of its last row to
-    ``w_last``, from which the next block steps, and then forms
-    ``|h - w|`` in place over the weight history: no second buffer of the
-    history's size exists. The NWD sums ``|h - w| |h - w|``, which has the
-    bits of ``(h - w) (h - w)``. einsum adds the K squares one after
-    another for slabs of more than one value, but in its own unrolled
-    order over one contiguous row, so at one value a slab the error is
-    first copied K-major into ``kmajor (K, B)``, at least two columns wide.
-
-    Every buffer comes from ``_page_aligned`` and starts on a 4 KiB page,
-    so buffers of one shape share their offset modulo 4 KiB; at 256
-    trials a (C, T) row is 2 KiB, and every slab a step reads or writes
-    starts 0 or 2 KiB from the others. Buffers left to the allocator can
-    start a few bytes apart modulo 4 KiB, and a product whose output
-    starts 8 to 48 bytes past an input runs up to twice as long: 9.2 us
-    against 18-20 us for one 27,648-double protocol-2 slab.
+    * ``x (S+M-1, T)`` and ``z (S, T)``: a segment's input and unit noise,
+      time-major, so that a step's values for every trial are one
+      contiguous row. S is the whole number of blocks nearest
+      ``_SEGMENT`` from below, at least one; x carries a segment's last
+      M-1 inputs into the next. A generator fills contiguous values only,
+      so ``_TILE`` trials at a time draw into the trial-major ``tile``,
+      which is then written across x or z.
+    * Per block of B = ``_block_steps(K, C, T)`` steps: the regressors
+      ``ut (B, K, 1, T)``, coefficient-major. The linear taps are copied
+      from lagged rows of x, the quadratic terms from the ring
+      ``g0 (B+M-1, M, T)`` of the products ``x(s) x(s-d)``, d = 0 .. M-1,
+      in which row M-1+j holds step j and the rows before it the M-1 steps
+      before the block: a step's terms ``u_i u_i .. u_i u_M-1`` are the
+      first M-i products of the step i earlier. ``ugt`` holds the whitened
+      direction ``S R^-1 S u`` (one matrix product a block), ``clean`` the
+      products ``h_k u_k`` and their sum, ``d (B, C, T)`` the desired
+      signal, and ``w_hist (B, K, C, T)`` and ``e_hist (B, C, T)`` the
+      weights and errors of the block's steps. Once ``w_last`` keeps the
+      weights of the last row, the guard forms ``|h - w|`` in place over
+      ``w_hist``.
+    * Per step, on contiguous (C, T) slabs: ``work`` holds the products
+      ``u_k w_k`` and the prediction, their sum (``_sum_call``). With more
+      than one cell, ``spread (K, C, T)`` holds the step's regressors
+      copied to every cell, and, once the prediction has read them, every
+      cell's update direction (``ugt[j]`` for the ``whitened`` cells). The
+      step ``g (mu e)`` is copied over the products and the directions are
+      multiplied into it in place. No per-step call broadcasts an operand
+      over slabs: numpy passes operands that do not form one contiguous
+      run through its ufunc buffer, at about twice the cost, and
+      ``np.copyto`` is not buffered. Where a slab holds one value nothing
+      is buffered, and the step's product broadcasts it.
+    * ``kmajor (K, B)``: where a slab holds one value, ``|h - w|`` copied
+      K-major, so that einsum adds the NWD's K squares one after another
+      as it does for larger slabs; over one contiguous row it adds them in
+      its own unrolled order.
     """
     t, k = h.shape
     n, m, c = int(iterations), channel.memory_length, len(cells)
@@ -670,8 +522,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     sq_buf = _page_aligned((blk, c, t))
     nwd_buf = _page_aligned((blk, c, t))
     ok_buf = _page_aligned((blk, c, t), dtype=bool)
-    # one value a slab: |h - w| copied K-major, so that einsum adds the K
-    # squares one after another (one column wide, it is a row again)
+    # at least two columns: one column wide, |h - w| is a row again
     kmajor = _page_aligned((k, max(blk, 2))) if c * t == 1 else None
     seg = max(blk, _SEGMENT // blk * blk)
     # the streams of a segment, time-major: row j of x is every trial's
@@ -684,40 +535,21 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     w_hist = _page_aligned((blk, k, c, t))
     e_hist = _page_aligned((blk, c, t))
     d = _page_aligned((blk, c, t))
-    # regressors, and the whitened direction S R^-1 S u, coefficient-major
     ut = _page_aligned((blk, k, 1, t))
     ugt = _page_aligned((blk, k, 1, t)) if whitening is not None else None
-    # the products x(s) x(s-d), d = 0 .. M-1, of the block's steps (rows
-    # M-1 ..) and of the M-1 steps before it (rows 0 .. M-2)
     g0 = _page_aligned((blk + m - 1, m, t))
-    # a step's regressors copied to every cell, so that no per-step product
-    # broadcasts them over the cells; after the prediction, every cell's
-    # update direction
     spread = _page_aligned((k, c, t)) if c > 1 else None
-    # the weights at the last row of the latest block; consumers read them
-    # through a read-only view
+    # consumers read the last row's weights through a read-only view
     w_last = _page_aligned((k, c, t))
     w_end = w_last.view()
     w_end.flags.writeable = False
-    plan, total, slots = _sum_plan(k)
-    # the products u_k w_k, +0.0 and the partial sums of the plan; then
-    # the update step (g * (mu * e)) u_k
-    work = _page_aligned((slots, c, t))
-    work[k] = 0.0
-    prod = work[:k]
-    if c * t == 1:
-        # one value a slab: the K products are one contiguous row, which
-        # numpy's row sum adds in the plan's order, in one call
-        pred = work[k + 1]
-        adds = [(np.add.reduce, (prod, 0, None, pred))]
-    else:
-        adds = [(np.add, (work[a], work[b], work[o])) for a, b, o in plan]
-        pred = work[total]
+    # the products, then the prediction (or its running sums, the last of
+    # which it is); the update step overwrites the products
+    work = _page_aligned((2 * k if c * t == 1 else k + 1, c, t))
+    prod, pred = work[:k], work[-1]
     scaled = _page_aligned((2, c, t))
-    # the clean desired signal h . u of a block: the products h_k u_k, +0.0
-    # and the same plan's partial sums, over (B, T) slabs
-    clean = _page_aligned((slots, blk, t))
-    clean[k] = 0.0
+    # (B, T) slabs; at one trial, a block of one step takes K for the sum
+    clean = _page_aligned((2 * k if t == 1 else k + 1, blk, t))
 
     def guarded(row, b):
         """The yield of a block whose ``b`` rows of weights are in
@@ -761,16 +593,14 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
         if spread is not None and nd < c:
             calls.append((np.copyto, (spread[:, nd:], ugt[j])))
         calls += [
-            *adds,
+            _sum_call(prod, work[k:]),
             (np.subtract, (d[j], pred, e_hist[j])),
             (np.multiply, (mu, e_hist[j], scaled[0])),
             (np.multiply, (gain, scaled[0], scaled[1])),
         ]
-        # the step g (mu e) spread over K, then multiplied by the directions
-        # in place: broadcast over K, it would pass through numpy's ufunc
-        # buffer. Do not shrink that buffer (np.setbufsize) instead: the
-        # setting would hold for any numpy call on this thread, such as
-        # perfbench's speed probe, which runs in a signal handler.
+        # do not shrink numpy's ufunc buffer (np.setbufsize) instead of the
+        # copy: the setting would hold for any numpy call on this thread,
+        # such as perfbench's speed probe, which runs in a signal handler
         if c * t == 1:
             calls.append((np.multiply, (scaled[1], v, prod)))
         else:
@@ -804,8 +634,8 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
         calls.append((np.copyto, (g0[:m - 1], g0[b:b + m - 1])))
         calls.append((np.multiply,
                       (u.transpose(1, 0, 2), hb[:, :1], clean[:k, :b])))
-        calls += [(np.add, tuple(clean[slot, :b] for slot in add)) for add in plan]
-        calls.append((np.add, (clean[total, :b, None], d[:b], d[:b])))
+        calls.append(_sum_call(clean[:k, :b], clean[k:, :b]))
+        calls.append((np.add, (clean[-1, :b, None], d[:b], d[:b])))
         if whitening is not None:
             calls.append((np.matmul, (whitening, u, ugt[:b, :, 0])))
         return calls

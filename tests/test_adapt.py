@@ -44,15 +44,24 @@ class TestPredict:
             _, y = predict(FilterState(w, 0.1), u)
             assert y == u[i]
 
-    def test_matches_elementwise_sum_oracle(self):
-        rng = np.random.default_rng(5)
-        w = rng.standard_normal(9)
-        u = rng.standard_normal(9)
-        _, y = predict(FilterState(w, 0.1), u)
-        oracle = 0.0
-        for a, b in zip(w, u):
-            oracle += a * b
-        assert np.isclose(y, oracle, rtol=1e-14)
+    @pytest.mark.parametrize("k", [2, 5, 9, 44, 135])
+    def test_matches_elementwise_sum_oracle(self, k):
+        # the products are added left to right, the first one first; rows
+        # of mixed magnitude and sign, and rows of signed zeros: all -0.0
+        # products add to -0.0
+        rng = np.random.default_rng(k)
+        rows = rng.standard_normal((5, k)) * 10.0 ** rng.integers(-8, 9, (5, k))
+        rows[3] = -0.0
+        rows[4, ::2] = -0.0
+        rows[4, 1::2] = 0.0
+        for w in rows:
+            u = np.abs(rng.standard_normal(k))
+            _, y = predict(FilterState(w, 0.1), u)
+            oracle = w[0] * u[0]
+            for a, b in zip(w[1:], u[1:]):
+                oracle += a * b
+            assert y == oracle
+            assert np.signbit(y) == np.signbit(oracle)
 
     def test_counter_increments(self):
         state = FilterState.zeros(9, 0.1)
@@ -128,7 +137,7 @@ class TestVlmsEquivalence:
         w = w0.copy()
         trajectory = [w.copy()]
         for u, d in zip(inputs, desireds):
-            e = d - float((w * u).sum())
+            e = d - float(np.add.accumulate(w * u)[-1])
             w = w + (mu * e) * u
             trajectory.append(w.copy())
         return np.array(trajectory)

@@ -516,13 +516,24 @@ class TestRerun:
         capsys.readouterr()
         assert main(redo) == 0
         assert "warning" not in capsys.readouterr().err
+        original = json.loads(path.read_text())
+        for name in original["outputs"]:
+            assert _read(out_a / name) == _read(tmp_path / "redo" / name)
         manifest = json.loads(path.read_text())
         manifest["environment"]["numpy"] = "0.0.1"
         path.write_text(json.dumps(manifest))
         assert main(redo) == 0
         err = capsys.readouterr().err
         assert "warning" in err and "numpy 0.0.1" in err
-        assert "python" not in err
+        assert "python" not in err and "qvlms" not in err
+        # a manifest of another release of the tool, whose outputs may
+        # differ in the last bits
+        original["version"] = "0.1.0"
+        path.write_text(json.dumps(original))
+        assert main(redo) == 0
+        err = capsys.readouterr().err
+        assert f"qvlms 0.1.0, this is qvlms {__version__}" in err
+        assert "numpy" not in err
 
     def test_rerun_protocol1(self, tmp_path):
         out_a = tmp_path / "orig"

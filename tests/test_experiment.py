@@ -32,7 +32,7 @@ from qvlms.experiment import (
     trial_seeds,
     whitened_gain,
 )
-from qvlms.experiment import _chunk_seeds, _sum_plan
+from qvlms.experiment import _chunk_seeds
 from qvlms.theory import build_update_matrix, mean_weight_error_trajectory
 from qvlms.volterra import (
     RegressorMode,
@@ -57,6 +57,12 @@ def _draw_trial(seed, channel, iterations, random_init):
     x = rng.standard_normal(iterations + channel.memory_length - 1)
     z = rng.standard_normal(iterations)
     return h, w0, x, z
+
+
+def _dot(u, h):
+    """``h . u`` added left to right, the order of the kernel and of
+    ``adapt.predict``."""
+    return float(np.add.accumulate(u * h)[-1])
 
 
 def small_config(**kwargs):
@@ -208,7 +214,7 @@ class TestRunTrial:
         for r in range(cfg.iterations):
             window = x[r:r + 3][::-1]
             u = expand_regressor(window, spec.regressor_mode)
-            desired = float((u * h).sum()) + z[r] * sigma
+            desired = _dot(u, h) + z[r] * sigma
             state, _ = qvlms_step(state, u, desired, qp)
             assert np.isclose(curves.nwd[r + 1], nwd(h, state.weights),
                               rtol=1e-12, atol=0)
@@ -216,30 +222,32 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("mode", list(RegressorMode))
     @pytest.mark.parametrize("algorithm", ["qvlms", "vlms"])
-    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("m", [*range(1, 9), 15])
     def test_zero_init_final_weights_match_scalar_steps(self, m, algorithm,
                                                        mode):
-        # the kernel's summation plan must reproduce the scalar prediction
-        # for every K = 2 .. 44 (sequential and eight-accumulator branches)
-        cfg = small_config(iterations=80, step_size=None,
-                           step_size_fraction=0.05, random_init=False)
+        # the kernel adds the prediction and the desired signal in the
+        # scalar order for every K = 2 .. 44 and 135; 65 iterations end on
+        # a block of one step, whose desired signal is a running sum
         spec = ChannelSpec(memory_length=m, snr_db=20.0, regressor_mode=mode)
         seed = 100 + m
-        curves = run_trial(cfg, spec, seed, algorithm=algorithm)
-        assert not curves.diverged
+        for iterations in (65, 80):
+            cfg = small_config(iterations=iterations, step_size=None,
+                               step_size_fraction=0.05, random_init=False)
+            curves = run_trial(cfg, spec, seed, algorithm=algorithm)
+            assert not curves.diverged
 
-        h, w0, x, z = _draw_trial(seed, spec, cfg.iterations, cfg.random_init)
-        assert not w0.any()
-        sigma = math.sqrt(spec.noise_variance(h))
-        q = cfg.q_values[0] if algorithm == "qvlms" else 1.0
-        state = FilterState(w0, resolve_step_size(cfg, spec, q))
-        qp = QParams.uniform(q, spec.num_coefficients)
-        for r in range(cfg.iterations):
-            u = expand_regressor(x[r:r + m][::-1], mode)
-            desired = float((u * h).sum()) + z[r] * sigma
-            state, _ = (qvlms_step(state, u, desired, qp) if algorithm == "qvlms"
-                        else vlms_step(state, u, desired))
-        assert np.array_equal(state.weights, curves.final_weights)
+            h, w0, x, z = _draw_trial(seed, spec, iterations, cfg.random_init)
+            assert not w0.any()
+            sigma = math.sqrt(spec.noise_variance(h))
+            q = cfg.q_values[0] if algorithm == "qvlms" else 1.0
+            state = FilterState(w0, resolve_step_size(cfg, spec, q))
+            qp = QParams.uniform(q, spec.num_coefficients)
+            for r in range(iterations):
+                u = expand_regressor(x[r:r + m][::-1], mode)
+                desired = _dot(u, h) + z[r] * sigma
+                state, _ = (qvlms_step(state, u, desired, qp)
+                            if algorithm == "qvlms" else vlms_step(state, u, desired))
+            assert np.array_equal(state.weights, curves.final_weights)
 
     def test_whitened_trial_matches_matrix_gain_reference(self):
         cfg = small_config(iterations=200, step_size=0.01)
@@ -253,7 +261,7 @@ class TestRunTrial:
         state = FilterState(w0, cfg.step_size)
         for r in range(cfg.iterations):
             u = expand_regressor(x[r:r + 3][::-1], spec.regressor_mode)
-            desired = float((u * h).sum()) + z[r] * sigma
+            desired = _dot(u, h) + z[r] * sigma
             state, _ = matrix_gain_step(state, u, desired, gain)
         assert np.allclose(state.weights, curves.final_weights, rtol=1e-10)
 
@@ -441,51 +449,15 @@ class TestStreamingKernel:
                                            rtol=1e-12, atol=0, err_msg=name)
 
 
-@pytest.mark.parametrize("n", range(1, 301))
-def test_sum_plan_matches_numpy_row_sum(n):
-    # rows of mixed magnitude and sign, plus all-(-0.0) and mixed-zero rows
-    rng = np.random.default_rng(n)
-    rows = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-8, 9, (6, n))
-    rows[1] = -0.0
-    rows[2, ::2] = -0.0
-    rows[2, 1::2] = 0.0
-    rows[3] = rng.standard_normal(n) * 1e-300
-    plan, total, size = _sum_plan(n)
-    slots = np.full((size, len(rows)), np.nan)
-    slots[:n] = rows.T
-    slots[n] = 0.0
-
-    def covered(index):
-        return set(range(size)[index]) if isinstance(index, slice) else {index}
-
-    for a, b, out in plan:
-        # one slot, or a range of eight slots in all three
-        assert len({len(covered(i)) for i in (a, b, out)}) == 1
-        assert len(covered(out)) in (1, 8)
-        assert not covered(out) & (covered(a) | covered(b))
-        assert n not in covered(out)
-        np.add(slots[a], slots[b], out=slots[out])
-    expected = rows.sum(axis=-1)
-    assert np.array_equal(slots[total], expected)
-    assert np.array_equal(np.signbit(slots[total]), np.signbit(expected))
-
-
-@pytest.mark.parametrize("n, additions, size", [
-    (9, 9, 11),     # M = 3: below 16 values, one value per addition
-    (44, 16, 53),   # M = 8: four eight-slot passes, 7 + 4 + 1 single sums
-])
-def test_sum_plan_adds_eight_accumulators_at_once(n, additions, size):
-    plan, _, slots = _sum_plan(n)
-    assert (len(plan), slots) == (additions, size)
-
-
 @pytest.mark.parametrize("mode", list(RegressorMode))
-@pytest.mark.parametrize("m", [1, 2, 3, 8])
-def test_chunk_sum_plan_matches_run_trial(m, mode):
-    # run_trial, one value a slab, sums each prediction by numpy's row sum,
-    # a chunk of trials by _sum_plan: K = 2 and 5 take its sequential
-    # branch, K = 9 its eight accumulators, K = 44 its eight-slot passes
-    cfg = small_config(iterations=150, step_size=None, step_size_fraction=0.05,
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 15])
+def test_chunk_sum_matches_run_trial(m, mode):
+    # run_trial, one value a slab, adds each prediction's running sums, a
+    # chunk of trials reduces its slabs: both add left to right, for K = 2
+    # up to 135. At K = 135, 0.05 of the mean bound is not mean-square
+    # stable: one of these trials diverges in the orthonormalized mode
+    cfg = small_config(iterations=150, step_size=None,
+                       step_size_fraction=0.05 if m < 15 else 0.02,
                        q_values=(3.0,))
     spec = ChannelSpec(memory_length=m, regressor_mode=mode)
     cells = [experiment._config_cell(cfg, spec, algorithm, 3.0, spec.snr_db)
@@ -666,7 +638,7 @@ class TestBlockLength:
             with np.errstate(over="ignore", invalid="ignore"):
                 for r in range(curves.divergence_iteration):
                     u = expand_regressor(x[r:r + 3][::-1], spec.regressor_mode)
-                    desired = float((u * h).sum()) + z[r] * sigma
+                    desired = _dot(u, h) + z[r] * sigma
                     if algorithm == "whitened":
                         state, _ = matrix_gain_step(state, u, desired, gain)
                     elif algorithm == "qvlms":
@@ -771,7 +743,6 @@ class TestKernelLayout:
         b = experiment._block_steps(k, c, t)
         seg = max(b, experiment._SEGMENT // b * b)
         whitened = any(cell.algorithm == "whitened" for cell in cells)
-        _, _, slots = experiment._sum_plan(k)
         f8, b1 = np.dtype(float).str, np.dtype(bool).str
         expected = (
             [((b, k, c, t), f8)]                       # w_hist
@@ -784,8 +755,9 @@ class TestKernelLayout:
             + [((b, k, 1, t), f8)] * (1 + whitened)    # ut, ugt
             + [((b + memory_length - 1, memory_length, t), f8)]  # g0 ring
             + [((k, max(b, 2)), f8)] * (c * t == 1)    # K-major |h - w|
-            + [((slots, c, t), f8), ((2, c, t), f8)]   # work, scaled
-            + [((slots, b, t), f8)]                    # clean desired signal
+            + [((2 * k if c * t == 1 else k + 1, c, t), f8)]  # work
+            + [((2, c, t), f8)]                        # scaled
+            + [((2 * k if t == 1 else k + 1, b, t), f8)]  # clean desired signal
             + [((c, t), f8)] * 2)                      # mu, gain
         assert sorted((a.shape, a.dtype.str) for a in made) == sorted(expected)
         assert all(a.ctypes.data % 4096 == 0 for a in made)
