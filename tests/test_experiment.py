@@ -449,6 +449,35 @@ class TestStreamingKernel:
                                            rtol=1e-12, atol=0, err_msg=name)
 
 
+@pytest.mark.parametrize("n", range(1, 301))
+def test_sum_call_adds_left_to_right(n):
+    # rows of mixed magnitude and sign, plus all-(-0.0), mixed-zero and
+    # near-subnormal rows, summed as slabs of several values (one reduce)
+    # and of one value (running sums): both add t0 first, then t1, ...
+    # The slabs are laid out one after another, as in the kernel's buffers
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-8, 9, (6, n))
+    rows[1] = -0.0
+    rows[2, ::2] = -0.0
+    rows[2, 1::2] = 0.0
+    rows[3] = rng.standard_normal(n) * 1e-300
+    expected = rows[:, 0].copy()
+    for i in range(1, n):
+        expected += rows[:, i]
+    columns = np.ascontiguousarray(rows.T)
+    cases = [(columns.reshape(n, 2, 3), expected),
+             (columns.reshape(n, 1, 6), expected)]
+    cases += [(row.reshape(n, 1, 1), expected[i:i + 1])
+              for i, row in enumerate(rows)]
+    for terms, want in cases:
+        out = np.full(terms.shape, np.nan)
+        fn, args = experiment._sum_call(terms, out)
+        fn(*args)
+        got = out[-1].ravel()
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("mode", list(RegressorMode))
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 15])
 def test_chunk_sum_matches_run_trial(m, mode):
