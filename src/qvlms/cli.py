@@ -521,7 +521,7 @@ def cmd_rerun(args) -> int:
         if recorded.get(name, version) != version:
             print(f"warning: manifest was written with {name} "
                   f"{recorded[name]}, this is {name} {version}; outputs may "
-                  f"differ in the last digits", file=sys.stderr)
+                  f"differ", file=sys.stderr)
     return execute(spec, args.out)
 
 

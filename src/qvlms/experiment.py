@@ -23,7 +23,9 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
   several.
 * Each trial's channel, initial weights, input and unit noise streams are
   drawn once per run and shared by every (algorithm, q, SNR) cell; SNR
-  only rescales the noise, so comparisons between cells are paired.
+  only rescales the noise, so comparisons between cells are paired. The
+  noise comes from a generator of its own, seeded by the first child of
+  the trial's seed, so no generator draws a stream only to skip it.
 * Trials run one chunk of ``_CHUNK`` at a time, their streams are drawn
   one segment of about ``_SEGMENT`` steps at a time, and their weights are
   kept one block of steps at a time, in buffers that every segment and
@@ -116,16 +118,20 @@ _ALIGN = 4096
 # ---------------------------------------------------------------------------
 
 def nwd(h, w) -> float:
-    """Normalized weight deviation ``||h - w||^2 / ||h||^2`` (squared)."""
+    """Normalized weight deviation ``||h - w||^2 / ||h||^2`` (squared).
+
+    The kernel's arithmetic: the squares of ``h - w`` added left to right,
+    over ``(h * h).sum()``, so a trial's last NWD is ``nwd`` of its channel
+    and final weights, bit for bit."""
     hv = np.asarray(h, dtype=np.float64)
     wv = np.asarray(w, dtype=np.float64)
     if hv.shape != wv.shape or hv.ndim != 1:
         raise ValueError(f"shape mismatch: h {hv.shape}, w {wv.shape}")
-    denom = float(hv @ hv)
+    denom = float((hv * hv).sum())
     if denom == 0.0:
         raise ValueError("channel vector must be nonzero")
     diff = hv - wv
-    return float(diff @ diff) / denom
+    return float(np.add.accumulate(diff * diff)[-1]) / denom
 
 
 def nwd_db(value) -> np.ndarray | float:
@@ -287,7 +293,10 @@ def trial_seeds(master_seed: int, trials: int) -> list[np.random.SeedSequence]:
 
     Seed ``i`` is ``SeedSequence(master_seed, spawn_key=(i,))``, so the
     Monte-Carlo runs build each chunk's seeds as they reach it
-    (``_chunk_seeds``).
+    (``_chunk_seeds``). A trial draws its channel, initial weights and
+    input from ``default_rng`` of its seed, and its noise from
+    ``default_rng`` of the seed's first child,
+    ``spawn_key=(i, 0)`` (``_draw_chunk``).
     """
     return _chunk_seeds(master_seed, 0, trials)
 
@@ -374,28 +383,30 @@ def _draw_chunk(seeds, channel: ChannelSpec, iterations: int, random_init: bool)
     generators per trial, standing at the start of its input stream x
     (N+M-1 values) and of its unit noise stream z (N values).
 
-    Trial ``i`` draws h, w0, x and z, in this order, from
-    ``default_rng(seeds[i])``. The streams are not held: the kernel draws
-    them a segment at a time, and a generator gives the same values
-    whether a stream is drawn at once or in pieces, or into a tile of a
-    few trials that the kernel then writes across its time-major buffers.
-    z's generator is a second one from the same seed: it redraws h and w0,
-    then draws x once, in pieces of at most ``_SEGMENT`` values that are
-    thrown away.
+    Trial ``i`` draws h, w0 and x, in this order, from
+    ``default_rng(seed)``, and z from ``default_rng(child)``, where
+    ``seed`` is ``seeds[i]`` (an int is taken as ``SeedSequence(int)``) and
+    ``child`` is the first child that ``seed.spawn`` would give it:
+    ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,),
+    pool_size=seed.pool_size)``. The child is built, not spawned, so the
+    caller's seed is not changed and a replay draws the same streams. The
+    streams are not held: the kernel draws them a segment at a time, and a
+    generator gives the same values whether a stream is drawn at once or
+    in pieces, or into a tile of a few trials that the kernel then writes
+    across its time-major buffers.
     """
     t, k = len(seeds), channel.num_coefficients
     h, w0 = np.empty((t, k)), np.empty((t, k))
     x_rngs, z_rngs = [], []
-    x_size = iterations + channel.memory_length - 1
-    skip = np.empty(min(_SEGMENT, x_size))
     for i, seed in enumerate(seeds):
-        x_rng, z_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)
+        x_rng = np.random.default_rng(seed)
         h[i], w0[i] = _draw_head(x_rng, channel, random_init)
-        _draw_head(z_rng, channel, random_init)
-        for left in range(x_size, 0, -skip.size):
-            z_rng.standard_normal(out=skip[:min(left, skip.size)])
         x_rngs.append(x_rng)
-        z_rngs.append(z_rng)
+        z_rngs.append(np.random.default_rng(np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key + (0,),
+            pool_size=seed.pool_size)))
     return h, w0, x_rngs, z_rngs
 
 

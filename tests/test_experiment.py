@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from dataclasses import replace
@@ -43,9 +44,18 @@ from qvlms.volterra import (
 )
 
 
+def _noise_seed(seed):
+    """The first child that numpy's ``spawn`` gives a fresh copy of the
+    trial seed ``seed`` (an int or a ``SeedSequence``)."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return copy.deepcopy(seed).spawn(1)[0]
+
+
 def _draw_trial(seed, channel, iterations, random_init):
-    """Oracle of the draw order: h, w0, the whole input stream x (N+M-1)
-    and the whole unit noise stream z (N), from one generator."""
+    """Oracle of the draw order: h, w0 and the whole input stream x
+    (N+M-1) from one generator of ``seed``, and the whole unit noise stream
+    z (N) from one generator of its first child."""
     rng = np.random.default_rng(seed)
     k = channel.num_coefficients
     if channel.kernel is None:
@@ -55,7 +65,7 @@ def _draw_trial(seed, channel, iterations, random_init):
         h = channel.kernel.flat()
     w0 = rng.standard_normal(k) / np.sqrt(k) if random_init else np.zeros(k)
     x = rng.standard_normal(iterations + channel.memory_length - 1)
-    z = rng.standard_normal(iterations)
+    z = np.random.default_rng(_noise_seed(seed)).standard_normal(iterations)
     return h, w0, x, z
 
 
@@ -216,9 +226,31 @@ class TestRunTrial:
             u = expand_regressor(window, spec.regressor_mode)
             desired = _dot(u, h) + z[r] * sigma
             state, _ = qvlms_step(state, u, desired, qp)
-            assert np.isclose(curves.nwd[r + 1], nwd(h, state.weights),
-                              rtol=1e-12, atol=0)
+            assert curves.nwd[r + 1] == nwd(h, state.weights)
         assert np.array_equal(state.weights, curves.final_weights)
+
+    @pytest.mark.parametrize("iterations", [300, 301])
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_last_nwd_is_nwd_of_final_weights(self, m, mode, seed, iterations):
+        # the public nwd has the kernel's arithmetic, bit for bit
+        cfg = small_config(iterations=iterations, step_size=None,
+                           step_size_fraction=0.05)
+        spec = ChannelSpec(memory_length=m, regressor_mode=mode)
+        curves = run_trial(cfg, spec, seed)
+        assert not curves.diverged
+        assert nwd(curves.channel, curves.final_weights) == curves.nwd[-1]
+
+    def test_int_seed_is_its_seed_sequence(self):
+        cfg = small_config(iterations=150)
+        spec = ChannelSpec()
+        a = run_trial(cfg, spec, 11)
+        b = run_trial(cfg, spec, np.random.SeedSequence(11))
+        _same_arrays(a, b, ("nwd", "abs_weight_error", "squared_error",
+                            "final_weights", "channel", "initial_weights"))
+        assert (a.diverged, a.divergence_iteration) == \
+            (b.diverged, b.divergence_iteration)
 
     @pytest.mark.parametrize("mode", list(RegressorMode))
     @pytest.mark.parametrize("algorithm", ["qvlms", "vlms"])
@@ -420,7 +452,7 @@ class TestStreamingKernel:
         spec = ChannelSpec()
         cells = monte_carlo(cfg, spec)
         mask = cells[2].diverged_mask
-        assert [c.diverged for c in cells] == [0, 0, 7, 0]
+        assert [c.diverged for c in cells] == [0, 0, 9, 0]
         assert all(mask[i:i + 16].any() for i in range(0, 40, 16))
         clean = monte_carlo(replace(cfg, q_values=(2.0,)), spec)
         for a, b in zip([cells[i] for i in (0, 1, 3)], clean, strict=True):
@@ -699,6 +731,26 @@ class TestTrialSeeds:
             assert np.array_equal(a.generate_state(8), c.generate_state(8))
             assert np.array_equal(np.random.default_rng(a).standard_normal(3),
                                   np.random.default_rng(b).standard_normal(3))
+
+    @pytest.mark.parametrize("random_init", [True, False])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_each_stream_starts_its_own_generator(self, m, random_init):
+        # h, w0 and x come, in this order, from the trial seed's generator,
+        # and z's generator stands at the start of the stream of the seed's
+        # first child: nothing is drawn to be skipped. The caller's seeds
+        # spawn no child, so a replay draws the same streams
+        spec = ChannelSpec(memory_length=m)
+        seeds = [*trial_seeds(5, 3), 11]
+        h, w0, x_rngs, z_rngs = experiment._draw_chunk(seeds, spec, 40,
+                                                        random_init)
+        for i, seed in enumerate(seeds):
+            oracle = _draw_trial(seed, spec, 40, random_init)
+            assert np.array_equal(h[i], oracle[0])
+            assert np.array_equal(w0[i], oracle[1])
+            assert np.array_equal(x_rngs[i].standard_normal(40 + m - 1), oracle[2])
+            assert z_rngs[i].bit_generator.state == \
+                np.random.default_rng(_noise_seed(seed)).bit_generator.state
+        assert all(s.n_children_spawned == 0 for s in seeds[:-1])
 
     def test_monte_carlo_builds_no_seed_list_up_front(self, monkeypatch):
         cfg = small_config(trials=3, iterations=20)
@@ -1066,7 +1118,7 @@ class TestReplay:
         spec = ChannelSpec()
         calls = _spy_lockstep(monkeypatch)
         cells = monte_carlo(cfg, spec)
-        assert [c.diverged for c in cells] == [0, 0, 4, 0]
+        assert [c.diverged for c in cells] == [0, 0, 5, 0]
         assert calls == [[("qvlms", 2.0), ("qvlms", 5.0), ("vlms", None),
                           ("whitened", None)],
                          [("qvlms", 5.0)]]
