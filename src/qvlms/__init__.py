@@ -41,4 +41,4 @@ from qvlms.volterra import (
     scaling_diag,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

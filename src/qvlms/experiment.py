@@ -31,8 +31,8 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
   kept one block of steps at a time, in buffers that every segment and
   block of a chunk reuses: no kernel buffer grows with the trial or the
   iteration count. The run's curve sums, (N+1) x cells x (K+2) doubles,
-  grow with the iterations, and ``protocol1``'s initial errors (trials, K)
-  with the trials.
+  and ``protocol1``'s theory sums, (N+1) x cells, grow with the
+  iterations; nothing grows with the trials but one flag per trial-cell.
 * The kernel applies the divergence guard, once for every caller. A
   chunk's cells in which some trial diverged are replayed alone with the
   diverged trials left out of their sums, and a cell that first diverges
@@ -50,7 +50,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from qvlms.adapt import QParams, step_size_bound
 from qvlms.theory import (
-    _mean_recursion,
+    _step_powers,
+    _trajectory_blocks,
     build_update_matrix,
     gaussian_autocorrelation,
     gaussian_eigenvalues,
@@ -868,7 +869,7 @@ def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, into,
 
 
 def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
-              iterations: int, random_init: bool):
+              iterations: int, random_init: bool, update_matrices=None):
     """Average every cell over ``trials`` trials on shared per-trial draws.
 
     Trial ``i`` is drawn from ``trial_seeds(master_seed, trials)[i]``; the
@@ -878,19 +879,28 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
     order (``0.0 + x == x`` for these non-negative or NaN sums).
 
     A cell with a diverged pair in a chunk is replayed with those pairs
-    left out, from the chunk's generators set back to their start states.
-    The first time a cell diverges, its totals already hold that chunk's
-    pairs: they are zeroed and rebuilt by replaying, for that cell, the
-    earlier chunks (drawn again from their seeds) and then this one. From
-    then on the cell is *held*: a chunk's first pass adds its sums into a
-    set sized for the held cells, which is added into the totals when that
-    chunk has no diverged pair of the cell, and is otherwise dropped for
-    the replay. So each cell's totals add, chunk by chunk, the sums of its
-    kept trials, bit for bit those of a run of that cell alone, and no more
-    than the totals and the held cells' sums are alive at once. Each cell's
-    averages are divided in place, so the returned curves are views of the
-    totals. Returns the averaged curves in ``cells`` order and each trial's
-    initial weight error ``h - w0`` (trials, K).
+    left out, on the chunk drawn again from its seeds. The first time a
+    cell diverges, its totals already hold that chunk's pairs: they are
+    zeroed and rebuilt by replaying, for that cell, the earlier chunks and
+    then this one. From then on the cell is *held*: a chunk's first pass
+    adds its sums into a set sized for the held cells, which is added into
+    the totals when that chunk has no diverged pair of the cell, and is
+    otherwise dropped for the replay. So each cell's totals add, chunk by
+    chunk, the sums of its kept trials, bit for bit those of a run of that
+    cell alone, and no more than the totals and the held cells' sums are
+    alive at once. Each cell's averages are divided in place, so the
+    returned curves are views of the totals.
+
+    With ``update_matrices``, one matrix A per cell, each chunk, once its
+    passes have fixed which pairs diverged, also runs the mean recursion
+    ``delta(t) = (I - mu A) delta(t-1)`` from its kept trials' initial
+    errors ``h - w0``, as many steps per product as the kernel's blocks of
+    a full chunk hold (``theory._trajectory_blocks``), and adds the sum of
+    ``|delta(t)|`` over those trials and the coefficients into the cell's
+    column of the theory sums, (N+1, C). Returns the averaged curves in
+    ``cells`` order, and with ``update_matrices`` each cell's theory MAE
+    curve, those sums over K times its kept trials (an empty list
+    without).
     """
     # the kernel stacks diagonal-gain cells ahead of matrix-gain ones
     order = sorted(range(len(cells)), key=lambda i: cells[i].algorithm == "whitened")
@@ -898,7 +908,16 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
     c, k, n, trials = len(cells), channel.num_coefficients, int(iterations), int(trials)
     totals, held = None, []
     diverged = np.zeros((c, trials), dtype=bool)
-    initial_error = np.empty((trials, k))
+    if update_matrices is not None:
+        blk = min(_block_steps(k, c, min(_CHUNK, trials)), n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = [_step_powers(stacked[j].step_size, update_matrices[i], blk)
+                      for j, i in enumerate(order)]
+        theory = np.full((n + 1, c), 0.0)
+
+    def draw_chunk(start, stop):
+        return _draw_chunk(_chunk_seeds(master_seed, start, stop), channel, n,
+                           random_init)
 
     def first_pass(draw):
         """Every cell's pass over a chunk; the held cells' sums are added
@@ -919,32 +938,45 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
                     [(totals, j) for j in replayed],
                     keep=~diverged[replayed, start:stop])
 
+    def theory_sums(error, start, stop):
+        """Add each cell's sums of ``|delta(t)|`` over its kept trials of
+        ``start:stop``, whose initial errors are ``error``, into its column
+        of the theory sums. The kept rows are selected, not weighted: a
+        left-out row that overflows would turn a 0 weight into NaN."""
+        for j, p in enumerate(powers):
+            kept = error[~diverged[j, start:stop]]
+            if not len(kept):
+                continue
+            column = theory[:, j]
+            # the sum over trials as one matrix-vector product
+            ones = np.ones(len(kept))
+            for row, block in _trajectory_blocks(kept, p, n):
+                flat = np.abs(block, out=block).reshape(len(kept), -1)
+                sums = (ones @ flat).reshape(-1, k).sum(axis=1)
+                column[row:row + len(sums)] += sums
+
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        draw = _draw_chunk(_chunk_seeds(master_seed, start, stop), channel,
-                           n, random_init)
-        initial_error[start:stop] = draw[0] - draw[1]
-        rngs = draw[2] + draw[3]
-        starts = [rng.bit_generator.state for rng in rngs]
+        draw = draw_chunk(start, stop)
+        error = draw[0] - draw[1]
         if totals is None:
             totals = _zero_sums(n, c, k)
         diverged[:, start:stop] = first_pass(draw)
+        del draw
         bad = np.flatnonzero(diverged[:, start:stop].any(axis=1))
         fresh = [j for j in bad if j not in held]
         if fresh:
             totals[:, fresh] = 0.0
             for s in range(0, start, _CHUNK):
-                replay(_draw_chunk(_chunk_seeds(master_seed, s, s + _CHUNK),
-                                   channel, n, random_init),
-                       s, s + _CHUNK, fresh)
+                replay(draw_chunk(s, s + _CHUNK), s, s + _CHUNK, fresh)
             held = sorted(held + fresh)
         if bad.size:
-            for rng, state in zip(rngs, starts):
-                rng.bit_generator.state = state
-            replay(draw, start, stop, bad)
-        del draw, rngs, starts
+            replay(draw_chunk(start, stop), start, stop, bad)
+        if update_matrices is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                theory_sums(error, start, stop)
 
-    curves = []
+    curves, theory_mae = [], []
     for i, cell in enumerate(cells):
         j = order.index(i)
         kept = trials - int(diverged[j].sum())
@@ -969,7 +1001,9 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
             diverged=trials - kept,
             diverged_mask=diverged[j],
         ))
-    return curves, initial_error
+        if update_matrices is not None:
+            theory_mae.append(theory[:, j] / (kept * k))
+    return curves, theory_mae
 
 
 def monte_carlo(config: ExperimentConfig, channel: ChannelSpec) -> list[AveragedCurves]:
@@ -1069,17 +1103,13 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
             raise ValueError(f"unknown mu rule {mu_rule!r}")
         cells.append(_Cell("qvlms", float(q), float(snr_db), mu))
         update_matrices.append(a_matrix)
-    curves, initial_error = _simulate(cells, channel, master_seed, trials,
-                                      iterations, True)
+    # the mean recursion from each kept trial's initial error, averaged as
+    # the simulated absolute weight error is
+    curves, theories = _simulate(cells, channel, master_seed, trials,
+                                 iterations, True, update_matrices)
 
     comparisons = []
-    for cell, a_matrix in zip(curves, update_matrices):
-        # the mean recursion from each kept trial's initial error, averaged
-        # as the simulated absolute weight error is
-        steps = _mean_recursion(initial_error[~cell.diverged_mask],
-                                cell.step_size, a_matrix, iterations)
-        theory = np.fromiter((np.abs(cur).mean() for cur in steps), float,
-                             count=iterations + 1)
+    for cell, theory in zip(curves, theories):
         comparisons.append(CurveComparison(
             q_value=cell.q_value,
             step_size=cell.step_size,

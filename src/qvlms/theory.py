@@ -8,6 +8,13 @@ recursion ``E[delta(r)] = (I - mu A)^r E[delta(0)]`` with
 regressor the filter is fed. In orthonormalized mode ``R_in`` is the
 identity and ``A = diag(g)``, so the trajectory is componentwise geometric
 with ratio ``1 - mu (q + 1) / 2``.
+
+The recursion is evaluated a block of B steps per matrix product. With
+error vectors as rows, one step is ``delta @ S`` for ``S = (I - mu A)^T``;
+the powers ``S^1 .. S^B``, formed once by repeated products, stand side
+by side in one (K, B K) matrix, so one product takes a stack of errors to
+all B steps of a block, and the block's last step is where the next block
+starts. At B = 1 this is the step-by-step recursion.
 """
 
 from functools import lru_cache
@@ -108,9 +115,9 @@ def mean_weight_error_trajectory(initial_error, mu: float, update_matrix,
                                  iterations: int) -> np.ndarray:
     """Mean weight-error sequence ``(I - mu A)^t @ initial_error``.
 
-    Computed by repeated application of the step matrix, never by an
-    explicit matrix power. Row ``t`` of the result is the trajectory after
-    ``t`` steps; row 0 is the initial error unchanged.
+    Computed by repeated application of the step matrix, one step per
+    product, never by an explicit matrix power. Row ``t`` of the result is
+    the trajectory after ``t`` steps; row 0 is the initial error unchanged.
     """
     v = np.asarray(initial_error, dtype=np.float64)
     a = np.asarray(update_matrix, dtype=np.float64)
@@ -122,21 +129,44 @@ def mean_weight_error_trajectory(initial_error, mu: float, update_matrix,
             f"update matrix shape {a.shape} does not match error length {v.size}"
         )
     out = np.empty((n + 1, v.size))
-    for t, cur in enumerate(_mean_recursion(v, mu, a, n)):
-        out[t] = cur
+    for row, block in _trajectory_blocks(v[None], _step_powers(mu, a, 1), n):
+        out[row:row + block.shape[1]] = block[0]
     return out
 
 
-def _mean_recursion(initial_error, mu: float, update_matrix, iterations: int):
-    """Yield the mean weight error after ``t = 0 .. iterations`` steps of
-    ``delta(t) = (I - mu A) delta(t-1)``, from ``initial_error`` unchanged.
+def _step_powers(mu: float, update_matrix, block: int) -> np.ndarray:
+    """The powers ``S^1 .. S^block`` of the row step ``S = (I - mu A)^T``,
+    side by side, (K, block K): ``S^j`` is columns ``(j-1) K .. j K``, and
+    ``S^j = S^(j-1) @ S``."""
+    k = len(update_matrix)
+    powers = np.empty((k, block * k))
+    powers[:, :k] = (np.eye(k) - mu * update_matrix).T
+    for j in range(1, block):
+        np.matmul(powers[:, (j - 1) * k:j * k], powers[:, :k],
+                  out=powers[:, j * k:(j + 1) * k])
+    return powers
 
-    ``initial_error`` is one error vector or a stack of them, (..., K); each
-    step is ``delta @ (I - mu A)^T``, and only the current step is held.
+
+def _trajectory_blocks(initial_error, powers, iterations: int):
+    """Yield ``(row, block)`` for the mean weight errors of ``iterations``
+    steps from the stack ``initial_error`` (T, K): ``block (T, b, K)`` holds
+    the errors at rows ``row .. row+b-1``. The first block is row 0, the
+    initial errors, and then come blocks of B steps (``powers`` from
+    ``_step_powers``), the last one shorter where B does not divide the
+    iteration count.
+
+    Each block of steps is one product of the errors at the row before it
+    with the powers. A block is a buffer that the next block overwrites,
+    and that the consumer may overwrite: its last step is kept apart first.
     """
-    step_t = (np.eye(len(update_matrix)) - mu * update_matrix).T
-    cur = initial_error
-    yield cur
-    for _ in range(iterations):
-        cur = cur @ step_t
-        yield cur
+    t, k = initial_error.shape
+    n, blk = int(iterations), powers.shape[1] // k
+    cur = np.array(initial_error, dtype=np.float64)
+    yield 0, cur[:, None].copy()
+    flat = np.empty(t * min(blk, n) * k)
+    for r0 in range(0, n, blk):
+        b = min(blk, n - r0)
+        out = flat[:t * b * k].reshape(t, b * k)
+        np.matmul(cur, powers[:, :b * k], out=out)
+        np.copyto(cur, out[:, -k:])
+        yield r0 + 1, out.reshape(t, b, k)

@@ -34,7 +34,7 @@ from qvlms.experiment import (
     whitened_gain,
 )
 from qvlms.experiment import _chunk_seeds
-from qvlms.theory import build_update_matrix, mean_weight_error_trajectory
+from qvlms.theory import build_update_matrix
 from qvlms.volterra import (
     RegressorMode,
     VolterraKernel,
@@ -906,6 +906,27 @@ def test_an_infinite_snr_is_a_noiseless_run():
     assert report.comparisons[0].diverged == 0
 
 
+def _protocol1_trials(seed, trials, iterations, comp):
+    """The trials of a protocol-1 comparison, each run alone."""
+    cfg = small_config(iterations=iterations, step_size=comp.step_size,
+                       q_values=(comp.q_value,))
+    return [run_trial(cfg, ChannelSpec(), s) for s in trial_seeds(seed, trials)]
+
+
+def _stepwise_theory_mae(trials, mu, a, iterations):
+    """Oracle of protocol 1's theory curve: the mean of ``|delta(t)|`` over
+    the trials and the coefficients, from each trial's ``h - w0``, one step
+    ``cur @ (I - mu A)^T`` at a time."""
+    step_t = (np.eye(len(a)) - mu * a).T
+    cur = np.array([t.channel - t.initial_weights for t in trials])
+    out = [np.abs(cur).mean()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            cur = cur @ step_t
+            out.append(np.abs(cur).mean())
+    return np.array(out)
+
+
 class TestProtocolSmoke:
     def test_protocol1_structure(self):
         report = protocol1(5, trials=8, iterations=120, q_values=(1.0, 5.0))
@@ -928,23 +949,59 @@ class TestProtocolSmoke:
         ratios = comp.theory_mae[1:] / comp.theory_mae[:-1]
         assert np.allclose(ratios, 1.0 - comp.step_size, rtol=1e-10)
 
-    def test_protocol1_theory_curve_is_the_public_recursion_over_kept_trials(self):
-        # raw mode, at a step where some trials diverge and leave the curve
+    def test_protocol1_theory_curve_is_the_public_recursion_over_kept_trials(
+            self, monkeypatch):
+        # raw mode, at a step where some trials diverge and leave the curve;
+        # at one trial a chunk, a diverged trial's chunk keeps none
+        a = build_update_matrix(QParams.uniform(2.0, 9),
+                                ChannelSpec().autocorrelation())
+        for chunk in (experiment._CHUNK, 1):
+            monkeypatch.setattr(experiment, "_CHUNK", chunk)
+            report = protocol1(2, trials=16, iterations=300, q_values=(2.0,),
+                               mu_fraction=0.8)
+            comp = report.comparisons[0]
+            trials = _protocol1_trials(2, 16, 300, comp)
+            kept = [t for t in trials if not t.diverged]
+            assert 0 < len(trials) - len(kept) == comp.diverged
+            expected = _stepwise_theory_mae(kept, comp.step_size, a, 300)
+            assert np.allclose(comp.theory_mae, expected, rtol=1e-12, atol=0)
+
+    def test_protocol1_theory_curve_across_chunks_and_blocks(self):
+        # two chunks, the second of 44 trials with diverged ones in it, and
+        # a run that ends in a short block of the recursion
+        q_values, iterations = (2.0, 5.0), 150
+        assert iterations % experiment._block_steps(9, 2, experiment._CHUNK)
+        report = protocol1(3, trials=300, iterations=iterations,
+                           q_values=q_values, mu_fraction=0.8)
+        r = ChannelSpec().autocorrelation()
+        for q, comp in zip(q_values, report.comparisons, strict=True):
+            trials = _protocol1_trials(3, 300, iterations, comp)
+            kept = [t for t in trials if not t.diverged]
+            assert any(t.diverged for t in trials[256:])
+            assert len(trials) - len(kept) == comp.diverged
+            a = build_update_matrix(QParams.uniform(q, 9), r)
+            expected = _stepwise_theory_mae(kept, comp.step_size, a, iterations)
+            assert np.allclose(comp.theory_mae, expected, rtol=1e-12, atol=0)
+
+    def test_protocol1_theory_curve_overflows_to_inf(self, monkeypatch):
+        # S = I - mu A is about -5e50 I: every trial's error overflows at
+        # step 7, the diverged trials' too; those are left out of the sum,
+        # where a weight of 0 would have turned their inf into NaN
+        expanding = 1e52 * np.eye(9)
+        monkeypatch.setattr(experiment, "build_update_matrix",
+                            lambda qp, r: expanding)
         report = protocol1(2, trials=16, iterations=300, q_values=(2.0,),
                            mu_fraction=0.8)
         comp = report.comparisons[0]
-        cfg = small_config(iterations=300, step_size=comp.step_size,
-                           q_values=(2.0,))
-        trials = [run_trial(cfg, ChannelSpec(), s) for s in trial_seeds(2, 16)]
+        trials = _protocol1_trials(2, 16, 300, comp)
         kept = [t for t in trials if not t.diverged]
         assert 0 < len(trials) - len(kept) == comp.diverged
-        a = build_update_matrix(QParams.uniform(2.0, 9),
-                                ChannelSpec().autocorrelation())
-        paths = [mean_weight_error_trajectory(t.channel - t.initial_weights,
-                                              comp.step_size, a, 300)
-                 for t in kept]
-        expected = np.abs(np.array(paths)).mean(axis=(0, 2))
-        assert np.allclose(comp.theory_mae, expected, rtol=1e-12, atol=0)
+        expected = _stepwise_theory_mae(kept, comp.step_size, expanding, 300)
+        first = np.flatnonzero(~np.isfinite(expected))[0]
+        assert first > 1 and expected[first] == np.inf
+        assert np.allclose(comp.theory_mae[:first], expected[:first],
+                           rtol=1e-12, atol=0)
+        assert comp.theory_mae[first] == np.inf
 
     def test_protocol2_structure(self):
         report = protocol2(5, trials=6, iterations=150,
@@ -980,7 +1037,7 @@ def test_steady_state_level_tail_mean():
 
 class _Stream:
     """Stands in for a trial's generator: hands out a whole drawn stream
-    in order. Its position is its state, so a replay can set it back."""
+    in order."""
 
     def __init__(self, values):
         self.values, self.used = values, 0
@@ -988,18 +1045,6 @@ class _Stream:
     def standard_normal(self, out):
         out[...] = self.values[self.used:self.used + out.size]
         self.used += out.size
-
-    @property
-    def bit_generator(self):
-        return self
-
-    @property
-    def state(self):
-        return self.used
-
-    @state.setter
-    def state(self, used):
-        self.used = used
 
 
 def _whole_stream_chunk(streams):
@@ -1093,6 +1138,24 @@ def test_monte_carlo_memory_is_bounded_in_iterations(trials):
     k = ChannelSpec().num_coefficients
     growth = _monte_carlo_peak(16_000, trials) - _monte_carlo_peak(2_000, trials)
     assert growth <= 14_000 * (k + 2) * 8 + 0.5 * 2**20
+
+
+def _protocol1_peak(trials):
+    tracemalloc.start()
+    try:
+        protocol1(0, trials=trials, iterations=2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_protocol1_memory_is_bounded_in_trials():
+    # no (trials, K) initial errors are kept for the theory: of all
+    # per-trial state only the divergence flags, a byte a trial and cell,
+    # grow with the trials
+    k = ChannelSpec().num_coefficients
+    growth = _protocol1_peak(20_000) - _protocol1_peak(2_000)
+    assert growth < 18_000 * k * 8 / 8
 
 
 def _spy_lockstep(monkeypatch):
