@@ -45,7 +45,9 @@ from qvlms.experiment import (
     steady_state_level,
 )
 from qvlms.experiment import _check_positive, _check_snr
-from qvlms.theory import gaussian_autocorrelation
+# unused here, but perfbench/spans.py spans it under this module's name
+from qvlms.theory import gaussian_autocorrelation  # noqa: F401
+from qvlms.theory import gaussian_eigenvalues
 from qvlms.volterra import RegressorMode
 
 OUT_DIR_ENV = "QVLMS_OUT_DIR"
@@ -493,7 +495,7 @@ def cmd_bound(args) -> int:
         mode = _parse_mode("regressor_mode", args.regressor_mode or "raw")
         m = _parse_int("memory_length",
                        3 if args.memory_length is None else args.memory_length)
-        lam = np.linalg.eigvalsh(gaussian_autocorrelation(m, mode))
+        lam = gaussian_eigenvalues(m, mode)
         print(f"eigenvalues (M={m}, {mode.value}): "
               + " ".join(f"{v:.6g}" for v in lam))
     for q in qs:

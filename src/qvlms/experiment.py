@@ -30,15 +30,14 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
   one segment of about ``_SEGMENT`` steps at a time, and their weights are
   kept one block of steps at a time, in buffers that every segment and
   block of a chunk reuses: no kernel buffer grows with the trial or the
-  iteration count. The run's curve sums, (N+1) x cells x (K+2) doubles,
-  and ``protocol1``'s theory sums, (N+1) x cells, grow with the
-  iterations; nothing grows with the trials but one flag per trial-cell.
+  iteration count. The run's curve sums, two (N+1) x cells x 3 sets, and
+  ``protocol1``'s theory sums, (N+1) x cells, grow with the iterations,
+  and nothing else does; nothing grows with the trials but one flag per
+  trial-cell.
 * The kernel applies the divergence guard, once for every caller. A
-  chunk's cells in which some trial diverged are replayed alone with the
-  diverged trials left out of their sums, and a cell that first diverges
-  in a later chunk has its totals rebuilt by replaying the earlier chunks
-  for it; so each cell's averages have the bits of a run of that cell
-  alone.
+  chunk's cells in which some trial diverged are replayed on that chunk
+  alone with the diverged trials left out of their sums, so each cell's
+  averages have the bits of a run of that cell alone.
 """
 
 import math
@@ -779,7 +778,6 @@ class AveragedCurves:
     step_size: float
     nwd: np.ndarray
     mae: np.ndarray
-    abs_weight_error: np.ndarray
     mse: np.ndarray
     trials: int
     diverged: int
@@ -793,54 +791,35 @@ class AveragedCurves:
         return float(nwd_db(steady_state_level(self.nwd, fraction)))
 
 
-def _zero_sums(iterations: int, cells: int, k: int) -> np.ndarray:
-    """Curve sums of ``cells`` cells, all zero, as one (N+1, C, K+2) array:
-    per row and cell, the absolute weight error (K values), then the NWD,
-    then the squared error, so that a block's rows are one contiguous run.
+def _zero_sums(iterations: int, cells: int) -> np.ndarray:
+    """Curve sums of ``cells`` cells, all zero, as one (N+1, C, 3) array:
+    per row and cell, the absolute weight error summed over the
+    coefficients, then the NWD, then the squared error.
 
     The zeros are written here rather than left to the allocator, as
-    ``np.zeros`` does: every block adds into rows that it first reads, and
-    a fresh page that is read before it is written faults twice.
+    ``np.zeros`` does: a fresh page that is read before it is written
+    faults twice.
     """
-    return np.full((int(iterations) + 1, cells, k + 2), 0.0)
+    return np.full((int(iterations) + 1, cells, 3), 0.0)
 
 
-def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, into,
+def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, sums,
                 keep=None):
-    """Add each cell's curve sums over one chunk's trials into a column of a
-    set of sums (``_zero_sums``), and return the chunk's (C, T) mask of
-    diverged (cell, trial) pairs.
+    """Write each cell's curve sums over one chunk's trials into its column
+    of ``sums`` (``_zero_sums``: column ``i`` is cell ``i``, squared error
+    NaN at row 0), and return the chunk's (C, T) mask of diverged (cell,
+    trial) pairs.
 
-    ``into[i]`` is ``(sums, j)``: cell ``i`` adds into column ``j`` of
-    ``sums`` (squared error NaN at row 0). Each block is reduced over the
-    trials in the kernel's buffers, into block sums of its own length,
-    which are then added into the rows of those columns; a column that
-    chunks add into in turn holds
-    ``((s0 + s1) + s2) + ...``. ``keep (C, T)`` leaves pairs out of the
-    sums; without it, a cell with a diverged pair adds sums that hold it,
-    and the caller replays that cell with the pair left out. Once every
+    Each block is reduced over the trials in the kernel's buffers straight
+    into its rows of ``sums``. ``keep (C, T)`` leaves pairs out of the
+    sums; without it, a cell with a diverged pair writes sums that hold
+    it, and the caller replays that cell with the pair left out. Once every
     cell has a diverged pair the blocks are no longer reduced, and the run
-    stops early once every pair has diverged.
+    stops early once every pair has diverged: the rows not reached are
+    left as they were.
     """
-    (t, k), n, c = draw[0].shape, int(iterations), len(cells)
-    # runs of cells that add into adjacent columns of one set of sums:
-    # (sums, first column, first cell, length)
-    runs = []
-    for i, (sums, j) in enumerate(into):
-        if runs and runs[-1][0] is sums and runs[-1][1] + runs[-1][3] == j:
-            runs[-1][3] += 1
-        else:
-            runs.append([sums, j, i, 1])
-
-    def additions(b):
-        """Block sums of ``b`` rows, and their runs' additions into the
-        columns of the sums, as ``(sums, columns, block sums)`` triples."""
-        part = np.empty((b, c, k + 2))
-        return part, [(sums, slice(j, j + m), part[:, i:i + m])
-                      for sums, j, i, m in runs]
-
-    blocks = {}
-    diverged = np.zeros((c, t), dtype=bool)
+    n, c = int(iterations), len(cells)
+    diverged = np.zeros((c, len(draw[0])), dtype=bool)
     drop = None if keep is None else ~keep
     replayed = False  # every cell will be replayed
     with np.errstate(over="ignore", invalid="ignore"):
@@ -855,16 +834,12 @@ def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, into,
             if drop is not None:
                 for part in (cur, err, sq):
                     np.copyto(part, 0.0, where=drop)
-            b = len(ok)
-            if b not in blocks:
-                blocks[b] = additions(b)
-            part, adds = blocks[b]
-            np.einsum("bkct->bck", err, out=part[..., :k])
-            cur.sum(axis=-1, out=part[..., k])
-            sq.sum(axis=-1, out=part[..., k + 1])
-            for sums, columns, block in adds:
-                rows = sums[row:row + b, columns]
-                np.add(rows, block, out=rows)
+            rows = sums[row:row + len(ok)]
+            # over the trials, then over K: one trial's sums have the bits
+            # of TrialCurves.mae
+            np.einsum("bkct->bck", err).sum(axis=-1, out=rows[..., 0])
+            cur.sum(axis=-1, out=rows[..., 1])
+            sq.sum(axis=-1, out=rows[..., 2])
     return diverged
 
 
@@ -874,22 +849,19 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
 
     Trial ``i`` is drawn from ``trial_seeds(master_seed, trials)[i]``; the
     seeds are built a chunk at a time, and a chunk's draws are dropped
-    before the next chunk is drawn. One set of totals is allocated with the
-    first chunk, and every chunk adds its sums straight into it, in chunk
-    order (``0.0 + x == x`` for these non-negative or NaN sums).
+    before the next chunk is drawn. A run allocates two sets of curve
+    sums, the totals and one chunk's sums: each chunk's pass writes every
+    cell's sums into the chunk's set, which is then added into the totals,
+    so a cell's totals hold ``((s0 + s1) + s2) + ...`` in chunk order
+    (``0.0 + x == x`` for these non-negative or NaN sums).
 
-    A cell with a diverged pair in a chunk is replayed with those pairs
-    left out, on the chunk drawn again from its seeds. The first time a
-    cell diverges, its totals already hold that chunk's pairs: they are
-    zeroed and rebuilt by replaying, for that cell, the earlier chunks and
-    then this one. From then on the cell is *held*: a chunk's first pass
-    adds its sums into a set sized for the held cells, which is added into
-    the totals when that chunk has no diverged pair of the cell, and is
-    otherwise dropped for the replay. So each cell's totals add, chunk by
-    chunk, the sums of its kept trials, bit for bit those of a run of that
-    cell alone, and no more than the totals and the held cells' sums are
-    alive at once. Each cell's averages are divided in place, so the
-    returned curves are views of the totals.
+    A cell with a diverged pair in a chunk is replayed on that chunk alone,
+    drawn again from its seeds, with those pairs left out, into a zeroed
+    set of its own that is copied over the cell's column of the chunk's
+    sums before they are added. So each cell's totals add, chunk by chunk,
+    the sums of its kept trials, bit for bit those of a run of that cell
+    alone. Each cell's averages are divided in place, so the returned NWD
+    and MSE curves are views of the totals.
 
     With ``update_matrices``, one matrix A per cell, each chunk, once its
     passes have fixed which pairs diverged, also runs the mean recursion
@@ -906,7 +878,7 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
     order = sorted(range(len(cells)), key=lambda i: cells[i].algorithm == "whitened")
     stacked = [cells[i] for i in order]
     c, k, n, trials = len(cells), channel.num_coefficients, int(iterations), int(trials)
-    totals, held = None, []
+    totals, sums = _zero_sums(n, c), np.empty((n + 1, c, 3))
     diverged = np.zeros((c, trials), dtype=bool)
     if update_matrices is not None:
         blk = min(_block_steps(k, c, min(_CHUNK, trials)), n)
@@ -914,29 +886,6 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
             powers = [_step_powers(stacked[j].step_size, update_matrices[i], blk)
                       for j, i in enumerate(order)]
         theory = np.full((n + 1, c), 0.0)
-
-    def draw_chunk(start, stop):
-        return _draw_chunk(_chunk_seeds(master_seed, start, stop), channel, n,
-                           random_init)
-
-    def first_pass(draw):
-        """Every cell's pass over a chunk; the held cells' sums are added
-        into the totals only if the chunk left them clean."""
-        pending = _zero_sums(n, len(held), k)
-        div = _chunk_sums(draw, n, stacked, channel,
-                          [(pending, held.index(j)) if j in held else (totals, j)
-                           for j in range(c)])
-        for i, j in enumerate(held):
-            if not div[j].any():
-                totals[:, j] += pending[:, i]
-        return div
-
-    def replay(draw, start, stop, replayed):
-        """Add the sums of trials ``start:stop`` of the cells ``replayed``,
-        their diverged pairs left out, into their totals."""
-        _chunk_sums(draw, n, [stacked[j] for j in replayed], channel,
-                    [(totals, j) for j in replayed],
-                    keep=~diverged[replayed, start:stop])
 
     def theory_sums(error, start, stop):
         """Add each cell's sums of ``|delta(t)|`` over its kept trials of
@@ -952,26 +901,25 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
             ones = np.ones(len(kept))
             for row, block in _trajectory_blocks(kept, p, n):
                 flat = np.abs(block, out=block).reshape(len(kept), -1)
-                sums = (ones @ flat).reshape(-1, k).sum(axis=1)
-                column[row:row + len(sums)] += sums
+                level = (ones @ flat).reshape(-1, k).sum(axis=1)
+                column[row:row + len(level)] += level
 
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        draw = draw_chunk(start, stop)
+        seeds = _chunk_seeds(master_seed, start, stop)
+        draw = _draw_chunk(seeds, channel, n, random_init)
         error = draw[0] - draw[1]
-        if totals is None:
-            totals = _zero_sums(n, c, k)
-        diverged[:, start:stop] = first_pass(draw)
+        diverged[:, start:stop] = _chunk_sums(draw, n, stacked, channel, sums)
         del draw
         bad = np.flatnonzero(diverged[:, start:stop].any(axis=1))
-        fresh = [j for j in bad if j not in held]
-        if fresh:
-            totals[:, fresh] = 0.0
-            for s in range(0, start, _CHUNK):
-                replay(draw_chunk(s, s + _CHUNK), s, s + _CHUNK, fresh)
-            held = sorted(held + fresh)
         if bad.size:
-            replay(draw_chunk(start, stop), start, stop, bad)
+            replayed = _zero_sums(n, bad.size)
+            _chunk_sums(_draw_chunk(seeds, channel, n, random_init), n,
+                        [stacked[j] for j in bad], channel, replayed,
+                        keep=~diverged[bad, start:stop])
+            sums[:, bad] = replayed
+            del replayed
+        totals += sums
         if update_matrices is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 theory_sums(error, start, stop)
@@ -987,16 +935,14 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
             )
         means = totals[:, j]
         means /= kept
-        per_coef, nwd_mean, mse = means[:, :k], means[:, k], means[:, k + 1]
         curves.append(AveragedCurves(
             algorithm=cell.algorithm,
             q_value=cell.q_value,
             snr_db=cell.snr_db,
             step_size=cell.step_size,
-            nwd=nwd_mean,
-            mae=per_coef.mean(axis=1),
-            abs_weight_error=per_coef,
-            mse=mse,
+            nwd=means[:, 1],
+            mae=means[:, 0] / k,
+            mse=means[:, 2],
             trials=trials,
             diverged=trials - kept,
             diverged_mask=diverged[j],
@@ -1081,6 +1027,10 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
       with ``A = diag(g) R`` the mean-recursion matrix. Twice the step of
       the first rule at the same fraction.
     """
+    if int(trials) < 1:
+        raise ValueError("trials must be >= 1")
+    if int(iterations) < 1:
+        raise ValueError("iterations must be >= 1")
     if not q_values:
         raise ValueError("q_values must not be empty")
     for q in q_values:

@@ -267,11 +267,10 @@ class TestProtocolCommands:
 
 
 def _cell(algorithm, q, nwd, mae, mse, diverged):
-    nwd = np.array(nwd)
     return AveragedCurves(
         algorithm=algorithm, q_value=q, snr_db=math.inf, step_size=1e-3,
-        nwd=nwd, mae=np.array(mae), abs_weight_error=np.zeros((nwd.size, 1)),
-        mse=np.array(mse), trials=4, diverged=diverged)
+        nwd=np.array(nwd), mae=np.array(mae), mse=np.array(mse), trials=4,
+        diverged=diverged)
 
 
 class TestOutputFormat:
@@ -527,8 +526,9 @@ class TestRerun:
         assert "warning" in err and "numpy 0.0.1" in err
         assert "python" not in err and "qvlms" not in err
         # a manifest of another release of the tool, whose outputs may
-        # differ; 0.3.0 summed protocol 1's theory curve otherwise
-        for version in ("0.1.0", "0.3.0"):
+        # differ; 0.3.0 summed protocol 1's theory curve otherwise, 0.4.0
+        # the MAE
+        for version in ("0.1.0", "0.3.0", "0.4.0"):
             original["version"] = version
             path.write_text(json.dumps(original))
             assert main(redo) == 0
