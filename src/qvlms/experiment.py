@@ -181,10 +181,16 @@ def _check_positive(name: str, value) -> None:
 
 
 def _check_snr(name: str, value) -> None:
-    """Raise a ``ValueError`` naming ``name`` if ``value`` is NaN or -inf;
-    +inf is a noiseless run."""
-    if math.isnan(value) or value == -math.inf:
-        raise ValueError(f"{name} must be a number or +inf, got {value}")
+    """Raise a ``ValueError`` naming ``name`` unless the noise factor
+    ``10^(-value/10)`` is a finite double: NaN, -inf and an SNR below about
+    -3082.5 dB fail; +inf is a noiseless run."""
+    try:
+        finite = math.isfinite(noise_variance_for_snr(1.0, value))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a number or +inf whose noise factor "
+                         f"10^(-snr/10) is finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -501,8 +507,10 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
       multiplied into it in place. No per-step call broadcasts an operand
       over slabs: numpy passes operands that do not form one contiguous
       run through its ufunc buffer, at about twice the cost, and
-      ``np.copyto`` is not buffered. Where a slab holds one value nothing
-      is buffered, and the step's product broadcasts it.
+      ``np.copyto`` is not buffered. Where a slab holds one value, every
+      operand drops the (C, T) axes, a (K,) row or a 0-d view of a buffer
+      reshaped once per call, so that numpy runs its plain loops rather
+      than its general iterator.
     * ``kmajor (K, B)``: where a slab holds one value, ``|h - w|`` copied
       K-major, so that einsum adds the NWD's K squares one after another
       as it does for larger slabs; over one contiguous row it adds them in
@@ -557,7 +565,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     # the products, then the prediction (or its running sums, the last of
     # which it is); the update step overwrites the products
     work = _page_aligned((2 * k if c * t == 1 else k + 1, c, t))
-    prod, pred = work[:k], work[-1]
+    # mu e, then the step g (mu e)
     scaled = _page_aligned((2, c, t))
     # (B, T) slabs; at one trial, a block of one step takes K for the sum
     clean = _page_aligned((2 * k if t == 1 else k + 1, blk, t))
@@ -590,35 +598,43 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     yield guarded(0, 1)
 
     # the ufunc calls of each step of a block: prediction, error, update
+    views = [w_hist, w_last, ut, ugt, d, e_hist, mu, gain, work, scaled]
+    if c * t == 1:
+        views = [a if a is None else a.reshape(a.shape[:-2]) for a in views]
+    w_rows, w_prev, u_rows, ug_rows, d_rows, e_rows, mu, gain, work, scaled = views
+    prod, sums, pred = work[:k], work[k:], work[-1, ...]
+    mu_e, step = scaled[0, ...], scaled[1, ...]
     steps = []
     for j in range(blk):
-        w_prev = w_last if j == 0 else w_hist[j - 1]
+        w, e = w_rows[j], e_rows[j, ...]
         # the regressors u, and every cell's direction v: u, or S R^-1 S u
         # for the whitened cells, copied over u once the prediction has read it
         if spread is None:
-            u, v, calls = ut[j], ut[j] if nd else ugt[j], []
+            u = u_rows[j]
+            v, calls = u if nd else ug_rows[j], []
         else:
             u = v = spread
-            calls = [(np.copyto, (spread, ut[j]))]
+            calls = [(np.copyto, (spread, u_rows[j]))]
         calls.append((np.multiply, (u, w_prev, prod)))
         if spread is not None and nd < c:
-            calls.append((np.copyto, (spread[:, nd:], ugt[j])))
+            calls.append((np.copyto, (spread[:, nd:], ug_rows[j])))
         calls += [
-            _sum_call(prod, work[k:]),
-            (np.subtract, (d[j], pred, e_hist[j])),
-            (np.multiply, (mu, e_hist[j], scaled[0])),
-            (np.multiply, (gain, scaled[0], scaled[1])),
+            _sum_call(prod, sums),
+            (np.subtract, (d_rows[j, ...], pred, e)),
+            (np.multiply, (mu, e, mu_e)),
+            (np.multiply, (gain, mu_e, step)),
         ]
         # do not shrink numpy's ufunc buffer (np.setbufsize) instead of the
         # copy: the setting would hold for any numpy call on this thread,
         # such as perfbench's speed probe, which runs in a signal handler
         if c * t == 1:
-            calls.append((np.multiply, (scaled[1], v, prod)))
+            calls.append((np.multiply, (step, v, prod)))
         else:
-            calls += [(np.copyto, (prod, scaled[1])),
+            calls += [(np.copyto, (prod, step)),
                       (np.multiply, (prod, v, prod))]
-        calls.append((np.add, (w_prev, prod, w_hist[j])))
+        calls.append((np.add, (w_prev, prod, w)))
         steps.append(calls)
+        w_prev = w
 
     def squares(col):
         """The calls that turn the squares ``col`` into ``(x*x - 1)/sqrt(2)``

@@ -400,6 +400,8 @@ class TestRunCommand:
         (["protocol2", "--q", "5", "nan"], "q_values"),
         (["protocol2", "--snr", "nan"], "snr_db"),
         (["run", "--mu", "0.001", "--snr=-inf"], "snr_db"),
+        # 10^400 overflows a double
+        (["run", "--mu", "0.001", "--snr=-4000"], "snr_db"),
     ])
     def test_non_finite_setting_is_config_error(self, tmp_path, capsys,
                                                 argv, key):

@@ -320,13 +320,21 @@ class TestRunTrial:
 
 
 class TestMonteCarlo:
-    def test_single_trial_equals_run_trial(self):
-        cfg = small_config(trials=1)
-        spec = ChannelSpec()
+    @pytest.mark.parametrize("memory_length", [1, 3, 8])
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_single_trial_equals_run_trial(self, algorithm, mode, memory_length):
+        # a one-cell, one-trial chunk takes the kernel's one-value path, as
+        # run_trial does; row 0 of both MSE curves is NaN
+        cfg = small_config(trials=1, algorithms=(algorithm,))
+        spec = ChannelSpec(memory_length=memory_length, regressor_mode=mode)
         cell = monte_carlo(cfg, spec)[0]
-        trial = run_trial(cfg, spec, trial_seeds(cfg.master_seed, 1)[0])
+        trial = run_trial(cfg, spec, trial_seeds(cfg.master_seed, 1)[0],
+                          algorithm=algorithm, q_value=cell.q_value)
         assert np.array_equal(cell.nwd, trial.nwd)
         assert np.array_equal(cell.mae, trial.mae)
+        assert np.array_equal(cell.mse, trial.squared_error, equal_nan=True)
+        assert np.isnan(cell.mse[0])
 
     def test_average_of_identical_trials_is_that_trial(self):
         # a fixed kernel with zero-init weights and no noise makes every
@@ -842,6 +850,22 @@ class TestKernelLayout:
         assert sorted((a.shape, a.dtype.str) for a in made) == sorted(expected)
         assert all(a.ctypes.data % 4096 == 0 for a in made)
 
+    @pytest.mark.parametrize("algorithm, q", [("qvlms", 5.0), ("whitened", None)])
+    def test_one_value_step_calls_drop_the_slab_axes(self, algorithm, q):
+        # at one cell and one trial every step operand is a (K,) row or a
+        # 0-d view, never a (..., 1, 1) slab
+        spec = ChannelSpec()
+        k = spec.num_coefficients
+        draw = experiment._draw_chunk(trial_seeds(1, 1), spec, 20, True)
+        cells = [experiment._Cell(algorithm, q, 20.0, 1e-3)]
+        kernel = experiment._lockstep(*draw, 20, cells, spec)
+        next(kernel), next(kernel)
+        steps = kernel.gi_frame.f_locals["steps"]
+        shapes = {a.shape for calls in steps for _, operands in calls
+                  for a in operands if isinstance(a, np.ndarray)}
+        kernel.close()
+        assert shapes == {(), (k,)}
+
 
 @pytest.mark.parametrize("call, field", [
     pytest.param(lambda: small_config(algorithms=()), "algorithms",
@@ -885,6 +909,10 @@ def test_an_empty_grid_is_a_value_error_naming_it(call, field):
                  "snr_db_values", id="config-snr_db_values-minus-inf"),
     pytest.param(lambda: ChannelSpec(snr_db=math.nan), "snr_db",
                  id="channel-snr_db-nan"),
+    pytest.param(lambda: ChannelSpec(snr_db=-4000.0), "snr_db",
+                 id="channel-snr_db-noise-factor-overflows"),
+    pytest.param(lambda: small_config(snr_db_values=(-4000.0,)), "snr_db_values",
+                 id="config-snr_db_values-noise-factor-overflows"),
     pytest.param(lambda: protocol1(0, mu_fraction=math.inf), "mu_fraction",
                  id="protocol1-mu_fraction-inf"),
     pytest.param(lambda: protocol1(0, mu_fraction=math.nan), "mu_fraction",
