@@ -14,8 +14,10 @@ Config files are flat ``key = value`` text ('#' starts a comment), each
 key at most once. Each protocol takes only the keys of its entry in
 ``DEFAULTS``; any other key, in a config file or a manifest, is a
 configuration error, as is an input file that cannot be read or an output
-directory that cannot be created. Exit codes: 0 success, 1 configuration
-error, 2 runtime failure (for example every trial diverging).
+directory that cannot be created. A flag's value reaches its key's parser
+in ``_PARSERS`` as text, as a config file's does, so a malformed one is a
+configuration error too. Exit codes: 0 success, 1 configuration error, 2
+runtime failure (for example every trial diverging) or argparse usage error.
 """
 
 import argparse
@@ -44,7 +46,7 @@ from qvlms.experiment import (
     resolve_step_size,
     steady_state_level,
 )
-from qvlms.experiment import _check_positive, _check_snr
+from qvlms.experiment import _check_positive
 # unused here, but perfbench/spans.py spans it under this module's name
 from qvlms.theory import gaussian_autocorrelation  # noqa: F401
 from qvlms.theory import gaussian_eigenvalues
@@ -88,10 +90,6 @@ def _in_range(check, key, value):
 
 def _parse_positive(key, text):
     return _in_range(_check_positive, key, _parse_float(key, text))
-
-
-def _parse_snr(key, text):
-    return _in_range(_check_snr, key, _parse_float(key, text))
 
 
 def _parse_int(key, text, low=1):
@@ -149,13 +147,16 @@ _PARSERS = {
     "iterations": _parse_int,
     # numpy's SeedSequence takes non-negative integers only
     "seed": lambda key, text: _parse_int(key, text, low=0),
-    "snr_db": _list_of(_parse_snr),
+    # the SNR's range depends on the channel family: RunSpec.resolve checks it
+    "snr_db": _list_of(_parse_float),
     "q_values": _parse_positives,
     "mu": _parse_positive,
     "mu_fraction": _parse_positive,
     "regressor_mode": _parse_mode,
     "include_whitened": _parse_bool,
     "algorithms": _list_of(_parse_algorithm),
+    # bound's own input, a setting of no protocol
+    "eigenvalues": _parse_positives,
 }
 
 #: Each protocol's settings and their defaults. A protocol takes these keys
@@ -240,6 +241,10 @@ class RunSpec:
             raise ConfigError(
                 f"key 'snr_db': protocol1 runs at one SNR, got {list(s['snr_db'])}"
             )
+        channel = ChannelSpec(memory_length=s["memory_length"],
+                              regressor_mode=s["regressor_mode"])
+        for snr in s["snr_db"]:
+            _in_range(channel._check_noise, "snr_db", snr)
         if protocol == "run" and (s["mu"] is None) == (s["mu_fraction"] is None):
             raise ConfigError("key 'mu': set exactly one of mu and mu_fraction")
         return cls(protocol, MappingProxyType(s))
@@ -536,14 +541,14 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} "
                                  "or ./qvlms-out)")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--memory-length", dest="memory_length", type=int)
+    p.add_argument("--seed", help="master seed")
+    p.add_argument("--trials")
+    p.add_argument("--iterations")
+    p.add_argument("--memory-length", dest="memory_length")
     p.add_argument("--mode", dest="regressor_mode",
                    help="regressor mode: raw or orthonormalized")
-    p.add_argument("--q", dest="q_values", type=float, nargs="+")
-    p.add_argument("--snr", dest="snr_db", type=float, nargs="+")
+    p.add_argument("--q", dest="q_values", nargs="+")
+    p.add_argument("--snr", dest="snr_db", nargs="+")
     p.set_defaults(func=lambda args: execute(RunSpec.from_args(args), args.out))
 
 
@@ -557,26 +562,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p1 = sub.add_parser("protocol1", help="validate the convergence analysis")
     _add_common(p1)
-    p1.add_argument("--mu-fraction", dest="mu_fraction", type=float)
+    p1.add_argument("--mu-fraction", dest="mu_fraction")
 
     p2 = sub.add_parser("protocol2", help="q sensitivity versus plain VLMS")
     _add_common(p2)
-    p2.add_argument("--mu", type=float)
+    p2.add_argument("--mu")
     p2.add_argument("--whitened", dest="include_whitened", action="store_true",
                     default=None, help="add the fixed-gain S R^-1 S variant")
 
     run = sub.add_parser("run", help="ad-hoc Monte-Carlo run")
     _add_common(run)
-    run.add_argument("--mu", type=float)
-    run.add_argument("--mu-frac", dest="mu_fraction", type=float,
+    run.add_argument("--mu")
+    run.add_argument("--mu-frac", dest="mu_fraction",
                      help="step size as a fraction of the stability bound")
     run.add_argument("--algorithm", dest="algorithms", nargs="+",
-                     choices=ALGORITHMS)
+                     help="one or more of " + ", ".join(ALGORITHMS))
 
     bound = sub.add_parser("bound", help="print the step-size stability bound")
-    bound.add_argument("--q", dest="q_values", type=float, nargs="+")
-    bound.add_argument("--eigenvalues", type=float, nargs="+")
-    bound.add_argument("--memory-length", dest="memory_length", type=int)
+    bound.add_argument("--q", dest="q_values", nargs="+")
+    bound.add_argument("--eigenvalues", nargs="+")
+    bound.add_argument("--memory-length", dest="memory_length")
     bound.add_argument("--mode", dest="regressor_mode")
     bound.set_defaults(func=cmd_bound)
 

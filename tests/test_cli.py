@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -96,6 +97,50 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and str(path) in err
         assert not out.exists()
+
+
+def _setting_flags():
+    """``pytest.param(command, flag, action)`` for each flag of the run
+    commands and ``bound`` that sets a value: all but help, ``--config``
+    and ``--out``."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return [pytest.param(name, action.option_strings[0], action,
+                         id=f"{name} {action.option_strings[0]}")
+            for name in ("protocol1", "protocol2", "run", "bound")
+            for action in commands[name]._actions
+            if action.dest not in ("help", "config", "out")]
+
+
+#: A malformed value of each flag that takes one; "x" for the others.
+_MALFORMED = {"--iterations": "1.5", "--mode": "bogus", "--algorithm": "bogus"}
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("command, flag, action", _setting_flags())
+    def test_each_flag_value_is_parsed_by_its_keys_parser_alone(
+            self, command, flag, action):
+        assert action.type is None and action.choices is None
+        assert action.dest in cli._PARSERS
+
+    @pytest.mark.parametrize("command, flag, action", [
+        p for p in _setting_flags() if p.values[2].nargs != 0])
+    def test_a_malformed_flag_value_is_a_config_error_naming_its_key(
+            self, tmp_path, capsys, command, flag, action):
+        argv = [command]
+        if command != "bound":
+            argv += ["--out", str(tmp_path / "x"), "--trials", "2",
+                     "--iterations", "10"]
+        if command == "run":
+            argv += ["--mu", "0.001"]
+        # a flag given twice takes its last value
+        assert main(argv + [flag, _MALFORMED.get(flag, "x")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error")
+        assert f"'{action.dest}'" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
 
 
 class TestBoundCommand:
@@ -402,6 +447,9 @@ class TestRunCommand:
         (["run", "--mu", "0.001", "--snr=-inf"], "snr_db"),
         # 10^400 overflows a double
         (["run", "--mu", "0.001", "--snr=-4000"], "snr_db"),
+        # 10^308 does not, but the noise power 10^308 h . R h does
+        (["run", "--mu", "0.001", "--snr=-3080"], "snr_db"),
+        (["protocol1", "--snr=-3080"], "snr_db"),
     ])
     def test_non_finite_setting_is_config_error(self, tmp_path, capsys,
                                                 argv, key):
@@ -462,6 +510,13 @@ class TestRunCommand:
         assert main(argv + (["--mu", "0.001"] if protocol == "run" else [])) == 1
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_finite_noise_power_is_a_run(self, tmp_path, capsys):
+        # 10^40 noise: every trial diverges, a runtime failure
+        rc = main(["run", "--out", str(tmp_path / "x"), "--trials", "2",
+                   "--iterations", "10", "--mu", "0.001", "--snr=-400"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: all 2 trials diverged")
 
     def test_infinite_snr_is_a_noiseless_run(self, tmp_path):
         rc = main(["run", "--out", str(tmp_path / "x"), "--trials", "2",

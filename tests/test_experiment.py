@@ -913,6 +913,18 @@ def test_an_empty_grid_is_a_value_error_naming_it(call, field):
                  id="channel-snr_db-noise-factor-overflows"),
     pytest.param(lambda: small_config(snr_db_values=(-4000.0,)), "snr_db_values",
                  id="config-snr_db_values-noise-factor-overflows"),
+    # a factor of 1e308 is finite, but not times lambda_max = 5 (M = 3 raw)
+    pytest.param(lambda: ChannelSpec(snr_db=-3080.0), "snr_db",
+                 id="channel-snr_db-noise-power-overflows"),
+    pytest.param(lambda: monte_carlo(small_config(snr_db_values=(-3080.0,)),
+                                     ChannelSpec()),
+                 "snr_db_values", id="monte_carlo-snr_db_values-noise-power-overflows"),
+    pytest.param(lambda: protocol1(0, snr_db=-3080.0), "snr_db",
+                 id="protocol1-snr_db-noise-power-overflows"),
+    # 1e307 times a pinned kernel's own h . R h, which is about 3e6
+    pytest.param(lambda: ChannelSpec(snr_db=-3070.0, kernel=VolterraKernel.from_flat(
+                     np.full(9, 1e3))), "snr_db",
+                 id="pinned-channel-snr_db-noise-power-overflows"),
     pytest.param(lambda: protocol1(0, mu_fraction=math.inf), "mu_fraction",
                  id="protocol1-mu_fraction-inf"),
     pytest.param(lambda: protocol1(0, mu_fraction=math.nan), "mu_fraction",
@@ -930,6 +942,16 @@ def test_a_non_finite_setting_is_a_value_error_naming_it(call, field):
     # raised as the run is set up, never as "all trials diverged"
     with pytest.raises(ValueError, match=rf"^{field} must"):
         call()
+
+
+def test_a_finite_noise_power_is_a_run():
+    # the random family at -3075 dB (3.2e307 times lambda_max = 5 is
+    # finite, times tr R = 15 is not), a pinned kernel of small h . R h at
+    # -3080 dB, and 10^40 noise, at which the trial diverges
+    ChannelSpec(snr_db=-3075.0)
+    ChannelSpec(snr_db=-3080.0, kernel=VolterraKernel.from_flat(np.full(9, 1e-3)))
+    assert run_trial(small_config(iterations=10), ChannelSpec(snr_db=-400.0),
+                     0).diverged
 
 
 def test_an_infinite_snr_is_a_noiseless_run():
@@ -1035,6 +1057,48 @@ class TestProtocolSmoke:
         assert np.allclose(comp.theory_mae[:first], expected[:first],
                            rtol=1e-12, atol=0)
         assert comp.theory_mae[first] == np.inf
+
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    def test_protocol1_cells_are_monte_carlos(self, mode):
+        # protocol 1 at fraction f runs the cells of monte_carlo at
+        # step_size_fraction f, bit for bit
+        q_values, f = (1.0, 5.0), 0.3
+        report = protocol1(4, trials=6, iterations=60, snr_db=15.0,
+                           q_values=q_values, memory_length=2,
+                           regressor_mode=mode, mu_fraction=f)
+        config = ExperimentConfig(iterations=60, trials=6, master_seed=4,
+                                  step_size_fraction=f, q_values=q_values,
+                                  snr_db_values=(15.0,))
+        curves = monte_carlo(config, ChannelSpec(memory_length=2,
+                                                 regressor_mode=mode))
+        for comp, cell in zip(report.comparisons, curves, strict=True):
+            assert comp.step_size == cell.step_size
+            assert comp.simulated_nwd.tobytes() == cell.nwd.tobytes()
+            assert comp.simulated_mae.tobytes() == cell.mae.tobytes()
+
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_update_eigenvalue_rule_is_the_bound_rule_at_twice_the_fraction(
+            self, m, mode):
+        q_values, f = (1.0, 5.0, 10.0), 0.1
+
+        def steps(**rule):
+            report = protocol1(0, trials=1, iterations=2, q_values=q_values,
+                               memory_length=m, regressor_mode=mode, **rule)
+            return [c.step_size for c in report.comparisons]
+
+        steps_at_f = steps(mu_fraction=f, mu_rule="fraction_of_update_eigenvalue")
+        assert steps_at_f == steps(mu_fraction=2 * f)
+        # and the rule as it reads, f / lambda_max(A)
+        r = ChannelSpec(memory_length=m, regressor_mode=mode).autocorrelation()
+        expected = [f / np.linalg.eigvals(
+            build_update_matrix(QParams.uniform(q, len(r)), r)).real.max()
+            for q in q_values]
+        np.testing.assert_allclose(steps_at_f, expected, rtol=4e-15, atol=0)
+
+    def test_protocol1_rejects_an_unknown_mu_rule(self):
+        with pytest.raises(ValueError, match="mu rule"):
+            protocol1(0, trials=1, iterations=2, mu_rule="bogus")
 
     def test_protocol2_structure(self):
         report = protocol2(5, trials=6, iterations=150,
