@@ -26,7 +26,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
@@ -43,10 +43,9 @@ from qvlms.experiment import (
     nwd_db,
     protocol1,
     protocol2,
-    resolve_step_size,
     steady_state_level,
 )
-from qvlms.experiment import _check_positive
+from qvlms.experiment import _check_positive, _config_cells
 # unused here, but perfbench/spans.py spans it under this module's name
 from qvlms.theory import gaussian_autocorrelation  # noqa: F401
 from qvlms.theory import gaussian_eigenvalues
@@ -425,18 +424,15 @@ def _run_outputs(s):
     channel = ChannelSpec(memory_length=s["memory_length"],
                           regressor_mode=s["regressor_mode"])
 
-    # warn per cell when its step exceeds twice its stability bound; as in
-    # the step-size resolution, q-VLMS cells take their q and the others 1
-    k = channel.num_coefficients
-    lam = channel.eigenvalues()
-    for algorithm in config.algorithms:
-        for q in config.q_values if algorithm == "qvlms" else (1.0,):
-            bound = step_size_bound(QParams.uniform(q, k), lam)
-            mu = resolve_step_size(config, channel, q)
-            if mu > 2.0 * bound:
-                print(f"warning: mu={mu:.3e} exceeds twice the stability bound "
-                      f"{bound:.3e} for {algorithm} at q={q:g}; divergence "
-                      f"likely", file=sys.stderr)
+    # warn per (algorithm, q) when its step exceeds twice its stability
+    # bound: the cells at the first SNR are one of each
+    first = replace(config, snr_db_values=config.snr_db_values[:1])
+    for cell in _config_cells(first, channel):
+        bound = cell.bound(channel)
+        if cell.step_size > 2.0 * bound:
+            print(f"warning: mu={cell.step_size:.3e} exceeds twice the stability "
+                  f"bound {bound:.3e} for {cell.algorithm} at q={cell.bound_q:g}; "
+                  f"divergence likely", file=sys.stderr)
 
     cells = monte_carlo(config, channel)
     checks = {

@@ -41,7 +41,7 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -334,20 +334,6 @@ def _chunk_seeds(master_seed: int, start: int, stop: int) -> list:
             for i in range(start, stop)]
 
 
-def resolve_step_size(config: ExperimentConfig, channel: ChannelSpec,
-                      q_value: float = 1.0) -> float:
-    """Absolute step size for one run cell.
-
-    Fraction rules resolve against the stability bound computed from the
-    closed-form input autocorrelation of the active regressor mode.
-    """
-    if config.step_size is not None:
-        return float(config.step_size)
-    bound = step_size_bound(QParams.uniform(q_value, channel.num_coefficients),
-                            channel.eigenvalues())
-    return float(config.step_size_fraction) * bound
-
-
 def whitened_gain(channel: ChannelSpec) -> np.ndarray:
     """Fixed gain matrix ``S R^-1 S`` for the whitened comparison variant.
 
@@ -368,21 +354,49 @@ def _whitened_gain(memory_length: int, mode: RegressorMode) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Cell:
-    """One (algorithm, q, SNR) cell at its resolved step size."""
+    """One (algorithm, q, SNR) cell at its resolved step size. A run's
+    cells are a list in any order; each result comes back at its cell's
+    place in it."""
 
     algorithm: str
     q_value: float | None
     snr_db: float
     step_size: float
 
+    @property
+    def bound_q(self) -> float:
+        """The q of the cell's stability bound: q-VLMS's own, 1 for the
+        other algorithms, which have no q."""
+        return 1.0 if self.q_value is None else self.q_value
+
+    def bound(self, channel: ChannelSpec) -> float:
+        """The mean stability bound ``1 / ((q+1) lambda_max)`` at ``bound_q``,
+        from the closed-form input autocorrelation of the regressor mode."""
+        qp = QParams.uniform(self.bound_q, channel.num_coefficients)
+        return step_size_bound(qp, channel.eigenvalues())
+
 
 def _config_cell(config: ExperimentConfig, channel: ChannelSpec, algorithm: str,
                  q_value: float, snr_db: float) -> _Cell:
-    """A cell of ``config``; q applies to q-VLMS only."""
+    """A cell of ``config``: q applies to q-VLMS only, and a fraction rule
+    takes its fraction of the cell's ``bound``. The bound is computed only
+    then: its eigenvalues' LAPACK call adds about 0.5 MB to the peak RSS
+    of a run at an absolute step."""
     channel._check_noise("snr_db_values", snr_db)
     q = float(q_value) if algorithm == "qvlms" else None
-    mu = resolve_step_size(config, channel, 1.0 if q is None else q)
-    return _Cell(algorithm, q, float(snr_db), mu)
+    step = config.step_size
+    cell = _Cell(algorithm, q, float(snr_db), step)
+    if step is None:
+        step = float(config.step_size_fraction) * cell.bound(channel)
+    return replace(cell, step_size=float(step))
+
+
+def _config_cells(config: ExperimentConfig, channel: ChannelSpec) -> list[_Cell]:
+    """Every (algorithm, q, SNR) cell of ``config``, by SNR, then by
+    algorithm, then by q."""
+    return [_config_cell(config, channel, algorithm, q, snr)
+            for snr in config.snr_db_values for algorithm in config.algorithms
+            for q in (config.q_values if algorithm == "qvlms" else (None,))]
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +486,9 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
 
     ``h, w0 (T, K)`` and each trial's generators of its input and unit
     noise streams (``_draw_chunk``) are shared by all cells, and are used
-    up; diagonal-gain cells must precede ``whitened`` ones. Yields
-    ``(row, w_end, e2, nwd, err, ok)`` per block of steps of B rows, the
-    curve rows ``row .. row+B-1``:
+    up. The cells may come in any order: axis C of every yield follows
+    ``cells``. Yields ``(row, w_end, e2, nwd, err, ok)`` per block of steps
+    of B rows, the curve rows ``row .. row+B-1``:
 
     * ``w_end (K, C, T)``: the weights at the block's last row,
       coefficient-major, read-only (the next block steps from them);
@@ -523,7 +537,8 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
       ``u_k w_k`` and the prediction, their sum (``_sum_call``). With more
       than one cell, ``spread (K, C, T)`` holds the step's regressors
       copied to every cell, and, once the prediction has read them, every
-      cell's update direction (``ugt[j]`` for the ``whitened`` cells). The
+      cell's update direction: ``ugt[j]`` copied into the column of each
+      ``whitened`` cell. The
       step ``g (mu e)`` is copied over the products and the directions are
       multiplied into it in place. No per-step call broadcasts an operand
       over slabs: numpy passes operands that do not form one contiguous
@@ -539,7 +554,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     """
     t, k = h.shape
     n, m, c = int(iterations), channel.memory_length, len(cells)
-    nd = sum(cell.algorithm != "whitened" for cell in cells)
+    whitened = [i for i, cell in enumerate(cells) if cell.algorithm == "whitened"]
     # every diagonal gain is uniform over the coefficients (one q per cell);
     # whitened cells take g = 1, which leaves mu * e unchanged, and step
     # along S R^-1 S u instead of u; both are spread to (C, T), so that no
@@ -550,7 +565,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
         QParams.uniform(cell.q_value, 1).g[0] if cell.algorithm == "qvlms"
         else 1.0 for cell in cells
     ])[:, None]
-    whitening = whitened_gain(channel) if nd < c else None
+    whitening = whitened_gain(channel) if whitened else None
     factor = np.array([noise_variance_for_snr(1.0, cell.snr_db) for cell in cells])
     sigma = np.sqrt(factor[:, None] * channel.signal_power(h))
 
@@ -632,13 +647,14 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
         # for the whitened cells, copied over u once the prediction has read it
         if spread is None:
             u = u_rows[j]
-            v, calls = u if nd else ug_rows[j], []
+            v = ug_rows[j] if whitened else u
+            calls = [(np.multiply, (u, w_prev, prod))]
         else:
             u = v = spread
-            calls = [(np.copyto, (spread, u_rows[j]))]
-        calls.append((np.multiply, (u, w_prev, prod)))
-        if spread is not None and nd < c:
-            calls.append((np.copyto, (spread[:, nd:], ug_rows[j])))
+            calls = [(np.copyto, (spread, u_rows[j])),
+                     (np.multiply, (u, w_prev, prod))]
+            calls += [(np.copyto, (spread[:, i:i + 1], ug_rows[j]))
+                      for i in whitened]
         calls += [
             _sum_call(prod, sums),
             (np.subtract, (d_rows[j, ...], pred, e)),
@@ -883,6 +899,8 @@ def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, sums,
 def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
               iterations: int, random_init: bool, update_matrices=None):
     """Average every cell over ``trials`` trials on shared per-trial draws.
+    The cells run in the order given: column ``j`` of every set of sums
+    is ``cells[j]``.
 
     Trial ``i`` is drawn from ``trial_seeds(master_seed, trials)[i]``; the
     seeds are built a chunk at a time, and a chunk's draws are dropped
@@ -911,17 +929,14 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
     curve, those sums over K times its kept trials (an empty list
     without).
     """
-    # the kernel stacks diagonal-gain cells ahead of matrix-gain ones
-    order = sorted(range(len(cells)), key=lambda i: cells[i].algorithm == "whitened")
-    stacked = [cells[i] for i in order]
     c, k, n, trials = len(cells), channel.num_coefficients, int(iterations), int(trials)
     totals, sums = _zero_sums(n, c), np.empty((n + 1, c, 3))
     diverged = np.zeros((c, trials), dtype=bool)
     if update_matrices is not None:
         blk = min(_block_steps(k, c, min(_CHUNK, trials)), n)
         with np.errstate(over="ignore", invalid="ignore"):
-            powers = [_step_powers(stacked[j].step_size, update_matrices[i], blk)
-                      for j, i in enumerate(order)]
+            powers = [_step_powers(cell.step_size, a, blk)
+                      for cell, a in zip(cells, update_matrices)]
         theory = np.full((n + 1, c), 0.0)
 
     def theory_sums(error, start, stop):
@@ -946,13 +961,13 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
         seeds = _chunk_seeds(master_seed, start, stop)
         draw = _draw_chunk(seeds, channel, n, random_init)
         error = draw[0] - draw[1]
-        diverged[:, start:stop] = _chunk_sums(draw, n, stacked, channel, sums)
+        diverged[:, start:stop] = _chunk_sums(draw, n, cells, channel, sums)
         del draw
         bad = np.flatnonzero(diverged[:, start:stop].any(axis=1))
         if bad.size:
             replayed = _zero_sums(n, bad.size)
             _chunk_sums(_draw_chunk(seeds, channel, n, random_init), n,
-                        [stacked[j] for j in bad], channel, replayed,
+                        [cells[j] for j in bad], channel, replayed,
                         keep=~diverged[bad, start:stop])
             sums[:, bad] = replayed
             del replayed
@@ -962,8 +977,7 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
                 theory_sums(error, start, stop)
 
     curves, theory_mae = [], []
-    for i, cell in enumerate(cells):
-        j = order.index(i)
+    for j, cell in enumerate(cells):
         kept = trials - int(diverged[j].sum())
         if kept == 0:
             raise RuntimeError(
@@ -996,14 +1010,9 @@ def monte_carlo(config: ExperimentConfig, channel: ChannelSpec) -> list[Averaged
     by each entry of ``config.snr_db_values``. All cells share the same
     per-trial draws, so cross-algorithm comparisons are paired.
     """
-    cells = [
-        _config_cell(config, channel, algorithm, q, snr)
-        for snr in config.snr_db_values
-        for algorithm in config.algorithms
-        for q in (config.q_values if algorithm == "qvlms" else (None,))
-    ]
-    curves, _ = _simulate(cells, channel, config.master_seed, config.trials,
-                          config.iterations, config.random_init)
+    curves, _ = _simulate(_config_cells(config, channel), channel,
+                          config.master_seed, config.trials, config.iterations,
+                          config.random_init)
     return curves
 
 
@@ -1086,15 +1095,14 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
         step_size_fraction=mu_fraction * _MU_RULES[mu_rule],
         q_values=tuple(q_values), snr_db_values=(snr_db,),
     )
-    cells = [_config_cell(config, channel, "qvlms", q, snr_db)
-             for q in config.q_values]
     r_in = channel.autocorrelation()
     update_matrices = [build_update_matrix(QParams.uniform(q, len(r_in)), r_in)
                        for q in config.q_values]
     # the mean recursion from each kept trial's initial error, averaged as
     # the simulated absolute weight error is
-    curves, theories = _simulate(cells, channel, master_seed, trials,
-                                 iterations, True, update_matrices)
+    curves, theories = _simulate(_config_cells(config, channel), channel,
+                                 master_seed, trials, iterations, True,
+                                 update_matrices)
 
     comparisons = []
     for cell, theory in zip(curves, theories):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import json
 import math
 import tempfile
@@ -18,6 +19,7 @@ from qvlms.experiment import (
     AveragedCurves,
     Protocol2Report,
     nwd_db,
+    protocol1,
     protocol2,
     steady_state_level,
 )
@@ -58,6 +60,31 @@ class TestConfigParsing:
         assert values["snr_db"] == (10.0, 20.0)
         assert values["q_values"] == (2.0, 5.0)
         assert values["mu"] == 0.001
+
+    @pytest.mark.parametrize("protocol, function, unset", [
+        ("protocol1", protocol1, {"mu_rule"}),
+        ("protocol2", protocol2, set()),
+    ])
+    def test_protocol_defaults_are_the_librarys(self, protocol, function,
+                                                unset):
+        # each protocol default has two homes, cli.DEFAULTS and the keyword
+        # defaults of its library function: they must not drift apart
+        names = {"mu": "step_size", "seed": "master_seed",
+                 "snr_db": "snr_db" if protocol == "protocol1" else "snr_db_values"}
+        params = inspect.signature(function).parameters
+        for key, value in cli.DEFAULTS[protocol].items():
+            expected = params[names.get(key, key)].default
+            if key == "seed":
+                # the master seed has no library default
+                assert expected is inspect.Parameter.empty
+                continue
+            if function is protocol1 and key == "snr_db":
+                (value,) = value  # protocol1 runs at one SNR
+            assert value == expected, key
+        keywords = {name for name, param in params.items()
+                    if param.kind is inspect.Parameter.KEYWORD_ONLY}
+        set_by_cli = {names.get(key, key) for key in cli.DEFAULTS[protocol]}
+        assert keywords - set_by_cli == unset
 
     def test_unknown_key_named_in_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -472,6 +499,23 @@ class TestRunCommand:
                    "--out", str(tmp_path / "x")])
         assert ("warning" in capsys.readouterr().err) == warns
         assert rc == (2 if warns else 0)
+
+    def test_step_size_warning_prints_once_per_algorithm_and_q(self, tmp_path,
+                                                               capsys):
+        # two SNRs, four cells: vlms at the q = 1 bound and qvlms at q = 5
+        # exceed twice their bounds, qvlms at q = 0.1 does not
+        rc = main(["run", "--algorithm", "vlms", "qvlms", "--q", "0.1", "5",
+                   "--mu", "0.3", "--snr", "10", "20", "--trials", "3",
+                   "--iterations", "50", "--out", str(tmp_path / "x")])
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning")]
+        assert warnings == [
+            "warning: mu=3.000e-01 exceeds twice the stability bound "
+            "1.000e-01 for vlms at q=1; divergence likely",
+            "warning: mu=3.000e-01 exceeds twice the stability bound "
+            "3.333e-02 for qvlms at q=5; divergence likely",
+        ]
+        assert rc == 2
 
     @pytest.mark.parametrize("source", ["flag", "config", "manifest"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, source):

@@ -27,7 +27,6 @@ from qvlms.experiment import (
     nwd_db,
     protocol1,
     protocol2,
-    resolve_step_size,
     run_trial,
     steady_state_level,
     trial_seeds,
@@ -272,7 +271,8 @@ class TestRunTrial:
             assert not w0.any()
             sigma = math.sqrt(spec.noise_variance(h))
             q = cfg.q_values[0] if algorithm == "qvlms" else 1.0
-            state = FilterState(w0, resolve_step_size(cfg, spec, q))
+            cell = experiment._config_cell(cfg, spec, algorithm, q, spec.snr_db)
+            state = FilterState(w0, cell.step_size)
             qp = QParams.uniform(q, spec.num_coefficients)
             for r in range(iterations):
                 u = expand_regressor(x[r:r + m][::-1], mode)
@@ -553,6 +553,37 @@ def test_chunk_sum_matches_run_trial(m, mode):
 
 
 @pytest.mark.parametrize("mode", list(RegressorMode))
+def test_cells_run_in_any_order(mode):
+    # whitened cells between and after diagonal-gain ones: every cell has
+    # the bits of a pass of that cell alone on the same draws
+    cfg = small_config(iterations=150, step_size=None, step_size_fraction=0.05,
+                       q_values=(3.0,))
+    spec = ChannelSpec(memory_length=3, regressor_mode=mode)
+    cells = [experiment._config_cell(cfg, spec, algorithm, 3.0, snr)
+             for algorithm, snr in (("qvlms", 20.0), ("whitened", 20.0),
+                                    ("vlms", 20.0), ("whitened", 10.0))]
+    seeds = trial_seeds(5, 4)
+    n = cfg.iterations
+
+    def run(cells):
+        """The NWD, squared errors and |h - w| of every row, and the final
+        weights, each with the cells on its second-to-last axis."""
+        draw = experiment._draw_chunk(seeds, spec, n, cfg.random_init)
+        blocks = []
+        for row, w_end, e2, cur, err, ok in experiment._lockstep(*draw, n, cells,
+                                                                 spec):
+            assert ok.all()
+            blocks.append((cur.copy(), e2.copy(), err.copy()))
+        return [np.concatenate(parts) for parts in zip(*blocks)] + [w_end.copy()]
+
+    together = run(cells)
+    assert len(together[0]) == n + 1
+    for i, cell in enumerate(cells):
+        for got, alone in zip(together, run([cell]), strict=True):
+            assert np.take(got, [i], axis=-2).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("mode", list(RegressorMode))
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
 @pytest.mark.parametrize("algorithms", [("qvlms", "vlms", "whitened"),
                                         ("whitened",)], ids=["mixed", "whitened"])
@@ -774,12 +805,18 @@ class TestTrialSeeds:
 
 class TestStepSizeResolution:
     def test_fraction_of_bound(self):
-        from qvlms.experiment import resolve_step_size
         cfg = small_config(step_size=None, step_size_fraction=0.5)
         spec = ChannelSpec(regressor_mode=RegressorMode.ORTHONORMALIZED)
+
+        def step(algorithm, q):
+            return experiment._config_cell(cfg, spec, algorithm, q,
+                                           spec.snr_db).step_size
+
         # identity autocorrelation: bound = 1 / (q + 1)
-        assert np.isclose(resolve_step_size(cfg, spec, 1.0), 0.25)
-        assert np.isclose(resolve_step_size(cfg, spec, 10.0), 0.5 / 11.0)
+        assert np.isclose(step("qvlms", 1.0), 0.25)
+        assert np.isclose(step("qvlms", 10.0), 0.5 / 11.0)
+        # q applies to q-VLMS only: the others step at the q = 1 bound
+        assert step("vlms", 10.0) == step("whitened", None) == step("qvlms", 1.0)
 
     def test_config_requires_exactly_one_rule(self):
         with pytest.raises(ValueError):
@@ -1277,8 +1314,8 @@ class TestReplay:
         calls = _spy_lockstep(monkeypatch)
         cells = monte_carlo(cfg, spec)
         assert [c.diverged for c in cells] == [0, 0, 5, 0]
-        assert calls == [[("qvlms", 2.0), ("qvlms", 5.0), ("vlms", None),
-                          ("whitened", None)],
+        assert calls == [[("whitened", None), ("qvlms", 2.0), ("qvlms", 5.0),
+                          ("vlms", None)],
                          [("qvlms", 5.0)]]
         # the clean cells keep the bits they have without the diverging one
         clean = monte_carlo(replace(cfg, q_values=(2.0,)), spec)
