@@ -224,19 +224,13 @@ class ChannelSpec:
         """Raise a ``ValueError`` naming ``name`` unless the SNR ``value``
         passes ``_check_snr`` and every channel of the family has a finite
         noise power at it. A pinned kernel has its own ``h . R h``; a
-        unit-norm random channel has ``h . R h <= lambda_max <= tr R``.
-        The eigenvalues are computed only where ``tr R`` does not settle
-        it: their LAPACK call adds about 0.5 MB to the peak RSS of a run
-        that needs no eigenvalues otherwise."""
+        unit-norm random channel has ``h . R h <= lambda_max``."""
         _check_snr(name, value)
-        factor = noise_variance_for_snr(1.0, value)
         if self.kernel is not None:
             power = self.signal_power(self.kernel.flat())
         else:
-            power = np.trace(self.autocorrelation())
-            if not math.isfinite(factor * float(power)):
-                power = self.eigenvalues()[-1]
-        if not math.isfinite(factor * float(power)):
+            power = self.eigenvalues()[-1]
+        if not math.isfinite(noise_variance_for_snr(1.0, value) * float(power)):
             raise ValueError(f"{name} must give a finite noise power "
                              f"(h . R h) 10^(-snr/10), got {value}")
 
@@ -379,9 +373,7 @@ class _Cell:
 def _config_cell(config: ExperimentConfig, channel: ChannelSpec, algorithm: str,
                  q_value: float, snr_db: float) -> _Cell:
     """A cell of ``config``: q applies to q-VLMS only, and a fraction rule
-    takes its fraction of the cell's ``bound``. The bound is computed only
-    then: its eigenvalues' LAPACK call adds about 0.5 MB to the peak RSS
-    of a run at an absolute step."""
+    takes its fraction of the cell's ``bound``."""
     channel._check_noise("snr_db_values", snr_db)
     q = float(q_value) if algorithm == "qvlms" else None
     step = config.step_size
@@ -419,7 +411,7 @@ def _draw_head(rng, channel: ChannelSpec, random_init: bool):
     return h, w0
 
 
-def _draw_chunk(seeds, channel: ChannelSpec, iterations: int, random_init: bool):
+def _draw_chunk(seeds, channel: ChannelSpec, random_init: bool):
     """Draws of a chunk of trials: ``h, w0 (T, K)`` stacked, and two
     generators per trial, standing at the start of its input stream x
     (N+M-1 values) and of its unit noise stream z (N values).
@@ -777,7 +769,7 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
                         config.q_values[0] if q_value is None else q_value,
                         channel.snr_db)
     n = config.iterations
-    draw = _draw_chunk([seed], channel, n, config.random_init)
+    draw = _draw_chunk([seed], channel, config.random_init)
     h, w0 = draw[0][0], draw[1][0]
     nwd_curve = np.full(n + 1, np.nan)
     abs_err = np.full((n + 1, h.size), np.nan)
@@ -797,7 +789,7 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
         if div_iter is not None:
             # the kernel keeps the weights of a block's last row only: the
             # weights at the divergence come from a replay up to it
-            replay = _draw_chunk([seed], channel, n, config.random_init)
+            replay = _draw_chunk([seed], channel, config.random_init)
             for _, w_end, *_ in _lockstep(*replay, div_iter, (cell,), channel):
                 pass
     w_final = w_end[:, 0, 0].copy()
@@ -959,14 +951,14 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
         seeds = _chunk_seeds(master_seed, start, stop)
-        draw = _draw_chunk(seeds, channel, n, random_init)
+        draw = _draw_chunk(seeds, channel, random_init)
         error = draw[0] - draw[1]
         diverged[:, start:stop] = _chunk_sums(draw, n, cells, channel, sums)
         del draw
         bad = np.flatnonzero(diverged[:, start:stop].any(axis=1))
         if bad.size:
             replayed = _zero_sums(n, bad.size)
-            _chunk_sums(_draw_chunk(seeds, channel, n, random_init), n,
+            _chunk_sums(_draw_chunk(seeds, channel, random_init), n,
                         [cells[j] for j in bad], channel, replayed,
                         keep=~diverged[bad, start:stop])
             sums[:, bad] = replayed

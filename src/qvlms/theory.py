@@ -79,7 +79,11 @@ def gaussian_eigenvalues(memory_length: int,
                          mode: RegressorMode = RegressorMode.RAW) -> np.ndarray:
     """Ascending eigenvalues of ``gaussian_autocorrelation(memory_length, mode)``.
 
-    Like the matrix, they are computed once per ``(memory_length, mode)``
+    They are exact, from the matrix's closed form: all 1 in
+    orthonormalized mode; in raw mode 1 (K - M times), then the squared
+    entries' block ``2 I + 1 1^T``: 2 (M - 1 times) and M + 2.
+
+    Like the matrix, they are built once per ``(memory_length, mode)``
     and the same read-only array is returned to every caller.
     """
     if not isinstance(mode, RegressorMode):
@@ -89,7 +93,9 @@ def gaussian_eigenvalues(memory_length: int,
 
 @lru_cache(maxsize=None)
 def _eigenvalues(m: int, mode: RegressorMode) -> np.ndarray:
-    lam = np.linalg.eigvalsh(_autocorrelation(m, mode))
+    lam = np.ones(num_coefficients(m))
+    if mode is RegressorMode.RAW:
+        lam[-m:] = [2.0] * (m - 1) + [m + 2.0]
     lam.setflags(write=False)
     return lam
 

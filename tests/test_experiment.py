@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qvlms import experiment
+from qvlms import cli, experiment, theory
 from qvlms.adapt import (
     FilterState,
     QParams,
@@ -535,7 +535,7 @@ def test_chunk_sum_matches_run_trial(m, mode):
     n, k, c, t = cfg.iterations, spec.num_coefficients, len(cells), len(seeds)
     nwd_rows, e2_rows = np.empty((n + 1, c, t)), np.empty((n + 1, c, t))
     err_rows = np.empty((n + 1, k, c, t))
-    draw = experiment._draw_chunk(seeds, spec, n, cfg.random_init)
+    draw = experiment._draw_chunk(seeds, spec, cfg.random_init)
     for row, w_end, e2, cur, err, ok in experiment._lockstep(*draw, n, cells,
                                                              spec):
         assert ok.all()
@@ -568,7 +568,7 @@ def test_cells_run_in_any_order(mode):
     def run(cells):
         """The NWD, squared errors and |h - w| of every row, and the final
         weights, each with the cells on its second-to-last axis."""
-        draw = experiment._draw_chunk(seeds, spec, n, cfg.random_init)
+        draw = experiment._draw_chunk(seeds, spec, cfg.random_init)
         blocks = []
         for row, w_end, e2, cur, err, ok in experiment._lockstep(*draw, n, cells,
                                                                  spec):
@@ -604,7 +604,7 @@ def test_chunk_matches_run_trial_across_segments(monkeypatch, m, mode,
     def chunk():
         curves = [np.empty((n + 1, c, t)), np.empty((n + 1, c, t)),
                   np.empty((n + 1, k, c, t))]
-        draw = experiment._draw_chunk(seeds, spec, n, cfg.random_init)
+        draw = experiment._draw_chunk(seeds, spec, cfg.random_init)
         for row, w_end, e2, cur, err, ok in experiment._lockstep(
                 *draw, n, cells, spec):
             assert ok.all()
@@ -779,8 +779,7 @@ class TestTrialSeeds:
         # spawn no child, so a replay draws the same streams
         spec = ChannelSpec(memory_length=m)
         seeds = [*trial_seeds(5, 3), 11]
-        h, w0, x_rngs, z_rngs = experiment._draw_chunk(seeds, spec, 40,
-                                                        random_init)
+        h, w0, x_rngs, z_rngs = experiment._draw_chunk(seeds, spec, random_init)
         for i, seed in enumerate(seeds):
             oracle = _draw_trial(seed, spec, 40, random_init)
             assert np.array_equal(h[i], oracle[0])
@@ -853,7 +852,7 @@ class TestKernelLayout:
 
         monkeypatch.setattr(experiment, "_page_aligned", spy)
         spec = ChannelSpec(memory_length=memory_length)
-        draw = experiment._draw_chunk(trial_seeds(1, trials), spec, 150, True)
+        draw = experiment._draw_chunk(trial_seeds(1, trials), spec, True)
         blocks = 0
         for row, *arrays in experiment._lockstep(*draw, 150, cells, spec):
             if row == 0:
@@ -893,7 +892,7 @@ class TestKernelLayout:
         # 0-d view, never a (..., 1, 1) slab
         spec = ChannelSpec()
         k = spec.num_coefficients
-        draw = experiment._draw_chunk(trial_seeds(1, 1), spec, 20, True)
+        draw = experiment._draw_chunk(trial_seeds(1, 1), spec, True)
         cells = [experiment._Cell(algorithm, q, 20.0, 1e-3)]
         kernel = experiment._lockstep(*draw, 20, cells, spec)
         next(kernel), next(kernel)
@@ -983,12 +982,45 @@ def test_a_non_finite_setting_is_a_value_error_naming_it(call, field):
 
 def test_a_finite_noise_power_is_a_run():
     # the random family at -3075 dB (3.2e307 times lambda_max = 5 is
-    # finite, times tr R = 15 is not), a pinned kernel of small h . R h at
-    # -3080 dB, and 10^40 noise, at which the trial diverges
+    # finite), a pinned kernel of small h . R h at -3080 dB, and 10^40
+    # noise, at which the trial diverges
     ChannelSpec(snr_db=-3075.0)
     ChannelSpec(snr_db=-3080.0, kernel=VolterraKernel.from_flat(np.full(9, 1e-3)))
     assert run_trial(small_config(iterations=10), ChannelSpec(snr_db=-400.0),
                      0).diverged
+
+
+def test_no_run_calls_an_eigensolver(monkeypatch):
+    # the spectrum of R is closed-form: a fresh build of it, a fraction
+    # rule's bound, the random family's noise check and ``bound`` solve no
+    # eigenproblem
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    theory._eigenvalues.cache_clear()
+    for mode in RegressorMode:
+        protocol1(0, trials=4, iterations=50, regressor_mode=mode)
+    monte_carlo(small_config(step_size=None, step_size_fraction=0.1),
+                ChannelSpec())
+    ChannelSpec(snr_db=-3075.0)
+    assert cli.main(["bound", "--memory-length", "8"]) == 0
+
+
+@pytest.mark.parametrize("m", [3, 8])
+@pytest.mark.parametrize("algorithm,q", [("qvlms", 1.0), ("qvlms", 5.0),
+                                         ("qvlms", 10.0), ("vlms", 1.0)])
+def test_a_fraction_rule_step_is_exact(m, algorithm, q):
+    # lambda_max = M + 2 exactly in the raw mode, so the bound is the
+    # correctly rounded 1 / ((q + 1) (M + 2))
+    spec = ChannelSpec(memory_length=m)
+    cfg = small_config(step_size=None, step_size_fraction=0.05, q_values=(q,),
+                       algorithms=(algorithm,))
+    cell = experiment._config_cell(cfg, spec, algorithm, q, spec.snr_db)
+    bound = cell.bound(spec)
+    assert bound == 1.0 / ((q + 1.0) * (m + 2))
+    assert cell.step_size == 0.05 * bound
 
 
 def test_an_infinite_snr_is_a_noiseless_run():
@@ -1181,10 +1213,11 @@ class _Stream:
         self.used += out.size
 
 
-def _whole_stream_chunk(streams):
-    """A ``_draw_chunk`` that draws every stream whole by the oracle, and
-    keeps the streams it hands out in ``streams``."""
-    def draw_chunk(seeds, channel, iterations, random_init):
+def _whole_stream_chunk(streams, iterations):
+    """A ``_draw_chunk`` that draws every stream of ``iterations`` steps
+    whole by the oracle, and keeps the streams it hands out in
+    ``streams``."""
+    def draw_chunk(seeds, channel, random_init):
         draws = [_draw_trial(s, channel, iterations, random_init) for s in seeds]
         xs, zs = ([_Stream(d[i]) for d in draws] for i in (2, 3))
         streams.extend(xs + zs)
@@ -1221,7 +1254,8 @@ class TestStreamedDraws:
         seed = trial_seeds(13, trials)[2]
         streamed = monte_carlo(cfg, spec), run_trial(cfg, spec, seed)
         streams = []
-        monkeypatch.setattr(experiment, "_draw_chunk", _whole_stream_chunk(streams))
+        monkeypatch.setattr(experiment, "_draw_chunk",
+                            _whole_stream_chunk(streams, cfg.iterations))
         whole = monte_carlo(cfg, spec), run_trial(cfg, spec, seed)
         assert streams and all(s.used == s.values.size for s in streams)
         for a, b in zip(streamed[0], whole[0], strict=True):

@@ -94,8 +94,26 @@ class TestGaussianAutocorrelation:
         assert not lam.flags.writeable
         with pytest.raises(ValueError):
             lam[0] = 2.0
+        closed = ([1.0] * 10 + [2.0] * 3 + [6.0] if mode is RegressorMode.RAW
+                  else [1.0] * 14)
+        assert np.array_equal(lam, closed)
         fresh = np.linalg.eigvalsh(np.array(gaussian_autocorrelation(4, mode)))
-        assert np.array_equal(lam, fresh)
+        assert np.allclose(lam, fresh, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_spectrum_is_exact(self, m, mode):
+        # raw: 1 (K - M times), 2 (M - 1 times) and M + 2; orthonormalized: 1
+        lam = gaussian_eigenvalues(m, mode)
+        k = num_coefficients(m)
+        raw = mode is RegressorMode.RAW
+        expected = ([1.0] * (k - m) + [2.0] * (m - 1) + [m + 2.0] if raw
+                    else [1.0] * k)
+        assert np.array_equal(lam, expected)
+        assert lam[-1] == (m + 2.0 if raw else 1.0)
+        assert not lam.flags.writeable
+        fresh = np.linalg.eigvalsh(np.array(gaussian_autocorrelation(m, mode)))
+        assert np.allclose(lam, fresh, rtol=0.0, atol=1e-13)
 
     def test_symmetric_positive_definite(self):
         for m in (1, 2, 3, 4):
