@@ -198,7 +198,8 @@ def step_size_bound(qp: QParams, eigenvalues) -> float:
     the q entries by index; with uniform q the pairing is immaterial and
     the bound reads ``1 / ((q + 1) * lambda_max)``. This is a conservative
     sufficient condition for the mean recursion; see the theory module for
-    the exact contraction threshold.
+    the exact contraction threshold. A ``ValueError`` where some
+    ``(q_i + 1) * lambda_i`` overflows, whose bound no double can hold.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.shape != qp.q.shape:
@@ -207,4 +208,9 @@ def step_size_bound(qp: QParams, eigenvalues) -> float:
         )
     if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
         raise ValueError("all eigenvalues must be positive and finite")
-    return float(1.0 / np.max((qp.q + 1.0) * lam))
+    with np.errstate(over="ignore"):
+        scaled = (qp.q + 1.0) * lam
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError(f"(q + 1) * lambda overflows for q up to {qp.q.max():g} "
+                         f"and lambda up to {lam.max():g}")
+    return float(1.0 / np.max(scaled))

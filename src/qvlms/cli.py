@@ -246,6 +246,8 @@ class RunSpec:
             _in_range(channel._check_noise, "snr_db", snr)
         if protocol == "run" and (s["mu"] is None) == (s["mu_fraction"] is None):
             raise ConfigError("key 'mu': set exactly one of mu and mu_fraction")
+        if protocol != "protocol2":
+            _check_steps(_experiment_config(s), channel)
         return cls(protocol, MappingProxyType(s))
 
     @classmethod
@@ -273,6 +275,34 @@ class RunSpec:
         """The settings as JSON values."""
         return {k: (v.value if isinstance(v, RegressorMode) else v)
                 for k, v in self.settings.items()}
+
+
+def _experiment_config(s) -> ExperimentConfig:
+    """The ``ExperimentConfig`` of protocol1's or run's settings ``s``:
+    protocol1 runs q-VLMS at its fraction of the bound."""
+    return ExperimentConfig(
+        iterations=s["iterations"], trials=s["trials"], master_seed=s["seed"],
+        step_size=s.get("mu"), step_size_fraction=s["mu_fraction"],
+        q_values=s["q_values"], snr_db_values=s["snr_db"],
+        algorithms=s.get("algorithms", ("qvlms",)),
+    )
+
+
+def _check_steps(config: ExperimentConfig, channel: ChannelSpec) -> None:
+    """Resolve the cells of ``config`` as its run will: a cell whose
+    stability bound overflows, which run's step warning reads at any step
+    rule, is a configuration error naming 'q_values', and a fraction of the
+    bound that gives no positive step one naming 'mu_fraction'."""
+    absolute = replace(config, step_size=1.0, step_size_fraction=None)
+    for cell in _config_cells(absolute, channel):
+        try:
+            cell.bound(channel)
+        except ValueError as exc:
+            raise ConfigError(f"key 'q_values': {exc}") from None
+    try:
+        _config_cells(config, channel)
+    except ValueError as exc:
+        raise ConfigError(f"key 'mu_fraction': {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +445,7 @@ def _protocol2_outputs(s):
 
 
 def _run_outputs(s):
-    config = ExperimentConfig(
-        iterations=s["iterations"], trials=s["trials"], master_seed=s["seed"],
-        step_size=s["mu"], step_size_fraction=s["mu_fraction"],
-        q_values=s["q_values"], snr_db_values=s["snr_db"],
-        algorithms=s["algorithms"],
-    )
+    config = _experiment_config(s)
     channel = ChannelSpec(memory_length=s["memory_length"],
                           regressor_mode=s["regressor_mode"])
 
@@ -497,11 +522,16 @@ def cmd_bound(args) -> int:
         m = _parse_int("memory_length",
                        3 if args.memory_length is None else args.memory_length)
         lam = gaussian_eigenvalues(m, mode)
+    try:
+        bounds = [step_size_bound(QParams.uniform(q, lam.size), lam) for q in qs]
+    except ValueError as exc:
+        keys = "'q_values' with 'eigenvalues'" if args.eigenvalues else "'q_values'"
+        raise ConfigError(f"key {keys}: {exc}") from None
+    if not args.eigenvalues:
         print(f"eigenvalues (M={m}, {mode.value}): "
               + " ".join(f"{v:.6g}" for v in lam))
-    for q in qs:
-        qp = QParams.uniform(q, lam.size)
-        print(f"q={q:g}: bound = {step_size_bound(qp, lam):.10g}")
+    for q, bound in zip(qs, bounds):
+        print(f"q={q:g}: bound = {bound:.10g}")
     return 0
 
 

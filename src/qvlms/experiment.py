@@ -25,7 +25,13 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
   drawn once per run and shared by every (algorithm, q, SNR) cell; SNR
   only rescales the noise, so comparisons between cells are paired. The
   noise comes from a generator of its own, seeded by the first child of
-  the trial's seed, so no generator draws a stream only to skip it.
+  the trial's seed, so no generator draws a stream only to skip it. A
+  chunk's generators are seeded without a ``SeedSequence`` or
+  ``default_rng`` per trial: ``_draw_chunk`` has ``seeding`` evaluate
+  numpy's ``SeedSequence`` hash for the whole chunk, with the constants
+  of ``numpy/random/bit_generator.pyx``, and hand each ``PCG64`` its
+  state through a minimal ``ISeedSequence``, so each stream has the bits
+  of ``default_rng`` of its seed.
 * Trials run one chunk of ``_CHUNK`` at a time, their streams are drawn
   one segment of about ``_SEGMENT`` steps at a time, and their weights are
   kept one block of steps at a time, in buffers that every segment and
@@ -48,6 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from qvlms.adapt import QParams, step_size_bound
+from qvlms.seeding import SpawnedSeeds, generator, seed_states
 from qvlms.theory import (
     _step_powers,
     _trajectory_blocks,
@@ -312,9 +319,9 @@ def trial_seeds(master_seed: int, trials: int) -> list[np.random.SeedSequence]:
     """Independent per-trial seed sequences derived from the master seed.
 
     Seed ``i`` is ``SeedSequence(master_seed, spawn_key=(i,))``, so the
-    Monte-Carlo runs build each chunk's seeds as they reach it
-    (``_chunk_seeds``). A trial draws its channel, initial weights and
-    input from ``default_rng`` of its seed, and its noise from
+    Monte-Carlo runs take each chunk's seeds as they reach it
+    (``seeding.SpawnedSeeds``). A trial draws its channel, initial weights
+    and input from ``default_rng`` of its seed, and its noise from
     ``default_rng`` of the seed's first child,
     ``spawn_key=(i, 0)`` (``_draw_chunk``).
     """
@@ -324,8 +331,7 @@ def trial_seeds(master_seed: int, trials: int) -> list[np.random.SeedSequence]:
 def _chunk_seeds(master_seed: int, start: int, stop: int) -> list:
     """``trial_seeds(master_seed, n)[start:stop]`` for any ``n >= stop``,
     built without the seeds before ``start``."""
-    return [np.random.SeedSequence(int(master_seed), spawn_key=(i,))
-            for i in range(start, stop)]
+    return list(SpawnedSeeds(master_seed, start, stop))
 
 
 def whitened_gain(channel: ChannelSpec) -> np.ndarray:
@@ -365,7 +371,8 @@ class _Cell:
 
     def bound(self, channel: ChannelSpec) -> float:
         """The mean stability bound ``1 / ((q+1) lambda_max)`` at ``bound_q``,
-        from the closed-form input autocorrelation of the regressor mode."""
+        from the closed-form input autocorrelation of the regressor mode;
+        a ``ValueError`` where ``(q+1) lambda_max`` overflows."""
         qp = QParams.uniform(self.bound_q, channel.num_coefficients)
         return step_size_bound(qp, channel.eigenvalues())
 
@@ -373,13 +380,17 @@ class _Cell:
 def _config_cell(config: ExperimentConfig, channel: ChannelSpec, algorithm: str,
                  q_value: float, snr_db: float) -> _Cell:
     """A cell of ``config``: q applies to q-VLMS only, and a fraction rule
-    takes its fraction of the cell's ``bound``."""
+    takes its fraction of the cell's ``bound``, a ``ValueError`` unless the
+    step is positive and finite."""
     channel._check_noise("snr_db_values", snr_db)
     q = float(q_value) if algorithm == "qvlms" else None
     step = config.step_size
     cell = _Cell(algorithm, q, float(snr_db), step)
     if step is None:
-        step = float(config.step_size_fraction) * cell.bound(channel)
+        bound = cell.bound(channel)
+        step = float(config.step_size_fraction) * bound
+        _check_positive(f"the step {config.step_size_fraction} x the bound "
+                        f"{bound:.6g}", step)
     return replace(cell, step_size=float(step))
 
 
@@ -395,22 +406,6 @@ def _config_cells(config: ExperimentConfig, channel: ChannelSpec) -> list[_Cell]
 # the streaming kernel
 # ---------------------------------------------------------------------------
 
-def _draw_head(rng, channel: ChannelSpec, random_init: bool):
-    """The channel ``h`` and initial weights ``w0`` of one trial: the first
-    draws of its generator."""
-    k = channel.num_coefficients
-    if channel.kernel is None:
-        v = rng.standard_normal(k)
-        h = v / np.linalg.norm(v)
-    else:
-        h = channel.kernel.flat()
-    if random_init:
-        w0 = rng.standard_normal(k) / np.sqrt(k)
-    else:
-        w0 = np.zeros(k)
-    return h, w0
-
-
 def _draw_chunk(seeds, channel: ChannelSpec, random_init: bool):
     """Draws of a chunk of trials: ``h, w0 (T, K)`` stacked, and two
     generators per trial, standing at the start of its input stream x
@@ -421,25 +416,40 @@ def _draw_chunk(seeds, channel: ChannelSpec, random_init: bool):
     ``seed`` is ``seeds[i]`` (an int is taken as ``SeedSequence(int)``) and
     ``child`` is the first child that ``seed.spawn`` would give it:
     ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,),
-    pool_size=seed.pool_size)``. The child is built, not spawned, so the
-    caller's seed is not changed and a replay draws the same streams. The
-    streams are not held: the kernel draws them a segment at a time, and a
-    generator gives the same values whether a stream is drawn at once or
-    in pieces, or into a tile of a few trials that the kernel then writes
-    across its time-major buffers.
+    pool_size=seed.pool_size)``. The streams are not held: the kernel
+    draws them a segment at a time, and a generator gives the same values
+    whether a stream is drawn at once or in pieces, or into a tile of a
+    few trials that the kernel then writes across its time-major buffers.
+
+    No ``SeedSequence`` or ``default_rng`` is built: ``seeding`` computes
+    every seed's and child's PCG64 state with numpy's ``SeedSequence``
+    hash, in Python integers with the constants of
+    ``numpy/random/bit_generator.pyx``, a group of seeds at once (a
+    ``SpawnedSeeds`` chunk hashes its master seed's words once and its
+    trials' keys as one column), and builds each generator as
+    ``Generator(PCG64(s))`` from a minimal ``ISeedSequence`` ``s`` that
+    holds the state, since PCG64 seeds itself from any ``ISeedSequence``
+    as it would from the ``SeedSequence``; the streams keep their bits.
+    The caller's seeds are only read, so a replay draws the same streams.
+    A trial's h and w0 are one call's draws, normalized and scaled over the
+    chunk with the bits of ``v / np.linalg.norm(v)`` and ``/ np.sqrt(K)``.
     """
     t, k = len(seeds), channel.num_coefficients
-    h, w0 = np.empty((t, k)), np.empty((t, k))
-    x_rngs, z_rngs = [], []
-    for i, seed in enumerate(seeds):
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        x_rng = np.random.default_rng(seed)
-        h[i], w0[i] = _draw_head(x_rng, channel, random_init)
-        x_rngs.append(x_rng)
-        z_rngs.append(np.random.default_rng(np.random.SeedSequence(
-            seed.entropy, spawn_key=seed.spawn_key + (0,),
-            pool_size=seed.pool_size)))
+    x_rngs, z_rngs = [None] * t, [None] * t
+    for rows, (x_states, z_states) in seed_states(seeds):
+        for row, x, z in zip(rows, x_states, z_states):
+            x_rngs[row], z_rngs[row] = generator(x), generator(z)
+    head = np.empty((t, k * ((channel.kernel is None) + random_init)))
+    for row, rng in zip(head, x_rngs):
+        rng.standard_normal(out=row)
+    if channel.kernel is None:
+        v = head[:, :k]
+        # norm's sum of squares is BLAS's dot, as each 1 x 1 product is
+        h = v / np.sqrt(np.matmul(v[:, None], v[:, :, None]))[:, 0]
+    else:
+        h = np.tile(channel.kernel.flat(), (t, 1))
+    # math.sqrt(k) is np.sqrt(k), correctly rounded
+    w0 = head[:, -k:] / math.sqrt(k) if random_init else np.zeros((t, k))
     return h, w0, x_rngs, z_rngs
 
 
@@ -950,7 +960,7 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
 
     for start in range(0, trials, _CHUNK):
         stop = min(start + _CHUNK, trials)
-        seeds = _chunk_seeds(master_seed, start, stop)
+        seeds = SpawnedSeeds(master_seed, start, stop)
         draw = _draw_chunk(seeds, channel, random_init)
         error = draw[0] - draw[1]
         diverged[:, start:stop] = _chunk_sums(draw, n, cells, channel, sums)
@@ -1098,13 +1108,21 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
 
     comparisons = []
     for cell, theory in zip(curves, theories):
+        try:
+            correlation = correlation_coefficient(theory, cell.mae)
+        except ValueError:  # a constant curve
+            raise RuntimeError(
+                f"protocol1: the theory or the simulated MAE curve does not "
+                f"move at q={cell.q_value:g}, mu={cell.step_size:.3e} "
+                f"(mu_fraction={mu_fraction:g}), so it has no correlation"
+            ) from None
         comparisons.append(CurveComparison(
             q_value=cell.q_value,
             step_size=cell.step_size,
             theory_mae=theory,
             simulated_mae=cell.mae,
             simulated_nwd=cell.nwd,
-            correlation=correlation_coefficient(theory, cell.mae),
+            correlation=correlation,
             trials=trials,
             diverged=cell.diverged,
         ))

@@ -5,6 +5,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,23 @@ class TestBoundCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error")
         for key in ["eigenvalues"] + keys:
+            assert f"'{key}'" in captured.err
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["--q", "1", "1e308"], ["q_values"]),
+        (["--eigenvalues", "1e308", "--q", "5"], ["q_values", "eigenvalues"]),
+    ])
+    def test_bound_that_overflows_is_config_error(self, capsys, argv, keys):
+        # (q + 1) lambda overflows: no numpy warning, no "bound = 0", and no
+        # line printed before the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bound"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error")
+        for key in keys:
             assert f"'{key}'" in captured.err
         assert captured.out == ""
 
@@ -554,6 +572,45 @@ class TestRunCommand:
         assert main(argv + (["--mu", "0.001"] if protocol == "run" else [])) == 1
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        # 5e-324 of the bound rounds to a step of 0
+        (["run", "--mu-frac", "5e-324"], "mu_fraction"),
+        (["protocol1", "--mu-fraction", "5e-324"], "mu_fraction"),
+        # (q + 1) lambda_max overflows, at either step rule, since run's
+        # step warning reads the bound too
+        (["run", "--mu-frac", "0.1", "--q", "1e308"], "q_values"),
+        (["run", "--mu", "0.001", "--q", "5", "1e308"], "q_values"),
+        (["protocol1", "--q", "1e308"], "q_values"),
+    ])
+    def test_step_that_is_not_positive_and_finite_is_config_error(
+            self, tmp_path, capsys, argv, key):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv + ["--trials", "2", "--iterations", "5",
+                              "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and f"'{key}'" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_huge_q_is_a_run_where_no_cell_reads_it(self, tmp_path):
+        # q applies to q-VLMS only: a vlms run steps at the q = 1 bound
+        assert main(["run", "--algorithm", "vlms", "--q", "1e308",
+                     "--mu-frac", "0.1", "--trials", "2", "--iterations", "5",
+                     "--out", str(tmp_path / "x")]) == 0
+
+    def test_protocol1_at_a_step_too_small_to_move_is_a_runtime_error(
+            self, tmp_path, capsys):
+        # mu = 1e-31 moves neither the weights nor the mean recursion, so
+        # the curves are constant and have no correlation
+        rc = main(["protocol1", "--trials", "2", "--iterations", "3",
+                   "--mu-fraction", "1e-30", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for part in ("q=1", "mu=1.000e-31", "mu_fraction=1e-30"):
+            assert part in err
 
     def test_finite_noise_power_is_a_run(self, tmp_path, capsys):
         # 10^40 noise: every trial diverges, a runtime failure

@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qvlms import cli, experiment, theory
+from qvlms import cli, experiment, seeding, theory
 from qvlms.adapt import (
     FilterState,
     QParams,
     matrix_gain_step,
     qvlms_step,
+    step_size_bound,
     vlms_step,
 )
 from qvlms.experiment import (
@@ -802,6 +804,63 @@ class TestTrialSeeds:
         protocol1(3, trials=2, iterations=10, q_values=(5.0,))
 
 
+class TestChunkDraw:
+    """A chunk's generators are seeded from numpy's ``SeedSequence`` hash,
+    evaluated for the chunk at once (``seeding``): every draw is that of
+    ``default_rng`` of the trial's seed and of its first child."""
+
+    @pytest.mark.parametrize("random_init", [True, False])
+    @pytest.mark.parametrize("seeds", [
+        pytest.param([*trial_seeds(5, 3), 11, np.random.SeedSequence(
+            [1, 2**40], spawn_key=(2**40, 3), pool_size=8), 0, *trial_seeds(6, 2)],
+                     id="mixed-list"),
+        pytest.param(seeding.SpawnedSeeds(9, 250, 262), id="chunk"),
+        pytest.param(seeding.SpawnedSeeds(2**130 + 1, 2**32 - 3, 2**32 + 2),
+                     id="chunk-past-32-bit-keys"),
+    ])
+    def test_one_draw_equals_each_seeds_generators(self, seeds, random_init):
+        spec = ChannelSpec()
+        h, w0, x_rngs, z_rngs = experiment._draw_chunk(seeds, spec, random_init)
+        seeds = list(seeds)
+        assert len(h) == len(w0) == len(x_rngs) == len(z_rngs) == len(seeds)
+        for i, seed in enumerate(seeds):
+            oracle = _draw_trial(seed, spec, 30, random_init)
+            assert np.array_equal(h[i], oracle[0])
+            assert np.array_equal(w0[i], oracle[1])
+            assert np.array_equal(x_rngs[i].standard_normal(32), oracle[2])
+            assert np.array_equal(z_rngs[i].standard_normal(30), oracle[3])
+
+    @pytest.mark.parametrize("seed, error", [
+        (1.5, TypeError), ([2, 1.5], TypeError), (-1, ValueError),
+        # numpy draws fresh entropy from the OS for None: no trial is
+        # reproducible from it
+        (None, TypeError),
+    ])
+    def test_a_seed_that_is_no_entropy_is_an_error(self, seed, error):
+        with pytest.raises(error):
+            experiment._draw_chunk([seed], ChannelSpec(), True)
+
+    def test_a_chunk_draw_builds_no_seed_sequence_or_default_rng(self,
+                                                                 monkeypatch):
+        cfg = small_config(trials=300, iterations=20)
+        spec = ChannelSpec()
+        seeds = [*trial_seeds(5, 3), 11]
+        expected = monte_carlo(cfg, spec), experiment._draw_chunk(seeds, spec, True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SeedSequence or default_rng called")
+
+        monkeypatch.setattr(experiment.np.random, "SeedSequence", refuse)
+        monkeypatch.setattr(experiment.np.random, "default_rng", refuse)
+        got = monte_carlo(cfg, spec), experiment._draw_chunk(seeds, spec, True)
+        for a, b in zip(expected[0], got[0], strict=True):
+            _same_arrays(a, b, ("nwd", "mae", "mse", "diverged_mask"))
+        for a, b in zip(expected[1][:2], got[1][:2]):
+            assert np.array_equal(a, b)
+        for a, b in zip(expected[1][2] + expected[1][3], got[1][2] + got[1][3]):
+            assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestStepSizeResolution:
     def test_fraction_of_bound(self):
         cfg = small_config(step_size=None, step_size_fraction=0.5)
@@ -1021,6 +1080,50 @@ def test_a_fraction_rule_step_is_exact(m, algorithm, q):
     bound = cell.bound(spec)
     assert bound == 1.0 / ((q + 1.0) * (m + 2))
     assert cell.step_size == 0.05 * bound
+
+
+def test_a_bound_that_overflows_is_a_value_error():
+    # (q + 1) lambda_max overflows a double at q = 1e308: no warning, no
+    # bound of 0; a finite product keeps the bits of 1 / max((q + 1) lambda)
+    lam = ChannelSpec().eigenvalues()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, eigenvalues in ((1e308, lam), (5.0, np.full(9, 1e308))):
+            with pytest.raises(ValueError, match="overflows"):
+                step_size_bound(QParams.uniform(q, 9), eigenvalues)
+        for q in (0.5, 5.0, 1e307):
+            assert step_size_bound(QParams.uniform(q, 9), lam) == \
+                float(1.0 / np.max((q + 1.0) * lam))
+    cfg = small_config(step_size=None, step_size_fraction=0.1, q_values=(1e308,))
+    with pytest.raises(ValueError, match="overflows"):
+        monte_carlo(cfg, ChannelSpec())
+    # q applies to q-VLMS only: a vlms cell steps at the q = 1 bound
+    monte_carlo(replace(cfg, algorithms=("vlms",)), ChannelSpec())
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: monte_carlo(
+        small_config(step_size=None, step_size_fraction=5e-324), ChannelSpec()),
+                 id="monte_carlo"),
+    pytest.param(lambda: run_trial(
+        small_config(step_size=None, step_size_fraction=5e-324), ChannelSpec(), 0),
+                 id="run_trial"),
+    pytest.param(lambda: protocol1(0, trials=2, iterations=3, mu_fraction=5e-324),
+                 id="protocol1"),
+])
+def test_a_fraction_whose_step_underflows_is_a_value_error(call):
+    # 5e-324 of a bound below 1 rounds to a step of 0
+    with pytest.raises(ValueError, match=r"^the step .* must be positive and "
+                                         r"finite, got 0\.0"):
+        call()
+
+
+def test_protocol1_at_a_step_too_small_to_move_is_a_runtime_error():
+    # at mu ~ 1e-31 neither the weights nor the mean recursion move in
+    # double precision, so the curves are constant and have no correlation
+    with pytest.raises(RuntimeError, match=r"q=1, mu=1\.000e-31 "
+                                           r"\(mu_fraction=1e-30\)"):
+        protocol1(0, trials=2, iterations=3, mu_fraction=1e-30)
 
 
 def test_an_infinite_snr_is_a_noiseless_run():
