@@ -41,4 +41,4 @@ from qvlms.volterra import (
     scaling_diag,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -246,8 +246,7 @@ class RunSpec:
             _in_range(channel._check_noise, "snr_db", snr)
         if protocol == "run" and (s["mu"] is None) == (s["mu_fraction"] is None):
             raise ConfigError("key 'mu': set exactly one of mu and mu_fraction")
-        if protocol != "protocol2":
-            _check_steps(_experiment_config(s), channel)
+        _check_steps(_experiment_config(s), channel)
         return cls(protocol, MappingProxyType(s))
 
     @classmethod
@@ -278,11 +277,13 @@ class RunSpec:
 
 
 def _experiment_config(s) -> ExperimentConfig:
-    """The ``ExperimentConfig`` of protocol1's or run's settings ``s``:
-    protocol1 runs q-VLMS at its fraction of the bound."""
+    """The ``ExperimentConfig`` of run's settings ``s``, or of the q-VLMS
+    cells of protocol1's or protocol2's: protocol1 runs them at its
+    fraction of the bound, protocol2 at its absolute step (its other cells
+    take the bound at q = 1, which cannot overflow)."""
     return ExperimentConfig(
         iterations=s["iterations"], trials=s["trials"], master_seed=s["seed"],
-        step_size=s.get("mu"), step_size_fraction=s["mu_fraction"],
+        step_size=s.get("mu"), step_size_fraction=s.get("mu_fraction"),
         q_values=s["q_values"], snr_db_values=s["snr_db"],
         algorithms=s.get("algorithms", ("qvlms",)),
     )

@@ -12,15 +12,22 @@ excluded from the averages (never silently dropped).
 One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
 ``monte_carlo`` and both protocols. It keeps these invariants:
 
+* The kernel steps a trial's weight error ``delta = h - w``, the form of
+  the paper's analysis, not its weights: ``e = sigma z + u . delta`` and
+  ``delta <- delta - g (mu e) v``, the steps of w in exact arithmetic. No
+  desired signal ``h . u`` is formed and no a priori error is the rounded
+  difference of ``h . u`` and ``w . u``, so a noiseless trial converges
+  far below the rounding of the weights. Its final weights are
+  ``h - delta``.
 * A trial's curves and final weights have the same bits whichever entry
   point ran it, beside whichever cells and trials, at any block or
   segment length. Diagonal-gain trials have the bits of the scalar
-  ``adapt.qvlms_step`` / ``vlms_step``: the prediction ``w . u`` and the
-  clean desired signal ``h . u`` add their K terms left to right, the
-  first one first, as ``adapt.predict`` does. The one exception is a
-  ``whitened`` cell whose gain is a full matrix (the raw regressor mode):
-  BLAS may order ``(S R^-1 S) u`` one way for one trial and another for
-  several.
+  weight-error recursion above, whose sum ``u . delta`` adds its K terms
+  left to right, the first one first, as ``adapt.predict`` does; the
+  scalar ``adapt.qvlms_step`` / ``vlms_step`` of the weights agree with
+  them to rounding. The one exception is a ``whitened`` cell whose gain
+  is a full matrix (the raw regressor mode): BLAS may order
+  ``(S R^-1 S) u`` one way for one trial and another for several.
 * Each trial's channel, initial weights, input and unit noise streams are
   drawn once per run and shared by every (algorithm, q, SNR) cell; SNR
   only rescales the noise, so comparisons between cells are paired. The
@@ -33,8 +40,8 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
   state through a minimal ``ISeedSequence``, so each stream has the bits
   of ``default_rng`` of its seed.
 * Trials run one chunk of ``_CHUNK`` at a time, their streams are drawn
-  one segment of about ``_SEGMENT`` steps at a time, and their weights are
-  kept one block of steps at a time, in buffers that every segment and
+  one segment of about ``_SEGMENT`` steps at a time, and their weight
+  errors are kept one block of steps at a time, in buffers that every segment and
   block of a chunk reuses: no kernel buffer grows with the trial or the
   iteration count. The run's curve sums, two (N+1) x cells x 3 sets, and
   ``protocol1``'s theory sums, (N+1) x cells, grow with the iterations,
@@ -127,9 +134,11 @@ _ALIGN = 4096
 def nwd(h, w) -> float:
     """Normalized weight deviation ``||h - w||^2 / ||h||^2`` (squared).
 
-    The kernel's arithmetic: the squares of ``h - w`` added left to right,
-    over ``(h * h).sum()``, so a trial's last NWD is ``nwd`` of its channel
-    and final weights, bit for bit."""
+    The kernel's arithmetic: the squares of the weight error added left to
+    right, over ``(h * h).sum()``. The kernel steps the weight error
+    ``delta`` itself, and a trial's final weights are ``h - delta``
+    rounded, so ``nwd`` of its channel and final weights agrees with its
+    last NWD to that rounding."""
     hv = np.asarray(h, dtype=np.float64)
     wv = np.asarray(w, dtype=np.float64)
     if hv.shape != wv.shape or hv.ndim != 1:
@@ -486,27 +495,32 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     """Advance a chunk of trials through ``iterations`` steps of every cell
     in lockstep, with the divergence guard applied.
 
+    Each pair's weight error ``delta = h - w`` is stepped, not its weights
+    (the module's first invariant): ``e = sigma z + u . delta``, then
+    ``delta <- delta - g (mu e) v``.
+
     ``h, w0 (T, K)`` and each trial's generators of its input and unit
     noise streams (``_draw_chunk``) are shared by all cells, and are used
     up. The cells may come in any order: axis C of every yield follows
-    ``cells``. Yields ``(row, w_end, e2, nwd, err, ok)`` per block of steps
-    of B rows, the curve rows ``row .. row+B-1``:
+    ``cells``. Yields ``(row, delta_end, e2, nwd, err, ok)`` per block of
+    steps of B rows, the curve rows ``row .. row+B-1``:
 
-    * ``w_end (K, C, T)``: the weights at the block's last row,
-      coefficient-major, read-only (the next block steps from them);
+    * ``delta_end (K, C, T)``: the weight error at the block's last row,
+      coefficient-major, read-only (the next block steps from it); the
+      weights there are ``h - delta_end``;
     * ``e2 (B, C, T)``: the squared a priori errors of the steps that
       produced the block's rows;
     * ``nwd (B, C, T)``: their normalized weight deviation;
-    * ``err (B, K, C, T)``: their absolute weight error ``|h - w|``;
+    * ``err (B, K, C, T)``: their absolute weight error ``|delta|``;
     * ``ok (B, C, T)``: the guard, ``nwd <= DIVERGENCE_THRESHOLD``. NaN
       fails it, so a pair whose weights overflowed has diverged.
 
-    The first yield is row 0, the initial weights, with NaN squared errors
-    and a guard that passes every pair. Yielded arrays are the kernel's
-    buffers: the next block overwrites them, and a consumer may too, all
-    but ``w_end``. The weights of a block's other rows are not kept: a
-    consumer that needs the weights at some row runs the kernel that many
-    iterations. A diverged pair keeps adapting and may overflow, so
+    The first yield is row 0, the initial error ``h - w0``, with NaN
+    squared errors and a guard that passes every pair. Yielded arrays are
+    the kernel's buffers: the next block overwrites them, and a consumer
+    may too, all but ``delta_end``. The weight error of a block's other
+    rows is not kept: a consumer that needs it at some row runs the kernel
+    that many iterations. A diverged pair keeps adapting and may overflow, so
     callers run under ``np.errstate`` and mask it.
 
     Every buffer is allocated once per call and comes from
@@ -529,16 +543,16 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
       in which row M-1+j holds step j and the rows before it the M-1 steps
       before the block: a step's terms ``u_i u_i .. u_i u_M-1`` are the
       first M-i products of the step i earlier. ``ugt`` holds the whitened
-      direction ``S R^-1 S u`` (one matrix product a block), ``clean`` the
-      products ``h_k u_k`` and their sum, ``d (B, C, T)`` the desired
-      signal, and ``w_hist (B, K, C, T)`` and ``e_hist (B, C, T)`` the
-      weights and errors of the block's steps. Once ``w_last`` keeps the
-      weights of the last row, the guard forms ``|h - w|`` in place over
-      ``w_hist``.
+      direction ``S R^-1 S u`` (one matrix product a block), ``d (B, C, T)``
+      the noise ``sigma z``, and ``w_hist (B, K, C, T)`` and
+      ``e_hist (B, C, T)`` the weight errors and the a priori errors of
+      the block's steps. Once ``w_last`` keeps the weight error of the
+      last row, the guard takes ``|delta|`` in place over ``w_hist``.
     * Per step, on contiguous (C, T) slabs: ``work`` holds the products
-      ``u_k w_k`` and the prediction, their sum (``_sum_call``). With more
+      ``u_k delta_k`` and the channel's output left to adapt, their sum
+      (``_sum_call``), which the noise is added to. With more
       than one cell, ``spread (K, C, T)`` holds the step's regressors
-      copied to every cell, and, once the prediction has read them, every
+      copied to every cell, and, once ``u . delta`` has read them, every
       cell's update direction: ``ugt[j]`` copied into the column of each
       ``whitened`` cell. The
       step ``g (mu e)`` is copied over the products and the directions are
@@ -549,7 +563,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
       operand drops the (C, T) axes, a (K,) row or a 0-d view of a buffer
       reshaped once per call, so that numpy runs its plain loops rather
       than its general iterator.
-    * ``kmajor (K, B)``: where a slab holds one value, ``|h - w|`` copied
+    * ``kmajor (K, B)``: where a slab holds one value, ``|delta|`` copied
       K-major, so that einsum adds the NWD's K squares one after another
       as it does for larger slabs; over one contiguous row it adds them in
       its own unrolled order.
@@ -572,9 +586,6 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     sigma = np.sqrt(factor[:, None] * channel.signal_power(h))
 
     blk = min(_block_steps(k, c, t), n)
-    # the channel spread to (K, C, T), so that only B broadcasts
-    hb = _page_aligned((k, c, t))
-    hb[...] = h.T[:, None]
     hh = (h * h).sum(axis=1)
     sq_buf = _page_aligned((blk, c, t))
     nwd_buf = _page_aligned((blk, c, t))
@@ -596,29 +607,27 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     ugt = _page_aligned((blk, k, 1, t)) if whitening is not None else None
     g0 = _page_aligned((blk + m - 1, m, t))
     spread = _page_aligned((k, c, t)) if c > 1 else None
-    # consumers read the last row's weights through a read-only view
+    # consumers read the last row's weight error through a read-only view
     w_last = _page_aligned((k, c, t))
-    w_end = w_last.view()
-    w_end.flags.writeable = False
-    # the products, then the prediction (or its running sums, the last of
-    # which it is); the update step overwrites the products
+    delta_end = w_last.view()
+    delta_end.flags.writeable = False
+    # the products, then their sum u . delta (or its running sums, the last
+    # of which it is); the update step overwrites the products
     work = _page_aligned((2 * k if c * t == 1 else k + 1, c, t))
     # mu e, then the step g (mu e)
     scaled = _page_aligned((2, c, t))
-    # (B, T) slabs; at one trial, a block of one step takes K for the sum
-    clean = _page_aligned((2 * k if t == 1 else k + 1, blk, t))
 
     def guarded(row, b):
-        """The yield of a block whose ``b`` rows of weights are in
-        ``w_hist``: the weights of its last row are kept in ``w_last``, then
-        ``|h - w|`` is formed over the history, and the curves and the guard
+        """The yield of a block whose ``b`` rows of weight error are in
+        ``w_hist``: the error of its last row is kept in ``w_last``, then
+        ``|delta|`` is taken over the history, and the curves and the guard
         from it; row 0, the initial state, never diverges."""
         w = w_hist[:b]
         np.copyto(w_last, w[b - 1])
         sq, cur, ok = sq_buf[:b], nwd_buf[:b], ok_buf[:b]
         np.multiply(e_hist[:b], e_hist[:b], out=sq)
-        err = np.abs(np.subtract(hb, w, out=w), out=w)
-        # |h - w| |h - w| has the bits of (h - w) (h - w)
+        err = np.abs(w, out=w)
+        # |delta| |delta| has the bits of delta delta
         if kmajor is None:
             np.einsum("bkct,bkct->bct", err, err, out=cur)
         else:
@@ -629,13 +638,13 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
         np.less_equal(cur, DIVERGENCE_THRESHOLD, out=ok)
         if not row:
             ok[...] = True
-        return row, w_end, sq, cur, err, ok
+        return row, delta_end, sq, cur, err, ok
 
-    w_hist[0] = w0.T[:, None]
+    w_hist[0] = (h - w0).T[:, None]
     e_hist[0] = np.nan
     yield guarded(0, 1)
 
-    # the ufunc calls of each step of a block: prediction, error, update
+    # the ufunc calls of each step of a block: u . delta, error, update
     views = [w_hist, w_last, ut, ugt, d, e_hist, mu, gain, work, scaled]
     if c * t == 1:
         views = [a if a is None else a.reshape(a.shape[:-2]) for a in views]
@@ -646,7 +655,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     for j in range(blk):
         w, e = w_rows[j], e_rows[j, ...]
         # the regressors u, and every cell's direction v: u, or S R^-1 S u
-        # for the whitened cells, copied over u once the prediction has read it
+        # for the whitened cells, copied over u once u . delta has read it
         if spread is None:
             u = u_rows[j]
             v = ug_rows[j] if whitened else u
@@ -659,7 +668,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
                       for i in whitened]
         calls += [
             _sum_call(prod, sums),
-            (np.subtract, (d_rows[j, ...], pred, e)),
+            (np.add, (d_rows[j, ...], pred, e)),
             (np.multiply, (mu, e, mu_e)),
             (np.multiply, (gain, mu_e, step)),
         ]
@@ -671,7 +680,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
         else:
             calls += [(np.copyto, (prod, step)),
                       (np.multiply, (prod, v, prod))]
-        calls.append((np.add, (w_prev, prod, w)))
+        calls.append((np.subtract, (w_prev, prod, w)))
         steps.append(calls)
         w_prev = w
 
@@ -685,7 +694,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     def expansion(b):
         """The ufunc calls that complete a block of ``b`` steps once its
         linear taps and its noise ``z sigma`` are in place: the quadratic
-        terms, the desired signal, and the whitened direction."""
+        terms and the whitened direction."""
         u = ut[:b, :, 0]
         lin = u[:, :m]
         # the block's products x(s) x(s-d), and the squares' ortho form
@@ -698,10 +707,6 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
                                       g0[m - 1 - i:m - 1 - i + b, :m - i])))
         # the block's last M-1 steps precede the next block
         calls.append((np.copyto, (g0[:m - 1], g0[b:b + m - 1])))
-        calls.append((np.multiply,
-                      (u.transpose(1, 0, 2), hb[:, :1], clean[:k, :b])))
-        calls.append(_sum_call(clean[:k, :b], clean[k:, :b]))
-        calls.append((np.add, (clean[-1, :b, None], d[:b], d[:b])))
         if whitening is not None:
             calls.append((np.matmul, (whitening, u, ugt[:b, :, 0])))
         return calls
@@ -786,7 +791,7 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
     sq_err = np.full(n + 1, np.nan)
     div_iter = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, w_end, e2, cur, err, ok in _lockstep(*draw, n, (cell,), channel):
+        for row, delta_end, e2, cur, err, ok in _lockstep(*draw, n, (cell,), channel):
             bad = np.flatnonzero(~ok[:, 0, 0])
             stop = int(bad[0]) + 1 if bad.size else len(ok)
             rows = slice(row, row + stop)
@@ -797,12 +802,12 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
                 div_iter = row + stop - 1
                 break
         if div_iter is not None:
-            # the kernel keeps the weights of a block's last row only: the
-            # weights at the divergence come from a replay up to it
+            # the kernel keeps the weight error of a block's last row only:
+            # the weights at the divergence come from a replay up to it
             replay = _draw_chunk([seed], channel, config.random_init)
-            for _, w_end, *_ in _lockstep(*replay, div_iter, (cell,), channel):
+            for _, delta_end, *_ in _lockstep(*replay, div_iter, (cell,), channel):
                 pass
-    w_final = w_end[:, 0, 0].copy()
+    w_final = h - delta_end[:, 0, 0]
     return TrialCurves(
         nwd=nwd_curve,
         abs_weight_error=abs_err,

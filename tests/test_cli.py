@@ -578,10 +578,13 @@ class TestRunCommand:
         (["run", "--mu-frac", "5e-324"], "mu_fraction"),
         (["protocol1", "--mu-fraction", "5e-324"], "mu_fraction"),
         # (q + 1) lambda_max overflows, at either step rule, since run's
-        # step warning reads the bound too
+        # step warning reads the bound too; protocol2, at its absolute
+        # step, would otherwise see every trial diverge
         (["run", "--mu-frac", "0.1", "--q", "1e308"], "q_values"),
         (["run", "--mu", "0.001", "--q", "5", "1e308"], "q_values"),
         (["protocol1", "--q", "1e308"], "q_values"),
+        (["protocol2", "--q", "1e308"], "q_values"),
+        (["protocol2", "--q", "5", "1e308", "--whitened"], "q_values"),
     ])
     def test_step_that_is_not_positive_and_finite_is_config_error(
             self, tmp_path, capsys, argv, key):

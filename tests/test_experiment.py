@@ -76,6 +76,42 @@ def _dot(u, h):
     return float(np.add.accumulate(u * h)[-1])
 
 
+def _error_trial(seed, channel, iterations, random_init, mu, g):
+    """Oracle of the kernel's arithmetic for a diagonal gain ``g``, one
+    scalar step at a time on the weight error ``delta = h - w``: delta
+    starts at ``h - w0``, each step forms ``e = z sigma + u . delta``
+    (``_dot``) and takes ``delta <- delta - (g (mu e)) u``. Returns the
+    channel, the last delta and the curves of ``TrialCurves`` over rows
+    0 .. N: the NWD (the squares of delta added left to right, over
+    ``(h * h).sum()``), ``|delta|`` and ``e^2``, NaN at row 0."""
+    h, w0, x, z = _draw_trial(seed, channel, iterations, random_init)
+    m = channel.memory_length
+    sigma = math.sqrt(channel.noise_variance(h))
+    hh = float((h * h).sum())
+    delta = h - w0
+    nwds, errs, squares = [], [], [math.nan]
+    for r in range(iterations + 1):
+        nwds.append(float(np.add.accumulate(delta * delta)[-1]) / hh)
+        errs.append(np.abs(delta))
+        if r == iterations:
+            break
+        u = expand_regressor(x[r:r + m][::-1], channel.regressor_mode)
+        e = z[r] * sigma + _dot(u, delta)
+        squares.append(e * e)
+        delta = delta - (g * (mu * e)) * u
+    return h, delta, np.array(nwds), np.array(errs), np.array(squares)
+
+
+def _assert_error_oracle(curves, oracle):
+    """``curves`` has the bits of ``_error_trial``'s: its NWD, absolute
+    weight error and squared error curves, and final weights ``h - delta``."""
+    h, delta, nwds, errs, squares = oracle
+    assert curves.nwd.tobytes() == nwds.tobytes()
+    assert curves.abs_weight_error.tobytes() == errs.tobytes()
+    assert curves.squared_error.tobytes() == squares.tobytes()
+    assert curves.final_weights.tobytes() == (h - delta).tobytes()
+
+
 def small_config(**kwargs):
     defaults = dict(iterations=100, trials=4, master_seed=7, step_size=0.01,
                     q_values=(5.0,), snr_db_values=(20.0,))
@@ -211,37 +247,57 @@ class TestRunTrial:
         assert not curves.diverged
         assert curves.nwd[-1] < 1e-6
 
+    def test_noiseless_trial_is_not_limited_by_cancellation(self):
+        # the kernel steps the weight error itself, so no a priori error is
+        # the difference of h . u and w . u, whose rounding stalled the
+        # weight form at NWD 4.7e-33 here
+        cfg = small_config(iterations=2500, step_size=0.01)
+        curves = run_trial(cfg, ChannelSpec(snr_db=math.inf), 3)
+        assert not curves.diverged
+        assert curves.nwd[-1] < 1e-38
+
     def test_matches_stepwise_reference(self):
-        # the vectorized kernel must reproduce the scalar step functions
+        # the vectorized kernel has the bits of the scalar weight-error
+        # recursion, and the public weight steps agree to rounding
         cfg = small_config(iterations=300, step_size=0.02, q_values=(5.0,))
         spec = ChannelSpec(snr_db=25.0, regressor_mode=RegressorMode.ORTHONORMALIZED)
         seed = 11
         curves = run_trial(cfg, spec, seed)
+        qp = QParams.uniform(5.0, 9)
+        _assert_error_oracle(curves, _error_trial(
+            seed, spec, cfg.iterations, cfg.random_init, cfg.step_size, qp.g[0]))
 
         h, w0, x, z = _draw_trial(seed, spec, cfg.iterations, cfg.random_init)
         sigma = math.sqrt(spec.noise_variance(h))
         state = FilterState(w0, cfg.step_size)
-        qp = QParams.uniform(5.0, 9)
         for r in range(cfg.iterations):
             window = x[r:r + 3][::-1]
             u = expand_regressor(window, spec.regressor_mode)
             desired = _dot(u, h) + z[r] * sigma
             state, _ = qvlms_step(state, u, desired, qp)
-            assert curves.nwd[r + 1] == nwd(h, state.weights)
-        assert np.array_equal(state.weights, curves.final_weights)
+            assert np.isclose(curves.nwd[r + 1], nwd(h, state.weights),
+                              rtol=1e-10, atol=0)
+        assert np.allclose(state.weights, curves.final_weights, rtol=1e-10)
 
     @pytest.mark.parametrize("iterations", [300, 301])
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("mode", list(RegressorMode))
     @pytest.mark.parametrize("m", [3, 8])
     def test_last_nwd_is_nwd_of_final_weights(self, m, mode, seed, iterations):
-        # the public nwd has the kernel's arithmetic, bit for bit
+        # the kernel's NWD adds the squares of its weight error as the
+        # public nwd adds those of h - w, bit for bit; the public nwd of the
+        # final weights h - delta differs by the rounding of h - w only
         cfg = small_config(iterations=iterations, step_size=None,
                            step_size_fraction=0.05)
         spec = ChannelSpec(memory_length=m, regressor_mode=mode)
         curves = run_trial(cfg, spec, seed)
         assert not curves.diverged
-        assert nwd(curves.channel, curves.final_weights) == curves.nwd[-1]
+        cell = experiment._config_cell(cfg, spec, "qvlms", 5.0, spec.snr_db)
+        _assert_error_oracle(curves, _error_trial(
+            seed, spec, iterations, cfg.random_init, cell.step_size,
+            QParams.uniform(5.0, 1).g[0]))
+        assert np.isclose(nwd(curves.channel, curves.final_weights),
+                          curves.nwd[-1], rtol=1e-10, atol=0)
 
     def test_int_seed_is_its_seed_sequence(self):
         cfg = small_config(iterations=150)
@@ -258,9 +314,9 @@ class TestRunTrial:
     @pytest.mark.parametrize("m", [*range(1, 9), 15])
     def test_zero_init_final_weights_match_scalar_steps(self, m, algorithm,
                                                        mode):
-        # the kernel adds the prediction and the desired signal in the
-        # scalar order for every K = 2 .. 44 and 135; 65 iterations end on
-        # a block of one step, whose desired signal is a running sum
+        # the kernel adds the products u . delta in the scalar order for
+        # every K = 2 .. 44 and 135; 65 iterations end on a block of one
+        # step, whose sum is a running sum
         spec = ChannelSpec(memory_length=m, snr_db=20.0, regressor_mode=mode)
         seed = 100 + m
         for iterations in (65, 80):
@@ -274,14 +330,17 @@ class TestRunTrial:
             sigma = math.sqrt(spec.noise_variance(h))
             q = cfg.q_values[0] if algorithm == "qvlms" else 1.0
             cell = experiment._config_cell(cfg, spec, algorithm, q, spec.snr_db)
-            state = FilterState(w0, cell.step_size)
             qp = QParams.uniform(q, spec.num_coefficients)
+            _assert_error_oracle(curves, _error_trial(
+                seed, spec, iterations, cfg.random_init, cell.step_size,
+                qp.g[0]))
+            state = FilterState(w0, cell.step_size)
             for r in range(iterations):
                 u = expand_regressor(x[r:r + m][::-1], mode)
                 desired = _dot(u, h) + z[r] * sigma
                 state, _ = (qvlms_step(state, u, desired, qp)
                             if algorithm == "qvlms" else vlms_step(state, u, desired))
-            assert np.array_equal(state.weights, curves.final_weights)
+            assert np.allclose(state.weights, curves.final_weights, rtol=1e-10)
 
     def test_whitened_trial_matches_matrix_gain_reference(self):
         cfg = small_config(iterations=200, step_size=0.01)
@@ -538,8 +597,9 @@ def test_chunk_sum_matches_run_trial(m, mode):
     nwd_rows, e2_rows = np.empty((n + 1, c, t)), np.empty((n + 1, c, t))
     err_rows = np.empty((n + 1, k, c, t))
     draw = experiment._draw_chunk(seeds, spec, cfg.random_init)
-    for row, w_end, e2, cur, err, ok in experiment._lockstep(*draw, n, cells,
-                                                             spec):
+    h = draw[0]
+    for row, delta_end, e2, cur, err, ok in experiment._lockstep(*draw, n, cells,
+                                                                 spec):
         assert ok.all()
         rows = slice(row, row + len(ok))
         nwd_rows[rows], e2_rows[rows], err_rows[rows] = cur, e2, err
@@ -550,7 +610,7 @@ def test_chunk_sum_matches_run_trial(m, mode):
             for got, expected in ((err_rows[:, :, i, j], trial.abs_weight_error),
                                   (e2_rows[:, i, j], trial.squared_error),
                                   (nwd_rows[:, i, j], trial.nwd),
-                                  (w_end[:, i, j], trial.final_weights)):
+                                  (h[j] - delta_end[:, i, j], trial.final_weights)):
                 assert got.tobytes() == expected.tobytes()
 
 
@@ -569,14 +629,15 @@ def test_cells_run_in_any_order(mode):
 
     def run(cells):
         """The NWD, squared errors and |h - w| of every row, and the final
-        weights, each with the cells on its second-to-last axis."""
+        weight error, each with the cells on its second-to-last axis."""
         draw = experiment._draw_chunk(seeds, spec, cfg.random_init)
         blocks = []
-        for row, w_end, e2, cur, err, ok in experiment._lockstep(*draw, n, cells,
-                                                                 spec):
+        for row, delta_end, e2, cur, err, ok in experiment._lockstep(
+                *draw, n, cells, spec):
             assert ok.all()
             blocks.append((cur.copy(), e2.copy(), err.copy()))
-        return [np.concatenate(parts) for parts in zip(*blocks)] + [w_end.copy()]
+        return ([np.concatenate(parts) for parts in zip(*blocks)]
+                + [delta_end.copy()])
 
     together = run(cells)
     assert len(together[0]) == n + 1
@@ -604,15 +665,17 @@ def test_chunk_matches_run_trial_across_segments(monkeypatch, m, mode,
     n, k, c, t = cfg.iterations, spec.num_coefficients, len(cells), len(seeds)
 
     def chunk():
+        """The NWD, squared error and |h - w| curves, and the final
+        weights h - delta, each with the cells on its second-to-last axis."""
         curves = [np.empty((n + 1, c, t)), np.empty((n + 1, c, t)),
                   np.empty((n + 1, k, c, t))]
         draw = experiment._draw_chunk(seeds, spec, cfg.random_init)
-        for row, w_end, e2, cur, err, ok in experiment._lockstep(
+        for row, delta_end, e2, cur, err, ok in experiment._lockstep(
                 *draw, n, cells, spec):
             assert ok.all()
             for curve, part in zip(curves, (cur, e2, err)):
                 curve[row:row + len(ok)] = part
-        return curves + [w_end.copy()]
+        return curves + [draw[0].T[:, None] - delta_end]
 
     default = chunk()
     monkeypatch.setattr(experiment, "_BLOCK_BYTES", 1)
@@ -723,8 +786,10 @@ class TestBlockLength:
 
     @pytest.mark.parametrize("algorithm", ["qvlms", "vlms", "whitened"])
     def test_diverged_trial_final_weights_match_scalar_steps(self, algorithm):
-        # the kernel keeps only a block's last weights, so run_trial replays
-        # a diverged trial up to its divergence iteration for its weights
+        # the kernel keeps only a block's last weight error, so run_trial
+        # replays a diverged trial up to its divergence iteration for its
+        # weights: those of the scalar weight-error recursion, bit for bit
+        # with a diagonal gain, and of the public weight steps to rounding
         cfg = small_config(iterations=150, step_size=0.1, q_values=(2.0,))
         spec = ChannelSpec()
         diverged = [(seed, t) for seed in trial_seeds(4, 20)[5:]
@@ -733,6 +798,13 @@ class TestBlockLength:
         gain = whitened_gain(spec)
         qp = QParams.uniform(2.0, 9)
         for seed, curves in diverged:
+            if algorithm != "whitened":
+                with np.errstate(over="ignore", invalid="ignore"):
+                    h, delta, *_ = _error_trial(
+                        seed, spec, curves.divergence_iteration,
+                        cfg.random_init, cfg.step_size,
+                        qp.g[0] if algorithm == "qvlms" else 1.0)
+                assert curves.final_weights.tobytes() == (h - delta).tobytes()
             h, w0, x, z = _draw_trial(seed, spec, cfg.iterations, cfg.random_init)
             sigma = math.sqrt(spec.noise_variance(h))
             state = FilterState(w0, cfg.step_size)
@@ -746,11 +818,7 @@ class TestBlockLength:
                         state, _ = qvlms_step(state, u, desired, qp)
                     else:
                         state, _ = vlms_step(state, u, desired)
-            if algorithm == "whitened":
-                assert np.allclose(state.weights, curves.final_weights,
-                                   rtol=1e-10)
-            else:
-                assert np.array_equal(state.weights, curves.final_weights)
+            assert np.allclose(state.weights, curves.final_weights, rtol=1e-10)
 
     def test_block_steps_fit_the_history_budget(self):
         assert experiment._block_steps(9, 12, 256) == 4    # protocol 2
@@ -917,7 +985,7 @@ class TestKernelLayout:
             if row == 0:
                 continue
             blocks += 1
-            for a in arrays:  # w_end, e2, nwd, err, ok
+            for a in arrays:  # delta_end, e2, nwd, err, ok
                 assert a.ctypes.data % 4096 == 0
                 assert any(np.shares_memory(a, b) for b in made)
         assert blocks >= 2
@@ -929,18 +997,17 @@ class TestKernelLayout:
         f8, b1 = np.dtype(float).str, np.dtype(bool).str
         expected = (
             [((b, k, c, t), f8)]                       # w_hist
-            + [((k, c, t), f8)] * (2 + (c > 1))        # hb, w_last, spread
-            + [((b, c, t), f8)] * 4                    # sq, nwd, e_hist, d
+            + [((k, c, t), f8)] * (1 + (c > 1))        # w_last, spread
+            + [((b, c, t), f8)] * 4                    # sq, nwd, e_hist, d (noise)
             + [((b, c, t), b1)]                        # ok_buf
             + [((seg + memory_length - 1, t), f8)]     # x, time-major
             + [((seg, t), f8)]                         # z, time-major
             + [((min(experiment._TILE, t), seg + memory_length - 1), f8)]  # tile
             + [((b, k, 1, t), f8)] * (1 + whitened)    # ut, ugt
             + [((b + memory_length - 1, memory_length, t), f8)]  # g0 ring
-            + [((k, max(b, 2)), f8)] * (c * t == 1)    # K-major |h - w|
+            + [((k, max(b, 2)), f8)] * (c * t == 1)    # K-major |delta|
             + [((2 * k if c * t == 1 else k + 1, c, t), f8)]  # work
             + [((2, c, t), f8)]                        # scaled
-            + [((2 * k if t == 1 else k + 1, b, t), f8)]  # clean desired signal
             + [((c, t), f8)] * 2)                      # mu, gain
         assert sorted((a.shape, a.dtype.str) for a in made) == sorted(expected)
         assert all(a.ctypes.data % 4096 == 0 for a in made)
