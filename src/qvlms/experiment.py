@@ -32,13 +32,9 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
   drawn once per run and shared by every (algorithm, q, SNR) cell; SNR
   only rescales the noise, so comparisons between cells are paired. The
   noise comes from a generator of its own, seeded by the first child of
-  the trial's seed, so no generator draws a stream only to skip it. A
-  chunk's generators are seeded without a ``SeedSequence`` or
-  ``default_rng`` per trial: ``_draw_chunk`` has ``seeding`` evaluate
-  numpy's ``SeedSequence`` hash for the whole chunk, with the constants
-  of ``numpy/random/bit_generator.pyx``, and hand each ``PCG64`` its
-  state through a minimal ``ISeedSequence``, so each stream has the bits
-  of ``default_rng`` of its seed.
+  the trial's seed, so no generator draws a stream only to skip it. Each
+  stream has the bits of ``default_rng`` of its seed or child, whose
+  generators come from ``seeding.generators``.
 * Trials run one chunk of ``_CHUNK`` at a time, their streams are drawn
   one segment of about ``_SEGMENT`` steps at a time, and their weight
   errors are kept one block of steps at a time, in buffers that every segment and
@@ -54,6 +50,7 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
 """
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -61,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from qvlms.adapt import QParams, step_size_bound
-from qvlms.seeding import SpawnedSeeds, generator, seed_states
+from qvlms.seeding import SpawnedSeeds, generators
 from qvlms.theory import (
     _step_powers,
     _trajectory_blocks,
@@ -196,6 +193,17 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_count(name: str, value, low: int = 1) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an
+    integer (``operator.index`` takes it) of at least ``low``."""
+    try:
+        ok = operator.index(value) >= low
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_snr(name: str, value) -> None:
     """Raise a ``ValueError`` naming ``name`` unless the noise factor
     ``10^(-value/10)`` is a finite double: NaN, -inf and an SNR below about
@@ -232,8 +240,7 @@ class ChannelSpec:
                 f"kernel memory {self.kernel.memory_length} != configured "
                 f"memory {self.memory_length}"
             )
-        if int(self.memory_length) < 1:
-            raise ValueError("memory length must be >= 1")
+        _check_count("memory_length", self.memory_length)
         self._check_noise("snr_db", self.snr_db)
 
     def _check_noise(self, name: str, value) -> None:
@@ -301,10 +308,9 @@ class ExperimentConfig:
     random_init: bool = True
 
     def __post_init__(self):
-        if int(self.trials) < 1:
-            raise ValueError("trials must be >= 1")
-        if int(self.iterations) < 1:
-            raise ValueError("iterations must be >= 1")
+        _check_count("trials", self.trials)
+        _check_count("iterations", self.iterations)
+        _check_count("master_seed", self.master_seed, low=0)
         if (self.step_size is None) == (self.step_size_fraction is None):
             raise ValueError(
                 "exactly one of step_size and step_size_fraction must be set"
@@ -334,13 +340,7 @@ def trial_seeds(master_seed: int, trials: int) -> list[np.random.SeedSequence]:
     ``default_rng`` of the seed's first child,
     ``spawn_key=(i, 0)`` (``_draw_chunk``).
     """
-    return _chunk_seeds(master_seed, 0, trials)
-
-
-def _chunk_seeds(master_seed: int, start: int, stop: int) -> list:
-    """``trial_seeds(master_seed, n)[start:stop]`` for any ``n >= stop``,
-    built without the seeds before ``start``."""
-    return list(SpawnedSeeds(master_seed, start, stop))
+    return list(SpawnedSeeds(master_seed, 0, trials))
 
 
 def whitened_gain(channel: ChannelSpec) -> np.ndarray:
@@ -420,34 +420,18 @@ def _draw_chunk(seeds, channel: ChannelSpec, random_init: bool):
     generators per trial, standing at the start of its input stream x
     (N+M-1 values) and of its unit noise stream z (N values).
 
-    Trial ``i`` draws h, w0 and x, in this order, from
-    ``default_rng(seed)``, and z from ``default_rng(child)``, where
-    ``seed`` is ``seeds[i]`` (an int is taken as ``SeedSequence(int)``) and
-    ``child`` is the first child that ``seed.spawn`` would give it:
-    ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,),
-    pool_size=seed.pool_size)``. The streams are not held: the kernel
+    Trial ``i`` draws h, w0 and x, in this order, from ``default_rng`` of
+    ``seeds[i]``, and z from ``default_rng`` of that seed's first child,
+    the generators of ``seeding.generators``, which only reads the seeds:
+    a replay draws the same streams. The streams are not held: the kernel
     draws them a segment at a time, and a generator gives the same values
     whether a stream is drawn at once or in pieces, or into a tile of a
     few trials that the kernel then writes across its time-major buffers.
-
-    No ``SeedSequence`` or ``default_rng`` is built: ``seeding`` computes
-    every seed's and child's PCG64 state with numpy's ``SeedSequence``
-    hash, in Python integers with the constants of
-    ``numpy/random/bit_generator.pyx``, a group of seeds at once (a
-    ``SpawnedSeeds`` chunk hashes its master seed's words once and its
-    trials' keys as one column), and builds each generator as
-    ``Generator(PCG64(s))`` from a minimal ``ISeedSequence`` ``s`` that
-    holds the state, since PCG64 seeds itself from any ``ISeedSequence``
-    as it would from the ``SeedSequence``; the streams keep their bits.
-    The caller's seeds are only read, so a replay draws the same streams.
     A trial's h and w0 are one call's draws, normalized and scaled over the
     chunk with the bits of ``v / np.linalg.norm(v)`` and ``/ np.sqrt(K)``.
     """
     t, k = len(seeds), channel.num_coefficients
-    x_rngs, z_rngs = [None] * t, [None] * t
-    for rows, (x_states, z_states) in seed_states(seeds):
-        for row, x, z in zip(rows, x_states, z_states):
-            x_rngs[row], z_rngs[row] = generator(x), generator(z)
+    x_rngs, z_rngs = generators(seeds)
     head = np.empty((t, k * ((channel.kernel is None) + random_init)))
     for row, rng in zip(head, x_rngs):
         rng.standard_normal(out=row)

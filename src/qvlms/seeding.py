@@ -1,26 +1,28 @@
-"""numpy's generator seeding, evaluated for many seeds at once.
+"""numpy's generator seeding, evaluated for a chunk of trial seeds at once.
 
 ``default_rng(seed)`` is ``Generator(PCG64(seed))``, and ``PCG64`` seeds
 itself from ``seed.generate_state(4, np.uint64)``, four words that
 ``SeedSequence`` hashes from its entropy and spawn key. Building a
 ``SeedSequence`` and a ``default_rng`` costs tens of microseconds, so a
-Monte-Carlo chunk that needs two generators per trial does not build
-them: ``seed_states`` evaluates the same hash (``mix_entropy``, then
-``generate_state``) in Python integers, with the constants and the order
-of ``numpy/random/bit_generator.pyx``, for a group of seeds at once, and
-``generator`` hands each ``PCG64`` its state through ``_SeedState``, a
-minimal ``ISeedSequence``. ``PCG64`` accepts any ``ISeedSequence`` and
-seeds itself from the state as it would from the ``SeedSequence``, so
-every stream has the bits of ``default_rng`` of its seed.
+Monte-Carlo chunk, a ``SpawnedSeeds`` that needs two generators per
+trial, does not build them: ``generators`` evaluates the same hash
+(``mix_entropy``, then ``generate_state``) with the constants and the
+order of ``numpy/random/bit_generator.pyx``, and hands each ``PCG64`` its
+state through ``_SeedState``, a minimal ``ISeedSequence``. ``PCG64``
+accepts any ``ISeedSequence`` and seeds itself from the state as it would
+from the ``SeedSequence``, so every stream has the bits of
+``default_rng`` of its seed. Any other seeds go to numpy's own
+``default_rng``.
 
-The hash runs on Python ints modulo 2^32. A word that differs between the
-seeds of a group is a (seeds,) uint64 column instead, on which the same
-expressions run elementwise: every product of two 32-bit words fits in 64
-bits before it is masked. The hash is the installed numpy's, whose
-version a run's manifest records, and the tests compare it with numpy's
-own ``SeedSequence``.
+The master seed's words are hashed once per process in Python ints
+modulo 2^32. The trials' spawn keys are one (seeds,) uint64 column, on
+which the same expressions run elementwise: every product of two 32-bit
+words fits in 64 bits before it is masked. The hash is the installed
+numpy's, whose version a run's manifest records, and the tests compare it
+with numpy's own ``SeedSequence``.
 """
 
+import operator
 from functools import lru_cache
 from itertools import cycle
 
@@ -42,11 +44,11 @@ _STATE_CONSTANTS = [(_INIT_B * _MULT_B ** i & _MASK32,
 class SpawnedSeeds:
     """The seeds ``SeedSequence(entropy, spawn_key=(i,))``, i in ``start ..
     stop-1``: the children ``SeedSequence(entropy).spawn`` gives, built
-    only when iterated. ``seed_states`` reads them as the ``entropy`` and
+    only when iterated. ``generators`` reads them as the ``entropy`` and
     the ``keys`` i, and hashes them as one group."""
 
     def __init__(self, entropy: int, start: int, stop: int):
-        self.entropy, self.keys = int(entropy), range(start, stop)
+        self.entropy, self.keys = operator.index(entropy), range(start, stop)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -56,37 +58,36 @@ class SpawnedSeeds:
                 for i in self.keys)
 
 
-def seed_states(seeds):
-    """For each group of ``seeds`` that is hashed at once, its rows and the
-    PCG64 seed states, (2, seeds, 4) uint64, of ``default_rng`` of each of
-    its seeds and of the seed's first child, ``SeedSequence(seed.entropy,
-    spawn_key=seed.spawn_key + (0,), pool_size=seed.pool_size)``.
+def generators(seeds):
+    """``(x_rngs, z_rngs)``: ``default_rng`` of each of ``seeds`` and of
+    its first child, the one ``seed.spawn`` would give first,
+    ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,),
+    pool_size=seed.pool_size)``; an int is taken as ``SeedSequence(int)``.
 
-    ``seeds`` is a ``SpawnedSeeds`` or a sequence of ``SeedSequence``, read
-    by its ``entropy``, ``spawn_key`` and ``pool_size``, and of anything
-    else ``SeedSequence`` takes as its entropy, such as an int. The seeds
-    are only read, and no ``SeedSequence`` is built, unless a
-    ``SpawnedSeeds`` has keys past 2^32 - 1 (``_seed_groups``).
+    A ``SpawnedSeeds`` whose keys fit one 32-bit word, as every run's
+    chunk does, is hashed as one group, and no ``SeedSequence`` is built.
+    Any other seeds go to numpy, which refuses what ``default_rng``
+    refuses. ``None``, fresh entropy from the OS, is a ``TypeError``: no
+    run could be replayed from it. The seeds are only read.
     """
-    for rows, words, pool_size in _seed_groups(seeds):
-        pool, const = _mix_entropy(words, pool_size)
+    if isinstance(seeds, SpawnedSeeds) and seeds.keys.stop <= 1 << 32:
+        pool, const = _mix_entropy(seeds.entropy)
+        pool = list(pool)
+        keys = np.arange(seeds.keys.start, seeds.keys.stop, dtype=np.uint64)
+        const = _mix_into(pool, keys, const)
         x_words = _generate_state(pool)
         # the child's spawn key is its parent's and one more word, 0
-        _mix_into(pool, 0, range(pool_size), const)
-        # a state's words are ints for a group of one seed, else columns
+        _mix_into(pool, 0, const)
         states = np.array([x_words, _generate_state(pool)], dtype=np.uint64)
-        yield rows, (states[:, None] if states.ndim == 2 else
-                     np.ascontiguousarray(states.transpose(0, 2, 1)))
-
-
-def generator(state) -> np.random.Generator:
-    """``default_rng`` of the seed whose ``generate_state(4, np.uint64)``
-    is ``state``, a contiguous (4,) uint64 array."""
-    return np.random.Generator(np.random.PCG64(_SeedState(state)))
+        return [[np.random.Generator(np.random.PCG64(_SeedState(state)))
+                 for state in side]
+                for side in np.ascontiguousarray(states.transpose(0, 2, 1))]
+    return ([np.random.default_rng(seed) for seed in seeds],
+            [np.random.default_rng(_first_child(seed)) for seed in seeds])
 
 
 class _SeedState(np.random.bit_generator.ISeedSequence):
-    """The seed sequence of one generator, whose state ``seed_states`` has
+    """The seed sequence of one generator, whose state ``generators`` has
     computed: PCG64 asks it for that state, and seeds itself as it would
     from the ``SeedSequence``."""
 
@@ -99,108 +100,64 @@ class _SeedState(np.random.bit_generator.ISeedSequence):
         return self.state
 
 
-def _seed_groups(seeds):
-    """``(rows, words, pool_size)`` for each group of ``seeds`` that
-    ``seed_states`` hashes at once: the seeds at ``rows`` assemble the
-    same number of entropy words, each an int where the group holds one
-    seed, else a (seeds,) uint64 column.
-
-    A ``SpawnedSeeds`` is one group: its entropy's words, as ints, and the
-    column of its keys. Any other sequence is read seed by seed; so is a
-    ``SpawnedSeeds`` whose keys pass 2^32 - 1, which no run reaches. An
-    entropy shorter than the pool is padded with zeros: ``SeedSequence``
-    pads it before a spawn key, and its hash takes zeros for the missing
-    words without one.
-    """
-    if isinstance(seeds, SpawnedSeeds) and seeds.keys.stop <= 1 << 32:
-        entropy = _words(seeds.entropy)
-        keys = np.arange(seeds.keys.start, seeds.keys.stop, dtype=np.uint64)
-        return [(range(len(seeds)), [*entropy, *[0] * (4 - len(entropy)), keys],
-                 4)]
-    groups = {}
-    for row, seed in enumerate(seeds):
-        if hasattr(seed, "spawn_key"):
-            words, key = _words(seed.entropy), _words(seed.spawn_key)
-            pool_size = seed.pool_size
-        else:
-            words, key, pool_size = _words(seed), [], 4
-        words += [0] * (pool_size - len(words)) + key
-        rows, members = groups.setdefault((len(words), pool_size), ([], []))
-        rows.append(row)
-        members.append(words)
-    return [(rows, members[0] if len(rows) == 1 else
-             list(np.array(members, dtype=np.uint64).T), pool_size)
-            for (_, pool_size), (rows, members) in groups.items()]
+def _first_child(seed) -> np.random.SeedSequence:
+    """The first child of ``seed``, built without spawning it."""
+    if seed is None:
+        raise TypeError("a seed of None draws fresh entropy from the OS, "
+                        "from which no run can be replayed")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,),
+                                  pool_size=seed.pool_size)
 
 
-def _words(value) -> list[int]:
-    """The 32-bit words, least significant first, that ``SeedSequence``
-    takes from an entropy or a spawn key ``value``: a non-negative int, a
-    decimal or ``0x`` hexadecimal string of one, or a sequence of these,
-    whose words are concatenated (numpy's ``_coerce_to_uint32_array``)."""
-    if isinstance(value, str):
-        value = int(value, 16) if value.startswith("0x") else int(value)
-    if isinstance(value, (int, np.integer)):
-        n = int(value)
-        if n < 0:
-            raise ValueError(f"expected non-negative integer, got {n}")
-        words = [n & _MASK32]
-        while n := n >> 32:
-            words.append(n & _MASK32)
-        return words
-    if not isinstance(value, (list, tuple, range, np.ndarray)):
-        raise TypeError(f"a seed takes non-negative ints or sequences of "
-                        f"them, got {value!r}")
-    return [word for item in value for word in _words(item)]
-
-
-def _mix_entropy(words, pool_size: int):
-    """numpy's ``mix_entropy`` of the assembled entropy ``words``, at
-    least ``pool_size`` of them, into a pool of ``pool_size`` words: the
-    pool and the hash constant after it, from which one more word mixes
-    in as ``_mix_into(pool, word, range(pool_size), const)``. The first
-    ``pool_size`` words are mixed once per process where they are ints,
-    as the master seed of a run's trial seeds is."""
-    head = tuple(words[:pool_size])
-    try:
-        pool, const = _mixed_head(head)
-    except TypeError:  # a column is no cache key
-        pool, const = _mix_head(head)
-    pool = list(pool)
-    for word in words[pool_size:]:
-        const = _mix_into(pool, word, range(pool_size), const)
-    return pool, const
-
-
-def _mix_head(head):
-    """The pool, as a tuple, and the hash constant after ``mix_entropy``
-    has hashed the words ``head`` into a pool of as many and mixed every
-    pool word into every other."""
-    pool, const, pool_size = [], _INIT_A, len(head)
-    for word in head:
-        nxt = const * _MULT_A & _MASK32
-        hashed = (word ^ const) * nxt & _MASK32
-        pool.append(hashed ^ hashed >> 16)
-        const = nxt
-    for src in range(pool_size):
-        const = _mix_into(pool, pool[src],
-                          [*range(src), *range(src + 1, pool_size)], const)
+@lru_cache(maxsize=64)
+def _mix_entropy(entropy: int):
+    """numpy's ``mix_entropy`` of a spawned seed's words but its key, those
+    of ``entropy`` padded with zeros to the pool of 4 (``SeedSequence``
+    pads an entropy before a spawn key): the pool, as a tuple, and the
+    hash constant after it. Once per process for a run's master seed."""
+    words = _words(entropy)
+    words += [0] * (4 - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:4]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(4):
+        const = _mix_into(pool, pool[src], const,
+                          [*range(src), *range(src + 1, 4)])
+    for word in words[4:]:
+        const = _mix_into(pool, word, const)
     return tuple(pool), const
 
 
-_mixed_head = lru_cache(maxsize=64)(_mix_head)
+def _words(n: int) -> list[int]:
+    """The 32-bit words, least significant first, that ``SeedSequence``
+    takes from the int ``n``, which must not be negative."""
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
 
 
-def _mix_into(pool, value, dsts, const):
+def _hashmix(value, const):
+    """numpy's ``hashmix`` of ``value`` at the hash constant ``const``, and
+    the constant after it."""
+    nxt = const * _MULT_A & _MASK32
+    hashed = (value ^ const) * nxt & _MASK32
+    return hashed ^ hashed >> 16, nxt
+
+
+def _mix_into(pool, value, const, dsts=range(4)):
     """``pool[d] = mix(pool[d], hashmix(value))`` for each ``d`` of
-    ``dsts`` in turn, numpy's ``hashmix`` starting at the hash constant
-    ``const``; returns the constant after them."""
+    ``dsts`` in turn, the hash starting at the constant ``const``; returns
+    the constant after them."""
     for d in dsts:
-        nxt = const * _MULT_A & _MASK32
-        hashed = (value ^ const) * nxt & _MASK32
-        mixed = (_MIX_L * pool[d] - _MIX_R * (hashed ^ hashed >> 16)) & _MASK32
+        hashed, const = _hashmix(value, const)
+        mixed = (_MIX_L * pool[d] - _MIX_R * hashed) & _MASK32
         pool[d] = mixed ^ mixed >> 16
-        const = nxt
     return const
 
 

@@ -34,7 +34,6 @@ from qvlms.experiment import (
     trial_seeds,
     whitened_gain,
 )
-from qvlms.experiment import _chunk_seeds
 from qvlms.theory import build_update_matrix
 from qvlms.volterra import (
     RegressorMode,
@@ -833,7 +832,8 @@ class TestTrialSeeds:
     def test_chunk_seeds_equal_trial_seeds(self):
         # the seed layout: trial i is child i of SeedSequence(master_seed)
         spawned = np.random.SeedSequence(17).spawn(1000)
-        built = _chunk_seeds(17, 0, 600) + _chunk_seeds(17, 600, 1000)
+        built = (list(seeding.SpawnedSeeds(17, 0, 600))
+                 + list(seeding.SpawnedSeeds(17, 600, 1000)))
         for a, b, c in zip(spawned, built, trial_seeds(17, 1000), strict=True):
             assert np.array_equal(a.generate_state(8), b.generate_state(8))
             assert np.array_equal(a.generate_state(8), c.generate_state(8))
@@ -874,14 +874,24 @@ class TestTrialSeeds:
 
 class TestChunkDraw:
     """A chunk's generators are seeded from numpy's ``SeedSequence`` hash,
-    evaluated for the chunk at once (``seeding``): every draw is that of
-    ``default_rng`` of the trial's seed and of its first child."""
+    evaluated for the chunk at once (``seeding``), and any other seeds by
+    numpy itself: every draw is that of ``default_rng`` of the trial's
+    seed and of its first child."""
 
     @pytest.mark.parametrize("random_init", [True, False])
     @pytest.mark.parametrize("seeds", [
         pytest.param([*trial_seeds(5, 3), 11, np.random.SeedSequence(
             [1, 2**40], spawn_key=(2**40, 3), pool_size=8), 0, *trial_seeds(6, 2)],
                      id="mixed-list"),
+        # every form of entropy that SeedSequence takes; two seeds without
+        # entropy words or a spawn key share their streams
+        pytest.param([
+            np.random.SeedSequence(["0x1f", "12", 5], spawn_key=("0x10", 2**33)),
+            np.random.SeedSequence(np.arange(7, dtype=np.uint32), spawn_key=(1,)),
+            np.random.SeedSequence(np.array([3, 2**40]), pool_size=8),
+            np.random.SeedSequence([]), np.random.SeedSequence([]),
+            np.int64(7), True,
+        ], id="entropy-forms"),
         pytest.param(seeding.SpawnedSeeds(9, 250, 262), id="chunk"),
         pytest.param(seeding.SpawnedSeeds(2**130 + 1, 2**32 - 3, 2**32 + 2),
                      id="chunk-past-32-bit-keys"),
@@ -900,6 +910,7 @@ class TestChunkDraw:
 
     @pytest.mark.parametrize("seed, error", [
         (1.5, TypeError), ([2, 1.5], TypeError), (-1, ValueError),
+        ("12", TypeError),
         # numpy draws fresh entropy from the OS for None: no trial is
         # reproducible from it
         (None, TypeError),
@@ -912,7 +923,7 @@ class TestChunkDraw:
                                                                  monkeypatch):
         cfg = small_config(trials=300, iterations=20)
         spec = ChannelSpec()
-        seeds = [*trial_seeds(5, 3), 11]
+        seeds = seeding.SpawnedSeeds(9, 250, 262)
         expected = monte_carlo(cfg, spec), experiment._draw_chunk(seeds, spec, True)
 
         def refuse(*args, **kwargs):
@@ -1104,6 +1115,32 @@ def test_a_non_finite_setting_is_a_value_error_naming_it(call, field):
     # raised as the run is set up, never as "all trials diverged"
     with pytest.raises(ValueError, match=rf"^{field} must"):
         call()
+
+
+@pytest.mark.parametrize("make, field, bad", [
+    pytest.param(lambda v: small_config(trials=v), "trials", 2.5,
+                 id="config-trials-float"),
+    pytest.param(lambda v: small_config(trials=v), "trials", "3",
+                 id="config-trials-string"),
+    pytest.param(lambda v: small_config(iterations=v), "iterations", 3.5,
+                 id="config-iterations-float"),
+    pytest.param(lambda v: small_config(master_seed=v), "master_seed", 1.5,
+                 id="config-master_seed-float"),
+    pytest.param(lambda v: small_config(master_seed=v), "master_seed", -1,
+                 id="config-master_seed-negative"),
+    pytest.param(lambda v: ChannelSpec(memory_length=v), "memory_length", 2.5,
+                 id="channel-memory_length-float"),
+    pytest.param(lambda v: protocol1(0, trials=v, iterations=5, q_values=(5.0,)),
+                 "trials", 2.5, id="protocol1-trials-float"),
+    pytest.param(lambda v: protocol2(v, trials=2, iterations=5, q_values=(5.0,),
+                                     snr_db_values=(20.0,)),
+                 "master_seed", 1.5, id="protocol2-master_seed-float"),
+])
+def test_an_integer_setting_must_be_an_integer(make, field, bad):
+    # operator.index takes a numpy integer, but no float or string
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        make(bad)
+    make(np.int64(3))
 
 
 def test_a_finite_noise_power_is_a_run():
