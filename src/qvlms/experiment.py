@@ -40,8 +40,9 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
   errors are kept one block of steps at a time, in buffers that every segment and
   block of a chunk reuses: no kernel buffer grows with the trial or the
   iteration count. The run's curve sums, two (N+1) x cells x 3 sets, and
-  ``protocol1``'s theory sums, (N+1) x cells, grow with the iterations,
-  and nothing else does; nothing grows with the trials but one flag per
+  the theory sums, (N+1) x cells, that ``protocol1`` adds after the run
+  from each chunk's ``h, w0`` drawn again, grow with the iterations, and
+  nothing else does; nothing grows with the trials but one flag per
   trial-cell.
 * The kernel applies the divergence guard, once for every caller. A
   chunk's cells in which some trial diverged are replayed on that chunk
@@ -887,19 +888,32 @@ def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, sums,
     return diverged
 
 
-def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
-              iterations: int, random_init: bool, update_matrices=None):
-    """Average every cell over ``trials`` trials on shared per-trial draws.
-    The cells run in the order given: column ``j`` of every set of sums
-    is ``cells[j]``.
+def _chunks(config: ExperimentConfig):
+    """``(seeds, rows)`` for each chunk of ``config``'s trials, in order:
+    the chunk's ``SpawnedSeeds`` and its slice of the trials. Trial ``i``
+    is drawn from ``trial_seeds(config.master_seed, config.trials)[i]``,
+    whose seeds are built a chunk at a time."""
+    trials = int(config.trials)
+    for start in range(0, trials, _CHUNK):
+        stop = min(start + _CHUNK, trials)
+        yield SpawnedSeeds(config.master_seed, start, stop), slice(start, stop)
 
-    Trial ``i`` is drawn from ``trial_seeds(master_seed, trials)[i]``; the
-    seeds are built a chunk at a time, and a chunk's draws are dropped
-    before the next chunk is drawn. A run allocates two sets of curve
-    sums, the totals and one chunk's sums: each chunk's pass writes every
-    cell's sums into the chunk's set, which is then added into the totals,
-    so a cell's totals hold ``((s0 + s1) + s2) + ...`` in chunk order
-    (``0.0 + x == x`` for these non-negative or NaN sums).
+
+def monte_carlo(config: ExperimentConfig, channel: ChannelSpec) -> list[AveragedCurves]:
+    """Averaged curves for every (algorithm, q, SNR) cell of the config.
+
+    The channel argument acts as the family template; its SNR is replaced
+    by each entry of ``config.snr_db_values``. All cells share the same
+    per-trial draws, so cross-algorithm comparisons are paired, and run in
+    ``_config_cells`` order: column ``j`` of every set of sums is cell
+    ``j``.
+
+    The trials run a chunk at a time (``_chunks``), and a chunk's draws
+    are dropped before the next chunk is drawn. A run allocates two sets
+    of curve sums, the totals and one chunk's sums: each chunk's pass
+    writes every cell's sums into the chunk's set, which is then added
+    into the totals, so a cell's totals hold ``((s0 + s1) + s2) + ...`` in
+    chunk order (``0.0 + x == x`` for these non-negative or NaN sums).
 
     A cell with a diverged pair in a chunk is replayed on that chunk alone,
     drawn again from its seeds, with those pairs left out, into a zeroed
@@ -908,66 +922,27 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
     the sums of its kept trials, bit for bit those of a run of that cell
     alone. Each cell's averages are divided in place, so the returned NWD
     and MSE curves are views of the totals.
-
-    With ``update_matrices``, one matrix A per cell, each chunk, once its
-    passes have fixed which pairs diverged, also runs the mean recursion
-    ``delta(t) = (I - mu A) delta(t-1)`` from its kept trials' initial
-    errors ``h - w0``, as many steps per product as the kernel's blocks of
-    a full chunk hold (``theory._trajectory_blocks``), and adds the sum of
-    ``|delta(t)|`` over those trials and the coefficients into the cell's
-    column of the theory sums, (N+1, C). Returns the averaged curves in
-    ``cells`` order, and with ``update_matrices`` each cell's theory MAE
-    curve, those sums over K times its kept trials (an empty list
-    without).
     """
-    c, k, n, trials = len(cells), channel.num_coefficients, int(iterations), int(trials)
+    cells = _config_cells(config, channel)
+    c, k, n = len(cells), channel.num_coefficients, int(config.iterations)
+    trials = int(config.trials)
     totals, sums = _zero_sums(n, c), np.empty((n + 1, c, 3))
     diverged = np.zeros((c, trials), dtype=bool)
-    if update_matrices is not None:
-        blk = min(_block_steps(k, c, min(_CHUNK, trials)), n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = [_step_powers(cell.step_size, a, blk)
-                      for cell, a in zip(cells, update_matrices)]
-        theory = np.full((n + 1, c), 0.0)
-
-    def theory_sums(error, start, stop):
-        """Add each cell's sums of ``|delta(t)|`` over its kept trials of
-        ``start:stop``, whose initial errors are ``error``, into its column
-        of the theory sums. The kept rows are selected, not weighted: a
-        left-out row that overflows would turn a 0 weight into NaN."""
-        for j, p in enumerate(powers):
-            kept = error[~diverged[j, start:stop]]
-            if not len(kept):
-                continue
-            column = theory[:, j]
-            # the sum over trials as one matrix-vector product
-            ones = np.ones(len(kept))
-            for row, block in _trajectory_blocks(kept, p, n):
-                flat = np.abs(block, out=block).reshape(len(kept), -1)
-                level = (ones @ flat).reshape(-1, k).sum(axis=1)
-                column[row:row + len(level)] += level
-
-    for start in range(0, trials, _CHUNK):
-        stop = min(start + _CHUNK, trials)
-        seeds = SpawnedSeeds(master_seed, start, stop)
-        draw = _draw_chunk(seeds, channel, random_init)
-        error = draw[0] - draw[1]
-        diverged[:, start:stop] = _chunk_sums(draw, n, cells, channel, sums)
+    for seeds, rows in _chunks(config):
+        draw = _draw_chunk(seeds, channel, config.random_init)
+        diverged[:, rows] = _chunk_sums(draw, n, cells, channel, sums)
         del draw
-        bad = np.flatnonzero(diverged[:, start:stop].any(axis=1))
+        bad = np.flatnonzero(diverged[:, rows].any(axis=1))
         if bad.size:
             replayed = _zero_sums(n, bad.size)
-            _chunk_sums(_draw_chunk(seeds, channel, random_init), n,
+            _chunk_sums(_draw_chunk(seeds, channel, config.random_init), n,
                         [cells[j] for j in bad], channel, replayed,
-                        keep=~diverged[bad, start:stop])
+                        keep=~diverged[bad, rows])
             sums[:, bad] = replayed
             del replayed
         totals += sums
-        if update_matrices is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                theory_sums(error, start, stop)
 
-    curves, theory_mae = [], []
+    curves = []
     for j, cell in enumerate(cells):
         kept = trials - int(diverged[j].sum())
         if kept == 0:
@@ -989,21 +964,6 @@ def _simulate(cells, channel: ChannelSpec, master_seed: int, trials: int,
             diverged=trials - kept,
             diverged_mask=diverged[j],
         ))
-        if update_matrices is not None:
-            theory_mae.append(theory[:, j] / (kept * k))
-    return curves, theory_mae
-
-
-def monte_carlo(config: ExperimentConfig, channel: ChannelSpec) -> list[AveragedCurves]:
-    """Averaged curves for every (algorithm, q, SNR) cell of the config.
-
-    The channel argument acts as the family template; its SNR is replaced
-    by each entry of ``config.snr_db_values``. All cells share the same
-    per-trial draws, so cross-algorithm comparisons are paired.
-    """
-    curves, _ = _simulate(_config_cells(config, channel), channel,
-                          config.master_seed, config.trials, config.iterations,
-                          config.random_init)
     return curves
 
 
@@ -1043,6 +1003,48 @@ class Protocol1Report:
     memory_length: int
     regressor_mode: RegressorMode
     mu_rule: str
+
+
+def _theory_mae(curves, config: ExperimentConfig,
+                channel: ChannelSpec) -> list[np.ndarray]:
+    """Each q-VLMS cell's theory MAE curve: the mean recursion
+    ``delta(t) = (I - mu A) delta(t-1)``, ``A = diag(g) R``, from each of
+    its kept trials' initial error ``h - w0``, averaged as the simulated
+    absolute weight error is.
+
+    ``curves`` are the cells' ``monte_carlo`` results, whose masks say
+    which trials diverged. Each chunk's ``h, w0`` are drawn again from its
+    seeds (``_chunks``), so no (trials, K) array is kept. The recursion
+    takes as many steps per product as the kernel's blocks of a full
+    chunk hold (``theory._trajectory_blocks``), and each cell's sums of
+    ``|delta(t)|`` over the chunk's kept trials and the coefficients are
+    added into its column of the theory sums, (N+1, C), in chunk order;
+    a curve is its column over K times its kept trials.
+    """
+    c, k, n = len(curves), channel.num_coefficients, int(config.iterations)
+    blk = min(_block_steps(k, c, min(_CHUNK, int(config.trials))), n)
+    r_in = channel.autocorrelation()
+    theory = np.full((n + 1, c), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [_step_powers(cell.step_size, build_update_matrix(
+            QParams.uniform(cell.q_value, k), r_in), blk) for cell in curves]
+        for seeds, rows in _chunks(config):
+            h, w0, *_ = _draw_chunk(seeds, channel, config.random_init)
+            error = h - w0
+            for column, cell, p in zip(theory.T, curves, powers):
+                # the kept rows are selected, not weighted: a left-out row
+                # that overflows would turn a 0 weight into NaN
+                kept = error[~cell.diverged_mask[rows]]
+                if not len(kept):
+                    continue
+                # the sum over trials as one matrix-vector product
+                ones = np.ones(len(kept))
+                for row, block in _trajectory_blocks(kept, p, n):
+                    flat = np.abs(block, out=block).reshape(len(kept), -1)
+                    level = (ones @ flat).reshape(-1, k).sum(axis=1)
+                    column[row:row + len(level)] += level
+    return [column / ((cell.trials - cell.diverged) * k)
+            for column, cell in zip(theory.T, curves)]
 
 
 def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
@@ -1086,14 +1088,8 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
         step_size_fraction=mu_fraction * _MU_RULES[mu_rule],
         q_values=tuple(q_values), snr_db_values=(snr_db,),
     )
-    r_in = channel.autocorrelation()
-    update_matrices = [build_update_matrix(QParams.uniform(q, len(r_in)), r_in)
-                       for q in config.q_values]
-    # the mean recursion from each kept trial's initial error, averaged as
-    # the simulated absolute weight error is
-    curves, theories = _simulate(_config_cells(config, channel), channel,
-                                 master_seed, trials, iterations, True,
-                                 update_matrices)
+    curves = monte_carlo(config, channel)
+    theories = _theory_mae(curves, config, channel)
 
     comparisons = []
     for cell, theory in zip(curves, theories):

@@ -45,10 +45,13 @@ class SpawnedSeeds:
     """The seeds ``SeedSequence(entropy, spawn_key=(i,))``, i in ``start ..
     stop-1``: the children ``SeedSequence(entropy).spawn`` gives, built
     only when iterated. ``generators`` reads them as the ``entropy`` and
-    the ``keys`` i, and hashes them as one group."""
+    the ``keys`` i, and hashes them as one group. A negative key is a
+    ``ValueError``, as it is to ``SeedSequence``."""
 
     def __init__(self, entropy: int, start: int, stop: int):
         self.entropy, self.keys = operator.index(entropy), range(start, stop)
+        if self.keys.start < 0:
+            raise ValueError(f"expected non-negative spawn keys, got {start}")
 
     def __len__(self) -> int:
         return len(self.keys)

@@ -17,6 +17,7 @@ all B steps of a block, and the block's last step is where the next block
 starts. At B = 1 this is the step-by-step recursion.
 """
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from qvlms.adapt import QParams
 from qvlms.volterra import (
     RegressorMode,
+    _checked_memory,
     num_coefficients,
     quadratic_pairs,
 )
@@ -54,7 +56,7 @@ def gaussian_autocorrelation(memory_length: int,
     """
     if not isinstance(mode, RegressorMode):
         raise ValueError(f"unknown regressor mode: {mode!r}")
-    return _autocorrelation(int(memory_length), mode)
+    return _autocorrelation(_checked_memory(memory_length), mode)
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +90,7 @@ def gaussian_eigenvalues(memory_length: int,
     """
     if not isinstance(mode, RegressorMode):
         raise ValueError(f"unknown regressor mode: {mode!r}")
-    return _eigenvalues(int(memory_length), mode)
+    return _eigenvalues(_checked_memory(memory_length), mode)
 
 
 @lru_cache(maxsize=None)
@@ -127,9 +129,13 @@ def mean_weight_error_trajectory(initial_error, mu: float, update_matrix,
     """
     v = np.asarray(initial_error, dtype=np.float64)
     a = np.asarray(update_matrix, dtype=np.float64)
-    n = int(iterations)
+    try:
+        n = operator.index(iterations)
+    except TypeError:
+        n = -1
     if n < 0:
-        raise ValueError("iteration count must be >= 0")
+        raise ValueError(f"iteration count must be an integer >= 0, "
+                         f"got {iterations!r}")
     if a.shape != (v.size, v.size):
         raise ValueError(
             f"update matrix shape {a.shape} does not match error length {v.size}"

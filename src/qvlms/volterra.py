@@ -12,6 +12,7 @@ file the experiment harness writes.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,9 +48,15 @@ class RegressorMode(Enum):
 
 
 def _checked_memory(memory_length) -> int:
-    m = int(memory_length)
+    """``memory_length`` as an int; a ``ValueError`` unless it is an integer
+    (``operator.index`` takes it) of at least 1."""
+    try:
+        m = operator.index(memory_length)
+    except TypeError:
+        m = 0
     if m < 1:
-        raise ValueError(f"memory length must be >= 1, got {memory_length}")
+        raise ValueError(f"memory length must be an integer >= 1, "
+                         f"got {memory_length!r}")
     return m
 
 

@@ -1334,6 +1334,52 @@ class TestProtocolSmoke:
                            rtol=1e-12, atol=0)
         assert comp.theory_mae[first] == np.inf
 
+    #: Three chunks of 16 trials at ``_CHUNK = 16``; 2 trials diverge in
+    #: the middle chunk and 2 in the last, none in the first, and the run
+    #: ends in a short block of the recursion.
+    _DIVERGING = dict(master_seed=6, trials=48, iterations=150,
+                      step_size_fraction=0.8, q_values=(2.0, 5.0))
+
+    def test_protocol1_theory_column_is_the_chunked_block_sum_bit_for_bit(
+            self, monkeypatch):
+        monkeypatch.setattr(experiment, "_CHUNK", 16)
+        seed, trials, n = 6, 48, 150
+        report = protocol1(seed, trials=trials, iterations=n,
+                           q_values=(2.0, 5.0), mu_fraction=0.8)
+        spec = ChannelSpec()
+        cells = monte_carlo(ExperimentConfig(**self._DIVERGING), spec)
+        k, r = spec.num_coefficients, spec.autocorrelation()
+        blk = experiment._block_steps(k, 2, 16)
+        assert n % blk
+        for comp, cell in zip(report.comparisons, cells, strict=True):
+            assert list(cell.diverged_mask.reshape(3, 16).sum(axis=1)) == [0, 2, 2]
+            a = build_update_matrix(QParams.uniform(comp.q_value, k), r)
+            powers = theory._step_powers(comp.step_size, a, blk)
+            column = np.zeros(n + 1)
+            for start in range(0, trials, 16):
+                h, w0, *_ = experiment._draw_chunk(
+                    seeding.SpawnedSeeds(seed, start, start + 16), spec, True)
+                kept = (h - w0)[~cell.diverged_mask[start:start + 16]]
+                for row, block in theory._trajectory_blocks(kept, powers, n):
+                    flat = np.abs(block).reshape(len(kept), -1)
+                    level = (np.ones(len(kept)) @ flat).reshape(-1, k).sum(axis=1)
+                    column[row:row + len(level)] += level
+            expected = column / ((trials - cell.diverged) * k)
+            assert comp.theory_mae.tobytes() == expected.tobytes()
+
+    def test_protocol1_theory_runs_no_kernel(self, monkeypatch):
+        # the theory pass draws each chunk's h, w0 again but runs no
+        # _lockstep call beyond monte_carlo's, replays included
+        monkeypatch.setattr(experiment, "_CHUNK", 16)
+        calls = _spy_lockstep(monkeypatch)
+        monte_carlo(ExperimentConfig(**self._DIVERGING), ChannelSpec())
+        expected = list(calls)
+        assert len(expected) == 5  # three chunks, two of them replayed
+        calls.clear()
+        protocol1(6, trials=48, iterations=150, q_values=(2.0, 5.0),
+                  mu_fraction=0.8)
+        assert calls == expected
+
     @pytest.mark.parametrize("mode", list(RegressorMode))
     def test_protocol1_cells_are_monte_carlos(self, mode):
         # protocol 1 at fraction f runs the cells of monte_carlo at

@@ -46,6 +46,13 @@ def test_spawned_seeds_are_one_group_of_the_master_seeds_children(start, stop):
             assert a.bit_generator.state == b.bit_generator.state
 
 
+def test_a_negative_spawn_key_is_refused_when_built():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(3, spawn_key=(-2,))
+    with pytest.raises(ValueError, match="non-negative"):
+        seeding.SpawnedSeeds(3, -2, 2)
+
+
 def test_spawned_seeds_are_trial_seeds():
     seeds = seeding.SpawnedSeeds(17, 600, 1000)
     for a, b in zip(seeds, trial_seeds(17, 1000)[600:], strict=True):

@@ -235,3 +235,19 @@ class TestGaussianStability:
         assert np.isclose(np.max(np.linalg.eigvals(a).real), 3.0)
         assert np.isclose(step_size_bound(qp, gaussian_eigenvalues(3, mode)),
                           1.0 / 6.0)
+
+
+@pytest.mark.parametrize("call", [
+    num_coefficients,
+    gaussian_autocorrelation,
+    gaussian_eigenvalues,
+    lambda n: mean_weight_error_trajectory(np.ones(2), 0.1, np.eye(2), n),
+], ids=["num_coefficients", "gaussian_autocorrelation", "gaussian_eigenvalues",
+        "mean_weight_error_trajectory"])
+def test_a_memory_length_or_count_must_be_an_integer(call):
+    # operator.index takes the value, as ChannelSpec does: a float or a
+    # string is not truncated or parsed
+    for value in (2.5, "3"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(value)
+    assert np.array_equal(np.asarray(call(np.int64(3))), np.asarray(call(3)))
