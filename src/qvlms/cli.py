@@ -45,7 +45,7 @@ from qvlms.experiment import (
     protocol2,
     steady_state_level,
 )
-from qvlms.experiment import _check_positive, _config_cells
+from qvlms.experiment import _check_positive, _config_cells, _protocol2_algorithms
 # unused here, but perfbench/spans.py spans it under this module's name
 from qvlms.theory import gaussian_autocorrelation  # noqa: F401
 from qvlms.theory import gaussian_eigenvalues
@@ -277,15 +277,18 @@ class RunSpec:
 
 
 def _experiment_config(s) -> ExperimentConfig:
-    """The ``ExperimentConfig`` of run's settings ``s``, or of the q-VLMS
-    cells of protocol1's or protocol2's: protocol1 runs them at its
-    fraction of the bound, protocol2 at its absolute step (its other cells
-    take the bound at q = 1, which cannot overflow)."""
+    """The ``ExperimentConfig`` of the cells that the settings ``s`` run:
+    run's own, protocol1's q-VLMS cells at its fraction of the bound, or
+    protocol2's cells at its absolute step."""
+    if "include_whitened" in s:
+        algorithms = _protocol2_algorithms(s["include_whitened"])
+    else:
+        algorithms = s.get("algorithms", ("qvlms",))
     return ExperimentConfig(
         iterations=s["iterations"], trials=s["trials"], master_seed=s["seed"],
         step_size=s.get("mu"), step_size_fraction=s.get("mu_fraction"),
         q_values=s["q_values"], snr_db_values=s["snr_db"],
-        algorithms=s.get("algorithms", ("qvlms",)),
+        algorithms=algorithms,
     )
 
 
@@ -445,13 +448,12 @@ def _protocol2_outputs(s):
     return tables, checks, [line]
 
 
-def _run_outputs(s):
+def _warn_steps(s) -> None:
+    """Warn per (algorithm, q) of the settings ``s`` whose step exceeds
+    twice its stability bound: the cells at the first SNR are one of each."""
     config = _experiment_config(s)
     channel = ChannelSpec(memory_length=s["memory_length"],
                           regressor_mode=s["regressor_mode"])
-
-    # warn per (algorithm, q) when its step exceeds twice its stability
-    # bound: the cells at the first SNR are one of each
     first = replace(config, snr_db_values=config.snr_db_values[:1])
     for cell in _config_cells(first, channel):
         bound = cell.bound(channel)
@@ -460,6 +462,11 @@ def _run_outputs(s):
                   f"bound {bound:.3e} for {cell.algorithm} at q={cell.bound_q:g}; "
                   f"divergence likely", file=sys.stderr)
 
+
+def _run_outputs(s):
+    config = _experiment_config(s)
+    channel = ChannelSpec(memory_length=s["memory_length"],
+                          regressor_mode=s["regressor_mode"])
     cells = monte_carlo(config, channel)
     checks = {
         "resolved_step_sizes": {_cell_key(c): c.step_size for c in cells},
@@ -483,6 +490,7 @@ def execute(spec: RunSpec, out=None) -> int:
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir}: cannot be created "
                           f"({exc.strerror})")
+    _warn_steps(spec.settings)
     tables, checks, lines = _OUTPUTS[spec.protocol](spec.settings)
     for name, header, blocks in tables:
         _write_table(out_dir / name, header, blocks)

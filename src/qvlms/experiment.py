@@ -447,17 +447,6 @@ def _draw_chunk(seeds, channel: ChannelSpec, random_init: bool):
     return h, w0, x_rngs, z_rngs
 
 
-def _sum_call(terms, out):
-    """The ufunc call that adds the K slabs of ``terms`` left to right,
-    ``((t0 + t1) + t2) + ...``, into ``out[-1]``. Where a slab holds one
-    value, numpy would add the K values pairwise, so their running sums are
-    formed into the K slabs of ``out`` instead; otherwise ``out`` needs one
-    slab. The reduction starts from -0.0, which leaves ``t0`` as it is."""
-    if terms[0].size == 1:
-        return np.add.accumulate, (terms, 0, None, out)
-    return np.add.reduce, (terms, 0, None, out[-1], False, -0.0)
-
-
 def _block_steps(k: int, c: int, t: int) -> int:
     """Steps per block for K coefficients, C cells and T trials: at most
     ``_BLOCK``, and as many as keep the weight history (B, K, C, T) within
@@ -531,11 +520,14 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
       direction ``S R^-1 S u`` (one matrix product a block), ``d (B, C, T)``
       the noise ``sigma z``, and ``w_hist (B, K, C, T)`` and
       ``e_hist (B, C, T)`` the weight errors and the a priori errors of
-      the block's steps. Once ``w_last`` keeps the weight error of the
-      last row, the guard takes ``|delta|`` in place over ``w_hist``.
+      the block's steps (where a slab holds one value, ``d`` and
+      ``e_hist`` are columns of ``terms`` and ``sums``, below). Once
+      ``w_last`` keeps the weight error of the last row, the guard takes
+      ``|delta|`` in place over ``w_hist``.
     * Per step, on contiguous (C, T) slabs: ``work`` holds the products
-      ``u_k delta_k`` and the channel's output left to adapt, their sum
-      (``_sum_call``), which the noise is added to. With more
+      ``u_k delta_k`` and, in its last slab, their sum ``u . delta``: one
+      reduce from -0.0 adds them left to right. The noise is added to it,
+      and ``scaled`` holds ``mu e`` and the step ``g (mu e)``. With more
       than one cell, ``spread (K, C, T)`` holds the step's regressors
       copied to every cell, and, once ``u . delta`` has read them, every
       cell's update direction: ``ugt[j]`` copied into the column of each
@@ -544,10 +536,21 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
       multiplied into it in place. No per-step call broadcasts an operand
       over slabs: numpy passes operands that do not form one contiguous
       run through its ufunc buffer, at about twice the cost, and
-      ``np.copyto`` is not buffered. Where a slab holds one value, every
-      operand drops the (C, T) axes, a (K,) row or a 0-d view of a buffer
-      reshaped once per call, so that numpy runs its plain loops rather
-      than its general iterator.
+      ``np.copyto`` is not buffered.
+    * Per step, where a slab holds one value (one cell, one trial): five
+      calls, whose operands drop the (C, T) axes, rows or a 0-d view of
+      buffers reshaped once per call, so that numpy runs its plain loops
+      rather than its general iterator. Row j of ``terms (B, K+1)`` holds
+      step j's products ``u_k delta_k`` and, in its last column ``d``, the
+      step's noise ``sigma z``, written once a block. Their running sums
+      go to row j of ``sums (B, K+3)`` (a reduce would add one row's values
+      pairwise), so that its column K, ``e_hist``, is ``e = (u . delta) +
+      sigma z``: the bits of ``sigma z + u . delta``, since IEEE addition
+      commutes, signed zeros included. Columns K+1 and K+2 hold mu and g,
+      written once a call, so the running products of columns K .. K+2
+      are ``chain (3,)``, ``[e, e mu, (e mu) g]``, and ``(e mu) g`` has the
+      bits of ``g (mu e)``, since IEEE products commute. The step times
+      the direction goes to ``prod (K,)``, which is subtracted from delta.
     * ``kmajor (K, B)``: where a slab holds one value, ``|delta|`` copied
       K-major, so that einsum adds the NWD's K squares one after another
       as it does for larger slabs; over one contiguous row it adds them in
@@ -586,8 +589,10 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     # the newest-first input window of every step of a segment, (S, M, T)
     windows = sliding_window_view(x, m, axis=0)[..., ::-1].transpose(0, 2, 1)
     w_hist = _page_aligned((blk, k, c, t))
-    e_hist = _page_aligned((blk, c, t))
-    d = _page_aligned((blk, c, t))
+    if c * t > 1:
+        # before the regressors: allocated after w_last, these two made
+        # perfbench's p2_paper 2% slower and its peak RSS 0.1 MB higher
+        e_hist, d = _page_aligned((blk, c, t)), _page_aligned((blk, c, t))
     ut = _page_aligned((blk, k, 1, t))
     ugt = _page_aligned((blk, k, 1, t)) if whitening is not None else None
     g0 = _page_aligned((blk + m - 1, m, t))
@@ -596,11 +601,20 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     w_last = _page_aligned((k, c, t))
     delta_end = w_last.view()
     delta_end.flags.writeable = False
-    # the products, then their sum u . delta (or its running sums, the last
-    # of which it is); the update step overwrites the products
-    work = _page_aligned((2 * k if c * t == 1 else k + 1, c, t))
-    # mu e, then the step g (mu e)
-    scaled = _page_aligned((2, c, t))
+    if c * t == 1:
+        # row j of terms: step j's products u_k delta_k, then its noise;
+        # of sums: their running sums, the last of which is e, then mu, g
+        terms, sums = _page_aligned((blk, k + 1)), _page_aligned((blk, k + 3))
+        sums[:, k + 1:] = mu[0, 0], gain[0, 0]
+        d, e_hist = terms[:, k, None, None], sums[:, k, None, None]
+        # e, e mu and the step (e mu) g; the step times the direction
+        chain, prod = _page_aligned((3,)), _page_aligned((k,))
+    else:
+        # the products, then their sum u . delta; the update step
+        # overwrites the products
+        work = _page_aligned((k + 1, c, t))
+        # mu e, then the step g (mu e)
+        scaled = _page_aligned((2, c, t))
 
     def guarded(row, b):
         """The yield of a block whose ``b`` rows of weight error are in
@@ -630,44 +644,57 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     yield guarded(0, 1)
 
     # the ufunc calls of each step of a block: u . delta, error, update
-    views = [w_hist, w_last, ut, ugt, d, e_hist, mu, gain, work, scaled]
-    if c * t == 1:
-        views = [a if a is None else a.reshape(a.shape[:-2]) for a in views]
-    w_rows, w_prev, u_rows, ug_rows, d_rows, e_rows, mu, gain, work, scaled = views
-    prod, sums, pred = work[:k], work[k:], work[-1, ...]
-    mu_e, step = scaled[0, ...], scaled[1, ...]
     steps = []
-    for j in range(blk):
-        w, e = w_rows[j], e_rows[j, ...]
-        # the regressors u, and every cell's direction v: u, or S R^-1 S u
-        # for the whitened cells, copied over u once u . delta has read it
-        if spread is None:
-            u = u_rows[j]
-            v = ug_rows[j] if whitened else u
-            calls = [(np.multiply, (u, w_prev, prod))]
-        else:
-            u = v = spread
-            calls = [(np.copyto, (spread, u_rows[j])),
-                     (np.multiply, (u, w_prev, prod))]
-            calls += [(np.copyto, (spread[:, i:i + 1], ug_rows[j]))
-                      for i in whitened]
-        calls += [
-            _sum_call(prod, sums),
-            (np.add, (d_rows[j, ...], pred, e)),
-            (np.multiply, (mu, e, mu_e)),
-            (np.multiply, (gain, mu_e, step)),
-        ]
-        # do not shrink numpy's ufunc buffer (np.setbufsize) instead of the
-        # copy: the setting would hold for any numpy call on this thread,
-        # such as perfbench's speed probe, which runs in a signal handler
-        if c * t == 1:
-            calls.append((np.multiply, (step, v, prod)))
-        else:
-            calls += [(np.copyto, (prod, step)),
-                      (np.multiply, (prod, v, prod))]
-        calls.append((np.subtract, (w_prev, prod, w)))
-        steps.append(calls)
-        w_prev = w
+    if c * t == 1:
+        w_rows, w_prev, u_rows, ug_rows = (
+            a if a is None else a.reshape(a.shape[:-2])
+            for a in (w_hist, w_last, ut, ugt))
+        step = chain[2, ...]
+        for j in range(blk):
+            u, w = u_rows[j], w_rows[j]
+            steps.append([
+                (np.multiply, (u, w_prev, terms[j, :k])),
+                (np.add.accumulate, (terms[j], 0, None, sums[j, :k + 1])),
+                (np.multiply.accumulate, (sums[j, k:], 0, None, chain)),
+                (np.multiply, (step, ug_rows[j] if whitened else u, prod)),
+                (np.subtract, (w_prev, prod, w)),
+            ])
+            w_prev = w
+    else:
+        prod, pred = work[:k], work[k]
+        mu_e, step = scaled
+        w_prev = w_last
+        for j in range(blk):
+            w, e = w_hist[j], e_hist[j]
+            # the regressors u, and every cell's direction v: u, or
+            # S R^-1 S u for the whitened cells, copied over u once u . delta
+            # has read it
+            if spread is None:
+                u = ut[j]
+                v = ugt[j] if whitened else u
+                calls = [(np.multiply, (u, w_prev, prod))]
+            else:
+                u = v = spread
+                calls = [(np.copyto, (spread, ut[j])),
+                         (np.multiply, (u, w_prev, prod))]
+                calls += [(np.copyto, (spread[:, i:i + 1], ugt[j]))
+                          for i in whitened]
+            calls += [
+                # from -0.0, which leaves the first product as it is
+                (np.add.reduce, (prod, 0, None, pred, False, -0.0)),
+                (np.add, (d[j], pred, e)),
+                (np.multiply, (mu, e, mu_e)),
+                (np.multiply, (gain, mu_e, step)),
+                # do not shrink numpy's ufunc buffer (np.setbufsize) instead
+                # of the copy: the setting would hold for any numpy call on
+                # this thread, such as perfbench's speed probe, which runs in
+                # a signal handler
+                (np.copyto, (prod, step)),
+                (np.multiply, (prod, v, prod)),
+                (np.subtract, (w_prev, prod, w)),
+            ]
+            steps.append(calls)
+            w_prev = w
 
     def squares(col):
         """The calls that turn the squares ``col`` into ``(x*x - 1)/sqrt(2)``
@@ -1158,6 +1185,12 @@ class Protocol2Report:
         raise KeyError((algorithm, q_value, snr_db))
 
 
+def _protocol2_algorithms(include_whitened: bool) -> tuple[str, ...]:
+    """Protocol 2's algorithms: VLMS and q-VLMS, and, for reference, the
+    whitened variant."""
+    return ("vlms", "qvlms") + (("whitened",) if include_whitened else ())
+
+
 def protocol2(master_seed: int, *, trials: int = 1000, iterations: int = 2500,
               snr_db_values: tuple[float, ...] = (10.0, 20.0, 30.0),
               q_values: tuple[float, ...] = (2.0, 5.0, 10.0),
@@ -1172,12 +1205,11 @@ def protocol2(master_seed: int, *, trials: int = 1000, iterations: int = 2500,
     cell and on average. ``include_whitened`` adds the fixed-gain
     ``S R^-1 S`` variant's curves for reference.
     """
-    algorithms = ("vlms", "qvlms") + (("whitened",) if include_whitened else ())
     config = ExperimentConfig(
         iterations=iterations, trials=trials, master_seed=master_seed,
         step_size=step_size, q_values=tuple(float(q) for q in q_values),
         snr_db_values=tuple(float(s) for s in snr_db_values),
-        algorithms=algorithms, random_init=True,
+        algorithms=_protocol2_algorithms(include_whitened), random_init=True,
     )
     channel = ChannelSpec(memory_length=memory_length,
                           regressor_mode=regressor_mode)

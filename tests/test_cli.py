@@ -535,6 +535,32 @@ class TestRunCommand:
         ]
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, expected", [
+        # protocol2 at its absolute step: its q-VLMS cells at q = 5 and 10
+        (["protocol2", "--mu", "0.08"], [
+            "warning: mu=8.000e-02 exceeds twice the stability bound "
+            "3.333e-02 for qvlms at q=5; divergence likely",
+            "warning: mu=8.000e-02 exceeds twice the stability bound "
+            "1.818e-02 for qvlms at q=10; divergence likely",
+        ]),
+        # protocol1 at three times each q's bound: every cell
+        (["protocol1", "--mu-fraction", "3", "--q", "1", "5"], [
+            "warning: mu=3.000e-01 exceeds twice the stability bound "
+            "1.000e-01 for qvlms at q=1; divergence likely",
+            "warning: mu=1.000e-01 exceeds twice the stability bound "
+            "3.333e-02 for qvlms at q=5; divergence likely",
+        ]),
+    ])
+    def test_step_size_warning_reads_every_protocols_cells(self, tmp_path,
+                                                           capsys, argv,
+                                                           expected):
+        rc = main(argv + ["--trials", "3", "--iterations", "50",
+                          "--out", str(tmp_path / "x")])
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning")]
+        assert warnings == expected
+        assert rc == 2
+
     @pytest.mark.parametrize("source", ["flag", "config", "manifest"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, source):
         if source == "manifest":

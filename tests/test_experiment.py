@@ -75,30 +75,44 @@ def _dot(u, h):
     return float(np.add.accumulate(u * h)[-1])
 
 
-def _error_trial(seed, channel, iterations, random_init, mu, g):
-    """Oracle of the kernel's arithmetic for a diagonal gain ``g``, one
-    scalar step at a time on the weight error ``delta = h - w``: delta
-    starts at ``h - w0``, each step forms ``e = z sigma + u . delta``
-    (``_dot``) and takes ``delta <- delta - (g (mu e)) u``. Returns the
-    channel, the last delta and the curves of ``TrialCurves`` over rows
-    0 .. N: the NWD (the squares of delta added left to right, over
-    ``(h * h).sum()``), ``|delta|`` and ``e^2``, NaN at row 0."""
+def _left_to_right(terms):
+    """The sum of ``terms`` added left to right in Python floats, from the
+    first term (so a lone -0.0 stays -0.0)."""
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def _error_trial(seed, channel, iterations, random_init, mu, g, gain=None):
+    """Oracle of the kernel's arithmetic, one scalar step at a time in
+    Python floats on the weight error ``delta = h - w``: delta starts at
+    ``h - w0``, each step forms ``e = (u_1 delta_1 + ... + u_K delta_K) +
+    z sigma``, added left to right, and takes ``delta_k <- delta_k -
+    (g (mu e)) v_k`` along ``v = u``, or ``v = gain @ u`` for a matrix
+    gain. Returns the channel, the last delta and the curves of
+    ``TrialCurves`` over rows 0 .. N: the NWD (the squares of delta added
+    left to right, over ``(h * h).sum()``), ``|delta|`` and ``e^2``, NaN
+    at row 0."""
     h, w0, x, z = _draw_trial(seed, channel, iterations, random_init)
     m = channel.memory_length
     sigma = math.sqrt(channel.noise_variance(h))
     hh = float((h * h).sum())
-    delta = h - w0
+    delta = (h - w0).tolist()
     nwds, errs, squares = [], [], [math.nan]
     for r in range(iterations + 1):
-        nwds.append(float(np.add.accumulate(delta * delta)[-1]) / hh)
-        errs.append(np.abs(delta))
+        nwds.append(_left_to_right([d * d for d in delta]) / hh)
+        errs.append([abs(d) for d in delta])
         if r == iterations:
             break
         u = expand_regressor(x[r:r + m][::-1], channel.regressor_mode)
-        e = z[r] * sigma + _dot(u, delta)
+        v = (u if gain is None else gain @ u).tolist()
+        e = _left_to_right([a * d for a, d in zip(u.tolist(), delta)]) \
+            + float(z[r]) * sigma
         squares.append(e * e)
-        delta = delta - (g * (mu * e)) * u
-    return h, delta, np.array(nwds), np.array(errs), np.array(squares)
+        s = g * (mu * e)
+        delta = [d - s * vk for d, vk in zip(delta, v)]
+    return h, np.array(delta), np.array(nwds), np.array(errs), np.array(squares)
 
 
 def _assert_error_oracle(curves, oracle):
@@ -297,6 +311,31 @@ class TestRunTrial:
             QParams.uniform(5.0, 1).g[0]))
         assert np.isclose(nwd(curves.channel, curves.final_weights),
                           curves.nwd[-1], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("algorithm, m, snr_db", [
+        *[(algorithm, m, 20.0) for algorithm in ("qvlms", "vlms", "whitened")
+          for m in (1, 3, 8)],
+        ("qvlms", 3, math.inf),
+    ])
+    def test_trial_has_the_bits_of_the_scalar_recursion(self, algorithm, m,
+                                                         snr_db):
+        # 600 steps cross a 64-step block and the 512-step segment; at no
+        # noise, sigma z = 0.0 is added last. The whitened cells run in the
+        # orthonormalized mode, whose gain is diagonal: in the raw one BLAS
+        # may order the sums of (S R^-1 S) u otherwise than the kernel does
+        mode = (RegressorMode.ORTHONORMALIZED if algorithm == "whitened"
+                else RegressorMode.RAW)
+        cfg = small_config(iterations=600, step_size=None,
+                           step_size_fraction=0.05)
+        spec = ChannelSpec(memory_length=m, snr_db=snr_db, regressor_mode=mode)
+        seed = 29 + m
+        curves = run_trial(cfg, spec, seed, algorithm)
+        assert not curves.diverged
+        cell = experiment._config_cell(cfg, spec, algorithm, 5.0, snr_db)
+        _assert_error_oracle(curves, _error_trial(
+            seed, spec, cfg.iterations, cfg.random_init, cell.step_size,
+            QParams.uniform(5.0, 1).g[0] if algorithm == "qvlms" else 1.0,
+            whitened_gain(spec) if algorithm == "whitened" else None))
 
     def test_int_seed_is_its_seed_sequence(self):
         cfg = small_config(iterations=150)
@@ -550,11 +589,14 @@ class TestStreamingKernel:
 
 
 @pytest.mark.parametrize("n", range(1, 301))
-def test_sum_call_adds_left_to_right(n):
+def test_kernel_sums_add_left_to_right(n):
     # rows of mixed magnitude and sign, plus all-(-0.0), mixed-zero and
-    # near-subnormal rows, summed as slabs of several values (one reduce)
-    # and of one value (running sums): both add t0 first, then t1, ...
-    # The slabs are laid out one after another, as in the kernel's buffers
+    # near-subnormal rows, summed as the kernel sums a step's products: as
+    # slabs of several values by one reduce from -0.0, laid out one after
+    # another as in the kernel's buffers, and as one value's row by running
+    # sums over the row and then the noise. Both add t0 first, then t1, ...,
+    # and the running sums' last, ``u . delta + sigma z``, has the bits of
+    # ``sigma z + u . delta``
     rng = np.random.default_rng(n)
     rows = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-8, 9, (6, n))
     rows[1] = -0.0
@@ -565,15 +607,18 @@ def test_sum_call_adds_left_to_right(n):
     for i in range(1, n):
         expected += rows[:, i]
     columns = np.ascontiguousarray(rows.T)
-    cases = [(columns.reshape(n, 2, 3), expected),
-             (columns.reshape(n, 1, 6), expected)]
-    cases += [(row.reshape(n, 1, 1), expected[i:i + 1])
-              for i, row in enumerate(rows)]
-    for terms, want in cases:
-        out = np.full(terms.shape, np.nan)
-        fn, args = experiment._sum_call(terms, out)
-        fn(*args)
-        got = out[-1].ravel()
+    sums = []
+    for terms in (columns.reshape(n, 2, 3), columns.reshape(n, 1, 6)):
+        out = np.full(terms.shape[1:], np.nan)
+        np.add.reduce(terms, 0, None, out, False, -0.0)
+        sums.append((out.ravel(), expected))
+    noise = rng.standard_normal(6) * 10.0 ** rng.integers(-8, 9, 6)
+    noise[1], noise[2] = 0.0, -0.0
+    for i, z in [*enumerate(noise), (1, -0.0)]:
+        out = np.full(n + 1, np.nan)
+        np.add.accumulate(np.append(rows[i], z), 0, None, out)
+        sums.append((out[-1:], z + expected[i:i + 1]))
+    for got, want in sums:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -1005,27 +1050,32 @@ class TestKernelLayout:
         b = experiment._block_steps(k, c, t)
         seg = max(b, experiment._SEGMENT // b * b)
         whitened = any(cell.algorithm == "whitened" for cell in cells)
+        one = c * t == 1
         f8, b1 = np.dtype(float).str, np.dtype(bool).str
         expected = (
             [((b, k, c, t), f8)]                       # w_hist
             + [((k, c, t), f8)] * (1 + (c > 1))        # w_last, spread
-            + [((b, c, t), f8)] * 4                    # sq, nwd, e_hist, d (noise)
+            + [((b, c, t), f8)] * (4 - 2 * one)        # sq, nwd, e_hist, d (noise)
             + [((b, c, t), b1)]                        # ok_buf
             + [((seg + memory_length - 1, t), f8)]     # x, time-major
             + [((seg, t), f8)]                         # z, time-major
             + [((min(experiment._TILE, t), seg + memory_length - 1), f8)]  # tile
             + [((b, k, 1, t), f8)] * (1 + whitened)    # ut, ugt
             + [((b + memory_length - 1, memory_length, t), f8)]  # g0 ring
-            + [((k, max(b, 2)), f8)] * (c * t == 1)    # K-major |delta|
-            + [((2 * k if c * t == 1 else k + 1, c, t), f8)]  # work
-            + [((2, c, t), f8)]                        # scaled
+            + [((k, max(b, 2)), f8)] * one             # K-major |delta|
+            # one value a slab: each step's products and noise, their
+            # running sums with mu and g, e mu g's chain, and the update;
+            # otherwise the products and their sum, and mu e and g mu e
+            + ([((b, k + 1), f8), ((b, k + 3), f8), ((3,), f8), ((k,), f8)]
+               if one else [((k + 1, c, t), f8), ((2, c, t), f8)])
             + [((c, t), f8)] * 2)                      # mu, gain
         assert sorted((a.shape, a.dtype.str) for a in made) == sorted(expected)
         assert all(a.ctypes.data % 4096 == 0 for a in made)
 
     @pytest.mark.parametrize("algorithm, q", [("qvlms", 5.0), ("whitened", None)])
     def test_one_value_step_calls_drop_the_slab_axes(self, algorithm, q):
-        # at one cell and one trial every step operand is a (K,) row or a
+        # at one cell and one trial a step is five calls, and every operand
+        # is a row, (K,) or (K+1,) products, (3,) of e mu g's chain, or a
         # 0-d view, never a (..., 1, 1) slab
         spec = ChannelSpec()
         k = spec.num_coefficients
@@ -1037,7 +1087,8 @@ class TestKernelLayout:
         shapes = {a.shape for calls in steps for _, operands in calls
                   for a in operands if isinstance(a, np.ndarray)}
         kernel.close()
-        assert shapes == {(), (k,)}
+        assert shapes == {(), (k,), (k + 1,), (3,)}
+        assert {len(calls) for calls in steps} == {5}
 
 
 @pytest.mark.parametrize("call, field", [
