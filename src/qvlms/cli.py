@@ -1,23 +1,25 @@
 """Command-line harness: protocol runs, ad-hoc Monte-Carlo, bound calculator.
 
 Every run is one ``RunSpec``: a protocol and its settings, merged as
-defaults < config file < flags and validated in one place. ``execute``
-runs a spec and writes, through one writer, its CSV tables and ``.dat``
-plot series (no header, space-separated; a float by its repr, NaN as
-empty), and a JSON manifest carrying the resolved configuration, tool,
-Python and numpy versions, master seed and output paths. ``qvlms rerun
-manifest.json`` rebuilds the spec from the manifest, reproduces every
-table byte for byte, and warns when the tool, Python or numpy version
-differs.
+defaults < config file < flags and validated in one place, where the run's
+cells are resolved once, each with its step and stability bound, which the
+step warning reads. ``execute`` runs a spec and writes, through one
+writer, its CSV tables and ``.dat`` plot series (no header,
+space-separated; a float by its repr, NaN as empty), and a JSON manifest
+carrying the resolved configuration, tool, Python and numpy versions,
+master seed and output paths. ``qvlms rerun manifest.json`` rebuilds the
+spec from the manifest, reproduces every table byte for byte, and warns
+when the tool, Python or numpy version differs.
 
 Config files are flat ``key = value`` text ('#' starts a comment), each
 key at most once. Each protocol takes only the keys of its entry in
 ``DEFAULTS``; any other key, in a config file or a manifest, is a
-configuration error, as is an input file that cannot be read or an output
-directory that cannot be created. A flag's value reaches its key's parser
-in ``_PARSERS`` as text, as a config file's does, so a malformed one is a
-configuration error too. Exit codes: 0 success, 1 configuration error, 2
-runtime failure (for example every trial diverging) or argparse usage error.
+configuration error, as is a q, SNR or algorithm given twice, an input
+file that cannot be read or an output directory that cannot be created.
+A flag's value reaches its key's parser in ``_PARSERS`` as text, as a
+config file's does, so a malformed one is a configuration error too. Exit
+codes: 0 success, 1 configuration error, 2 runtime failure (for example
+every trial diverging) or argparse usage error.
 """
 
 import argparse
@@ -26,7 +28,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
@@ -45,7 +47,8 @@ from qvlms.experiment import (
     protocol2,
     steady_state_level,
 )
-from qvlms.experiment import _check_positive, _config_cells, _protocol2_algorithms
+from qvlms.experiment import _check_distinct, _check_positive, _config_cells
+from qvlms.experiment import _protocol2_algorithms
 # unused here, but perfbench/spans.py spans it under this module's name
 from qvlms.theory import gaussian_autocorrelation  # noqa: F401
 from qvlms.theory import gaussian_eigenvalues
@@ -217,11 +220,15 @@ class RunSpec:
     """A protocol and its resolved, validated settings.
 
     ``config()`` is the manifest's ``config`` object and ``from_manifest``
-    reads it back, so a rerun resolves the same spec.
+    reads it back, so a rerun resolves the same spec. ``cells`` are the
+    run's cells, each with its step and stability bound, as ``resolve``
+    found them; they are derived from the settings, so they are neither
+    recorded nor compared.
     """
 
     protocol: str
     settings: MappingProxyType
+    cells: tuple = field(compare=False, repr=False)
 
     @classmethod
     def resolve(cls, protocol, *sources: dict) -> "RunSpec":
@@ -240,14 +247,16 @@ class RunSpec:
             raise ConfigError(
                 f"key 'snr_db': protocol1 runs at one SNR, got {list(s['snr_db'])}"
             )
+        for key in ("algorithms", "q_values", "snr_db"):
+            _in_range(_check_distinct, key, s.get(key, ()))
         channel = ChannelSpec(memory_length=s["memory_length"],
                               regressor_mode=s["regressor_mode"])
         for snr in s["snr_db"]:
             _in_range(channel._check_noise, "snr_db", snr)
         if protocol == "run" and (s["mu"] is None) == (s["mu_fraction"] is None):
             raise ConfigError("key 'mu': set exactly one of mu and mu_fraction")
-        _check_steps(_experiment_config(s), channel)
-        return cls(protocol, MappingProxyType(s))
+        cells = _resolve_cells(_experiment_config(s), channel)
+        return cls(protocol, MappingProxyType(s), cells)
 
     @classmethod
     def from_args(cls, args) -> "RunSpec":
@@ -292,20 +301,20 @@ def _experiment_config(s) -> ExperimentConfig:
     )
 
 
-def _check_steps(config: ExperimentConfig, channel: ChannelSpec) -> None:
-    """Resolve the cells of ``config`` as its run will: a cell whose
-    stability bound overflows, which run's step warning reads at any step
-    rule, is a configuration error naming 'q_values', and a fraction of the
-    bound that gives no positive step one naming 'mu_fraction'."""
-    absolute = replace(config, step_size=1.0, step_size_fraction=None)
-    for cell in _config_cells(absolute, channel):
-        try:
-            cell.bound(channel)
-        except ValueError as exc:
-            raise ConfigError(f"key 'q_values': {exc}") from None
+def _resolve_cells(config: ExperimentConfig, channel: ChannelSpec) -> tuple:
+    """The cells of ``config``, resolved as its run will resolve them. A
+    cell whose stability bound overflows, which the library refuses at
+    either step rule, is a configuration error naming 'q_values', and a
+    fraction of the bound that gives no positive step one naming
+    'mu_fraction'."""
     try:
-        _config_cells(config, channel)
+        return tuple(_config_cells(config, channel))
     except ValueError as exc:
+        absolute = replace(config, step_size=1.0, step_size_fraction=None)
+        try:  # a bound that overflows does so at any step
+            _config_cells(absolute, channel)
+        except ValueError:
+            raise ConfigError(f"key 'q_values': {exc}") from None
         raise ConfigError(f"key 'mu_fraction': {exc}") from None
 
 
@@ -448,18 +457,15 @@ def _protocol2_outputs(s):
     return tables, checks, [line]
 
 
-def _warn_steps(s) -> None:
-    """Warn per (algorithm, q) of the settings ``s`` whose step exceeds
-    twice its stability bound: the cells at the first SNR are one of each."""
-    config = _experiment_config(s)
-    channel = ChannelSpec(memory_length=s["memory_length"],
-                          regressor_mode=s["regressor_mode"])
-    first = replace(config, snr_db_values=config.snr_db_values[:1])
-    for cell in _config_cells(first, channel):
-        bound = cell.bound(channel)
-        if cell.step_size > 2.0 * bound:
+def _warn_steps(cells) -> None:
+    """Warn per (algorithm, q) of ``cells`` whose step exceeds twice its
+    stability bound: the cells at the first SNR are one of each."""
+    for cell in cells:
+        if cell.snr_db == cells[0].snr_db and cell.step_size > 2.0 * cell.bound:
+            # the other algorithms have no q: their bound is at q = 1
+            q = 1.0 if cell.q_value is None else cell.q_value
             print(f"warning: mu={cell.step_size:.3e} exceeds twice the stability "
-                  f"bound {bound:.3e} for {cell.algorithm} at q={cell.bound_q:g}; "
+                  f"bound {cell.bound:.3e} for {cell.algorithm} at q={q:g}; "
                   f"divergence likely", file=sys.stderr)
 
 
@@ -490,7 +496,7 @@ def execute(spec: RunSpec, out=None) -> int:
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir}: cannot be created "
                           f"({exc.strerror})")
-    _warn_steps(spec.settings)
+    _warn_steps(spec.cells)
     tables, checks, lines = _OUTPUTS[spec.protocol](spec.settings)
     for name, header, blocks in tables:
         _write_table(out_dir / name, header, blocks)

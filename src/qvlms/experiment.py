@@ -52,7 +52,7 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -71,6 +71,7 @@ from qvlms.volterra import (
     SQRT2,
     RegressorMode,
     VolterraKernel,
+    flatten_index,
     num_coefficients,
     scaling_diag,
 )
@@ -205,6 +206,14 @@ def _check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_distinct(name: str, values) -> None:
+    """Raise a ``ValueError`` naming ``name`` if ``values`` repeats a value:
+    each value names a run's cells, and two equal cells collide in every
+    output that is keyed by them. Values are compared by ``==``."""
+    if any(value in values[:i] for i, value in enumerate(values)):
+        raise ValueError(f"{name} must not repeat a value, got {list(values)}")
+
+
 def _check_snr(name: str, value) -> None:
     """Raise a ``ValueError`` naming ``name`` unless the noise factor
     ``10^(-value/10)`` is a finite double: NaN, -inf and an SNR below about
@@ -295,7 +304,8 @@ class ExperimentConfig:
     (fraction of the stability bound ``1 / max_i((q_i+1) lambda_i)``) must
     be set. Per-trial seeds are spawned deterministically from the master
     seed, and the same per-trial streams are reused for every algorithm,
-    q and SNR cell, so comparisons are paired.
+    q and SNR cell, so comparisons are paired. No algorithm, q or SNR may
+    be given twice.
     """
 
     iterations: int = 5000
@@ -322,6 +332,7 @@ class ExperimentConfig:
         for name in ("algorithms", "q_values", "snr_db_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+            _check_distinct(name, getattr(self, name))
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}; expected {ALGORITHMS}")
@@ -364,44 +375,35 @@ def _whitened_gain(memory_length: int, mode: RegressorMode) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Cell:
-    """One (algorithm, q, SNR) cell at its resolved step size. A run's
-    cells are a list in any order; each result comes back at its cell's
-    place in it."""
+    """One (algorithm, q, SNR) cell at its resolved step size, with its
+    mean stability bound ``1 / ((q+1) lambda_max)``: at q-VLMS's own q, at
+    q = 1 for the other algorithms, which have no q. A run's cells are a
+    list in any order; each result comes back at its cell's place in it."""
 
     algorithm: str
     q_value: float | None
     snr_db: float
     step_size: float
-
-    @property
-    def bound_q(self) -> float:
-        """The q of the cell's stability bound: q-VLMS's own, 1 for the
-        other algorithms, which have no q."""
-        return 1.0 if self.q_value is None else self.q_value
-
-    def bound(self, channel: ChannelSpec) -> float:
-        """The mean stability bound ``1 / ((q+1) lambda_max)`` at ``bound_q``,
-        from the closed-form input autocorrelation of the regressor mode;
-        a ``ValueError`` where ``(q+1) lambda_max`` overflows."""
-        qp = QParams.uniform(self.bound_q, channel.num_coefficients)
-        return step_size_bound(qp, channel.eigenvalues())
+    bound: float
 
 
 def _config_cell(config: ExperimentConfig, channel: ChannelSpec, algorithm: str,
                  q_value: float, snr_db: float) -> _Cell:
-    """A cell of ``config``: q applies to q-VLMS only, and a fraction rule
-    takes its fraction of the cell's ``bound``, a ``ValueError`` unless the
-    step is positive and finite."""
+    """A cell of ``config``: q applies to q-VLMS only, and the bound comes
+    from the closed-form input autocorrelation of the regressor mode, a
+    ``ValueError`` where ``(q+1) lambda_max`` overflows, at either step
+    rule. A fraction rule takes its fraction of the bound, a ``ValueError``
+    unless the step is positive and finite."""
     channel._check_noise("snr_db_values", snr_db)
     q = float(q_value) if algorithm == "qvlms" else None
+    qp = QParams.uniform(1.0 if q is None else q, channel.num_coefficients)
+    bound = step_size_bound(qp, channel.eigenvalues())
     step = config.step_size
-    cell = _Cell(algorithm, q, float(snr_db), step)
     if step is None:
-        bound = cell.bound(channel)
         step = float(config.step_size_fraction) * bound
         _check_positive(f"the step {config.step_size_fraction} x the bound "
                         f"{bound:.6g}", step)
-    return replace(cell, step_size=float(step))
+    return _Cell(algorithm, q, float(snr_db), float(step), bound)
 
 
 def _config_cells(config: ExperimentConfig, channel: ChannelSpec) -> list[_Cell]:
@@ -714,7 +716,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
                  *squares(g0[m - 1:m - 1 + b, 0])]
         for i in range(m):
             # the terms u_i u_i .. u_i u_M-1 of step r are those of step r-i
-            at = m + i * m - i * (i - 1) // 2
+            at = flatten_index(i, i, m)
             calls.append((np.copyto, (u[:, at:at + m - i],
                                       g0[m - 1 - i:m - 1 - i + b, :m - i])))
         # the block's last M-1 steps precede the next block

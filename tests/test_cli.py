@@ -211,6 +211,11 @@ class TestBoundCommand:
         assert captured.out == ""
 
 
+    def test_repeated_eigenvalues_are_a_spectrum(self, capsys):
+        # a spectrum may repeat a value; the bound reads its largest
+        assert main(["bound", "--eigenvalues", "1", "3", "3", "--q", "2"]) == 0
+        assert capsys.readouterr().out == "q=2: bound = 0.1111111111\n"
+
     @pytest.mark.parametrize("argv, keys", [
         (["--q", "1", "1e308"], ["q_values"]),
         (["--eigenvalues", "1e308", "--q", "5"], ["q_values", "eigenvalues"]),
@@ -623,6 +628,61 @@ class TestRunCommand:
         assert err.startswith("configuration error") and f"'{key}'" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv, key", [
+        (["protocol2", "--q", "5", "5", "--snr", "20", "30"], "q_values"),
+        (["protocol2", "--snr", "20", "20"], "snr_db"),
+        (["protocol1", "--q", "1", "5", "1"], "q_values"),
+        (["run", "--mu", "0.001", "--q", "5", "5.0"], "q_values"),
+        (["run", "--mu", "0.001", "--snr", "10", "20", "10"], "snr_db"),
+        (["run", "--mu", "0.001", "--algorithm", "vlms", "qvlms", "vlms"],
+         "algorithms"),
+    ])
+    def test_repeated_list_value_is_config_error(self, tmp_path, capsys, argv,
+                                                 key):
+        # two equal cells would run twice and overwrite each other's plot
+        # series, summary keys and divergence counts
+        rc = main(argv + ["--trials", "2", "--iterations", "5",
+                          "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and f"'{key}'" in err
+        assert "must not repeat a value" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_a_valid_spec_resolves_its_cells_once(self, tmp_path, monkeypatch,
+                                                  capsys):
+        calls = []
+        config_cells = cli._config_cells
+
+        def spy(*args):
+            calls.append(args)
+            return config_cells(*args)
+
+        monkeypatch.setattr(cli, "_config_cells", spy)
+        spec = RunSpec.resolve("run", {
+            "algorithms": ("vlms", "qvlms"), "q_values": (50.0,), "mu": 0.02,
+            "snr_db": (20.0, 30.0), "trials": 3, "iterations": 200})
+        assert len(calls) == 1
+        # each cell carries its bound: vlms at q = 1, qvlms at its q
+        assert [(c.algorithm, c.snr_db, c.bound) for c in spec.cells] == [
+            ("vlms", 20.0, 0.1), ("qvlms", 20.0, 1 / 255),
+            ("vlms", 30.0, 0.1), ("qvlms", 30.0, 1 / 255)]
+        # the cells are derived: neither compared nor recorded
+        assert spec == RunSpec(spec.protocol, spec.settings, ())
+
+        def no_bound(*args, **kwargs):
+            raise AssertionError("execute resolves no cell and no bound")
+
+        monkeypatch.setattr(cli, "_config_cells", no_bound)
+        monkeypatch.setattr(cli, "step_size_bound", no_bound)
+        capsys.readouterr()
+        # the warning reads the qvlms cell's bound, which its trials pass
+        with pytest.raises(RuntimeError, match="all 3 trials diverged"):
+            execute(spec, tmp_path / "x")
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: mu=2.000e-02 exceeds twice the stability bound "
+            "3.922e-03 for qvlms at q=50; divergence likely"]
+
     def test_huge_q_is_a_run_where_no_cell_reads_it(self, tmp_path):
         # q applies to q-VLMS only: a vlms run steps at the q = 1 bound
         assert main(["run", "--algorithm", "vlms", "--q", "1e308",
@@ -818,8 +878,8 @@ _FLAGS = {"seed": "--seed", "trials": "--trials", "iterations": "--iterations",
 def run_specs(draw):
     """A valid run of any protocol at toy size: (protocol, settings).
 
-    Step sizes stay within a fifth of the stability bound, where no trial
-    diverges, so every run exits 0.
+    No list repeats a value. Step sizes stay within a fifth of the
+    stability bound, where no trial diverges, so every run exits 0.
     """
     protocol = draw(st.sampled_from(["protocol1", "protocol2", "run"]))
     snr = st.sampled_from([-5.0, 0.0, 12.5, 20.0, 30.0, math.inf])
@@ -829,8 +889,9 @@ def run_specs(draw):
         "iterations": draw(st.integers(2, 30)),
         "memory_length": draw(st.integers(1, 3)),
         "regressor_mode": draw(st.sampled_from(["raw", "orthonormalized"])),
-        "q_values": draw(st.lists(st.floats(0.5, 10.0), min_size=1, max_size=3)),
-        "snr_db": draw(st.lists(snr, min_size=1,
+        "q_values": draw(st.lists(st.floats(0.5, 10.0), min_size=1, max_size=3,
+                                  unique=True)),
+        "snr_db": draw(st.lists(snr, min_size=1, unique=True,
                                 max_size=1 if protocol == "protocol1" else 3)),
     }
     if protocol == "protocol1":

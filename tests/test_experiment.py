@@ -1013,15 +1013,17 @@ class TestKernelLayout:
 
     @pytest.mark.parametrize("cells, memory_length, trials", [
         pytest.param(
-            [experiment._Cell("vlms", None, snr, 1e-3) for snr in (10.0, 20.0, 30.0)]
-            + [experiment._Cell("qvlms", q, snr, 1e-3)
+            [experiment._Cell("vlms", None, snr, 1e-3, 0.1)
+             for snr in (10.0, 20.0, 30.0)]
+            + [experiment._Cell("qvlms", q, snr, 1e-3, 0.2 / (q + 1))
                for snr in (10.0, 20.0, 30.0) for q in (2.0, 5.0, 10.0)],
             3, 256, id="protocol2"),
         pytest.param(
-            [experiment._Cell(a, q, 20.0, 1e-3)
-             for a, q in (("qvlms", 5.0), ("vlms", None), ("whitened", None))],
+            [experiment._Cell(a, q, 20.0, 1e-3, b)
+             for a, q, b in (("qvlms", 5.0, 1 / 60), ("vlms", None, 0.05),
+                             ("whitened", None, 0.05))],
             8, 256, id="wide"),
-        pytest.param([experiment._Cell("qvlms", 5.0, 20.0, 1e-2)], 3, 1,
+        pytest.param([experiment._Cell("qvlms", 5.0, 20.0, 1e-2, 1 / 30)], 3, 1,
                      id="one-trial"),
     ])
     def test_kernel_buffers_start_on_a_page(self, monkeypatch, cells,
@@ -1080,7 +1082,7 @@ class TestKernelLayout:
         spec = ChannelSpec()
         k = spec.num_coefficients
         draw = experiment._draw_chunk(trial_seeds(1, 1), spec, True)
-        cells = [experiment._Cell(algorithm, q, 20.0, 1e-3)]
+        cells = [experiment._Cell(algorithm, q, 20.0, 1e-3, 0.2 / ((q or 1) + 1))]
         kernel = experiment._lockstep(*draw, 20, cells, spec)
         next(kernel), next(kernel)
         steps = kernel.gi_frame.f_locals["steps"]
@@ -1113,6 +1115,28 @@ class TestKernelLayout:
 ])
 def test_an_empty_grid_is_a_value_error_naming_it(call, field):
     with pytest.raises(ValueError, match=field):
+        call()
+
+
+@pytest.mark.parametrize("call, field", [
+    pytest.param(lambda: small_config(algorithms=("vlms", "qvlms", "vlms")),
+                 "algorithms", id="config-algorithms"),
+    pytest.param(lambda: small_config(q_values=(5.0, 5)), "q_values",
+                 id="config-q_values"),
+    # -0 dB is 0 dB: the two cells share every key
+    pytest.param(lambda: small_config(snr_db_values=(0.0, -0.0)),
+                 "snr_db_values", id="config-snr_db_values"),
+    pytest.param(lambda: protocol1(0, q_values=(1.0, 5.0, 1.0)), "q_values",
+                 id="protocol1-q_values"),
+    pytest.param(lambda: protocol2(0, q_values=(5.0, 5.0)), "q_values",
+                 id="protocol2-q_values"),
+    pytest.param(lambda: protocol2(0, snr_db_values=(20.0, 20.0)),
+                 "snr_db_values", id="protocol2-snr_db_values"),
+])
+def test_a_repeated_grid_value_is_a_value_error_naming_it(call, field):
+    # two equal cells would be simulated twice and collide in every output
+    # keyed by their values
+    with pytest.raises(ValueError, match=rf"^{field} must not repeat a value"):
         call()
 
 
@@ -1232,7 +1256,7 @@ def test_a_fraction_rule_step_is_exact(m, algorithm, q):
     cfg = small_config(step_size=None, step_size_fraction=0.05, q_values=(q,),
                        algorithms=(algorithm,))
     cell = experiment._config_cell(cfg, spec, algorithm, q, spec.snr_db)
-    bound = cell.bound(spec)
+    bound = cell.bound
     assert bound == 1.0 / ((q + 1.0) * (m + 2))
     assert cell.step_size == 0.05 * bound
 
@@ -1254,6 +1278,15 @@ def test_a_bound_that_overflows_is_a_value_error():
         monte_carlo(cfg, ChannelSpec())
     # q applies to q-VLMS only: a vlms cell steps at the q = 1 bound
     monte_carlo(replace(cfg, algorithms=("vlms",)), ChannelSpec())
+    # every cell carries its bound, so an absolute step refuses it too:
+    # never "all trials diverged" nor a diverged trial
+    absolute = replace(cfg, step_size=1e-3, step_size_fraction=None)
+    for call in (lambda: monte_carlo(absolute, ChannelSpec()),
+                 lambda: run_trial(absolute, ChannelSpec(), 0),
+                 lambda: protocol2(0, trials=2, iterations=5, q_values=(1e308,))):
+        with pytest.raises(ValueError, match="overflows"):
+            call()
+    monte_carlo(replace(absolute, algorithms=("vlms",)), ChannelSpec())
 
 
 @pytest.mark.parametrize("call", [
