@@ -1,9 +1,11 @@
 """Command-line harness: protocol runs, ad-hoc Monte-Carlo, bound calculator.
 
 Every run is one ``RunSpec``: a protocol and its settings, merged as
-defaults < config file < flags and validated in one place, where the run's
-cells are resolved once, each with its step and stability bound, which the
-step warning reads. ``execute`` runs a spec and writes, through one
+defaults < config file < flags and validated in one place, where the
+run's ``ExperimentConfig``, channel and cells are built once; the step
+warning reads the cells, each with its step and stability bound.
+``execute`` runs a spec as one ``monte_carlo`` of its config and channel,
+hands the curves to its protocol's report, and writes, through one
 writer, its CSV tables and ``.dat`` plot series (no header,
 space-separated; a float by its repr, NaN as empty), and a JSON manifest
 carrying the resolved configuration, tool, Python and numpy versions,
@@ -43,13 +45,13 @@ from qvlms.experiment import (
     ExperimentConfig,
     monte_carlo,
     nwd_db,
-    protocol1,
-    protocol2,
     steady_state_level,
 )
 from qvlms.experiment import _check_distinct, _check_positive, _config_cells
-from qvlms.experiment import _protocol2_algorithms
-# unused here, but perfbench/spans.py spans it under this module's name
+from qvlms.experiment import _protocol1_report, _protocol2_algorithms
+from qvlms.experiment import _protocol2_report
+# unused here, but perfbench/spans.py spans them under this module's name
+from qvlms.experiment import protocol1, protocol2  # noqa: F401
 from qvlms.theory import gaussian_autocorrelation  # noqa: F401
 from qvlms.theory import gaussian_eigenvalues
 from qvlms.volterra import RegressorMode
@@ -220,14 +222,17 @@ class RunSpec:
     """A protocol and its resolved, validated settings.
 
     ``config()`` is the manifest's ``config`` object and ``from_manifest``
-    reads it back, so a rerun resolves the same spec. ``cells`` are the
-    run's cells, each with its step and stability bound, as ``resolve``
-    found them; they are derived from the settings, so they are neither
+    reads it back, so a rerun resolves the same spec. ``experiment`` and
+    ``channel`` are the ``monte_carlo`` arguments of the run, and ``cells``
+    its cells, each with its step and stability bound, as ``resolve``
+    built them; they are derived from the settings, so they are neither
     recorded nor compared.
     """
 
     protocol: str
     settings: MappingProxyType
+    experiment: ExperimentConfig = field(compare=False, repr=False)
+    channel: ChannelSpec = field(compare=False, repr=False)
     cells: tuple = field(compare=False, repr=False)
 
     @classmethod
@@ -255,8 +260,9 @@ class RunSpec:
             _in_range(channel._check_noise, "snr_db", snr)
         if protocol == "run" and (s["mu"] is None) == (s["mu_fraction"] is None):
             raise ConfigError("key 'mu': set exactly one of mu and mu_fraction")
-        cells = _resolve_cells(_experiment_config(s), channel)
-        return cls(protocol, MappingProxyType(s), cells)
+        experiment = _experiment_config(s)
+        return cls(protocol, MappingProxyType(s), experiment, channel,
+                   _resolve_cells(experiment, channel))
 
     @classmethod
     def from_args(cls, args) -> "RunSpec":
@@ -385,19 +391,16 @@ def _utc_now() -> str:
 
 
 # ---------------------------------------------------------------------------
-# protocols: each runs its settings and returns its outputs as
+# protocols: each reports a spec's monte_carlo curves as its outputs,
 # (tables, manifest checks, summary lines), plot series among the tables
 # ---------------------------------------------------------------------------
 
-def _protocol1_outputs(s):
-    report = protocol1(
-        s["seed"], trials=s["trials"], iterations=s["iterations"],
-        snr_db=s["snr_db"][0], q_values=s["q_values"],
-        memory_length=s["memory_length"], regressor_mode=s["regressor_mode"],
-        mu_fraction=s["mu_fraction"],
-    )
+def _protocol1_outputs(spec, curves):
+    # the CLI's mu_fraction is the fraction of the bound itself
+    report = _protocol1_report(curves, spec.experiment, spec.channel,
+                               "fraction_of_bound")
     comps, snr = report.comparisons, report.snr_db
-    curves = (block for comp in comps for block in (
+    blocks = (block for comp in comps for block in (
         _curve_block("qvlms", comp.q_value, snr, comp.simulated_mae,
                      comp.simulated_nwd),
         _curve_block("theory", comp.q_value, snr, comp.theory_mae)))
@@ -405,7 +408,7 @@ def _protocol1_outputs(s):
         ("qvlms", comp.q_value, snr,
          float(nwd_db(steady_state_level(comp.simulated_nwd))),
          comp.correlation, comp.diverged) for comp in comps]))
-    tables = [("protocol1_curves.csv", CURVE_COLUMNS, curves),
+    tables = [("protocol1_curves.csv", CURVE_COLUMNS, blocks),
               ("protocol1_summary.csv", SUMMARY_COLUMNS, [summary])]
     tables += [_series(f"plot_protocol1_q{comp.q_value:g}_{kind}.dat", ys)
                for comp in comps
@@ -423,17 +426,12 @@ def _protocol1_outputs(s):
                               for c in report.comparisons},
     }
     line = (f"protocol1: average correlation {report.average_correlation:.5f} "
-            f"over q={list(s['q_values'])}")
+            f"over q={list(spec.settings['q_values'])}")
     return tables, checks, [line]
 
 
-def _protocol2_outputs(s):
-    report = protocol2(
-        s["seed"], trials=s["trials"], iterations=s["iterations"],
-        snr_db_values=s["snr_db"], q_values=s["q_values"], step_size=s["mu"],
-        include_whitened=s["include_whitened"],
-        memory_length=s["memory_length"], regressor_mode=s["regressor_mode"],
-    )
+def _protocol2_outputs(spec, curves):
+    report = _protocol2_report(curves, spec.experiment, spec.channel)
     gaps = [(q, snr, adv) for (q, snr), adv in sorted(report.advantages_db.items())]
     gaps.append(("average", "", report.average_advantage_db))
     tables = _averaged_tables("protocol2", report.curves)
@@ -453,7 +451,8 @@ def _protocol2_outputs(s):
         "divergence_counts": {_cell_key(c): c.diverged for c in report.curves},
     }
     line = (f"protocol2: average q-VLMS advantage "
-            f"{report.average_advantage_db:+.2f} dB over SNR={list(s['snr_db'])}")
+            f"{report.average_advantage_db:+.2f} dB over "
+            f"SNR={list(spec.settings['snr_db'])}")
     return tables, checks, [line]
 
 
@@ -469,11 +468,7 @@ def _warn_steps(cells) -> None:
                   f"divergence likely", file=sys.stderr)
 
 
-def _run_outputs(s):
-    config = _experiment_config(s)
-    channel = ChannelSpec(memory_length=s["memory_length"],
-                          regressor_mode=s["regressor_mode"])
-    cells = monte_carlo(config, channel)
+def _run_outputs(spec, cells):
     checks = {
         "resolved_step_sizes": {_cell_key(c): c.step_size for c in cells},
         "divergence_counts": {_cell_key(c): c.diverged for c in cells},
@@ -497,7 +492,8 @@ def execute(spec: RunSpec, out=None) -> int:
         raise ConfigError(f"output directory {out_dir}: cannot be created "
                           f"({exc.strerror})")
     _warn_steps(spec.cells)
-    tables, checks, lines = _OUTPUTS[spec.protocol](spec.settings)
+    curves = monte_carlo(spec.experiment, spec.channel)
+    tables, checks, lines = _OUTPUTS[spec.protocol](spec, curves)
     for name, header, blocks in tables:
         _write_table(out_dir / name, header, blocks)
     manifest = {

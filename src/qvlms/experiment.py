@@ -931,8 +931,10 @@ def _chunks(config: ExperimentConfig):
 def monte_carlo(config: ExperimentConfig, channel: ChannelSpec) -> list[AveragedCurves]:
     """Averaged curves for every (algorithm, q, SNR) cell of the config.
 
-    The channel argument acts as the family template; its SNR is replaced
-    by each entry of ``config.snr_db_values``. All cells share the same
+    ``channel`` gives the memory length, regressor mode and kernel; its
+    ``snr_db`` is never read: each cell's SNR is an entry of
+    ``config.snr_db_values`` (``run_trial``, which runs one SNR, does read
+    ``channel.snr_db``). All cells share the same
     per-trial draws, so cross-algorithm comparisons are paired, and run in
     ``_config_cells`` order: column ``j`` of every set of sums is cell
     ``j``.
@@ -1117,14 +1119,23 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
         step_size_fraction=mu_fraction * _MU_RULES[mu_rule],
         q_values=tuple(q_values), snr_db_values=(snr_db,),
     )
-    curves = monte_carlo(config, channel)
-    theories = _theory_mae(curves, config, channel)
+    return _protocol1_report(monte_carlo(config, channel), config, channel,
+                             mu_rule)
 
+
+def _protocol1_report(curves, config: ExperimentConfig, channel: ChannelSpec,
+                      mu_rule: str) -> Protocol1Report:
+    """Protocol 1's report of ``curves``, the ``monte_carlo`` results of
+    ``config`` on ``channel``: each cell's theory curve (``_theory_mae``)
+    and its correlation with the simulated MAE. ``mu_rule`` names the rule
+    that set ``config.step_size_fraction``."""
     comparisons = []
-    for cell, theory in zip(curves, theories):
+    for cell, theory in zip(curves, _theory_mae(curves, config, channel)):
         try:
             correlation = correlation_coefficient(theory, cell.mae)
         except ValueError:  # a constant curve
+            # exact: each rule's factor is a power of two
+            mu_fraction = config.step_size_fraction / _MU_RULES[mu_rule]
             raise RuntimeError(
                 f"protocol1: the theory or the simulated MAE curve does not "
                 f"move at q={cell.q_value:g}, mu={cell.step_size:.3e} "
@@ -1137,19 +1148,20 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
             simulated_mae=cell.mae,
             simulated_nwd=cell.nwd,
             correlation=correlation,
-            trials=trials,
+            trials=config.trials,
             diverged=cell.diverged,
         ))
 
+    (snr_db,) = config.snr_db_values
     return Protocol1Report(
         comparisons=tuple(comparisons),
         average_correlation=float(np.mean([c.correlation for c in comparisons])),
-        master_seed=int(master_seed),
-        trials=trials,
-        iterations=iterations,
+        master_seed=int(config.master_seed),
+        trials=config.trials,
+        iterations=config.iterations,
         snr_db=snr_db,
-        memory_length=memory_length,
-        regressor_mode=regressor_mode,
+        memory_length=channel.memory_length,
+        regressor_mode=channel.regressor_mode,
         mu_rule=mu_rule,
     )
 
@@ -1211,12 +1223,18 @@ def protocol2(master_seed: int, *, trials: int = 1000, iterations: int = 2500,
         iterations=iterations, trials=trials, master_seed=master_seed,
         step_size=step_size, q_values=tuple(float(q) for q in q_values),
         snr_db_values=tuple(float(s) for s in snr_db_values),
-        algorithms=_protocol2_algorithms(include_whitened), random_init=True,
+        algorithms=_protocol2_algorithms(include_whitened),
     )
     channel = ChannelSpec(memory_length=memory_length,
                           regressor_mode=regressor_mode)
-    curves = monte_carlo(config, channel)
+    return _protocol2_report(monte_carlo(config, channel), config, channel)
 
+
+def _protocol2_report(curves, config: ExperimentConfig,
+                      channel: ChannelSpec) -> Protocol2Report:
+    """Protocol 2's report of ``curves``, the ``monte_carlo`` results of
+    ``config`` on ``channel``: each cell's steady-state NWD and q-VLMS's
+    advantage over VLMS at each (q, SNR)."""
     level = {(c.algorithm, c.q_value, c.snr_db): c.steady_state_nwd_db()
              for c in curves}
     advantages = {(q, snr): level["vlms", None, snr] - level["qvlms", q, snr]
@@ -1226,12 +1244,12 @@ def protocol2(master_seed: int, *, trials: int = 1000, iterations: int = 2500,
         curves=tuple(curves),
         advantages_db=advantages,
         average_advantage_db=float(np.mean(list(advantages.values()))),
-        master_seed=int(master_seed),
-        trials=trials,
-        iterations=iterations,
+        master_seed=int(config.master_seed),
+        trials=config.trials,
+        iterations=config.iterations,
         snr_db_values=config.snr_db_values,
         q_values=config.q_values,
-        step_size=step_size,
-        memory_length=memory_length,
-        regressor_mode=regressor_mode,
+        step_size=config.step_size,
+        memory_length=channel.memory_length,
+        regressor_mode=channel.regressor_mode,
     )

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvlms import __version__, cli
+from qvlms import __version__, cli, experiment
 from qvlms.cli import ConfigError, RunSpec, execute, main, parse_config_file
 from qvlms.experiment import (
     ALGORITHMS,
     AveragedCurves,
     Protocol2Report,
+    monte_carlo,
     nwd_db,
     protocol1,
     protocol2,
@@ -329,7 +331,8 @@ class TestProtocolCommands:
         # 12 cells x 2,001 rows: writing holds a row at a time, not the
         # table's 24,012 rows or its text
         report = protocol2(3, trials=2, iterations=2000)
-        monkeypatch.setattr(cli, "protocol2", lambda *args, **kwargs: report)
+        monkeypatch.setattr(cli, "monte_carlo", lambda *args: report.curves)
+        monkeypatch.setattr(cli, "_protocol2_report", lambda *args: report)
         spec = RunSpec.resolve("protocol2", {"trials": 2, "iterations": 2000})
         tracemalloc.start()
         try:
@@ -411,7 +414,8 @@ class TestOutputFormat:
             iterations=2, snr_db_values=(math.inf,), q_values=(5.0,),
             step_size=1e-3, memory_length=3,
             regressor_mode=RegressorMode.RAW)
-        monkeypatch.setattr(cli, "protocol2", lambda *args, **kwargs: report)
+        monkeypatch.setattr(cli, "monte_carlo", lambda *args: report.curves)
+        monkeypatch.setattr(cli, "_protocol2_report", lambda *args: report)
         spec = RunSpec.resolve("protocol2", {"trials": 4, "iterations": 2})
         assert execute(spec, tmp_path) == 0
         qdb = nwd_db(self.QVLMS.nwd)
@@ -433,6 +437,129 @@ class TestOutputFormat:
                                        "algorithms": ["vlms", "qvlms"]})
         assert execute(spec, tmp_path) == 0
         assert self._texts(tmp_path) == self._expected_tables("run")
+
+
+def _library_call(protocol, s):
+    """The keyword front end ``protocol1`` or ``protocol2`` called with a
+    spec's settings ``s``."""
+    common = {key: s[key] for key in ("trials", "iterations", "q_values",
+                                      "memory_length", "regressor_mode")}
+    if protocol == "protocol1":
+        return protocol1(s["seed"], snr_db=s["snr_db"][0],
+                         mu_fraction=s["mu_fraction"], **common)
+    return protocol2(s["seed"], snr_db_values=s["snr_db"], step_size=s["mu"],
+                     include_whitened=s["include_whitened"], **common)
+
+
+def _arrays_and_rest(report):
+    """A report's arrays and its other values, each in field order."""
+    arrays, rest = [], []
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                walk(getattr(value, f.name))
+        elif isinstance(value, tuple):
+            for item in value:
+                walk(item)
+        else:
+            rest.append(value)
+
+    walk(report)
+    return arrays, rest
+
+
+class TestOneMonteCarlo:
+    """A CLI run is one ``monte_carlo`` of its spec's config and channel,
+    then its protocol's report; the library's front ends build the same
+    run from their keywords."""
+
+    @pytest.mark.parametrize("protocol, settings", [
+        ("protocol1", {}),
+        ("protocol2", {"include_whitened": True}),
+        ("run", {"algorithms": ALGORITHMS, "mu": 1e-3}),
+    ])
+    def test_execute_runs_one_monte_carlo_of_the_spec(self, tmp_path,
+                                                      monkeypatch, protocol,
+                                                      settings):
+        spec = RunSpec.resolve(protocol, {**settings, "trials": 2,
+                                          "iterations": 10})
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return monte_carlo(*args)
+
+        def front_end(*args, **kwargs):
+            raise AssertionError("execute calls no protocol front end")
+
+        monkeypatch.setattr(cli, "monte_carlo", spy)
+        monkeypatch.setattr(cli, "protocol1", front_end)
+        monkeypatch.setattr(cli, "protocol2", front_end)
+        assert execute(spec, tmp_path) == 0
+        ((config, channel),) = calls
+        assert config is spec.experiment and channel is spec.channel
+
+    @pytest.mark.parametrize("protocol, settings", [
+        ("protocol1", {}),
+        ("protocol2", {}),
+        ("protocol1", {"regressor_mode": "orthonormalized"}),
+        ("protocol2", {"regressor_mode": "orthonormalized"}),
+        ("protocol1", {"memory_length": 2}),
+        ("protocol2", {"memory_length": 2}),
+        ("protocol2", {"include_whitened": True}),
+        ("protocol1", {"mu_fraction": 0.3}),
+        ("protocol1", {"seed": 9, "trials": 7, "iterations": 30,
+                       "q_values": (2.0, 3.0), "snr_db": (15.0,)}),
+        ("protocol2", {"seed": 9, "trials": 7, "iterations": 30, "mu": 0.002,
+                       "q_values": (3.0,), "snr_db": (15.0, 25.0)}),
+    ])
+    def test_front_end_hands_monte_carlo_the_specs_run(self, monkeypatch,
+                                                       protocol, settings):
+        spec = RunSpec.resolve(protocol, settings)
+        handed = []
+
+        class Handed(Exception):
+            pass
+
+        def spy(config, channel):
+            handed.append((config, channel))
+            raise Handed
+
+        monkeypatch.setattr(experiment, "monte_carlo", spy)
+        with pytest.raises(Handed):
+            _library_call(protocol, spec.settings)
+        ((config, channel),) = handed
+        assert config == spec.experiment
+        for name in ("memory_length", "regressor_mode", "kernel"):
+            assert getattr(channel, name) == getattr(spec.channel, name), name
+
+    @pytest.mark.parametrize("protocol, settings", [
+        ("protocol1", {"q_values": (1.0, 5.0)}),
+        ("protocol2", {"include_whitened": True, "snr_db": (10.0, 20.0)}),
+    ])
+    def test_a_cli_run_reports_the_front_ends_curves(self, tmp_path,
+                                                     monkeypatch, protocol,
+                                                     settings):
+        spec = RunSpec.resolve(protocol, {**settings, "seed": 5, "trials": 5,
+                                          "iterations": 60})
+        name = f"_{protocol}_report"
+        report_of, reports = getattr(cli, name), []
+
+        def spy(*args):
+            reports.append(report_of(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, name, spy)
+        assert execute(spec, tmp_path) == 0
+        cli_arrays, cli_rest = _arrays_and_rest(*reports)
+        arrays, rest = _arrays_and_rest(_library_call(protocol, spec.settings))
+        assert len(cli_arrays) == len(arrays) > 0
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(cli_arrays, arrays))
+        assert cli_rest == rest
 
 
 class TestRunCommand:
@@ -649,8 +776,23 @@ class TestRunCommand:
         assert "must not repeat a value" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("protocol, settings, cells", [
+        # each cell carries its bound: vlms and whitened at q = 1, qvlms at
+        # its q
+        ("run", {"algorithms": ("vlms", "qvlms"), "q_values": (50.0,),
+                 "mu": 0.02, "snr_db": (20.0, 30.0)},
+         [("vlms", None, 20.0, 0.1), ("qvlms", 50.0, 20.0, 1 / 255),
+          ("vlms", None, 30.0, 0.1), ("qvlms", 50.0, 30.0, 1 / 255)]),
+        ("protocol1", {"q_values": (1.0, 5.0)},
+         [("qvlms", 1.0, 20.0, 0.1), ("qvlms", 5.0, 20.0, 1 / 30)]),
+        ("protocol2", {"include_whitened": True, "q_values": (5.0,),
+                       "snr_db": (20.0,)},
+         [("vlms", None, 20.0, 0.1), ("qvlms", 5.0, 20.0, 1 / 30),
+          ("whitened", None, 20.0, 0.1)]),
+    ])
     def test_a_valid_spec_resolves_its_cells_once(self, tmp_path, monkeypatch,
-                                                  capsys):
+                                                  capsys, protocol, settings,
+                                                  cells):
         calls = []
         config_cells = cli._config_cells
 
@@ -659,16 +801,13 @@ class TestRunCommand:
             return config_cells(*args)
 
         monkeypatch.setattr(cli, "_config_cells", spy)
-        spec = RunSpec.resolve("run", {
-            "algorithms": ("vlms", "qvlms"), "q_values": (50.0,), "mu": 0.02,
-            "snr_db": (20.0, 30.0), "trials": 3, "iterations": 200})
+        spec = RunSpec.resolve(protocol, {**settings, "trials": 3,
+                                          "iterations": 200})
         assert len(calls) == 1
-        # each cell carries its bound: vlms at q = 1, qvlms at its q
-        assert [(c.algorithm, c.snr_db, c.bound) for c in spec.cells] == [
-            ("vlms", 20.0, 0.1), ("qvlms", 20.0, 1 / 255),
-            ("vlms", 30.0, 0.1), ("qvlms", 30.0, 1 / 255)]
-        # the cells are derived: neither compared nor recorded
-        assert spec == RunSpec(spec.protocol, spec.settings, ())
+        assert [(c.algorithm, c.q_value, c.snr_db, c.bound)
+                for c in spec.cells] == cells
+        # the run's objects are derived: neither compared nor recorded
+        assert spec == RunSpec(spec.protocol, spec.settings, None, None, ())
 
         def no_bound(*args, **kwargs):
             raise AssertionError("execute resolves no cell and no bound")
@@ -676,6 +815,10 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "_config_cells", no_bound)
         monkeypatch.setattr(cli, "step_size_bound", no_bound)
         capsys.readouterr()
+        if protocol != "run":
+            assert execute(spec, tmp_path / "x") == 0
+            assert capsys.readouterr().err == ""
+            return
         # the warning reads the qvlms cell's bound, which its trials pass
         with pytest.raises(RuntimeError, match="all 3 trials diverged"):
             execute(spec, tmp_path / "x")

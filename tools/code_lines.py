@@ -25,9 +25,10 @@ _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 
 
-def docstring_lines(tree: ast.AST) -> set[int]:
-    """The line numbers of every docstring in ``tree``."""
-    lines = set()
+def docstring_spans(tree: ast.AST) -> list[tuple[tuple[int, int], ...]]:
+    """The (start, end) of every docstring in ``tree``, each position a
+    (line, UTF-8 byte column) as ``ast`` gives it."""
+    spans = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                  ast.AsyncFunctionDef)):
@@ -35,18 +36,30 @@ def docstring_lines(tree: ast.AST) -> set[int]:
         first = node.body[0] if node.body else None
         if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                 and isinstance(first.value.value, str)):
-            lines.update(range(first.lineno, first.end_lineno + 1))
-    return lines
+            spans.append(((first.lineno, first.col_offset),
+                          (first.end_lineno, first.end_col_offset)))
+    return spans
 
 
 def code_lines(source: str) -> int:
-    """The number of code lines in the Python ``source``."""
-    docs = docstring_lines(ast.parse(source))
+    """The number of code lines in the Python ``source``. A docstring's
+    string tokens are skipped, not the lines they sit on, so code that
+    shares a line with a docstring counts."""
+    docs = docstring_spans(ast.parse(source))
+    rows = io.StringIO(source).readlines()
+
+    def at(row, col):
+        # tokenize counts characters, ast counts UTF-8 bytes
+        return row, len(rows[row - 1][:col].encode())
+
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in _LAYOUT:
-            lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docs)
+        if tok.type in _LAYOUT or (tok.type == tokenize.STRING and any(
+                start <= at(*tok.start) and at(*tok.end) <= end
+                for start, end in docs)):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
 
 
 def main() -> int:
