@@ -21,7 +21,8 @@ file that cannot be read or an output directory that cannot be created.
 A flag's value reaches its key's parser in ``_PARSERS`` as text, as a
 config file's does, so a malformed one is a configuration error too. Exit
 codes: 0 success, 1 configuration error, 2 runtime failure (for example
-every trial diverging) or argparse usage error.
+every trial diverging, or a run too large for memory) or argparse usage
+error.
 """
 
 import argparse
@@ -45,9 +46,9 @@ from qvlms.experiment import (
     ExperimentConfig,
     monte_carlo,
     nwd_db,
-    steady_state_level,
 )
-from qvlms.experiment import _check_distinct, _check_positive, _config_cells
+from qvlms.experiment import _check_distinct, _check_positive, _check_size
+from qvlms.experiment import _config_cells
 from qvlms.experiment import _protocol1_report, _protocol2_algorithms
 from qvlms.experiment import _protocol2_report
 # unused here, but perfbench/spans.py spans them under this module's name
@@ -106,6 +107,10 @@ def _parse_int(key, text, low=1):
     return value
 
 
+def _parse_size(key, text):
+    return _in_range(_check_size, key, _parse_int(key, text))
+
+
 def _parse_mode(key, text):
     try:
         return RegressorMode(text if isinstance(text, RegressorMode)
@@ -147,8 +152,9 @@ _parse_positives = _list_of(_parse_positive)
 
 _PARSERS = {
     "memory_length": _parse_int,
-    "trials": _parse_int,
-    "iterations": _parse_int,
+    # numpy indexes no further than sys.maxsize
+    "trials": _parse_size,
+    "iterations": _parse_size,
     # numpy's SeedSequence takes non-negative integers only
     "seed": lambda key, text: _parse_int(key, text, low=0),
     # the SNR's range depends on the channel family: RunSpec.resolve checks it
@@ -399,31 +405,28 @@ def _protocol1_outputs(spec, curves):
     # the CLI's mu_fraction is the fraction of the bound itself
     report = _protocol1_report(curves, spec.experiment, spec.channel,
                                "fraction_of_bound")
-    comps, snr = report.comparisons, report.snr_db
-    blocks = (block for comp in comps for block in (
-        _curve_block("qvlms", comp.q_value, snr, comp.simulated_mae,
-                     comp.simulated_nwd),
-        _curve_block("theory", comp.q_value, snr, comp.theory_mae)))
-    summary = list(zip(*[
-        ("qvlms", comp.q_value, snr,
-         float(nwd_db(steady_state_level(comp.simulated_nwd))),
-         comp.correlation, comp.diverged) for comp in comps]))
+    comps = [(comp.simulated, comp.theory_mae, comp.correlation)
+             for comp in report.comparisons]
+    blocks = (block for sim, theory, _ in comps for block in (
+        _curve_block("qvlms", sim.q_value, sim.snr_db, sim.mae, sim.nwd),
+        _curve_block("theory", sim.q_value, sim.snr_db, theory)))
+    summary = list(zip(*[("qvlms", sim.q_value, sim.snr_db,
+                          sim.steady_state_nwd_db(), corr, sim.diverged)
+                         for sim, _, corr in comps]))
     tables = [("protocol1_curves.csv", CURVE_COLUMNS, blocks),
               ("protocol1_summary.csv", SUMMARY_COLUMNS, [summary])]
-    tables += [_series(f"plot_protocol1_q{comp.q_value:g}_{kind}.dat", ys)
-               for comp in comps
-               for kind, ys in (("sim", comp.simulated_mae),
-                                ("theory", comp.theory_mae))]
+    tables += [_series(f"plot_protocol1_q{sim.q_value:g}_{kind}.dat", ys)
+               for sim, theory, _ in comps
+               for kind, ys in (("sim", sim.mae), ("theory", theory))]
     checks = {
-        "correlations": {f"q={c.q_value:g}": c.correlation
-                         for c in report.comparisons},
+        "correlations": {f"q={sim.q_value:g}": corr for sim, _, corr in comps},
         "average_correlation": report.average_correlation,
         "all_correlations_at_least_0.995": bool(
-            all(c.correlation >= 0.995 for c in report.comparisons)
+            all(corr >= 0.995 for *_, corr in comps)
             and report.average_correlation >= 0.995
         ),
-        "divergence_counts": {f"q={c.q_value:g}": c.diverged
-                              for c in report.comparisons},
+        "divergence_counts": {f"q={sim.q_value:g}": sim.diverged
+                              for sim, *_ in comps},
     }
     line = (f"protocol1: average correlation {report.average_correlation:.5f} "
             f"over q={list(spec.settings['q_values'])}")
@@ -640,6 +643,11 @@ def main(argv=None) -> int:
         return 1
     except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's names the array it could not allocate; Python's is empty
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

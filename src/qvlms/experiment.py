@@ -44,14 +44,20 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
   from each chunk's ``h, w0`` drawn again, grow with the iterations, and
   nothing else does; nothing grows with the trials but one flag per
   trial-cell.
-* The kernel applies the divergence guard, once for every caller. A
-  chunk's cells in which some trial diverged are replayed on that chunk
-  alone with the diverged trials left out of their sums, so each cell's
-  averages have the bits of a run of that cell alone.
+* The kernel applies the divergence guard, once for every caller, and
+  yields each block's signed weight error, from which a trial's weights
+  at any row, the divergence included, are read: no caller runs a trial
+  again to recover them. A chunk's cells in which some trial diverged are
+  replayed on that chunk alone with the diverged trials left out of their
+  sums, so each cell's averages have the bits of a run of that cell alone.
+* The protocol reports hold the objects their run built: the
+  ``ExperimentConfig``, the ``ChannelSpec`` and each cell's
+  ``AveragedCurves``, none of whose fields they copy.
 """
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -206,6 +212,15 @@ def _check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_size(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a count
+    (``_check_count``) of at most ``sys.maxsize``, the largest index numpy
+    takes."""
+    _check_count(name, value)
+    if value > sys.maxsize:
+        raise ValueError(f"{name} must be at most {sys.maxsize}, got {value!r}")
+
+
 def _check_distinct(name: str, values) -> None:
     """Raise a ``ValueError`` naming ``name`` if ``values`` repeats a value:
     each value names a run's cells, and two equal cells collide in every
@@ -319,8 +334,8 @@ class ExperimentConfig:
     random_init: bool = True
 
     def __post_init__(self):
-        _check_count("trials", self.trials)
-        _check_count("iterations", self.iterations)
+        _check_size("trials", self.trials)
+        _check_size("iterations", self.iterations)
         _check_count("master_seed", self.master_seed, low=0)
         if (self.step_size is None) == (self.step_size_fraction is None):
             raise ValueError(
@@ -478,26 +493,23 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     ``h, w0 (T, K)`` and each trial's generators of its input and unit
     noise streams (``_draw_chunk``) are shared by all cells, and are used
     up. The cells may come in any order: axis C of every yield follows
-    ``cells``. Yields ``(row, delta_end, e2, nwd, err, ok)`` per block of
-    steps of B rows, the curve rows ``row .. row+B-1``:
+    ``cells``. Yields ``(row, e2, nwd, delta, ok)`` per block of steps of B
+    rows, the curve rows ``row .. row+B-1``:
 
-    * ``delta_end (K, C, T)``: the weight error at the block's last row,
-      coefficient-major, read-only (the next block steps from it); the
-      weights there are ``h - delta_end``;
     * ``e2 (B, C, T)``: the squared a priori errors of the steps that
       produced the block's rows;
     * ``nwd (B, C, T)``: their normalized weight deviation;
-    * ``err (B, K, C, T)``: their absolute weight error ``|delta|``;
+    * ``delta (B, K, C, T)``: their signed weight error ``h - w``, so the
+      weights at row ``row + j`` are ``h - delta[j]``;
     * ``ok (B, C, T)``: the guard, ``nwd <= DIVERGENCE_THRESHOLD``. NaN
       fails it, so a pair whose weights overflowed has diverged.
 
     The first yield is row 0, the initial error ``h - w0``, with NaN
     squared errors and a guard that passes every pair. Yielded arrays are
     the kernel's buffers: the next block overwrites them, and a consumer
-    may too, all but ``delta_end``. The weight error of a block's other
-    rows is not kept: a consumer that needs it at some row runs the kernel
-    that many iterations. A diverged pair keeps adapting and may overflow, so
-    callers run under ``np.errstate`` and mask it.
+    may overwrite any of them too, since the next block steps from a copy
+    of the last row's weight error. A diverged pair keeps adapting and may
+    overflow, so callers run under ``np.errstate`` and mask it.
 
     Every buffer is allocated once per call and comes from
     ``_page_aligned``: a per-step output that starts a few bytes past one
@@ -523,9 +535,9 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
       the noise ``sigma z``, and ``w_hist (B, K, C, T)`` and
       ``e_hist (B, C, T)`` the weight errors and the a priori errors of
       the block's steps (where a slab holds one value, ``d`` and
-      ``e_hist`` are columns of ``terms`` and ``sums``, below). Once
-      ``w_last`` keeps the weight error of the last row, the guard takes
-      ``|delta|`` in place over ``w_hist``.
+      ``e_hist`` are columns of ``terms`` and ``sums``, below), and
+      ``w_last (K, C, T)`` the last row's weight error, from which the
+      next block steps.
     * Per step, on contiguous (C, T) slabs: ``work`` holds the products
       ``u_k delta_k`` and, in its last slab, their sum ``u . delta``: one
       reduce from -0.0 adds them left to right. The noise is added to it,
@@ -553,7 +565,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
       are ``chain (3,)``, ``[e, e mu, (e mu) g]``, and ``(e mu) g`` has the
       bits of ``g (mu e)``, since IEEE products commute. The step times
       the direction goes to ``prod (K,)``, which is subtracted from delta.
-    * ``kmajor (K, B)``: where a slab holds one value, ``|delta|`` copied
+    * ``kmajor (K, B)``: where a slab holds one value, ``delta`` copied
       K-major, so that einsum adds the NWD's K squares one after another
       as it does for larger slabs; over one contiguous row it adds them in
       its own unrolled order.
@@ -580,7 +592,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     sq_buf = _page_aligned((blk, c, t))
     nwd_buf = _page_aligned((blk, c, t))
     ok_buf = _page_aligned((blk, c, t), dtype=bool)
-    # at least two columns: one column wide, |h - w| is a row again
+    # at least two columns: one column wide, h - w is a row again
     kmajor = _page_aligned((k, max(blk, 2))) if c * t == 1 else None
     seg = max(blk, _SEGMENT // blk * blk)
     # the streams of a segment, time-major: row j of x is every trial's
@@ -599,10 +611,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     ugt = _page_aligned((blk, k, 1, t)) if whitening is not None else None
     g0 = _page_aligned((blk + m - 1, m, t))
     spread = _page_aligned((k, c, t)) if c > 1 else None
-    # consumers read the last row's weight error through a read-only view
     w_last = _page_aligned((k, c, t))
-    delta_end = w_last.view()
-    delta_end.flags.writeable = False
     if c * t == 1:
         # row j of terms: step j's products u_k delta_k, then its noise;
         # of sums: their running sums, the last of which is e, then mu, g
@@ -621,25 +630,23 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     def guarded(row, b):
         """The yield of a block whose ``b`` rows of weight error are in
         ``w_hist``: the error of its last row is kept in ``w_last``, then
-        ``|delta|`` is taken over the history, and the curves and the guard
-        from it; row 0, the initial state, never diverges."""
-        w = w_hist[:b]
-        np.copyto(w_last, w[b - 1])
+        the curves and the guard are taken from the history; row 0, the
+        initial state, never diverges."""
+        delta = w_hist[:b]
+        np.copyto(w_last, delta[b - 1])
         sq, cur, ok = sq_buf[:b], nwd_buf[:b], ok_buf[:b]
         np.multiply(e_hist[:b], e_hist[:b], out=sq)
-        err = np.abs(w, out=w)
-        # |delta| |delta| has the bits of delta delta
         if kmajor is None:
-            np.einsum("bkct,bkct->bct", err, err, out=cur)
+            np.einsum("bkct,bkct->bct", delta, delta, out=cur)
         else:
             col = kmajor[:, :b]
-            np.copyto(col, err[:, :, 0, 0].T)
+            np.copyto(col, delta[:, :, 0, 0].T)
             np.einsum("kb,kb->b", col, col, out=cur[:, 0, 0])
         np.divide(cur, hh, out=cur)
         np.less_equal(cur, DIVERGENCE_THRESHOLD, out=ok)
         if not row:
             ok[...] = True
-        return row, delta_end, sq, cur, err, ok
+        return row, sq, cur, delta, ok
 
     w_hist[0] = (h - w0).T[:, None]
     e_hist[0] = np.nan
@@ -805,23 +812,18 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
     sq_err = np.full(n + 1, np.nan)
     div_iter = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, delta_end, e2, cur, err, ok in _lockstep(*draw, n, (cell,), channel):
+        for row, e2, cur, delta, ok in _lockstep(*draw, n, (cell,), channel):
             bad = np.flatnonzero(~ok[:, 0, 0])
             stop = int(bad[0]) + 1 if bad.size else len(ok)
             rows = slice(row, row + stop)
             nwd_curve[rows] = cur[:stop, 0, 0]
-            abs_err[rows] = err[:stop, :, 0, 0]
+            np.abs(delta[:stop, :, 0, 0], out=abs_err[rows])
             sq_err[rows] = e2[:stop, 0, 0]
             if bad.size:
                 div_iter = row + stop - 1
                 break
-        if div_iter is not None:
-            # the kernel keeps the weight error of a block's last row only:
-            # the weights at the divergence come from a replay up to it
-            replay = _draw_chunk([seed], channel, config.random_init)
-            for _, delta_end, *_ in _lockstep(*replay, div_iter, (cell,), channel):
-                pass
-    w_final = h - delta_end[:, 0, 0]
+    # the last row read: the divergence, or the run's last row
+    w_final = h - delta[stop - 1, :, 0, 0]
     return TrialCurves(
         nwd=nwd_curve,
         abs_weight_error=abs_err,
@@ -897,7 +899,7 @@ def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, sums,
     drop = None if keep is None else ~keep
     replayed = False  # every cell will be replayed
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, _, sq, cur, err, ok in _lockstep(*draw, n, cells, channel):
+        for row, sq, cur, delta, ok in _lockstep(*draw, n, cells, channel):
             if not ok.all():
                 diverged |= ~ok.all(axis=0)
                 if diverged.all():
@@ -906,11 +908,12 @@ def _chunk_sums(draw, iterations: int, cells, channel: ChannelSpec, sums,
             if replayed:
                 continue
             if drop is not None:
-                for part in (cur, err, sq):
+                for part in (cur, delta, sq):
                     np.copyto(part, 0.0, where=drop)
             rows = sums[row:row + len(ok)]
-            # over the trials, then over K: one trial's sums have the bits
-            # of TrialCurves.mae
+            # |delta| in place, then over the trials and over K: one
+            # trial's sums have the bits of TrialCurves.mae
+            err = np.abs(delta, out=delta)
             np.einsum("bkct->bck", err).sum(axis=-1, out=rows[..., 0])
             cur.sum(axis=-1, out=rows[..., 1])
             sq.sum(axis=-1, out=rows[..., 2])
@@ -1009,30 +1012,23 @@ _MU_RULES = {"fraction_of_bound": 1.0, "fraction_of_update_eigenvalue": 2.0}
 
 @dataclass(frozen=True)
 class CurveComparison:
-    """Theory/simulation pair for one q value."""
+    """Theory/simulation pair for one q value: the cell's ``monte_carlo``
+    curves, its theory MAE curve and their correlation."""
 
-    q_value: float
-    step_size: float
+    simulated: AveragedCurves
     theory_mae: np.ndarray
-    simulated_mae: np.ndarray
-    simulated_nwd: np.ndarray
     correlation: float
-    trials: int
-    diverged: int
 
 
 @dataclass(frozen=True)
 class Protocol1Report:
-    """Analysis-validation outcome: per-q curve pairs and correlations."""
+    """Analysis-validation outcome: per-q curve pairs and correlations, and
+    the run's config and channel."""
 
     comparisons: tuple[CurveComparison, ...]
     average_correlation: float
-    master_seed: int
-    trials: int
-    iterations: int
-    snr_db: float
-    memory_length: int
-    regressor_mode: RegressorMode
+    config: ExperimentConfig
+    channel: ChannelSpec
     mu_rule: str
 
 
@@ -1141,27 +1137,13 @@ def _protocol1_report(curves, config: ExperimentConfig, channel: ChannelSpec,
                 f"move at q={cell.q_value:g}, mu={cell.step_size:.3e} "
                 f"(mu_fraction={mu_fraction:g}), so it has no correlation"
             ) from None
-        comparisons.append(CurveComparison(
-            q_value=cell.q_value,
-            step_size=cell.step_size,
-            theory_mae=theory,
-            simulated_mae=cell.mae,
-            simulated_nwd=cell.nwd,
-            correlation=correlation,
-            trials=config.trials,
-            diverged=cell.diverged,
-        ))
+        comparisons.append(CurveComparison(cell, theory, correlation))
 
-    (snr_db,) = config.snr_db_values
     return Protocol1Report(
         comparisons=tuple(comparisons),
         average_correlation=float(np.mean([c.correlation for c in comparisons])),
-        master_seed=int(config.master_seed),
-        trials=config.trials,
-        iterations=config.iterations,
-        snr_db=snr_db,
-        memory_length=channel.memory_length,
-        regressor_mode=channel.regressor_mode,
+        config=config,
+        channel=channel,
         mu_rule=mu_rule,
     )
 
@@ -1172,7 +1154,8 @@ def _protocol1_report(curves, config: ExperimentConfig, channel: ChannelSpec,
 
 @dataclass(frozen=True)
 class Protocol2Report:
-    """q-sensitivity outcome: per-cell curves and steady-state advantages.
+    """q-sensitivity outcome: per-cell curves and steady-state advantages,
+    and the run's config and channel.
 
     ``advantages_db[(q, snr)]`` is the steady-state NWD of conventional
     VLMS minus that of q-VLMS, in dB; positive values favor q-VLMS.
@@ -1181,14 +1164,8 @@ class Protocol2Report:
     curves: tuple[AveragedCurves, ...]
     advantages_db: dict
     average_advantage_db: float
-    master_seed: int
-    trials: int
-    iterations: int
-    snr_db_values: tuple[float, ...]
-    q_values: tuple[float, ...]
-    step_size: float
-    memory_length: int
-    regressor_mode: RegressorMode
+    config: ExperimentConfig
+    channel: ChannelSpec
 
     def cell(self, algorithm: str, snr_db: float,
              q_value: float | None = None) -> AveragedCurves:
@@ -1244,12 +1221,6 @@ def _protocol2_report(curves, config: ExperimentConfig,
         curves=tuple(curves),
         advantages_db=advantages,
         average_advantage_db=float(np.mean(list(advantages.values()))),
-        master_seed=int(config.master_seed),
-        trials=config.trials,
-        iterations=config.iterations,
-        snr_db_values=config.snr_db_values,
-        q_values=config.q_values,
-        step_size=config.step_size,
-        memory_length=channel.memory_length,
-        regressor_mode=channel.regressor_mode,
+        config=config,
+        channel=channel,
     )

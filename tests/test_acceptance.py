@@ -99,8 +99,8 @@ def test_criterion2_analysis_validation():
     report = protocol1(SEED, trials=1000, iterations=2000, snr_db=20.0,
                        q_values=(1.0, 5.0, 10.0), mu_fraction=0.05)
     elapsed = time.monotonic() - t0
-    corrs = {c.q_value: c.correlation for c in report.comparisons}
-    diverged = sum(c.diverged for c in report.comparisons)
+    corrs = {c.simulated.q_value: c.correlation for c in report.comparisons}
+    diverged = sum(c.simulated.diverged for c in report.comparisons)
     ok = (all(c >= 0.995 for c in corrs.values())
           and report.average_correlation >= 0.995
           and len(corrs) == 3
@@ -250,9 +250,9 @@ def test_criterion4_q_advantage(protocol2_report):
     report, elapsed = protocol2_report
     targets = (0.5, 0.1, 0.05)
     ordering_ok = True
-    for snr in report.snr_db_values:
+    for snr in report.config.snr_db_values:
         vlms_curve = report.cell("vlms", snr).nwd
-        for q in report.q_values:
+        for q in report.config.q_values:
             q_curve = report.cell("qvlms", snr, q).nwd
             for target in targets:
                 vlms_cross = int(np.argmax(vlms_curve <= target))

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import math
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -26,7 +27,6 @@ from qvlms.experiment import (
     protocol2,
     steady_state_level,
 )
-from qvlms.volterra import RegressorMode
 
 
 def _read(path):
@@ -97,9 +97,14 @@ class TestConfigParsing:
 
     def test_bad_value_named_in_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("trials = many\n")
-        with pytest.raises(ConfigError, match="trials"):
-            parse_config_file(cfg)
+        for text, pattern in [("trials = many", "'trials'"),
+                              ("include_whitened = maybe", "'include_whitened'"),
+                              ("q_values =", "'q_values': expected a list"),
+                              # a line without '=' names its line instead
+                              ("trials 4", ":1: expected 'key = value'")]:
+            cfg.write_text(text + "\n")
+            with pytest.raises(ConfigError, match=pattern):
+                parse_config_file(cfg)
 
     def test_repeated_key_names_key_and_both_lines(self, tmp_path, capsys):
         cfg = tmp_path / "twice.cfg"
@@ -407,16 +412,14 @@ class TestOutputFormat:
                 if p.suffix in (".csv", ".dat")}
 
     def test_protocol2_outputs(self, tmp_path, monkeypatch):
+        spec = RunSpec.resolve("protocol2", {"trials": 4, "iterations": 2})
         report = Protocol2Report(
             curves=(self.VLMS, self.QVLMS),
             advantages_db={(5.0, math.inf): 0.1 + 0.2},
-            average_advantage_db=math.nan, master_seed=0, trials=4,
-            iterations=2, snr_db_values=(math.inf,), q_values=(5.0,),
-            step_size=1e-3, memory_length=3,
-            regressor_mode=RegressorMode.RAW)
+            average_advantage_db=math.nan, config=spec.experiment,
+            channel=spec.channel)
         monkeypatch.setattr(cli, "monte_carlo", lambda *args: report.curves)
         monkeypatch.setattr(cli, "_protocol2_report", lambda *args: report)
-        spec = RunSpec.resolve("protocol2", {"trials": 4, "iterations": 2})
         assert execute(spec, tmp_path) == 0
         qdb = nwd_db(self.QVLMS.nwd)
         expected = self._expected_tables("protocol2")
@@ -501,6 +504,33 @@ class TestOneMonteCarlo:
         assert execute(spec, tmp_path) == 0
         ((config, channel),) = calls
         assert config is spec.experiment and channel is spec.channel
+
+    @pytest.mark.parametrize("protocol", ["protocol1", "protocol2"])
+    def test_a_report_holds_the_run_monte_carlo_was_handed(self, tmp_path,
+                                                           monkeypatch,
+                                                           protocol):
+        # the CLI's report and the front end's: each holds the very config
+        # and channel of its run, not copies of their fields
+        spec = RunSpec.resolve(protocol, {"trials": 2, "iterations": 10})
+        name = f"_{protocol}_report"
+        report_of, handed, reports = getattr(cli, name), [], []
+
+        def spy(*args):
+            handed.append(args)
+            return monte_carlo(*args)
+
+        def report_spy(*args):
+            reports.append(report_of(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "monte_carlo", spy)
+        monkeypatch.setattr(experiment, "monte_carlo", spy)
+        monkeypatch.setattr(cli, name, report_spy)
+        assert execute(spec, tmp_path) == 0
+        reports.append(_library_call(protocol, spec.settings))
+        assert len(handed) == len(reports) == 2
+        for (config, channel), report in zip(handed, reports):
+            assert report.config is config and report.channel is channel
 
     @pytest.mark.parametrize("protocol, settings", [
         ("protocol1", {}),
@@ -843,6 +873,38 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         for part in ("q=1", "mu=1.000e-31", "mu_fraction=1e-30"):
             assert part in err
+
+    @pytest.mark.parametrize("target, error, message", [
+        # numpy's names the array, as _zero_sums' does at 10^15 iterations
+        ("monte_carlo", MemoryError("Unable to allocate 22.2 PiB"),
+         "error: out of memory (Unable to allocate 22.2 PiB)"),
+        # Python's, as the writer's at 2 x 10^7 iterations, names nothing
+        ("_texts", MemoryError(), "error: out of memory"),
+    ])
+    def test_a_run_too_large_for_memory_is_a_runtime_error(
+            self, tmp_path, capsys, monkeypatch, target, error, message):
+        def out_of_memory(*args):
+            raise error
+
+        monkeypatch.setattr(cli, target, out_of_memory)
+        rc = main(["run", "--out", str(tmp_path / "x"), "--trials", "2",
+                   "--iterations", "10", "--mu", "0.001"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize("key", ["trials", "iterations"])
+    def test_a_count_past_numpys_largest_index_is_a_config_error(
+            self, tmp_path, capsys, key):
+        # numpy indexes no further than sys.maxsize: past it the run fails
+        # on its first array, as "Maximum allowed dimension exceeded"
+        out = tmp_path / "x"
+        rc = main(["run", "--out", str(out), "--mu", "0.001",
+                   f"--{key}", str(sys.maxsize + 1)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: key '{key}': must be at "
+                              f"most {sys.maxsize}")
+        assert not out.exists()
 
     def test_finite_noise_power_is_a_run(self, tmp_path, capsys):
         # 10^40 noise: every trial diverges, a runtime failure

@@ -1,5 +1,6 @@
 import copy
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -642,11 +643,10 @@ def test_chunk_sum_matches_run_trial(m, mode):
     err_rows = np.empty((n + 1, k, c, t))
     draw = experiment._draw_chunk(seeds, spec, cfg.random_init)
     h = draw[0]
-    for row, delta_end, e2, cur, err, ok in experiment._lockstep(*draw, n, cells,
-                                                                 spec):
+    for row, e2, cur, delta, ok in experiment._lockstep(*draw, n, cells, spec):
         assert ok.all()
         rows = slice(row, row + len(ok))
-        nwd_rows[rows], e2_rows[rows], err_rows[rows] = cur, e2, err
+        nwd_rows[rows], e2_rows[rows], err_rows[rows] = cur, e2, np.abs(delta)
     assert row + len(ok) == n + 1
     for i, cell in enumerate(cells):
         for j, seed in enumerate(seeds):
@@ -654,7 +654,7 @@ def test_chunk_sum_matches_run_trial(m, mode):
             for got, expected in ((err_rows[:, :, i, j], trial.abs_weight_error),
                                   (e2_rows[:, i, j], trial.squared_error),
                                   (nwd_rows[:, i, j], trial.nwd),
-                                  (h[j] - delta_end[:, i, j], trial.final_weights)):
+                                  (h[j] - delta[-1, :, i, j], trial.final_weights)):
                 assert got.tobytes() == expected.tobytes()
 
 
@@ -676,18 +676,48 @@ def test_cells_run_in_any_order(mode):
         weight error, each with the cells on its second-to-last axis."""
         draw = experiment._draw_chunk(seeds, spec, cfg.random_init)
         blocks = []
-        for row, delta_end, e2, cur, err, ok in experiment._lockstep(
-                *draw, n, cells, spec):
+        for row, e2, cur, delta, ok in experiment._lockstep(*draw, n, cells,
+                                                            spec):
             assert ok.all()
-            blocks.append((cur.copy(), e2.copy(), err.copy()))
+            blocks.append((cur.copy(), e2.copy(), np.abs(delta)))
         return ([np.concatenate(parts) for parts in zip(*blocks)]
-                + [delta_end.copy()])
+                + [delta[-1].copy()])
 
     together = run(cells)
     assert len(together[0]) == n + 1
     for i, cell in enumerate(cells):
         for got, alone in zip(together, run([cell]), strict=True):
             assert np.take(got, [i], axis=-2).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("algorithms, trials", [
+    (("qvlms",), 1), (("whitened",), 1), (("qvlms", "vlms", "whitened"), 4)])
+def test_a_consumer_may_overwrite_every_yielded_array(algorithms, trials):
+    # the next block steps from the kernel's own copy of the last row's
+    # weight error: a consumer that writes over each block once it has
+    # read it reads the bits of one that does not, diverged pairs included
+    cfg = small_config(iterations=300, step_size=0.1, q_values=(2.0,))
+    spec = ChannelSpec()
+    cells = [experiment._config_cell(cfg, spec, algorithm, 2.0, spec.snr_db)
+             for algorithm in algorithms]
+    seeds = trial_seeds(4, 20)[7:7 + trials]
+
+    def run(overwrite):
+        draw = experiment._draw_chunk(seeds, spec, cfg.random_init)
+        blocks = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, *arrays in experiment._lockstep(*draw, cfg.iterations,
+                                                     cells, spec):
+                blocks.append([row] + [a.tobytes() for a in arrays])
+                if overwrite:
+                    for a in arrays:  # e2, nwd, delta, ok
+                        a[...] = np.nan if a.dtype.kind == "f" else ~a
+        return blocks
+
+    kept = run(False)
+    assert len(kept) > 2
+    assert not all(np.frombuffer(ok, bool).all() for *_, ok in kept)
+    assert run(True) == kept
 
 
 @pytest.mark.parametrize("mode", list(RegressorMode))
@@ -714,12 +744,12 @@ def test_chunk_matches_run_trial_across_segments(monkeypatch, m, mode,
         curves = [np.empty((n + 1, c, t)), np.empty((n + 1, c, t)),
                   np.empty((n + 1, k, c, t))]
         draw = experiment._draw_chunk(seeds, spec, cfg.random_init)
-        for row, delta_end, e2, cur, err, ok in experiment._lockstep(
-                *draw, n, cells, spec):
+        for row, e2, cur, delta, ok in experiment._lockstep(*draw, n, cells,
+                                                            spec):
             assert ok.all()
-            for curve, part in zip(curves, (cur, e2, err)):
+            for curve, part in zip(curves, (cur, e2, np.abs(delta))):
                 curve[row:row + len(ok)] = part
-        return curves + [draw[0].T[:, None] - delta_end]
+        return curves + [draw[0].T[:, None] - delta[-1]]
 
     default = chunk()
     monkeypatch.setattr(experiment, "_BLOCK_BYTES", 1)
@@ -829,11 +859,22 @@ class TestBlockLength:
                                 "final_weights"))
 
     @pytest.mark.parametrize("algorithm", ["qvlms", "vlms", "whitened"])
+    def test_run_trial_runs_the_kernel_once(self, monkeypatch, algorithm):
+        # a diverged trial's weights come from the block that diverged, not
+        # from a second run up to its divergence
+        cfg = small_config(iterations=150, step_size=0.1, q_values=(2.0,))
+        seeds = trial_seeds(4, 20)[5:]
+        calls = _spy_lockstep(monkeypatch)
+        trials = [run_trial(cfg, ChannelSpec(), s, algorithm) for s in seeds]
+        assert 0 < sum(t.diverged for t in trials) < len(seeds)
+        assert len(calls) == len(seeds)
+
+    @pytest.mark.parametrize("algorithm", ["qvlms", "vlms", "whitened"])
     def test_diverged_trial_final_weights_match_scalar_steps(self, algorithm):
-        # the kernel keeps only a block's last weight error, so run_trial
-        # replays a diverged trial up to its divergence iteration for its
-        # weights: those of the scalar weight-error recursion, bit for bit
-        # with a diagonal gain, and of the public weight steps to rounding
+        # run_trial reads a diverged trial's weights at its divergence
+        # iteration from the kernel's block: those of the scalar
+        # weight-error recursion, bit for bit with a diagonal gain, and of
+        # the public weight steps to rounding
         cfg = small_config(iterations=150, step_size=0.1, q_values=(2.0,))
         spec = ChannelSpec()
         diverged = [(seed, t) for seed in trial_seeds(4, 20)[5:]
@@ -1043,7 +1084,7 @@ class TestKernelLayout:
             if row == 0:
                 continue
             blocks += 1
-            for a in arrays:  # delta_end, e2, nwd, err, ok
+            for a in arrays:  # e2, nwd, delta, ok
                 assert a.ctypes.data % 4096 == 0
                 assert any(np.shares_memory(a, b) for b in made)
         assert blocks >= 2
@@ -1064,7 +1105,7 @@ class TestKernelLayout:
             + [((min(experiment._TILE, t), seg + memory_length - 1), f8)]  # tile
             + [((b, k, 1, t), f8)] * (1 + whitened)    # ut, ugt
             + [((b + memory_length - 1, memory_length, t), f8)]  # g0 ring
-            + [((k, max(b, 2)), f8)] * one             # K-major |delta|
+            + [((k, max(b, 2)), f8)] * one             # K-major delta
             # one value a slab: each step's products and noise, their
             # running sums with mu and g, e mu g's chain, and the update;
             # otherwise the products and their sum, and mu e and g mu e
@@ -1112,6 +1153,17 @@ class TestKernelLayout:
                  id="protocol2-q_values"),
     pytest.param(lambda: protocol2(0, snr_db_values=()), "snr_db_values",
                  id="protocol2-snr_db_values"),
+    # an algorithm outside ALGORITHMS, and a count numpy cannot index
+    pytest.param(lambda: small_config(algorithms=("bogus",)), "algorithm 'bogus'",
+                 id="config-algorithms-unknown"),
+    pytest.param(lambda: run_trial(small_config(), ChannelSpec(), 0, "bogus"),
+                 "algorithm 'bogus'", id="run_trial-algorithm-unknown"),
+    pytest.param(lambda: small_config(trials=sys.maxsize + 1),
+                 rf"^trials must be at most {sys.maxsize}",
+                 id="config-trials-past-maxsize"),
+    pytest.param(lambda: protocol1(0, iterations=sys.maxsize + 1),
+                 rf"^iterations must be at most {sys.maxsize}",
+                 id="protocol1-iterations-past-maxsize"),
 ])
 def test_an_empty_grid_is_a_value_error_naming_it(call, field):
     with pytest.raises(ValueError, match=field):
@@ -1318,13 +1370,13 @@ def test_an_infinite_snr_is_a_noiseless_run():
     assert small_config(snr_db_values=(math.inf,)).snr_db_values == (math.inf,)
     report = protocol1(0, trials=2, iterations=20, q_values=(1.0,),
                        snr_db=math.inf)
-    assert report.comparisons[0].diverged == 0
+    assert report.comparisons[0].simulated.diverged == 0
 
 
 def _protocol1_trials(seed, trials, iterations, comp):
     """The trials of a protocol-1 comparison, each run alone."""
-    cfg = small_config(iterations=iterations, step_size=comp.step_size,
-                       q_values=(comp.q_value,))
+    cfg = small_config(iterations=iterations, step_size=comp.simulated.step_size,
+                       q_values=(comp.simulated.q_value,))
     return [run_trial(cfg, ChannelSpec(), s) for s in trial_seeds(seed, trials)]
 
 
@@ -1347,7 +1399,7 @@ class TestProtocolSmoke:
         report = protocol1(5, trials=8, iterations=120, q_values=(1.0, 5.0))
         assert len(report.comparisons) == 2
         for comp in report.comparisons:
-            assert comp.theory_mae.shape == comp.simulated_mae.shape
+            assert comp.theory_mae.shape == comp.simulated.mae.shape
             assert -1.0 <= comp.correlation <= 1.0
         assert np.isclose(
             report.average_correlation,
@@ -1362,7 +1414,7 @@ class TestProtocolSmoke:
         # identity input matrix: the theory curve is geometric with
         # ratio 1 - mu, the q = 1 update matrix being the identity
         ratios = comp.theory_mae[1:] / comp.theory_mae[:-1]
-        assert np.allclose(ratios, 1.0 - comp.step_size, rtol=1e-10)
+        assert np.allclose(ratios, 1.0 - comp.simulated.step_size, rtol=1e-10)
 
     def test_protocol1_theory_curve_is_the_public_recursion_over_kept_trials(
             self, monkeypatch):
@@ -1377,8 +1429,8 @@ class TestProtocolSmoke:
             comp = report.comparisons[0]
             trials = _protocol1_trials(2, 16, 300, comp)
             kept = [t for t in trials if not t.diverged]
-            assert 0 < len(trials) - len(kept) == comp.diverged
-            expected = _stepwise_theory_mae(kept, comp.step_size, a, 300)
+            assert 0 < len(trials) - len(kept) == comp.simulated.diverged
+            expected = _stepwise_theory_mae(kept, comp.simulated.step_size, a, 300)
             assert np.allclose(comp.theory_mae, expected, rtol=1e-12, atol=0)
 
     def test_protocol1_theory_curve_across_chunks_and_blocks(self):
@@ -1393,9 +1445,9 @@ class TestProtocolSmoke:
             trials = _protocol1_trials(3, 300, iterations, comp)
             kept = [t for t in trials if not t.diverged]
             assert any(t.diverged for t in trials[256:])
-            assert len(trials) - len(kept) == comp.diverged
+            assert len(trials) - len(kept) == comp.simulated.diverged
             a = build_update_matrix(QParams.uniform(q, 9), r)
-            expected = _stepwise_theory_mae(kept, comp.step_size, a, iterations)
+            expected = _stepwise_theory_mae(kept, comp.simulated.step_size, a, iterations)
             assert np.allclose(comp.theory_mae, expected, rtol=1e-12, atol=0)
 
     def test_protocol1_theory_curve_overflows_to_inf(self, monkeypatch):
@@ -1410,8 +1462,8 @@ class TestProtocolSmoke:
         comp = report.comparisons[0]
         trials = _protocol1_trials(2, 16, 300, comp)
         kept = [t for t in trials if not t.diverged]
-        assert 0 < len(trials) - len(kept) == comp.diverged
-        expected = _stepwise_theory_mae(kept, comp.step_size, expanding, 300)
+        assert 0 < len(trials) - len(kept) == comp.simulated.diverged
+        expected = _stepwise_theory_mae(kept, comp.simulated.step_size, expanding, 300)
         first = np.flatnonzero(~np.isfinite(expected))[0]
         assert first > 1 and expected[first] == np.inf
         assert np.allclose(comp.theory_mae[:first], expected[:first],
@@ -1437,8 +1489,8 @@ class TestProtocolSmoke:
         assert n % blk
         for comp, cell in zip(report.comparisons, cells, strict=True):
             assert list(cell.diverged_mask.reshape(3, 16).sum(axis=1)) == [0, 2, 2]
-            a = build_update_matrix(QParams.uniform(comp.q_value, k), r)
-            powers = theory._step_powers(comp.step_size, a, blk)
+            a = build_update_matrix(QParams.uniform(comp.simulated.q_value, k), r)
+            powers = theory._step_powers(comp.simulated.step_size, a, blk)
             column = np.zeros(n + 1)
             for start in range(0, trials, 16):
                 h, w0, *_ = experiment._draw_chunk(
@@ -1478,9 +1530,9 @@ class TestProtocolSmoke:
         curves = monte_carlo(config, ChannelSpec(memory_length=2,
                                                  regressor_mode=mode))
         for comp, cell in zip(report.comparisons, curves, strict=True):
-            assert comp.step_size == cell.step_size
-            assert comp.simulated_nwd.tobytes() == cell.nwd.tobytes()
-            assert comp.simulated_mae.tobytes() == cell.mae.tobytes()
+            assert comp.simulated.step_size == cell.step_size
+            assert comp.simulated.nwd.tobytes() == cell.nwd.tobytes()
+            assert comp.simulated.mae.tobytes() == cell.mae.tobytes()
 
     @pytest.mark.parametrize("mode", list(RegressorMode))
     @pytest.mark.parametrize("m", [2, 3, 7])
@@ -1491,7 +1543,7 @@ class TestProtocolSmoke:
         def steps(**rule):
             report = protocol1(0, trials=1, iterations=2, q_values=q_values,
                                memory_length=m, regressor_mode=mode, **rule)
-            return [c.step_size for c in report.comparisons]
+            return [c.simulated.step_size for c in report.comparisons]
 
         steps_at_f = steps(mu_fraction=f, mu_rule="fraction_of_update_eigenvalue")
         assert steps_at_f == steps(mu_fraction=2 * f)
@@ -1516,6 +1568,8 @@ class TestProtocolSmoke:
         assert ("whitened", None, 10.0) in algorithms
         assert set(report.advantages_db) == {(5.0, 10.0), (5.0, 20.0)}
         assert report.cell("vlms", 10.0).algorithm == "vlms"
+        with pytest.raises(KeyError):
+            report.cell("qvlms", 10.0, 2.0)
 
     def test_protocol2_noiseless_sanity_all_algorithms_converge(self):
         report = protocol2(5, trials=3, iterations=3000,
@@ -1528,8 +1582,8 @@ class TestProtocolSmoke:
     def test_protocol_reports_are_deterministic(self):
         a = protocol1(9, trials=4, iterations=80, q_values=(5.0,))
         b = protocol1(9, trials=4, iterations=80, q_values=(5.0,))
-        assert np.array_equal(a.comparisons[0].simulated_mae,
-                              b.comparisons[0].simulated_mae)
+        assert np.array_equal(a.comparisons[0].simulated.mae,
+                              b.comparisons[0].simulated.mae)
         assert a.comparisons[0].correlation == b.comparisons[0].correlation
 
 
