@@ -232,7 +232,9 @@ class RunSpec:
     ``channel`` are the ``monte_carlo`` arguments of the run, and ``cells``
     its cells, each with its step and stability bound, as ``resolve``
     built them; they are derived from the settings, so they are neither
-    recorded nor compared.
+    recorded nor compared. ``monte_carlo`` reads each cell's SNR from the
+    config; protocol 1's channel is also at its one SNR, as its report
+    shows it.
     """
 
     protocol: str
@@ -264,6 +266,9 @@ class RunSpec:
                               regressor_mode=s["regressor_mode"])
         for snr in s["snr_db"]:
             _in_range(channel._check_noise, "snr_db", snr)
+        if protocol == "protocol1":
+            # its one SNR, as protocol1's keyword front end builds it
+            channel = replace(channel, snr_db=s["snr_db"][0])
         if protocol == "run" and (s["mu"] is None) == (s["mu_fraction"] is None):
             raise ConfigError("key 'mu': set exactly one of mu and mu_fraction")
         experiment = _experiment_config(s)
@@ -318,9 +323,12 @@ def _resolve_cells(config: ExperimentConfig, channel: ChannelSpec) -> tuple:
     cell whose stability bound overflows, which the library refuses at
     either step rule, is a configuration error naming 'q_values', and a
     fraction of the bound that gives no positive step one naming
-    'mu_fraction'."""
+    'mu_fraction'. So is a run whose arrays numpy cannot size, past
+    ``sys.maxsize`` bytes: its mask of diverged trials, a byte per trial
+    and cell, names 'trials', and its curve sums, three doubles per row
+    and cell, name 'iterations'."""
     try:
-        return tuple(_config_cells(config, channel))
+        cells = tuple(_config_cells(config, channel))
     except ValueError as exc:
         absolute = replace(config, step_size=1.0, step_size_fraction=None)
         try:  # a bound that overflows does so at any step
@@ -328,6 +336,16 @@ def _resolve_cells(config: ExperimentConfig, channel: ChannelSpec) -> tuple:
         except ValueError:
             raise ConfigError(f"key 'q_values': {exc}") from None
         raise ConfigError(f"key 'mu_fraction': {exc}") from None
+    c, rows = len(cells), config.iterations + 1
+    if config.trials * c > sys.maxsize:
+        raise ConfigError(f"key 'trials': {config.trials} trials x {c} cells "
+                          f"is past {sys.maxsize}, the largest array numpy "
+                          f"sizes")
+    if rows * c * 24 > sys.maxsize:
+        raise ConfigError(f"key 'iterations': {rows} rows x {c} cells x 24 "
+                          f"bytes of curve sums is past {sys.maxsize}, the "
+                          f"largest array numpy sizes")
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +366,25 @@ def _write_table(path: Path, header, blocks):
     so that no table or block is held as text. A block is a list of
     columns, each one value for every row of the block or a sequence of one
     value per row. A ``.dat`` plot series has no header (``None``) and
-    separates its columns by a space."""
+    separates its columns by a space.
+
+    The table is written under a hidden name beside ``path`` and renamed to
+    it once complete, so a writer that fails leaves no partial table."""
     sep = " " if path.suffix == ".dat" else ","
-    with path.open("w") as fh:
-        if header is not None:
-            fh.write(sep.join(header) + "\n")
-        for block in blocks:
-            columns = [_texts(c) if isinstance(c, (np.ndarray, list, tuple, range))
-                       else repeat(*_texts((c,))) for c in block]
-            fh.writelines(sep.join(row) + "\n" for row in zip(*columns))
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with partial.open("w") as fh:
+            if header is not None:
+                fh.write(sep.join(header) + "\n")
+            for block in blocks:
+                columns = [
+                    _texts(c) if isinstance(c, (np.ndarray, list, tuple, range))
+                    else repeat(*_texts((c,))) for c in block]
+                fh.writelines(sep.join(row) + "\n" for row in zip(*columns))
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _curve_block(algorithm, q, snr_db, mae, nwd=None, mse=None) -> list:

@@ -23,10 +23,11 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
   point ran it, beside whichever cells and trials, at any block or
   segment length. Diagonal-gain trials have the bits of the scalar
   weight-error recursion above, whose sum ``u . delta`` adds its K terms
-  left to right, the first one first, as ``adapt.predict`` does; the
-  scalar ``adapt.qvlms_step`` / ``vlms_step`` of the weights agree with
-  them to rounding. The one exception is a ``whitened`` cell whose gain
-  is a full matrix (the raw regressor mode): BLAS may order
+  left to right, the first one first, as ``adapt.predict`` does; a single
+  trial (one cell, one trial) runs that recursion itself, on Python
+  floats. The scalar ``adapt.qvlms_step`` / ``vlms_step`` of the weights
+  agree with them to rounding. The one exception is a ``whitened`` cell
+  whose gain is a full matrix (the raw regressor mode): BLAS may order
   ``(S R^-1 S) u`` one way for one trial and another for several.
 * Each trial's channel, initial weights, input and unit noise streams are
   drawn once per run and shared by every (algorithm, q, SNR) cell; SNR
@@ -433,10 +434,13 @@ def _config_cells(config: ExperimentConfig, channel: ChannelSpec) -> list[_Cell]
 # the streaming kernel
 # ---------------------------------------------------------------------------
 
-def _draw_chunk(seeds, channel: ChannelSpec, random_init: bool):
+def _draw_chunk(seeds, channel: ChannelSpec, random_init: bool,
+                noise: bool = True):
     """Draws of a chunk of trials: ``h, w0 (T, K)`` stacked, and two
     generators per trial, standing at the start of its input stream x
-    (N+M-1 values) and of its unit noise stream z (N values).
+    (N+M-1 values) and of its unit noise stream z (N values). Without
+    ``noise`` no noise generator is built, and the last item is ``None``:
+    ``h, w0`` come from the input's generator.
 
     Trial ``i`` draws h, w0 and x, in this order, from ``default_rng`` of
     ``seeds[i]``, and z from ``default_rng`` of that seed's first child,
@@ -449,7 +453,7 @@ def _draw_chunk(seeds, channel: ChannelSpec, random_init: bool):
     chunk with the bits of ``v / np.linalg.norm(v)`` and ``/ np.sqrt(K)``.
     """
     t, k = len(seeds), channel.num_coefficients
-    x_rngs, z_rngs = generators(seeds)
+    x_rngs, z_rngs = generators(seeds, noise)
     head = np.empty((t, k * ((channel.kernel is None) + random_init)))
     for row, rng in zip(head, x_rngs):
         rng.standard_normal(out=row)
@@ -479,6 +483,50 @@ def _page_aligned(shape, dtype=np.float64) -> np.ndarray:
     raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
     start = -raw.ctypes.data % _ALIGN
     return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
+#: Most products one line of ``_scalar_steps``'s sum adds: the compiler
+#: recurses once per term, and a sum of a few thousand exceeds its limit.
+_LINE_TERMS = 64
+
+
+@lru_cache(maxsize=64)
+def _scalar_steps(k: int):
+    """One trial's steps over a block, on Python floats, written out for
+    ``k`` coefficients and compiled once per K, as ``dataclasses``
+    compiles an ``__init__``.
+
+    ``steps(u_rows, v_rows, noise, delta, mu, g)`` takes a block's
+    regressors and directions (B lists of K), its noise ``sigma z`` (B)
+    and the weight error ``delta`` (K) before it, and returns the B rows
+    of weight error, one flat list, and the B a priori errors. Each step is
+    ``e = u_0 delta_0 + ... + u_K-1 delta_K-1 + sigma z``, added left to
+    right, ``s = e mu g``, then ``delta_k <- delta_k - s v_k``: the IEEE
+    operations of the scalar weight-error recursion, in its order, so every
+    bit is its own. No ``sum`` or ``math.fsum``, which compensate.
+    """
+    ds, us, vs = ([f"{p}{i}" for i in range(k)] for p in "duv")
+    terms = [f"{u}*{d}" for u, d in zip(us, ds)] + ["z"]
+    sums = [" + ".join(terms[i:i + _LINE_TERMS])
+            for i in range(0, len(terms), _LINE_TERMS)]
+    source = "\n".join([
+        "def steps(u_rows, v_rows, noise, delta, mu, g):",
+        f"    {', '.join(ds)}, = delta",
+        "    rows, errors = [], []",
+        "    error = errors.append",
+        f"    for ({', '.join(us)},), ({', '.join(vs)},), z in zip("
+        "u_rows, v_rows, noise):",
+        f"        e = {sums[0]}",
+        *(f"        e = e + {part}" for part in sums[1:]),
+        "        s = e*mu*g",
+        *(f"        {d} = {d} - s*{v}" for d, v in zip(ds, vs)),
+        f"        rows += ({', '.join(ds)},)",
+        "        error(e)",
+        "    return rows, errors",
+    ])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["steps"]
 
 
 def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
@@ -534,11 +582,10 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
       direction ``S R^-1 S u`` (one matrix product a block), ``d (B, C, T)``
       the noise ``sigma z``, and ``w_hist (B, K, C, T)`` and
       ``e_hist (B, C, T)`` the weight errors and the a priori errors of
-      the block's steps (where a slab holds one value, ``d`` and
-      ``e_hist`` are columns of ``terms`` and ``sums``, below), and
-      ``w_last (K, C, T)`` the last row's weight error, from which the
-      next block steps.
-    * Per step, on contiguous (C, T) slabs: ``work`` holds the products
+      the block's steps, and ``w_last (K, C, T)`` the last row's weight
+      error, from which the next block steps.
+    * Per step, where a slab holds more than one value, on contiguous
+      (C, T) slabs: ``work`` holds the products
       ``u_k delta_k`` and, in its last slab, their sum ``u . delta``: one
       reduce from -0.0 adds them left to right. The noise is added to it,
       and ``scaled`` holds ``mu e`` and the step ``g (mu e)``. With more
@@ -551,20 +598,19 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
       over slabs: numpy passes operands that do not form one contiguous
       run through its ufunc buffer, at about twice the cost, and
       ``np.copyto`` is not buffered.
-    * Per step, where a slab holds one value (one cell, one trial): five
-      calls, whose operands drop the (C, T) axes, rows or a 0-d view of
-      buffers reshaped once per call, so that numpy runs its plain loops
-      rather than its general iterator. Row j of ``terms (B, K+1)`` holds
-      step j's products ``u_k delta_k`` and, in its last column ``d``, the
-      step's noise ``sigma z``, written once a block. Their running sums
-      go to row j of ``sums (B, K+3)`` (a reduce would add one row's values
-      pairwise), so that its column K, ``e_hist``, is ``e = (u . delta) +
-      sigma z``: the bits of ``sigma z + u . delta``, since IEEE addition
-      commutes, signed zeros included. Columns K+1 and K+2 hold mu and g,
-      written once a call, so the running products of columns K .. K+2
-      are ``chain (3,)``, ``[e, e mu, (e mu) g]``, and ``(e mu) g`` has the
-      bits of ``g (mu e)``, since IEEE products commute. The step times
-      the direction goes to ``prod (K,)``, which is subtracted from delta.
+    * Per block, where a slab holds one value (one cell, one trial): no
+      numpy call a step. The block's regressors, directions and noise, and
+      ``w_last``, go to ``_scalar_steps(K)`` as lists of Python floats,
+      and the rows it returns are written into ``w_hist`` and ``e_hist``.
+      Its steps are the IEEE operations of the scalar recursion in its
+      order, so a trial has the bits of a chunk's slabs: ``u . delta``
+      adds its products left to right from the first, then the noise
+      (``sigma z + u . delta``, since IEEE addition commutes, signed zeros
+      included), and ``(e mu) g`` is ``g (mu e)``. Python's cost grows
+      with K faster than numpy's per-call floor: on one 2-CPU Xeon, a
+      step of this kernel took about 2.7 us at K = 9 against 4.4 us with
+      five numpy calls a step, 4.7 against 4.3 us at K = 20, and 9.1
+      against 5.4 us at K = 44.
     * ``kmajor (K, B)``: where a slab holds one value, ``delta`` copied
       K-major, so that einsum adds the NWD's K squares one after another
       as it does for larger slabs; over one contiguous row it adds them in
@@ -603,24 +649,15 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     # the newest-first input window of every step of a segment, (S, M, T)
     windows = sliding_window_view(x, m, axis=0)[..., ::-1].transpose(0, 2, 1)
     w_hist = _page_aligned((blk, k, c, t))
-    if c * t > 1:
-        # before the regressors: allocated after w_last, these two made
-        # perfbench's p2_paper 2% slower and its peak RSS 0.1 MB higher
-        e_hist, d = _page_aligned((blk, c, t)), _page_aligned((blk, c, t))
+    # before the regressors: allocated after w_last, these two made
+    # perfbench's p2_paper 2% slower and its peak RSS 0.1 MB higher
+    e_hist, d = _page_aligned((blk, c, t)), _page_aligned((blk, c, t))
     ut = _page_aligned((blk, k, 1, t))
     ugt = _page_aligned((blk, k, 1, t)) if whitening is not None else None
     g0 = _page_aligned((blk + m - 1, m, t))
     spread = _page_aligned((k, c, t)) if c > 1 else None
     w_last = _page_aligned((k, c, t))
-    if c * t == 1:
-        # row j of terms: step j's products u_k delta_k, then its noise;
-        # of sums: their running sums, the last of which is e, then mu, g
-        terms, sums = _page_aligned((blk, k + 1)), _page_aligned((blk, k + 3))
-        sums[:, k + 1:] = mu[0, 0], gain[0, 0]
-        d, e_hist = terms[:, k, None, None], sums[:, k, None, None]
-        # e, e mu and the step (e mu) g; the step times the direction
-        chain, prod = _page_aligned((3,)), _page_aligned((k,))
-    else:
+    if c * t > 1:
         # the products, then their sum u . delta; the update step
         # overwrites the products
         work = _page_aligned((k + 1, c, t))
@@ -652,24 +689,14 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     e_hist[0] = np.nan
     yield guarded(0, 1)
 
-    # the ufunc calls of each step of a block: u . delta, error, update
-    steps = []
     if c * t == 1:
-        w_rows, w_prev, u_rows, ug_rows = (
-            a if a is None else a.reshape(a.shape[:-2])
-            for a in (w_hist, w_last, ut, ugt))
-        step = chain[2, ...]
-        for j in range(blk):
-            u, w = u_rows[j], w_rows[j]
-            steps.append([
-                (np.multiply, (u, w_prev, terms[j, :k])),
-                (np.add.accumulate, (terms[j], 0, None, sums[j, :k + 1])),
-                (np.multiply.accumulate, (sums[j, k:], 0, None, chain)),
-                (np.multiply, (step, ug_rows[j] if whitened else u, prod)),
-                (np.subtract, (w_prev, prod, w)),
-            ])
-            w_prev = w
+        # a block's steps on Python floats, whose rows of weight error
+        # come back as one list
+        scalar, mu_g = _scalar_steps(k), (mu.item(), gain.item())
+        w_flat = w_hist.reshape(-1)
     else:
+        # the ufunc calls of each step of a block: u . delta, error, update
+        steps = []
         prod, pred = work[:k], work[k]
         mu_e, step = scaled
         w_prev = w_last
@@ -761,9 +788,16 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
             np.multiply(z[r0:r0 + b, None], sigma, out=d[:b])
             for ufunc, operands in expand if b == blk else expansion(b):
                 ufunc(*operands)
-            for calls in steps[:b]:
-                for ufunc, operands in calls:
-                    ufunc(*operands)
+            if c * t == 1:
+                u = ut[:b, :, 0, 0].tolist()
+                rows, errors = scalar(
+                    u, ugt[:b, :, 0, 0].tolist() if whitened else u,
+                    d[:b, 0, 0].tolist(), w_last[:, 0, 0].tolist(), *mu_g)
+                w_flat[:b * k], e_hist[:b, 0, 0] = rows, errors
+            else:
+                for calls in steps[:b]:
+                    for ufunc, operands in calls:
+                        ufunc(*operands)
             yield guarded(s0 + r0 + 1, b)
 
 
@@ -1056,7 +1090,8 @@ def _theory_mae(curves, config: ExperimentConfig,
         powers = [_step_powers(cell.step_size, build_update_matrix(
             QParams.uniform(cell.q_value, k), r_in), blk) for cell in curves]
         for seeds, rows in _chunks(config):
-            h, w0, *_ = _draw_chunk(seeds, channel, config.random_init)
+            h, w0, *_ = _draw_chunk(seeds, channel, config.random_init,
+                                    noise=False)
             error = h - w0
             for column, cell, p in zip(theory.T, curves, powers):
                 # the kept rows are selected, not weighted: a left-out row

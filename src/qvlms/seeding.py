@@ -61,11 +61,13 @@ class SpawnedSeeds:
                 for i in self.keys)
 
 
-def generators(seeds):
+def generators(seeds, noise: bool = True):
     """``(x_rngs, z_rngs)``: ``default_rng`` of each of ``seeds`` and of
     its first child, the one ``seed.spawn`` would give first,
     ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (0,),
     pool_size=seed.pool_size)``; an int is taken as ``SeedSequence(int)``.
+    Without ``noise`` no child's generator is built, and ``z_rngs`` is
+    ``None``.
 
     A ``SpawnedSeeds`` whose keys fit one 32-bit word, as every run's
     chunk does, is hashed as one group, and no ``SeedSequence`` is built.
@@ -78,15 +80,21 @@ def generators(seeds):
         pool = list(pool)
         keys = np.arange(seeds.keys.start, seeds.keys.stop, dtype=np.uint64)
         const = _mix_into(pool, keys, const)
-        x_words = _generate_state(pool)
-        # the child's spawn key is its parent's and one more word, 0
-        _mix_into(pool, 0, const)
-        states = np.array([x_words, _generate_state(pool)], dtype=np.uint64)
-        return [[np.random.Generator(np.random.PCG64(_SeedState(state)))
-                 for state in side]
-                for side in np.ascontiguousarray(states.transpose(0, 2, 1))]
-    return ([np.random.default_rng(seed) for seed in seeds],
-            [np.random.default_rng(_first_child(seed)) for seed in seeds])
+        words = [_generate_state(pool)]
+        if noise:
+            # the child's spawn key is its parent's and one more word, 0
+            _mix_into(pool, 0, const)
+            words.append(_generate_state(pool))
+        states = np.array(words, dtype=np.uint64)
+        sides = [[np.random.Generator(np.random.PCG64(_SeedState(state)))
+                  for state in side]
+                 for side in np.ascontiguousarray(states.transpose(0, 2, 1))]
+    else:
+        children = [_first_child(seed) for seed in seeds]  # refuses None
+        sides = [[np.random.default_rng(seed) for seed in seeds]]
+        if noise:
+            sides.append([np.random.default_rng(child) for child in children])
+    return sides[0], sides[1] if noise else None
 
 
 class _SeedState(np.random.bit_generator.ISeedSequence):

@@ -569,6 +569,8 @@ class TestOneMonteCarlo:
     @pytest.mark.parametrize("protocol, settings", [
         ("protocol1", {"q_values": (1.0, 5.0)}),
         ("protocol2", {"include_whitened": True, "snr_db": (10.0, 20.0)}),
+        # the report's channel is at the run's SNR, not the default 20 dB
+        ("protocol1", {"q_values": (1.0, 5.0), "snr_db": (35.0,)}),
     ])
     def test_a_cli_run_reports_the_front_ends_curves(self, tmp_path,
                                                      monkeypatch, protocol,
@@ -891,19 +893,32 @@ class TestRunCommand:
                    "--iterations", "10", "--mu", "0.001"])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [message]
+        # a table is renamed into place once complete: a failed writer
+        # leaves no partial one, nor its hidden name
+        assert not any((tmp_path / "x").iterdir())
 
-    @pytest.mark.parametrize("key", ["trials", "iterations"])
-    def test_a_count_past_numpys_largest_index_is_a_config_error(
-            self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("flags, key, message", [
         # numpy indexes no further than sys.maxsize: past it the run fails
         # on its first array, as "Maximum allowed dimension exceeded"
+        (["--trials", str(sys.maxsize + 1)], "trials", "must be at most"),
+        (["--iterations", str(sys.maxsize + 1)], "iterations",
+         "must be at most"),
+        # and sizes no array of more bytes: "array is too big"
+        (["--trials", str(sys.maxsize), "--algorithm", "qvlms", "vlms"],
+         "trials", f"{sys.maxsize} trials x 2 cells is past"),
+        (["--iterations", str(sys.maxsize)], "iterations",
+         f"{sys.maxsize + 1} rows x 1 cells x 24 bytes of curve sums is past"),
+        (["--iterations", str(sys.maxsize // 24)], "iterations",
+         f"{sys.maxsize // 24 + 1} rows x 1 cells x 24 bytes"),
+    ], ids=["trials", "iterations", "trials-x-cells", "rows", "row-bytes"])
+    def test_a_count_past_numpys_largest_index_is_a_config_error(
+            self, tmp_path, capsys, flags, key, message):
         out = tmp_path / "x"
-        rc = main(["run", "--out", str(out), "--mu", "0.001",
-                   f"--{key}", str(sys.maxsize + 1)])
+        rc = main(["run", "--out", str(out), "--mu", "0.001", *flags])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: key '{key}': must be at "
-                              f"most {sys.maxsize}")
+        assert err.startswith(f"configuration error: key '{key}': {message}")
+        assert str(sys.maxsize) in err
         assert not out.exists()
 
     def test_finite_noise_power_is_a_run(self, tmp_path, capsys):

@@ -118,11 +118,15 @@ def _error_trial(seed, channel, iterations, random_init, mu, g, gain=None):
 
 def _assert_error_oracle(curves, oracle):
     """``curves`` has the bits of ``_error_trial``'s: its NWD, absolute
-    weight error and squared error curves, and final weights ``h - delta``."""
+    weight error and squared error curves over the oracle's rows, NaN past
+    them (a diverged trial's oracle stops at its divergence), and final
+    weights ``h - delta``."""
     h, delta, nwds, errs, squares = oracle
-    assert curves.nwd.tobytes() == nwds.tobytes()
-    assert curves.abs_weight_error.tobytes() == errs.tobytes()
-    assert curves.squared_error.tobytes() == squares.tobytes()
+    rows = len(nwds)
+    for got, want in ((curves.nwd, nwds), (curves.abs_weight_error, errs),
+                      (curves.squared_error, squares)):
+        assert got[:rows].tobytes() == want.tobytes()
+        assert np.isnan(got[rows:]).all()
     assert curves.final_weights.tobytes() == (h - delta).tobytes()
 
 
@@ -313,28 +317,32 @@ class TestRunTrial:
         assert np.isclose(nwd(curves.channel, curves.final_weights),
                           curves.nwd[-1], rtol=1e-10, atol=0)
 
-    @pytest.mark.parametrize("algorithm, m, snr_db", [
-        *[(algorithm, m, 20.0) for algorithm in ("qvlms", "vlms", "whitened")
-          for m in (1, 3, 8)],
-        ("qvlms", 3, math.inf),
+    @pytest.mark.parametrize("algorithm, m, snr_db, fraction", [
+        *[pytest.param(algorithm, m, 20.0, 0.05, id=f"{algorithm}-{m}-20.0")
+          for algorithm in ("qvlms", "vlms", "whitened") for m in (1, 3, 5, 8)],
+        pytest.param("qvlms", 3, math.inf, 0.05, id="qvlms-3-inf"),
+        pytest.param("qvlms", 3, 20.0, 0.8, id="qvlms-3-20.0-diverging"),
     ])
     def test_trial_has_the_bits_of_the_scalar_recursion(self, algorithm, m,
-                                                         snr_db):
+                                                         snr_db, fraction):
         # 600 steps cross a 64-step block and the 512-step segment; at no
-        # noise, sigma z = 0.0 is added last. The whitened cells run in the
-        # orthonormalized mode, whose gain is diagonal: in the raw one BLAS
-        # may order the sums of (S R^-1 S) u otherwise than the kernel does
+        # noise, sigma z = 0.0 is added last. At 0.8 of the bound the trial
+        # diverges at row 329, in its sixth block. The whitened cells run in
+        # the orthonormalized mode, whose gain is diagonal: in the raw one
+        # BLAS may order the sums of (S R^-1 S) u otherwise than the kernel
+        # does
         mode = (RegressorMode.ORTHONORMALIZED if algorithm == "whitened"
                 else RegressorMode.RAW)
         cfg = small_config(iterations=600, step_size=None,
-                           step_size_fraction=0.05)
+                           step_size_fraction=fraction)
         spec = ChannelSpec(memory_length=m, snr_db=snr_db, regressor_mode=mode)
         seed = 29 + m
         curves = run_trial(cfg, spec, seed, algorithm)
-        assert not curves.diverged
+        assert curves.divergence_iteration == (329 if fraction > 0.5 else None)
         cell = experiment._config_cell(cfg, spec, algorithm, 5.0, snr_db)
         _assert_error_oracle(curves, _error_trial(
-            seed, spec, cfg.iterations, cfg.random_init, cell.step_size,
+            seed, spec, curves.divergence_iteration or cfg.iterations,
+            cfg.random_init, cell.step_size,
             QParams.uniform(5.0, 1).g[0] if algorithm == "qvlms" else 1.0,
             whitened_gain(spec) if algorithm == "whitened" else None))
 
@@ -1098,7 +1106,7 @@ class TestKernelLayout:
         expected = (
             [((b, k, c, t), f8)]                       # w_hist
             + [((k, c, t), f8)] * (1 + (c > 1))        # w_last, spread
-            + [((b, c, t), f8)] * (4 - 2 * one)        # sq, nwd, e_hist, d (noise)
+            + [((b, c, t), f8)] * 4                    # sq, nwd, e_hist, d (noise)
             + [((b, c, t), b1)]                        # ok_buf
             + [((seg + memory_length - 1, t), f8)]     # x, time-major
             + [((seg, t), f8)]                         # z, time-major
@@ -1106,32 +1114,66 @@ class TestKernelLayout:
             + [((b, k, 1, t), f8)] * (1 + whitened)    # ut, ugt
             + [((b + memory_length - 1, memory_length, t), f8)]  # g0 ring
             + [((k, max(b, 2)), f8)] * one             # K-major delta
-            # one value a slab: each step's products and noise, their
-            # running sums with mu and g, e mu g's chain, and the update;
-            # otherwise the products and their sum, and mu e and g mu e
-            + ([((b, k + 1), f8), ((b, k + 3), f8), ((3,), f8), ((k,), f8)]
-               if one else [((k + 1, c, t), f8), ((2, c, t), f8)])
+            # more than one value a slab: the products and their sum, and
+            # mu e and g mu e; one value a slab steps on Python floats
+            + ([] if one else [((k + 1, c, t), f8), ((2, c, t), f8)])
             + [((c, t), f8)] * 2)                      # mu, gain
         assert sorted((a.shape, a.dtype.str) for a in made) == sorted(expected)
         assert all(a.ctypes.data % 4096 == 0 for a in made)
 
+    @pytest.mark.parametrize("k", [1, 2, 64, 65, 3000])
+    def test_scalar_steps_are_the_recursion_at_any_k(self, k):
+        # a sum of thousands of products, which one expression could not
+        # compile, is split over lines and still added left to right
+        rng = np.random.default_rng(k)
+        u_rows, v_rows = (rng.standard_normal((3, k)).tolist() for _ in "uv")
+        noise, delta = rng.standard_normal(3).tolist(), rng.standard_normal(k)
+        delta = (delta * 10.0 ** rng.integers(-8, 9, k)).tolist()
+        rows, errors = experiment._scalar_steps(k)(u_rows, v_rows, noise,
+                                                   delta, 1e-3, 3.0)
+        want_rows, want_errors = [], []
+        for u, v, z in zip(u_rows, v_rows, noise):
+            e = _left_to_right([a * d for a, d in zip(u, delta)]) + z
+            s = e * 1e-3 * 3.0
+            delta = [d - s * vk for d, vk in zip(delta, v)]
+            want_rows += delta
+            want_errors.append(e)
+        assert np.array(rows).tobytes() == np.array(want_rows).tobytes()
+        assert np.array(errors).tobytes() == np.array(want_errors).tobytes()
+
     @pytest.mark.parametrize("algorithm, q", [("qvlms", 5.0), ("whitened", None)])
-    def test_one_value_step_calls_drop_the_slab_axes(self, algorithm, q):
-        # at one cell and one trial a step is five calls, and every operand
-        # is a row, (K,) or (K+1,) products, (3,) of e mu g's chain, or a
-        # 0-d view, never a (..., 1, 1) slab
+    def test_one_value_blocks_step_on_python_floats(self, monkeypatch,
+                                                     algorithm, q):
+        # at one cell and one trial a block is one call of the steps
+        # compiled once for its K, on lists of Python floats: the rows of
+        # regressors, of directions (the regressors' own list unless the
+        # cell is whitened) and of noise, the weight error before the
+        # block, mu and g. Several values a slab never call it
         spec = ChannelSpec()
         k = spec.num_coefficients
-        draw = experiment._draw_chunk(trial_seeds(1, 1), spec, True)
-        cells = [experiment._Cell(algorithm, q, 20.0, 1e-3, 0.2 / ((q or 1) + 1))]
-        kernel = experiment._lockstep(*draw, 20, cells, spec)
-        next(kernel), next(kernel)
-        steps = kernel.gi_frame.f_locals["steps"]
-        shapes = {a.shape for calls in steps for _, operands in calls
-                  for a in operands if isinstance(a, np.ndarray)}
-        kernel.close()
-        assert shapes == {(), (k,), (k + 1,), (3,)}
-        assert {len(calls) for calls in steps} == {5}
+        compiled = experiment._scalar_steps(k)
+        assert experiment._scalar_steps(k) is compiled
+        calls = []
+
+        def spy(*operands):
+            calls.append(operands)
+            return compiled(*operands)
+
+        monkeypatch.setattr(experiment, "_scalar_steps", lambda _: spy)
+        cell = experiment._Cell(algorithm, q, 20.0, 1e-3, 0.2 / ((q or 1) + 1))
+        for trials in (2, 1):
+            draw = experiment._draw_chunk(trial_seeds(1, trials), spec, True)
+            for _ in experiment._lockstep(*draw, 150, [cell], spec):
+                pass
+        assert [len(u_rows) for u_rows, *_ in calls] == [64, 64, 22]
+        for u_rows, v_rows, noise, delta, mu, g in calls:
+            assert (v_rows is u_rows) == (algorithm != "whitened")
+            assert len(noise) == len(u_rows) and len(delta) == k
+            values = [*noise, *delta, mu, g]
+            values += [x for rows in (u_rows, v_rows) for row in rows for x in row]
+            assert {type(x) for x in values} == {float}
+            assert all(len(row) == k for row in u_rows + v_rows)
+        assert calls[0][4:] == (1e-3, 3.0 if algorithm == "qvlms" else 1.0)
 
 
 @pytest.mark.parametrize("call, field", [
@@ -1515,6 +1557,21 @@ class TestProtocolSmoke:
         protocol1(6, trials=48, iterations=150, q_values=(2.0, 5.0),
                   mu_fraction=0.8)
         assert calls == expected
+
+    def test_protocol1_theory_builds_no_noise_generator(self, monkeypatch):
+        # the theory pass reads each chunk's h, w0 only: it builds the
+        # input's generators, not the noise's, of each of its three chunks
+        monkeypatch.setattr(experiment, "_CHUNK", 16)
+        noise, build = [], experiment.generators
+
+        def spy(seeds, *args):
+            noise.append(args)
+            return build(seeds, *args)
+
+        monkeypatch.setattr(experiment, "generators", spy)
+        protocol1(6, trials=48, iterations=150, q_values=(2.0, 5.0),
+                  mu_fraction=0.8)
+        assert noise == [(True,)] * 5 + [(False,)] * 3
 
     @pytest.mark.parametrize("mode", list(RegressorMode))
     def test_protocol1_cells_are_monte_carlos(self, mode):

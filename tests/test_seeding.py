@@ -46,6 +46,20 @@ def test_spawned_seeds_are_one_group_of_the_master_seeds_children(start, stop):
             assert a.bit_generator.state == b.bit_generator.state
 
 
+@pytest.mark.parametrize("seeds", [
+    seeding.SpawnedSeeds(2**70 + 3, 5, 9),
+    seeding.SpawnedSeeds(3, 2**32 - 2, 2**32 + 2),
+    [4, np.random.SeedSequence(8, spawn_key=(2, 1))],
+], ids=["one-group", "past-32-bits", "numpys"])
+def test_without_noise_only_the_inputs_generators_are_built(seeds):
+    x_rngs, z_rngs = seeding.generators(seeds, noise=False)
+    assert z_rngs is None
+    for alone, paired in zip(x_rngs, seeding.generators(seeds)[0], strict=True):
+        assert alone.bit_generator.state == paired.bit_generator.state
+    with pytest.raises(TypeError, match="fresh entropy"):
+        seeding.generators([None], noise=False)
+
+
 def test_a_negative_spawn_key_is_refused_when_built():
     with pytest.raises(ValueError):
         np.random.SeedSequence(3, spawn_key=(-2,))
