@@ -31,6 +31,7 @@ import json
 import os
 import platform
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
@@ -233,8 +234,9 @@ class RunSpec:
     its cells, each with its step and stability bound, as ``resolve``
     built them; they are derived from the settings, so they are neither
     recorded nor compared. ``monte_carlo`` reads each cell's SNR from the
-    config; protocol 1's channel is also at its one SNR, as its report
-    shows it.
+    config. A spec of one SNR also has its channel at that SNR, as its
+    report shows it and as ``run_trial`` of the channel replays a trial; a
+    spec of several SNRs has the channel's default, 20 dB.
     """
 
     protocol: str
@@ -266,8 +268,8 @@ class RunSpec:
                               regressor_mode=s["regressor_mode"])
         for snr in s["snr_db"]:
             _in_range(channel._check_noise, "snr_db", snr)
-        if protocol == "protocol1":
-            # its one SNR, as protocol1's keyword front end builds it
+        if len(s["snr_db"]) == 1:
+            # its one SNR, as the keyword front ends build it
             channel = replace(channel, snr_db=s["snr_db"][0])
         if protocol == "run" and (s["mu"] is None) == (s["mu_fraction"] is None):
             raise ConfigError("key 'mu': set exactly one of mu and mu_fraction")
@@ -361,30 +363,36 @@ def _texts(values):
             else str(v) for v in values)
 
 
+@contextmanager
+def _complete(path: Path):
+    """A text file open for writing under a hidden name beside ``path``,
+    renamed to ``path`` once the ``with`` block completes: a writer that
+    fails leaves no partial file, nor its hidden name."""
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with partial.open("w") as fh:
+            yield fh
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def _write_table(path: Path, header, blocks):
     """Write ``header`` and then each block as it comes, a row at a time,
     so that no table or block is held as text. A block is a list of
     columns, each one value for every row of the block or a sequence of one
     value per row. A ``.dat`` plot series has no header (``None``) and
-    separates its columns by a space.
-
-    The table is written under a hidden name beside ``path`` and renamed to
-    it once complete, so a writer that fails leaves no partial table."""
+    separates its columns by a space. The table is written ``_complete``."""
     sep = " " if path.suffix == ".dat" else ","
-    partial = path.with_name(f".{path.name}.partial")
-    try:
-        with partial.open("w") as fh:
-            if header is not None:
-                fh.write(sep.join(header) + "\n")
-            for block in blocks:
-                columns = [
-                    _texts(c) if isinstance(c, (np.ndarray, list, tuple, range))
-                    else repeat(*_texts((c,))) for c in block]
-                fh.writelines(sep.join(row) + "\n" for row in zip(*columns))
-        partial.replace(path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with _complete(path) as fh:
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
+        for block in blocks:
+            columns = [
+                _texts(c) if isinstance(c, (np.ndarray, list, tuple, range))
+                else repeat(*_texts((c,))) for c in block]
+            fh.writelines(sep.join(row) + "\n" for row in zip(*columns))
 
 
 def _curve_block(algorithm, q, snr_db, mae, nwd=None, mse=None) -> list:
@@ -514,7 +522,10 @@ _OUTPUTS = {"protocol1": _protocol1_outputs, "protocol2": _protocol2_outputs,
 def execute(spec: RunSpec, out=None) -> int:
     """Run ``spec``; write its tables and ``manifest.json`` to ``out``
     (default ``$QVLMS_OUT_DIR``, else ``./qvlms-out``), created before the
-    run: a directory that cannot be is a configuration error."""
+    run: a directory that cannot be is a configuration error. A run that
+    fails leaves none of its outputs: each file is written ``_complete``,
+    and the tables already written are removed if a later table or the
+    manifest fails."""
     started = _utc_now()
     out_dir = Path(out or os.environ.get(OUT_DIR_ENV) or "qvlms-out")
     try:
@@ -525,21 +536,29 @@ def execute(spec: RunSpec, out=None) -> int:
     _warn_steps(spec.cells)
     curves = monte_carlo(spec.experiment, spec.channel)
     tables, checks, lines = _OUTPUTS[spec.protocol](spec, curves)
-    for name, header, blocks in tables:
-        _write_table(out_dir / name, header, blocks)
-    manifest = {
-        "tool": "qvlms",
-        "version": __version__,
-        "environment": _environment(),
-        "protocol": spec.protocol,
-        "master_seed": spec.settings["seed"],
-        "config": spec.config(),
-        "started_utc": started,
-        "finished_utc": _utc_now(),
-        "outputs": [name for name, _, _ in tables],
-        "checks": checks,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    written = []
+    try:
+        for name, header, blocks in tables:
+            _write_table(out_dir / name, header, blocks)
+            written.append(out_dir / name)
+        manifest = {
+            "tool": "qvlms",
+            "version": __version__,
+            "environment": _environment(),
+            "protocol": spec.protocol,
+            "master_seed": spec.settings["seed"],
+            "config": spec.config(),
+            "started_utc": started,
+            "finished_utc": _utc_now(),
+            "outputs": [name for name, _, _ in tables],
+            "checks": checks,
+        }
+        with _complete(out_dir / "manifest.json") as fh:
+            fh.write(json.dumps(manifest, indent=2) + "\n")
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     for line in lines + [f"{spec.protocol}: outputs in {out_dir}"]:
         print(line)
     return 0

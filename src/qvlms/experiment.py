@@ -58,8 +58,9 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
 
 import math
 import operator
+import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -78,6 +79,7 @@ from qvlms.volterra import (
     SQRT2,
     RegressorMode,
     VolterraKernel,
+    _expand_windows,
     flatten_index,
     num_coefficients,
     scaling_diag,
@@ -114,16 +116,17 @@ DIVERGENCE_THRESHOLD = 1e6
 #: Trials drawn and advanced together.
 _CHUNK = 256
 #: Most steps whose regressors are built, and whose curves are reduced, at
-#: once. The history budget below decides wherever a block would hold more
-#: than 2,048 values a step: protocol 2 takes 4 steps, M = 8 with three
-#: cells 3, protocol 1 18; a single trial takes 64, so its guard, expansion
-#: and per-block slicing run once per 64 steps.
+#: once, where a slab holds more than one value. The history budget below
+#: decides wherever a block would hold more than 2,048 values a step:
+#: protocol 2 takes 4 steps, M = 8 with three cells 3, protocol 1 18. A
+#: single trial's block is a whole segment (``_trial_lockstep``).
 _BLOCK = 64
 #: Budget of a block's weight history (B, K, cells, trials): half the
 #: per-core L2 cache, so that the block reductions read it from cache.
 _BLOCK_BYTES = 1 << 20
 #: Steps whose input and noise are drawn at once, rounded down to whole
 #: blocks: the streams' buffers hold one segment, whatever the run length.
+#: A single trial's guard and yield run once a segment.
 _SEGMENT = 512
 #: Trials whose input and noise are drawn into the staging tile at once:
 #: 32 doubles of a time-major row, four cache lines. Eight trials (one
@@ -402,6 +405,15 @@ class _Cell:
     step_size: float
     bound: float
 
+    @property
+    def gain(self) -> float:
+        """The cell's diagonal gain, uniform over the coefficients: ``(q+1)/2``
+        for q-VLMS, 1 for the other algorithms (a whitened cell steps along
+        ``S R^-1 S u`` instead of u)."""
+        if self.algorithm != "qvlms":
+            return 1.0
+        return float(QParams.uniform(self.q_value, 1).g[0])
+
 
 def _config_cell(config: ExperimentConfig, channel: ChannelSpec, algorithm: str,
                  q_value: float, snr_db: float) -> _Cell:
@@ -485,37 +497,81 @@ def _page_aligned(shape, dtype=np.float64) -> np.ndarray:
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
-#: Most products one line of ``_scalar_steps``'s sum adds: the compiler
+#: Most products one line of ``_trial_steps``'s sum adds: the compiler
 #: recurses once per term, and a sum of a few thousand exceeds its limit.
 _LINE_TERMS = 64
 
 
 @lru_cache(maxsize=64)
-def _scalar_steps(k: int):
-    """One trial's steps over a block, on Python floats, written out for
-    ``k`` coefficients and compiled once per K, as ``dataclasses``
-    compiles an ``__init__``.
+def _trial_steps(m: int, mode: RegressorMode, whitened: bool):
+    """One trial's steps over a segment, on Python floats, written out for
+    memory length ``m`` and the regressor ``mode`` and compiled once per
+    (M, mode, whitened), as ``dataclasses`` compiles an ``__init__``.
 
-    ``steps(u_rows, v_rows, noise, delta, mu, g)`` takes a block's
-    regressors and directions (B lists of K), its noise ``sigma z`` (B)
-    and the weight error ``delta`` (K) before it, and returns the B rows
-    of weight error, one flat list, and the B a priori errors. Each step is
-    ``e = u_0 delta_0 + ... + u_K-1 delta_K-1 + sigma z``, added left to
-    right, ``s = e mu g``, then ``delta_k <- delta_k - s v_k``: the IEEE
-    operations of the scalar weight-error recursion, in its order, so every
-    bit is its own. No ``sum`` or ``math.fsum``, which compensate.
+    ``steps(xs, noise, delta, mu, g)`` takes the segment's inputs ``xs``,
+    the M-1 inputs before its first step and then one a step, its noise
+    ``sigma z`` (one a step) and the weight error ``delta`` (K) before it,
+    and returns the rows of weight error, one flat list, and the a priori
+    errors. A ``whitened`` cell's steps also take each step's direction
+    ``S R^-1 S u`` (a list of K per step).
+
+    Each step forms its regressor itself: the linear taps ``a0 .. aM-1``
+    are the last M inputs, newest first, and the quadratic term of the lag
+    pair (i, i+d) is ``p{i}_{d}``, the product ``x(s) x(s-d)`` formed i
+    steps earlier (the square ``(x*x - 1.0)/SQRT2`` in the orthonormalized
+    mode), carried in locals from step to step. The products of the M-1
+    steps before the segment are formed again from its first M-1 inputs.
+    Then ``e = u_0 delta_0 + ... + u_K-1 delta_K-1 + sigma z``, added left
+    to right, ``s = e mu g`` and ``delta_k <- delta_k - s v_k``, v = u
+    unless whitened: the IEEE operations of the regressor expansion and of
+    the scalar weight-error recursion, in its order, so every bit is their
+    own. No ``sum`` or ``math.fsum``, which compensate.
     """
-    ds, us, vs = ([f"{p}{i}" for i in range(k)] for p in "duv")
+    k = num_coefficients(m)
+    lin = [f"a{j}" for j in range(m)]
+    products = [[f"p{i}_{d}" for d in range(m - i)] for i in range(m)]
+    us = lin + [name for row in products for name in row]
+    ds = [f"d{i}" for i in range(k)]
+    vs = [f"v{i}" for i in range(k)] if whitened else us
+
+    def product(i, d):
+        """The product ``x(s) x(s-d)`` of the step whose newest input is
+        ``a{i}``."""
+        if d == 0 and mode is RegressorMode.ORTHONORMALIZED:
+            return f"(a{i}*a{i} - 1.0)/{SQRT2!r}"
+        return f"a{i}*a{i + d}"
+
+    def assign(targets, values):
+        """One simultaneous assignment, none for no targets."""
+        if not targets:
+            return []
+        return [f"{', '.join(targets)}, = {', '.join(values)},"]
+
+    older = lin[:m - 1][::-1]  # a{M-2} .. a0
+    ring = [(f"p{i}_{d}", f"p{i - 1}_{d}") for i in range(m - 1, 0, -1)
+            for d in range(m - i)]
     terms = [f"{u}*{d}" for u, d in zip(us, ds)] + ["z"]
     sums = [" + ".join(terms[i:i + _LINE_TERMS])
             for i in range(0, len(terms), _LINE_TERMS)]
+    if whitened:
+        loop = (f"    for x, z, ({', '.join(vs)},) in zip(xs[{m - 1}:], noise, "
+                "directions):")
+    else:
+        loop = f"    for x, z in zip(xs[{m - 1}:], noise):"
     source = "\n".join([
-        "def steps(u_rows, v_rows, noise, delta, mu, g):",
+        f"def steps(xs, noise, delta, mu, g{', directions' if whitened else ''}):",
+        *("    " + line
+          for line in assign(older, [f"xs[{j}]" for j in range(m - 1)])),
+        *(f"    p{i}_{d} = {product(i, d)}"
+          for i in range(m - 1) for d in range(m - 1 - i)),
         f"    {', '.join(ds)}, = delta",
         "    rows, errors = [], []",
         "    error = errors.append",
-        f"    for ({', '.join(us)},), ({', '.join(vs)},), z in zip("
-        "u_rows, v_rows, noise):",
+        loop,
+        *("        " + line for line in assign(lin[::-1], older + ["x"])),
+        *("        " + line for line in assign([t for t, _ in ring],
+                                               [v for _, v in ring])),
+        *(f"        p0_{d} = {product(0, d)}" for d in range(m)),
         f"        e = {sums[0]}",
         *(f"        e = e + {part}" for part in sums[1:]),
         "        s = e*mu*g",
@@ -527,6 +583,86 @@ def _scalar_steps(k: int):
     namespace = {}
     exec(source, namespace)
     return namespace["steps"]
+
+
+def _trial_lockstep(h, w0, x_rng, z_rng, iterations: int, cell: _Cell,
+                    channel: ChannelSpec):
+    """``_lockstep`` of a slab of one value, one cell and one trial, with
+    its yields: a block is a whole segment, ``min(_SEGMENT, N)`` steps, and
+    makes no numpy call a step.
+
+    Each segment's inputs x (with the M-1 before it) and noise ``sigma z``
+    go to ``_trial_steps`` as lists of Python floats, with the weight error
+    before it, and the rows it returns are packed into ``w_hist``, the
+    a priori errors into ``sq_buf``, in one call each. The guard then
+    takes the segment's NWD from ``kmajor (K, S)``, the weight error copied
+    K-major, so that einsum adds its K squares one after another as it does
+    for larger slabs; over one contiguous row it adds them in its own
+    unrolled order. A ``whitened`` cell's directions are one matrix product
+    a segment over the segment's regressors, as a block's are for larger
+    slabs. Python's cost grows with K: on one 2-CPU Xeon a step, draws,
+    guard and yields included, took about 1.0 us at K = 9, 2.0 us at
+    K = 20 and 4.5 us at K = 44, against 1.7, 2.9-4.6 and 5.5 us when each
+    64-step block's regressors were expanded by numpy.
+    """
+    k, m, n = h.shape[1], channel.memory_length, int(iterations)
+    mode = channel.regressor_mode
+    whitening = whitened_gain(channel) if cell.algorithm == "whitened" else None
+    steps = _trial_steps(m, mode, whitening is not None)
+    sigma = math.sqrt(noise_variance_for_snr(1.0, cell.snr_db)
+                      * float(channel.signal_power(h)[0]))
+
+    seg = min(_SEGMENT, n)
+    hh = (h * h).sum(axis=1)
+    w_hist = _page_aligned((seg, k, 1, 1))
+    sq_buf, nwd_buf = _page_aligned((seg, 1, 1)), _page_aligned((seg, 1, 1))
+    ok_buf = _page_aligned((seg, 1, 1), dtype=bool)
+    # at least two columns: one column wide, delta is a row again
+    kmajor = _page_aligned((k, max(seg, 2)))
+    # a segment's inputs, after the M-1 before it, and its unit noise
+    x, z = _page_aligned((seg + m - 1,)), _page_aligned((seg,))
+
+    def guarded(row, b):
+        """The yield of a segment whose ``b`` rows of weight error are in
+        ``w_hist`` and squared errors in ``sq_buf``; row 0, the initial
+        state, never diverges."""
+        delta, sq, cur, ok = w_hist[:b], sq_buf[:b], nwd_buf[:b], ok_buf[:b]
+        col = kmajor[:, :b]
+        np.copyto(col, delta[:, :, 0, 0].T)
+        np.einsum("kb,kb->b", col, col, out=cur[:, 0, 0])
+        np.divide(cur, hh, out=cur)
+        np.less_equal(cur, DIVERGENCE_THRESHOLD, out=ok)
+        if not row:
+            ok[...] = True
+        return row, sq, cur, delta, ok
+
+    # the weight error each segment steps from, which no consumer sees
+    delta = (h[0] - w0[0]).tolist()
+    w_hist[0] = (h - w0).T[:, None]
+    sq_buf[0] = np.nan
+    yield guarded(0, 1)
+
+    for s0 in range(0, n, seg):
+        s = min(seg, n - s0)
+        if s0:
+            x[:m - 1] = x[seg:]  # only the last segment is short
+        x_rng.standard_normal(out=x[(m - 1 if s0 else 0):s + m - 1])
+        z_rng.standard_normal(out=z[:s])
+        operands = [x[:s + m - 1].tolist(),
+                    np.multiply(z[:s], sigma, out=z[:s]).tolist(),
+                    delta, cell.step_size, cell.gain]
+        if whitening is not None:
+            u = _expand_windows(sliding_window_view(x[:s + m - 1], m)[:, ::-1],
+                                mode)
+            operands.append(np.matmul(whitening, u[:, :, None])[:, :, 0].tolist())
+        rows, errors = steps(*operands)
+        # struct packs Python floats into doubles about 3x faster than
+        # numpy converts a list
+        struct.pack_into(f"{s * k}d", w_hist, 0, *rows)
+        struct.pack_into(f"{s}d", sq_buf, 0, *errors)
+        np.multiply(sq_buf[:s], sq_buf[:s], out=sq_buf[:s])
+        delta = rows[-k:]
+        yield guarded(s0 + 1, s)
 
 
 def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
@@ -541,8 +677,10 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     ``h, w0 (T, K)`` and each trial's generators of its input and unit
     noise streams (``_draw_chunk``) are shared by all cells, and are used
     up. The cells may come in any order: axis C of every yield follows
-    ``cells``. Yields ``(row, e2, nwd, delta, ok)`` per block of steps of B
-    rows, the curve rows ``row .. row+B-1``:
+    ``cells``. A slab of one value (one cell, one trial) is stepped by
+    ``_trial_lockstep``, whose blocks are whole segments. Yields
+    ``(row, e2, nwd, delta, ok)`` per block of steps of B rows, the curve
+    rows ``row .. row+B-1``:
 
     * ``e2 (B, C, T)``: the squared a priori errors of the steps that
       produced the block's rows;
@@ -584,8 +722,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
       ``e_hist (B, C, T)`` the weight errors and the a priori errors of
       the block's steps, and ``w_last (K, C, T)`` the last row's weight
       error, from which the next block steps.
-    * Per step, where a slab holds more than one value, on contiguous
-      (C, T) slabs: ``work`` holds the products
+    * Per step, on contiguous (C, T) slabs: ``work`` holds the products
       ``u_k delta_k`` and, in its last slab, their sum ``u . delta``: one
       reduce from -0.0 adds them left to right. The noise is added to it,
       and ``scaled`` holds ``mu e`` and the step ``g (mu e)``. With more
@@ -598,26 +735,13 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
       over slabs: numpy passes operands that do not form one contiguous
       run through its ufunc buffer, at about twice the cost, and
       ``np.copyto`` is not buffered.
-    * Per block, where a slab holds one value (one cell, one trial): no
-      numpy call a step. The block's regressors, directions and noise, and
-      ``w_last``, go to ``_scalar_steps(K)`` as lists of Python floats,
-      and the rows it returns are written into ``w_hist`` and ``e_hist``.
-      Its steps are the IEEE operations of the scalar recursion in its
-      order, so a trial has the bits of a chunk's slabs: ``u . delta``
-      adds its products left to right from the first, then the noise
-      (``sigma z + u . delta``, since IEEE addition commutes, signed zeros
-      included), and ``(e mu) g`` is ``g (mu e)``. Python's cost grows
-      with K faster than numpy's per-call floor: on one 2-CPU Xeon, a
-      step of this kernel took about 2.7 us at K = 9 against 4.4 us with
-      five numpy calls a step, 4.7 against 4.3 us at K = 20, and 9.1
-      against 5.4 us at K = 44.
-    * ``kmajor (K, B)``: where a slab holds one value, ``delta`` copied
-      K-major, so that einsum adds the NWD's K squares one after another
-      as it does for larger slabs; over one contiguous row it adds them in
-      its own unrolled order.
     """
     t, k = h.shape
     n, m, c = int(iterations), channel.memory_length, len(cells)
+    if c * t == 1:
+        yield from _trial_lockstep(h, w0, x_rngs[0], z_rngs[0], n, cells[0],
+                                   channel)
+        return
     whitened = [i for i, cell in enumerate(cells) if cell.algorithm == "whitened"]
     # every diagonal gain is uniform over the coefficients (one q per cell);
     # whitened cells take g = 1, which leaves mu * e unchanged, and step
@@ -625,10 +749,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     # call broadcasts them
     mu, gain = _page_aligned((c, t)), _page_aligned((c, t))
     mu[...] = np.array([cell.step_size for cell in cells])[:, None]
-    gain[...] = np.array([
-        QParams.uniform(cell.q_value, 1).g[0] if cell.algorithm == "qvlms"
-        else 1.0 for cell in cells
-    ])[:, None]
+    gain[...] = np.array([cell.gain for cell in cells])[:, None]
     whitening = whitened_gain(channel) if whitened else None
     factor = np.array([noise_variance_for_snr(1.0, cell.snr_db) for cell in cells])
     sigma = np.sqrt(factor[:, None] * channel.signal_power(h))
@@ -638,8 +759,6 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     sq_buf = _page_aligned((blk, c, t))
     nwd_buf = _page_aligned((blk, c, t))
     ok_buf = _page_aligned((blk, c, t), dtype=bool)
-    # at least two columns: one column wide, h - w is a row again
-    kmajor = _page_aligned((k, max(blk, 2))) if c * t == 1 else None
     seg = max(blk, _SEGMENT // blk * blk)
     # the streams of a segment, time-major: row j of x is every trial's
     # input at step j-M+1 of the segment, row j of z its unit noise at step j
@@ -657,12 +776,11 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     g0 = _page_aligned((blk + m - 1, m, t))
     spread = _page_aligned((k, c, t)) if c > 1 else None
     w_last = _page_aligned((k, c, t))
-    if c * t > 1:
-        # the products, then their sum u . delta; the update step
-        # overwrites the products
-        work = _page_aligned((k + 1, c, t))
-        # mu e, then the step g (mu e)
-        scaled = _page_aligned((2, c, t))
+    # the products, then their sum u . delta; the update step overwrites
+    # the products
+    work = _page_aligned((k + 1, c, t))
+    # mu e, then the step g (mu e)
+    scaled = _page_aligned((2, c, t))
 
     def guarded(row, b):
         """The yield of a block whose ``b`` rows of weight error are in
@@ -673,12 +791,7 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
         np.copyto(w_last, delta[b - 1])
         sq, cur, ok = sq_buf[:b], nwd_buf[:b], ok_buf[:b]
         np.multiply(e_hist[:b], e_hist[:b], out=sq)
-        if kmajor is None:
-            np.einsum("bkct,bkct->bct", delta, delta, out=cur)
-        else:
-            col = kmajor[:, :b]
-            np.copyto(col, delta[:, :, 0, 0].T)
-            np.einsum("kb,kb->b", col, col, out=cur[:, 0, 0])
+        np.einsum("bkct,bkct->bct", delta, delta, out=cur)
         np.divide(cur, hh, out=cur)
         np.less_equal(cur, DIVERGENCE_THRESHOLD, out=ok)
         if not row:
@@ -689,48 +802,41 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
     e_hist[0] = np.nan
     yield guarded(0, 1)
 
-    if c * t == 1:
-        # a block's steps on Python floats, whose rows of weight error
-        # come back as one list
-        scalar, mu_g = _scalar_steps(k), (mu.item(), gain.item())
-        w_flat = w_hist.reshape(-1)
-    else:
-        # the ufunc calls of each step of a block: u . delta, error, update
-        steps = []
-        prod, pred = work[:k], work[k]
-        mu_e, step = scaled
-        w_prev = w_last
-        for j in range(blk):
-            w, e = w_hist[j], e_hist[j]
-            # the regressors u, and every cell's direction v: u, or
-            # S R^-1 S u for the whitened cells, copied over u once u . delta
-            # has read it
-            if spread is None:
-                u = ut[j]
-                v = ugt[j] if whitened else u
-                calls = [(np.multiply, (u, w_prev, prod))]
-            else:
-                u = v = spread
-                calls = [(np.copyto, (spread, ut[j])),
-                         (np.multiply, (u, w_prev, prod))]
-                calls += [(np.copyto, (spread[:, i:i + 1], ugt[j]))
-                          for i in whitened]
-            calls += [
-                # from -0.0, which leaves the first product as it is
-                (np.add.reduce, (prod, 0, None, pred, False, -0.0)),
-                (np.add, (d[j], pred, e)),
-                (np.multiply, (mu, e, mu_e)),
-                (np.multiply, (gain, mu_e, step)),
-                # do not shrink numpy's ufunc buffer (np.setbufsize) instead
-                # of the copy: the setting would hold for any numpy call on
-                # this thread, such as perfbench's speed probe, which runs in
-                # a signal handler
-                (np.copyto, (prod, step)),
-                (np.multiply, (prod, v, prod)),
-                (np.subtract, (w_prev, prod, w)),
-            ]
-            steps.append(calls)
-            w_prev = w
+    # the ufunc calls of each step of a block: u . delta, error, update
+    steps = []
+    prod, pred = work[:k], work[k]
+    mu_e, step = scaled
+    w_prev = w_last
+    for j in range(blk):
+        w, e = w_hist[j], e_hist[j]
+        # the regressors u, and every cell's direction v: u, or S R^-1 S u
+        # for the whitened cells, copied over u once u . delta has read it
+        if spread is None:
+            u = ut[j]
+            v = ugt[j] if whitened else u
+            calls = [(np.multiply, (u, w_prev, prod))]
+        else:
+            u = v = spread
+            calls = [(np.copyto, (spread, ut[j])),
+                     (np.multiply, (u, w_prev, prod))]
+            calls += [(np.copyto, (spread[:, i:i + 1], ugt[j]))
+                      for i in whitened]
+        calls += [
+            # from -0.0, which leaves the first product as it is
+            (np.add.reduce, (prod, 0, None, pred, False, -0.0)),
+            (np.add, (d[j], pred, e)),
+            (np.multiply, (mu, e, mu_e)),
+            (np.multiply, (gain, mu_e, step)),
+            # do not shrink numpy's ufunc buffer (np.setbufsize) instead of
+            # the copy: the setting would hold for any numpy call on this
+            # thread, such as perfbench's speed probe, which runs in a
+            # signal handler
+            (np.copyto, (prod, step)),
+            (np.multiply, (prod, v, prod)),
+            (np.subtract, (w_prev, prod, w)),
+        ]
+        steps.append(calls)
+        w_prev = w
 
     def squares(col):
         """The calls that turn the squares ``col`` into ``(x*x - 1)/sqrt(2)``
@@ -788,16 +894,9 @@ def _lockstep(h, w0, x_rngs, z_rngs, iterations: int, cells,
             np.multiply(z[r0:r0 + b, None], sigma, out=d[:b])
             for ufunc, operands in expand if b == blk else expansion(b):
                 ufunc(*operands)
-            if c * t == 1:
-                u = ut[:b, :, 0, 0].tolist()
-                rows, errors = scalar(
-                    u, ugt[:b, :, 0, 0].tolist() if whitened else u,
-                    d[:b, 0, 0].tolist(), w_last[:, 0, 0].tolist(), *mu_g)
-                w_flat[:b * k], e_hist[:b, 0, 0] = rows, errors
-            else:
-                for calls in steps[:b]:
-                    for ufunc, operands in calls:
-                        ufunc(*operands)
+            for calls in steps[:b]:
+                for ufunc, operands in calls:
+                    ufunc(*operands)
             yield guarded(s0 + r0 + 1, b)
 
 
@@ -1229,7 +1328,8 @@ def protocol2(master_seed: int, *, trials: int = 1000, iterations: int = 2500,
     the averaged NWD curves, the steady-state NWD (mean of the trailing
     tenth of iterations) in dB, and the q-VLMS advantage over VLMS per
     cell and on average. ``include_whitened`` adds the fixed-gain
-    ``S R^-1 S`` variant's curves for reference.
+    ``S R^-1 S`` variant's curves for reference. The report's channel is
+    at the run's SNR if it has one, else at the default 20 dB.
     """
     config = ExperimentConfig(
         iterations=iterations, trials=trials, master_seed=master_seed,
@@ -1239,6 +1339,8 @@ def protocol2(master_seed: int, *, trials: int = 1000, iterations: int = 2500,
     )
     channel = ChannelSpec(memory_length=memory_length,
                           regressor_mode=regressor_mode)
+    if len(config.snr_db_values) == 1:
+        channel = replace(channel, snr_db=config.snr_db_values[0])
     return _protocol2_report(monte_carlo(config, channel), config, channel)
 
 

@@ -126,14 +126,21 @@ def expand_regressor(window, mode: RegressorMode = RegressorMode.RAW) -> np.ndar
     w = np.asarray(window, dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise ValueError(f"window must be a 1-D vector, got shape {w.shape}")
-    m = w.size
+    return _expand_windows(w, mode)
+
+
+def _expand_windows(windows: np.ndarray, mode: RegressorMode) -> np.ndarray:
+    """``expand_regressor`` of each window along the last axis of
+    ``windows (..., M)``, whose values are float64: each entry is the
+    same product, or orthonormalized square, as a window's alone."""
+    m = windows.shape[-1]
     iu, ju = np.triu_indices(m)
-    quad = w[iu] * w[ju]
+    quad = windows[..., iu] * windows[..., ju]
     if mode is RegressorMode.ORTHONORMALIZED:
-        quad[np.flatnonzero(iu == ju)] = (w * w - 1.0) / SQRT2
+        quad[..., np.flatnonzero(iu == ju)] = (windows * windows - 1.0) / SQRT2
     elif mode is not RegressorMode.RAW:
         raise ValueError(f"unknown regressor mode: {mode!r}")
-    return np.concatenate([w, quad])
+    return np.concatenate([windows, quad], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ from qvlms.experiment import (
     nwd_db,
     protocol1,
     protocol2,
+    run_trial,
     steady_state_level,
+    trial_seeds,
 )
 
 
@@ -571,6 +573,7 @@ class TestOneMonteCarlo:
         ("protocol2", {"include_whitened": True, "snr_db": (10.0, 20.0)}),
         # the report's channel is at the run's SNR, not the default 20 dB
         ("protocol1", {"q_values": (1.0, 5.0), "snr_db": (35.0,)}),
+        ("protocol2", {"snr_db": (35.0,)}),
     ])
     def test_a_cli_run_reports_the_front_ends_curves(self, tmp_path,
                                                      monkeypatch, protocol,
@@ -592,6 +595,25 @@ class TestOneMonteCarlo:
         assert all(np.array_equal(a, b, equal_nan=True)
                    for a, b in zip(cli_arrays, arrays))
         assert cli_rest == rest
+
+
+    def test_a_one_trial_run_is_run_trial_of_its_spec(self, tmp_path):
+        # a spec of one SNR has its channel at that SNR, which run_trial
+        # reads: the replay of the run's one trial has its NWD curve, bit
+        # for bit
+        argv = ["run", "--snr", "35", "--trials", "1", "--iterations", "40",
+                "--mu", "0.01", "--seed", "3"]
+        spec = RunSpec.from_args(cli.build_parser().parse_args(argv))
+        assert spec.channel.snr_db == 35.0
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        with (tmp_path / "run_curves.csv").open(newline="") as fh:
+            curve = [float(row["nwd"]) for row in csv.DictReader(fh)]
+        trial = run_trial(spec.experiment, spec.channel,
+                          trial_seeds(spec.settings["seed"], 1)[0])
+        assert np.array(curve).tobytes() == trial.nwd.tobytes()
+        # a spec of several SNRs keeps the channel's default
+        several = RunSpec.resolve("run", {"snr_db": (10.0, 35.0), "mu": 0.01})
+        assert several.channel.snr_db == 20.0
 
 
 class TestRunCommand:
@@ -876,25 +898,46 @@ class TestRunCommand:
         for part in ("q=1", "mu=1.000e-31", "mu_fraction=1e-30"):
             assert part in err
 
-    @pytest.mark.parametrize("target, error, message", [
+    @pytest.mark.parametrize("target, error, message, argv, failing_call", [
         # numpy's names the array, as _zero_sums' does at 10^15 iterations
-        ("monte_carlo", MemoryError("Unable to allocate 22.2 PiB"),
-         "error: out of memory (Unable to allocate 22.2 PiB)"),
+        pytest.param("monte_carlo", MemoryError("Unable to allocate 22.2 PiB"),
+                     "error: out of memory (Unable to allocate 22.2 PiB)",
+                     ["run", "--iterations", "10", "--mu", "0.001"], 1,
+                     id="monte_carlo-error0-error: out of memory "
+                        "(Unable to allocate 22.2 PiB)"),
         # Python's, as the writer's at 2 x 10^7 iterations, names nothing
-        ("_texts", MemoryError(), "error: out of memory"),
+        pytest.param("_texts", MemoryError(), "error: out of memory",
+                     ["run", "--iterations", "10", "--mu", "0.001"], 1,
+                     id="_texts-error1-error: out of memory"),
+        # the writer fails in protocol 2's sixth table, once five are
+        # written
+        pytest.param("_texts", MemoryError(), "error: out of memory",
+                     ["protocol2", "--iterations", "20"], 110,
+                     id="_texts-after-five-tables"),
+        # and in the manifest, once every table is written
+        pytest.param("_environment", MemoryError(), "error: out of memory",
+                     ["run", "--iterations", "10", "--mu", "0.001"], 1,
+                     id="_environment-after-every-table"),
     ])
     def test_a_run_too_large_for_memory_is_a_runtime_error(
-            self, tmp_path, capsys, monkeypatch, target, error, message):
+            self, tmp_path, capsys, monkeypatch, target, error, message, argv,
+            failing_call):
+        calls, original = [], getattr(cli, target)
+
         def out_of_memory(*args):
-            raise error
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise error
+            return original(*args)
 
         monkeypatch.setattr(cli, target, out_of_memory)
-        rc = main(["run", "--out", str(tmp_path / "x"), "--trials", "2",
-                   "--iterations", "10", "--mu", "0.001"])
+        rc = main([*argv, "--out", str(tmp_path / "x"), "--trials", "2"])
         assert rc == 2
+        assert len(calls) == failing_call
         assert capsys.readouterr().err.splitlines() == [message]
         # a table is renamed into place once complete: a failed writer
-        # leaves no partial one, nor its hidden name
+        # leaves no partial one, nor its hidden name, and the tables the
+        # run wrote before it are removed
         assert not any((tmp_path / "x").iterdir())
 
     @pytest.mark.parametrize("flags, key, message", [

@@ -317,34 +317,61 @@ class TestRunTrial:
         assert np.isclose(nwd(curves.channel, curves.final_weights),
                           curves.nwd[-1], rtol=1e-10, atol=0)
 
-    @pytest.mark.parametrize("algorithm, m, snr_db, fraction", [
-        *[pytest.param(algorithm, m, 20.0, 0.05, id=f"{algorithm}-{m}-20.0")
+    @pytest.mark.parametrize("algorithm, m, mode, snr_db, fraction, "
+                             "iterations, divergence", [
+        *[pytest.param(algorithm, m, None, 20.0, 0.05, 600, None,
+                       id=f"{algorithm}-{m}-20.0")
           for algorithm in ("qvlms", "vlms", "whitened") for m in (1, 3, 5, 8)],
-        pytest.param("qvlms", 3, math.inf, 0.05, id="qvlms-3-inf"),
-        pytest.param("qvlms", 3, 20.0, 0.8, id="qvlms-3-20.0-diverging"),
+        pytest.param("qvlms", 3, None, math.inf, 0.05, 600, None,
+                     id="qvlms-3-inf"),
+        pytest.param("qvlms", 3, None, 20.0, 0.8, 600, 329,
+                     id="qvlms-3-20.0-diverging"),
+        # the segment edges, with no carried product (M = 1) and many
+        *[pytest.param(algorithm, m, mode, 20.0, 0.05, n, None,
+                       id=f"{algorithm}-{m}-{mode.value}-{n}")
+          for algorithm in ("qvlms", "vlms", "whitened") for m in (1, 8)
+          for mode in RegressorMode for n in (511, 512, 513, 1025)
+          if algorithm != "whitened" or mode is RegressorMode.ORTHONORMALIZED],
+        pytest.param("qvlms", 3, None, 20.0, 0.7, 1025, 940,
+                     id="qvlms-3-20.0-diverging-in-segment-2"),
     ])
-    def test_trial_has_the_bits_of_the_scalar_recursion(self, algorithm, m,
-                                                         snr_db, fraction):
-        # 600 steps cross a 64-step block and the 512-step segment; at no
-        # noise, sigma z = 0.0 is added last. At 0.8 of the bound the trial
-        # diverges at row 329, in its sixth block. The whitened cells run in
-        # the orthonormalized mode, whose gain is diagonal: in the raw one
-        # BLAS may order the sums of (S R^-1 S) u otherwise than the kernel
-        # does
-        mode = (RegressorMode.ORTHONORMALIZED if algorithm == "whitened"
-                else RegressorMode.RAW)
-        cfg = small_config(iterations=600, step_size=None,
+    def test_trial_has_the_bits_of_the_scalar_recursion(
+            self, algorithm, m, mode, snr_db, fraction, iterations, divergence):
+        # a trial steps a 512-step segment at a time, forming its regressors
+        # as it goes; at no noise, sigma z = 0.0 is added last. The whitened
+        # cells run in the orthonormalized mode, whose gain is diagonal: in
+        # the raw one BLAS may order the sums of (S R^-1 S) u otherwise than
+        # the kernel does. The trial is also the first of a 2-trial chunk,
+        # whose slabs step it on numpy calls, up to its last row
+        if mode is None:
+            mode = (RegressorMode.ORTHONORMALIZED if algorithm == "whitened"
+                    else RegressorMode.RAW)
+        cfg = small_config(iterations=iterations, step_size=None,
                            step_size_fraction=fraction)
         spec = ChannelSpec(memory_length=m, snr_db=snr_db, regressor_mode=mode)
         seed = 29 + m
         curves = run_trial(cfg, spec, seed, algorithm)
-        assert curves.divergence_iteration == (329 if fraction > 0.5 else None)
+        assert curves.divergence_iteration == divergence
         cell = experiment._config_cell(cfg, spec, algorithm, 5.0, snr_db)
         _assert_error_oracle(curves, _error_trial(
-            seed, spec, curves.divergence_iteration or cfg.iterations,
+            seed, spec, divergence or cfg.iterations,
             cfg.random_init, cell.step_size,
             QParams.uniform(5.0, 1).g[0] if algorithm == "qvlms" else 1.0,
             whitened_gain(spec) if algorithm == "whitened" else None))
+        # each row's NWD, squared error and |delta| in the chunk
+        chunk = np.empty((iterations + 1, 2 + spec.num_coefficients))
+        draw = experiment._draw_chunk([seed, seed + 1], spec, cfg.random_init)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, e2, cur, delta, ok in experiment._lockstep(
+                    *draw, iterations, [cell], spec):
+                part = chunk[row:row + len(ok)]
+                part[:, 0], part[:, 1] = cur[:, 0, 0], e2[:, 0, 0]
+                part[:, 2:] = np.abs(delta[:, :, 0, 0])
+        rows = (divergence or iterations) + 1
+        for got, want in ((chunk[:rows, 0], curves.nwd[:rows]),
+                          (chunk[:rows, 1], curves.squared_error[:rows]),
+                          (chunk[:rows, 2:], curves.abs_weight_error[:rows])):
+            assert got.tobytes() == want.tobytes()
 
     def test_int_seed_is_its_seed_sequence(self):
         cfg = small_config(iterations=150)
@@ -433,8 +460,9 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_single_trial_equals_run_trial(self, algorithm, mode, memory_length):
         # a one-cell, one-trial chunk takes the kernel's one-value path, as
-        # run_trial does; row 0 of both MSE curves is NaN
-        cfg = small_config(trials=1, algorithms=(algorithm,))
+        # run_trial does, over a whole segment and a short one; row 0 of
+        # both MSE curves is NaN
+        cfg = small_config(iterations=600, trials=1, algorithms=(algorithm,))
         spec = ChannelSpec(memory_length=memory_length, regressor_mode=mode)
         cell = monte_carlo(cfg, spec)[0]
         trial = run_trial(cfg, spec, trial_seeds(cfg.master_seed, 1)[0],
@@ -703,8 +731,9 @@ def test_cells_run_in_any_order(mode):
 def test_a_consumer_may_overwrite_every_yielded_array(algorithms, trials):
     # the next block steps from the kernel's own copy of the last row's
     # weight error: a consumer that writes over each block once it has
-    # read it reads the bits of one that does not, diverged pairs included
-    cfg = small_config(iterations=300, step_size=0.1, q_values=(2.0,))
+    # read it reads the bits of one that does not, diverged pairs included.
+    # A trial alone steps 512-step segments: 1,100 steps are three
+    cfg = small_config(iterations=1100, step_size=0.1, q_values=(2.0,))
     spec = ChannelSpec()
     cells = [experiment._config_cell(cfg, spec, algorithm, 2.0, spec.snr_db)
              for algorithm in algorithms]
@@ -729,17 +758,23 @@ def test_a_consumer_may_overwrite_every_yielded_array(algorithms, trials):
 
 
 @pytest.mark.parametrize("mode", list(RegressorMode))
-@pytest.mark.parametrize("m", [1, 2, 3, 8])
+@pytest.mark.parametrize("m, iterations", [
+    *[pytest.param(m, 600, id=str(m)) for m in (1, 2, 3, 8)],
+    *[pytest.param(m, n, id=f"{m}-{n}") for m in (1, 8)
+      for n in (511, 512, 513, 1025)],
+])
 @pytest.mark.parametrize("algorithms", [("qvlms", "vlms", "whitened"),
                                         ("whitened",)], ids=["mixed", "whitened"])
-def test_chunk_matches_run_trial_across_segments(monkeypatch, m, mode,
-                                                 algorithms):
-    # 600 steps: the ring of quadratic products carries across blocks (of
-    # one step too, fewer than M - 1) and a segment boundary, and out of
-    # the pre-sample rows; with several cells every cell's update
-    # direction is spread, with one it is the cell's own
-    cfg = small_config(iterations=600, step_size=None, step_size_fraction=0.05,
-                       q_values=(3.0,))
+def test_chunk_matches_run_trial_across_segments(monkeypatch, m, iterations,
+                                                 mode, algorithms):
+    # the ring of quadratic products carries across blocks (of one step
+    # too, fewer than M - 1) and segment boundaries, and out of the
+    # pre-sample rows; with several cells every cell's update direction is
+    # spread, with one it is the cell's own. A trial alone steps whole
+    # 512-step segments: 511 to 1,025 steps end just before, on and just
+    # past a segment's edge
+    cfg = small_config(iterations=iterations, step_size=None,
+                       step_size_fraction=0.05, q_values=(3.0,))
     spec = ChannelSpec(memory_length=m, regressor_mode=mode)
     cells = [experiment._config_cell(cfg, spec, algorithm, 3.0, spec.snr_db)
              for algorithm in algorithms]
@@ -1088,7 +1123,8 @@ class TestKernelLayout:
         spec = ChannelSpec(memory_length=memory_length)
         draw = experiment._draw_chunk(trial_seeds(1, trials), spec, True)
         blocks = 0
-        for row, *arrays in experiment._lockstep(*draw, 150, cells, spec):
+        # a trial alone steps 512-step segments
+        for row, *arrays in experiment._lockstep(*draw, 600, cells, spec):
             if row == 0:
                 continue
             blocks += 1
@@ -1101,38 +1137,59 @@ class TestKernelLayout:
         b = experiment._block_steps(k, c, t)
         seg = max(b, experiment._SEGMENT // b * b)
         whitened = any(cell.algorithm == "whitened" for cell in cells)
-        one = c * t == 1
         f8, b1 = np.dtype(float).str, np.dtype(bool).str
-        expected = (
-            [((b, k, c, t), f8)]                       # w_hist
-            + [((k, c, t), f8)] * (1 + (c > 1))        # w_last, spread
-            + [((b, c, t), f8)] * 4                    # sq, nwd, e_hist, d (noise)
-            + [((b, c, t), b1)]                        # ok_buf
-            + [((seg + memory_length - 1, t), f8)]     # x, time-major
-            + [((seg, t), f8)]                         # z, time-major
-            + [((min(experiment._TILE, t), seg + memory_length - 1), f8)]  # tile
-            + [((b, k, 1, t), f8)] * (1 + whitened)    # ut, ugt
-            + [((b + memory_length - 1, memory_length, t), f8)]  # g0 ring
-            + [((k, max(b, 2)), f8)] * one             # K-major delta
-            # more than one value a slab: the products and their sum, and
-            # mu e and g mu e; one value a slab steps on Python floats
-            + ([] if one else [((k + 1, c, t), f8), ((2, c, t), f8)])
-            + [((c, t), f8)] * 2)                      # mu, gain
+        if c * t == 1:
+            # one value a slab steps a segment at a time on Python floats
+            s = min(experiment._SEGMENT, 600)
+            expected = [((s, k, 1, 1), f8),                # w_hist
+                        ((s, 1, 1), f8), ((s, 1, 1), f8),  # sq, nwd
+                        ((s, 1, 1), b1),                   # ok_buf
+                        ((k, max(s, 2)), f8),              # K-major delta
+                        ((s + memory_length - 1,), f8),    # x
+                        ((s,), f8)]                        # z
+        else:
+            expected = (
+                [((b, k, c, t), f8)]                       # w_hist
+                + [((k, c, t), f8)] * (1 + (c > 1))        # w_last, spread
+                + [((b, c, t), f8)] * 4                    # sq, nwd, e_hist, d
+                + [((b, c, t), b1)]                        # ok_buf
+                + [((seg + memory_length - 1, t), f8)]     # x, time-major
+                + [((seg, t), f8)]                         # z, time-major
+                + [((min(experiment._TILE, t), seg + memory_length - 1),
+                    f8)]                                   # tile
+                + [((b, k, 1, t), f8)] * (1 + whitened)    # ut, ugt
+                + [((b + memory_length - 1, memory_length, t), f8)]  # g0 ring
+                # the products and their sum, and mu e and g mu e
+                + [((k + 1, c, t), f8), ((2, c, t), f8)]
+                + [((c, t), f8)] * 2)                      # mu, gain
         assert sorted((a.shape, a.dtype.str) for a in made) == sorted(expected)
         assert all(a.ctypes.data % 4096 == 0 for a in made)
 
-    @pytest.mark.parametrize("k", [1, 2, 64, 65, 3000])
-    def test_scalar_steps_are_the_recursion_at_any_k(self, k):
-        # a sum of thousands of products, which one expression could not
-        # compile, is split over lines and still added left to right
-        rng = np.random.default_rng(k)
-        u_rows, v_rows = (rng.standard_normal((3, k)).tolist() for _ in "uv")
-        noise, delta = rng.standard_normal(3).tolist(), rng.standard_normal(k)
-        delta = (delta * 10.0 ** rng.integers(-8, 9, k)).tolist()
-        rows, errors = experiment._scalar_steps(k)(u_rows, v_rows, noise,
-                                                   delta, 1e-3, 3.0)
+    @pytest.mark.parametrize("whitened", [False, True])
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    @pytest.mark.parametrize("m", [1, 2, 3, 10, 76])
+    def test_trial_steps_are_the_recursion_at_any_memory(self, m, mode,
+                                                         whitened):
+        # K = 2 .. 65 and 3,002: a sum of thousands of products, which one
+        # expression could not compile, is split over lines and still
+        # added left to right, and the regressors formed from the carried
+        # products are those of expand_regressor, bit for bit
+        k = num_coefficients(m)
+        rng = np.random.default_rng(m)
+        xs, noise = rng.standard_normal(m + 3).tolist(), rng.standard_normal(4)
+        noise = noise.tolist()
+        delta = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9, k)
+        delta = delta.tolist()
+        operands = [xs, noise, delta, 1e-3, 3.0]
+        if whitened:
+            operands.append(rng.standard_normal((4, k)).tolist())
+        steps = experiment._trial_steps(m, mode, whitened)
+        assert experiment._trial_steps(m, mode, whitened) is steps
+        rows, errors = steps(*operands)
         want_rows, want_errors = [], []
-        for u, v, z in zip(u_rows, v_rows, noise):
+        for j, z in enumerate(noise):
+            u = expand_regressor(xs[j:j + m][::-1], mode).tolist()
+            v = operands[5][j] if whitened else u
             e = _left_to_right([a * d for a, d in zip(u, delta)]) + z
             s = e * 1e-3 * 3.0
             delta = [d - s * vk for d, vk in zip(delta, v)]
@@ -1144,36 +1201,40 @@ class TestKernelLayout:
     @pytest.mark.parametrize("algorithm, q", [("qvlms", 5.0), ("whitened", None)])
     def test_one_value_blocks_step_on_python_floats(self, monkeypatch,
                                                      algorithm, q):
-        # at one cell and one trial a block is one call of the steps
-        # compiled once for its K, on lists of Python floats: the rows of
-        # regressors, of directions (the regressors' own list unless the
-        # cell is whitened) and of noise, the weight error before the
-        # block, mu and g. Several values a slab never call it
+        # at one cell and one trial a block is a whole segment, one call of
+        # the steps compiled once for its memory length and mode, on lists
+        # of Python floats: the segment's inputs after the M-1 before it,
+        # its noise, the weight error before it, mu and g, and the whitened
+        # directions. Several values a slab never call it
         spec = ChannelSpec()
-        k = spec.num_coefficients
-        compiled = experiment._scalar_steps(k)
-        assert experiment._scalar_steps(k) is compiled
+        m, k = spec.memory_length, spec.num_coefficients
+        whitened = algorithm == "whitened"
+        compiled = experiment._trial_steps(m, spec.regressor_mode, whitened)
         calls = []
 
         def spy(*operands):
             calls.append(operands)
             return compiled(*operands)
 
-        monkeypatch.setattr(experiment, "_scalar_steps", lambda _: spy)
+        monkeypatch.setattr(experiment, "_trial_steps", lambda *key: spy)
         cell = experiment._Cell(algorithm, q, 20.0, 1e-3, 0.2 / ((q or 1) + 1))
         for trials in (2, 1):
             draw = experiment._draw_chunk(trial_seeds(1, trials), spec, True)
-            for _ in experiment._lockstep(*draw, 150, [cell], spec):
+            for _ in experiment._lockstep(*draw, 1100, [cell], spec):
                 pass
-        assert [len(u_rows) for u_rows, *_ in calls] == [64, 64, 22]
-        for u_rows, v_rows, noise, delta, mu, g in calls:
-            assert (v_rows is u_rows) == (algorithm != "whitened")
-            assert len(noise) == len(u_rows) and len(delta) == k
-            values = [*noise, *delta, mu, g]
-            values += [x for rows in (u_rows, v_rows) for row in rows for x in row]
+        assert [len(noise) for _, noise, *_ in calls] == [512, 512, 76]
+        for before, after in zip(calls, calls[1:]):
+            # each segment's first M-1 inputs are the last of the one before
+            assert after[0][:m - 1] == before[0][-(m - 1):]
+        for xs, noise, delta, mu, g, *directions in calls:
+            assert len(xs) == len(noise) + m - 1 and len(delta) == k
+            assert len(directions) == whitened
+            rows = directions[0] if whitened else []
+            assert len(rows) == len(noise) * whitened
+            assert all(len(row) == k for row in rows)
+            values = [*xs, *noise, *delta, mu, g, *(x for r in rows for x in r)]
             assert {type(x) for x in values} == {float}
-            assert all(len(row) == k for row in u_rows + v_rows)
-        assert calls[0][4:] == (1e-3, 3.0 if algorithm == "qvlms" else 1.0)
+        assert calls[0][3:5] == (1e-3, 3.0 if algorithm == "qvlms" else 1.0)
 
 
 @pytest.mark.parametrize("call, field", [
