@@ -9,9 +9,10 @@ hands the curves to its protocol's report, and writes, through one
 writer, its CSV tables and ``.dat`` plot series (no header,
 space-separated; a float by its repr, NaN as empty), and a JSON manifest
 carrying the resolved configuration, tool, Python and numpy versions,
-master seed and output paths. ``qvlms rerun manifest.json`` rebuilds the
-spec from the manifest, reproduces every table byte for byte, and warns
-when the tool, Python or numpy version differs.
+master seed and output paths, and publishes them in one step once all
+are written. ``qvlms rerun manifest.json`` rebuilds the spec from the
+manifest, reproduces every table byte for byte, and warns when the tool,
+Python or numpy version differs.
 
 Config files are flat ``key = value`` text ('#' starts a comment), each
 key at most once. Each protocol takes only the keys of its entry in
@@ -31,9 +32,8 @@ import json
 import os
 import platform
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
 
@@ -48,8 +48,9 @@ from qvlms.experiment import (
     monte_carlo,
     nwd_db,
 )
-from qvlms.experiment import _check_distinct, _check_positive, _check_size
-from qvlms.experiment import _config_cells
+from qvlms.experiment import _check_algorithm, _check_distinct
+from qvlms.experiment import _check_positive, _check_size
+from qvlms.experiment import _config_cells, _run_setup
 from qvlms.experiment import _protocol1_report, _protocol2_algorithms
 from qvlms.experiment import _protocol2_report
 # unused here, but perfbench/spans.py spans them under this module's name
@@ -131,12 +132,6 @@ def _parse_bool(key, text):
     raise ConfigError(f"key '{key}': expected a boolean, got {text!r}")
 
 
-def _parse_algorithm(key, text):
-    if text not in ALGORITHMS:
-        raise ConfigError(f"key '{key}': expected one of {ALGORITHMS}, got {text!r}")
-    return text
-
-
 def _list_of(parse_item):
     """Parser of a list: comma- or space-separated text (config files) or a
     sequence (flags, manifests)."""
@@ -165,7 +160,8 @@ _PARSERS = {
     "mu_fraction": _parse_positive,
     "regressor_mode": _parse_mode,
     "include_whitened": _parse_bool,
-    "algorithms": _list_of(_parse_algorithm),
+    "algorithms": _list_of(lambda key, text: _in_range(_check_algorithm, key,
+                                                       text)),
     # bound's own input, a setting of no protocol
     "eigenvalues": _parse_positives,
 }
@@ -233,10 +229,11 @@ class RunSpec:
     ``channel`` are the ``monte_carlo`` arguments of the run, and ``cells``
     its cells, each with its step and stability bound, as ``resolve``
     built them; they are derived from the settings, so they are neither
-    recorded nor compared. ``monte_carlo`` reads each cell's SNR from the
-    config. A spec of one SNR also has its channel at that SNR, as its
-    report shows it and as ``run_trial`` of the channel replays a trial; a
-    spec of several SNRs has the channel's default, 20 dB.
+    recorded nor compared. The config and channel are built by
+    ``experiment._run_setup``, which also builds the keyword front ends'
+    runs, so a spec of one SNR has its channel at that SNR and a spec of
+    several the channel's default, 20 dB, as ``protocol1`` and
+    ``protocol2`` have theirs.
     """
 
     protocol: str
@@ -264,16 +261,23 @@ class RunSpec:
             )
         for key in ("algorithms", "q_values", "snr_db"):
             _in_range(_check_distinct, key, s.get(key, ()))
-        channel = ChannelSpec(memory_length=s["memory_length"],
-                              regressor_mode=s["regressor_mode"])
+        # each SNR against the channel family, named as its key
+        family = ChannelSpec(memory_length=s["memory_length"],
+                             regressor_mode=s["regressor_mode"])
         for snr in s["snr_db"]:
-            _in_range(channel._check_noise, "snr_db", snr)
-        if len(s["snr_db"]) == 1:
-            # its one SNR, as the keyword front ends build it
-            channel = replace(channel, snr_db=s["snr_db"][0])
+            _in_range(family._check_noise, "snr_db", snr)
         if protocol == "run" and (s["mu"] is None) == (s["mu_fraction"] is None):
             raise ConfigError("key 'mu': set exactly one of mu and mu_fraction")
-        experiment = _experiment_config(s)
+        # run's own algorithms, protocol1's q-VLMS or protocol2's set
+        algorithms = (_protocol2_algorithms(s["include_whitened"])
+                      if "include_whitened" in s
+                      else s.get("algorithms", ("qvlms",)))
+        experiment, channel = _run_setup(
+            s["memory_length"], s["regressor_mode"], iterations=s["iterations"],
+            trials=s["trials"], master_seed=s["seed"], step_size=s.get("mu"),
+            step_size_fraction=s.get("mu_fraction"), q_values=s["q_values"],
+            snr_db_values=s["snr_db"], algorithms=algorithms,
+        )
         return cls(protocol, MappingProxyType(s), experiment, channel,
                    _resolve_cells(experiment, channel))
 
@@ -302,22 +306,6 @@ class RunSpec:
         """The settings as JSON values."""
         return {k: (v.value if isinstance(v, RegressorMode) else v)
                 for k, v in self.settings.items()}
-
-
-def _experiment_config(s) -> ExperimentConfig:
-    """The ``ExperimentConfig`` of the cells that the settings ``s`` run:
-    run's own, protocol1's q-VLMS cells at its fraction of the bound, or
-    protocol2's cells at its absolute step."""
-    if "include_whitened" in s:
-        algorithms = _protocol2_algorithms(s["include_whitened"])
-    else:
-        algorithms = s.get("algorithms", ("qvlms",))
-    return ExperimentConfig(
-        iterations=s["iterations"], trials=s["trials"], master_seed=s["seed"],
-        step_size=s.get("mu"), step_size_fraction=s.get("mu_fraction"),
-        q_values=s["q_values"], snr_db_values=s["snr_db"],
-        algorithms=algorithms,
-    )
 
 
 def _resolve_cells(config: ExperimentConfig, channel: ChannelSpec) -> tuple:
@@ -354,28 +342,27 @@ def _resolve_cells(config: ExperimentConfig, channel: ChannelSpec) -> tuple:
 # output writing
 # ---------------------------------------------------------------------------
 
+#: Values of an array column made Python floats at once: a whole column
+#: as one list would hold every row's float object.
+_TEXT_SLICE = 2048
+
+
 def _texts(values):
     """Each value's text, as it is read: a float by its repr, NaN and None
-    as empty, anything else by str."""
+    as empty, anything else by str. An array's values are made Python
+    floats (numpy 2 reprs ``np.float64(x)``) ``_TEXT_SLICE`` at a time."""
     if isinstance(values, np.ndarray):
-        values = values.tolist()  # Python floats: numpy 2 reprs np.float64(x)
+        array = values
+        values = chain.from_iterable(
+            array[i:i + _TEXT_SLICE].tolist()
+            for i in range(0, len(array), _TEXT_SLICE))
     return ("" if v is None or v != v else repr(v) if isinstance(v, float)
             else str(v) for v in values)
 
 
-@contextmanager
-def _complete(path: Path):
-    """A text file open for writing under a hidden name beside ``path``,
-    renamed to ``path`` once the ``with`` block completes: a writer that
-    fails leaves no partial file, nor its hidden name."""
-    partial = path.with_name(f".{path.name}.partial")
-    try:
-        with partial.open("w") as fh:
-            yield fh
-        partial.replace(path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+def _partial(path: Path) -> Path:
+    """The hidden name beside ``path`` that its file is written under."""
+    return path.with_name(f".{path.name}.partial")
 
 
 def _write_table(path: Path, header, blocks):
@@ -383,9 +370,10 @@ def _write_table(path: Path, header, blocks):
     so that no table or block is held as text. A block is a list of
     columns, each one value for every row of the block or a sequence of one
     value per row. A ``.dat`` plot series has no header (``None``) and
-    separates its columns by a space. The table is written ``_complete``."""
+    separates its columns by a space. The table is written under its
+    ``_partial`` name, which ``execute`` renames to ``path``."""
     sep = " " if path.suffix == ".dat" else ","
-    with _complete(path) as fh:
+    with _partial(path).open("w") as fh:
         if header is not None:
             fh.write(sep.join(header) + "\n")
         for block in blocks:
@@ -522,10 +510,12 @@ _OUTPUTS = {"protocol1": _protocol1_outputs, "protocol2": _protocol2_outputs,
 def execute(spec: RunSpec, out=None) -> int:
     """Run ``spec``; write its tables and ``manifest.json`` to ``out``
     (default ``$QVLMS_OUT_DIR``, else ``./qvlms-out``), created before the
-    run: a directory that cannot be is a configuration error. A run that
-    fails leaves none of its outputs: each file is written ``_complete``,
-    and the tables already written are removed if a later table or the
-    manifest fails."""
+    run: a directory that cannot be is a configuration error. The outputs
+    are published in one step: every table and then the manifest is
+    written under its hidden ``_partial`` name, and only once all are
+    complete is each renamed into place, the manifest last. A run that
+    fails removes its partial files and nothing else, so the directory
+    keeps the files it held before, a previous run's included."""
     started = _utc_now()
     out_dir = Path(out or os.environ.get(OUT_DIR_ENV) or "qvlms-out")
     try:
@@ -536,11 +526,10 @@ def execute(spec: RunSpec, out=None) -> int:
     _warn_steps(spec.cells)
     curves = monte_carlo(spec.experiment, spec.channel)
     tables, checks, lines = _OUTPUTS[spec.protocol](spec, curves)
-    written = []
+    names = [name for name, _, _ in tables] + ["manifest.json"]
     try:
         for name, header, blocks in tables:
             _write_table(out_dir / name, header, blocks)
-            written.append(out_dir / name)
         manifest = {
             "tool": "qvlms",
             "version": __version__,
@@ -550,14 +539,16 @@ def execute(spec: RunSpec, out=None) -> int:
             "config": spec.config(),
             "started_utc": started,
             "finished_utc": _utc_now(),
-            "outputs": [name for name, _, _ in tables],
+            "outputs": names[:-1],
             "checks": checks,
         }
-        with _complete(out_dir / "manifest.json") as fh:
-            fh.write(json.dumps(manifest, indent=2) + "\n")
+        _partial(out_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2) + "\n")
+        for name in names:
+            _partial(out_dir / name).replace(out_dir / name)
     except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
+        for name in names:
+            _partial(out_dir / name).unlink(missing_ok=True)
         raise
     for line in lines + [f"{spec.protocol}: outputs in {out_dir}"]:
         print(line)

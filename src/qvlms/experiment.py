@@ -60,7 +60,7 @@ import math
 import operator
 import struct
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -233,6 +233,14 @@ def _check_distinct(name: str, values) -> None:
         raise ValueError(f"{name} must not repeat a value, got {list(values)}")
 
 
+def _check_algorithm(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is one of
+    ``ALGORITHMS``."""
+    if value not in ALGORITHMS:
+        raise ValueError(f"{name} must be one of {ALGORITHMS}, got algorithm "
+                         f"{value!r}")
+
+
 def _check_snr(name: str, value) -> None:
     """Raise a ``ValueError`` naming ``name`` unless the noise factor
     ``10^(-value/10)`` is a finite double: NaN, -inf and an SNR below about
@@ -353,12 +361,28 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not be empty")
             _check_distinct(name, getattr(self, name))
         for alg in self.algorithms:
-            if alg not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {alg!r}; expected {ALGORITHMS}")
+            _check_algorithm("algorithms", alg)
         for q in self.q_values:
             _check_positive("q_values", q)
         for snr in self.snr_db_values:
             _check_snr("snr_db_values", snr)
+
+
+def _run_setup(memory_length: int, regressor_mode: RegressorMode,
+               **config) -> tuple[ExperimentConfig, ChannelSpec]:
+    """A run's ``ExperimentConfig`` of the fields ``config``, built first,
+    and its channel, the random family of ``memory_length`` in
+    ``regressor_mode``. Each cell takes its SNR from the config; the
+    channel is at the run's SNR when it has one, as a report shows it and
+    as ``run_trial`` of the channel replays a trial, else at the default
+    20 dB. ``protocol1``, ``protocol2`` and the CLI's ``RunSpec`` build
+    every run here."""
+    config = ExperimentConfig(**config)
+    snrs = config.snr_db_values
+    channel = ChannelSpec(memory_length=memory_length,
+                          regressor_mode=regressor_mode,
+                          snr_db=snrs[0] if len(snrs) == 1 else ChannelSpec.snr_db)
+    return config, channel
 
 
 def trial_seeds(master_seed: int, trials: int) -> list[np.random.SeedSequence]:
@@ -932,8 +956,7 @@ def run_trial(config: ExperimentConfig, channel: ChannelSpec, seed,
     ``TrialCurves``, bit for bit. A diverged trial stops adapting at the
     triggering iteration and its curves are NaN past it.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    _check_algorithm("algorithm", algorithm)
     cell = _config_cell(config, channel, algorithm,
                         config.q_values[0] if q_value is None else q_value,
                         channel.snr_db)
@@ -1222,8 +1245,10 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
     initial errors; the Pearson correlation of the two curves is reported
     per q together with the average.
 
-    The cells are those of ``monte_carlo`` for an ``ExperimentConfig`` of
-    q-VLMS at ``snr_db``, whose step size fraction ``mu_rule`` sets:
+    The run is the one ``_run_setup`` builds, as the CLI's is: the cells
+    are those of ``monte_carlo`` for an ``ExperimentConfig`` of q-VLMS at
+    ``snr_db``, on a channel at ``snr_db``, and ``mu_rule`` sets their step
+    size fraction:
 
     * ``"fraction_of_bound"`` (default): ``mu = mu_fraction / ((q+1) lambda_max)``,
       a fixed fraction of the stability bound.
@@ -1238,14 +1263,17 @@ def protocol1(master_seed: int, *, trials: int = 1000, iterations: int = 2000,
     whose mean-square threshold lies below it: there trials diverge and
     the curves do not correlate (at 256 trials and 2000 iterations, 11
     trials a q diverge and the average correlation is -0.33).
+
+    ``snr_db`` is checked before the run is built, so a non-finite one is
+    named as this keyword.
     """
     _check_positive("mu_fraction", mu_fraction)
     if mu_rule not in _MU_RULES:
         raise ValueError(f"unknown mu rule {mu_rule!r}")
-    channel = ChannelSpec(memory_length=memory_length, snr_db=snr_db,
-                          regressor_mode=regressor_mode)
-    config = ExperimentConfig(
-        iterations=iterations, trials=trials, master_seed=master_seed,
+    _check_snr("snr_db", snr_db)
+    config, channel = _run_setup(
+        memory_length, regressor_mode, iterations=iterations, trials=trials,
+        master_seed=master_seed,
         step_size_fraction=mu_fraction * _MU_RULES[mu_rule],
         q_values=tuple(q_values), snr_db_values=(snr_db,),
     )
@@ -1328,19 +1356,17 @@ def protocol2(master_seed: int, *, trials: int = 1000, iterations: int = 2500,
     the averaged NWD curves, the steady-state NWD (mean of the trailing
     tenth of iterations) in dB, and the q-VLMS advantage over VLMS per
     cell and on average. ``include_whitened`` adds the fixed-gain
-    ``S R^-1 S`` variant's curves for reference. The report's channel is
-    at the run's SNR if it has one, else at the default 20 dB.
+    ``S R^-1 S`` variant's curves for reference. The run is the one
+    ``_run_setup`` builds, as the CLI's is, so the report's channel is at
+    the run's SNR if it has one, else at the default 20 dB.
     """
-    config = ExperimentConfig(
-        iterations=iterations, trials=trials, master_seed=master_seed,
-        step_size=step_size, q_values=tuple(float(q) for q in q_values),
+    config, channel = _run_setup(
+        memory_length, regressor_mode, iterations=iterations, trials=trials,
+        master_seed=master_seed, step_size=step_size,
+        q_values=tuple(float(q) for q in q_values),
         snr_db_values=tuple(float(s) for s in snr_db_values),
         algorithms=_protocol2_algorithms(include_whitened),
     )
-    channel = ChannelSpec(memory_length=memory_length,
-                          regressor_mode=regressor_mode)
-    if len(config.snr_db_values) == 1:
-        channel = replace(channel, snr_db=config.snr_db_values[0])
     return _protocol2_report(monte_carlo(config, channel), config, channel)
 
 

@@ -352,6 +352,34 @@ class TestProtocolCommands:
         assert len(lines) == 1 + 12 * 2001
         assert peak - start < 2 * 2**20
 
+    def test_writing_a_long_curve_holds_a_slice_of_it(self, tmp_path,
+                                                     monkeypatch):
+        # 200,001 rows: each float column becomes Python floats a slice at
+        # a time, not as one list of every row (27 MB traced), and every
+        # row keeps its text across the slices
+        rows = 200_001
+        nwd, mae, mse = np.random.default_rng(5).random((3, rows))
+        nwd[[0, 2047, 2048, 4096]] = [math.nan, 0.0, math.inf, 1e-300]
+        cell = AveragedCurves(algorithm="qvlms", q_value=5.0, snr_db=20.0,
+                              step_size=1e-3, nwd=nwd, mae=mae, mse=mse,
+                              trials=2, diverged=0)
+        monkeypatch.setattr(cli, "monte_carlo", lambda *args: [cell])
+        spec = RunSpec.resolve("run", {"mu": 1e-3, "trials": 2,
+                                       "iterations": rows - 1})
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            assert execute(spec, tmp_path) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 2 * 2**20
+        text = lambda v: "" if v != v else repr(float(v))
+        expected = [",".join(["iteration", *cli.CURVE_COLUMNS[1:]])] + [
+            f"{i},qvlms,5.0,20.0,{text(a)},{text(b)},{text(c)},{text(d)}"
+            for i, (a, b, c, d) in enumerate(zip(nwd, nwd_db(nwd), mae, mse))]
+        assert (tmp_path / "run_curves.csv").read_text().splitlines() == expected
+
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_out_dir_that_cannot_be_created_is_config_error(
             self, tmp_path, capsys, monkeypatch, source):
@@ -939,6 +967,37 @@ class TestRunCommand:
         # leaves no partial one, nor its hidden name, and the tables the
         # run wrote before it are removed
         assert not any((tmp_path / "x").iterdir())
+
+    @pytest.mark.parametrize("target, failing_call", [
+        # protocol 2's sixth table, once five are written
+        pytest.param("_texts", 110, id="in-the-tables"),
+        # the manifest, once every table is written
+        pytest.param("_environment", 1, id="in-the-manifest"),
+    ])
+    def test_a_failed_run_leaves_a_previous_run_as_it_was(
+            self, tmp_path, monkeypatch, target, failing_call):
+        # the outputs are published only once all are complete: a run that
+        # fails overwrites, and removes, none of the files already there
+        out = tmp_path / "x"
+        argv = ["protocol2", "--trials", "2", "--iterations", "20",
+                "--out", str(out)]
+        assert main([*argv, "--seed", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # a run that completes leaves its outputs and no partial name
+        outputs = json.loads(before["manifest.json"])["outputs"]
+        assert sorted(before) == sorted([*outputs, "manifest.json"])
+        calls, original = [], getattr(cli, target)
+
+        def out_of_memory(*args):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise MemoryError
+            return original(*args)
+
+        monkeypatch.setattr(cli, target, out_of_memory)
+        assert main(argv) == 2
+        assert len(calls) == failing_call
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("flags, key, message", [
         # numpy indexes no further than sys.maxsize: past it the run fails

@@ -1340,6 +1340,9 @@ def test_a_repeated_grid_value_is_a_value_error_naming_it(call, field):
                  id="protocol1-q_values-inf"),
     pytest.param(lambda: protocol2(0, step_size=math.inf), "step_size",
                  id="protocol2-step_size-inf"),
+    # each front end names the keyword its caller passed
+    pytest.param(lambda: protocol2(0, snr_db_values=(math.nan,)),
+                 "snr_db_values", id="protocol2-snr_db_values-nan"),
 ])
 def test_a_non_finite_setting_is_a_value_error_naming_it(call, field):
     # raised as the run is set up, never as "all trials diverged"
