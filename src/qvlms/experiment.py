@@ -25,8 +25,10 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
   weight-error recursion above, whose sum ``u . delta`` adds its K terms
   left to right, the first one first, as ``adapt.predict`` does; a single
   trial (one cell, one trial) runs that recursion itself, on Python
-  floats. The scalar ``adapt.qvlms_step`` / ``vlms_step`` of the weights
-  agree with them to rounding. The one exception is a ``whitened`` cell
+  floats, and numpy rebuilds its rows of weight error from the a priori
+  errors with the same operations in the same order. The scalar
+  ``adapt.qvlms_step`` / ``vlms_step`` of the weights agree with them to
+  rounding. The one exception is a ``whitened`` cell
   whose gain is a full matrix (the raw regressor mode): BLAS may order
   ``(S R^-1 S) u`` one way for one trial and another for several.
 * Each trial's channel, initial weights, input and unit noise streams are
@@ -56,6 +58,7 @@ One streaming kernel, ``_lockstep``, runs every simulation: ``run_trial``,
   ``AveragedCurves``, none of whose fields they copy.
 """
 
+import itertools
 import math
 import operator
 import struct
@@ -66,7 +69,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from qvlms.adapt import QParams, step_size_bound
+# step_size_bound is not called here, but perfbench/spans.py spans this
+# module's binding of it
+from qvlms.adapt import QParams, step_size_bound  # noqa: F401
 from qvlms.seeding import SpawnedSeeds, generators
 from qvlms.theory import (
     _step_powers,
@@ -79,7 +84,6 @@ from qvlms.volterra import (
     SQRT2,
     RegressorMode,
     VolterraKernel,
-    _expand_windows,
     flatten_index,
     num_coefficients,
     scaling_diag,
@@ -312,9 +316,14 @@ class ChannelSpec:
         the same bits alone as inside a stack of channels.
         """
         h = np.asarray(h, dtype=np.float64)
+        r = self.autocorrelation()
+        if h.ndim == 1:
+            # one channel: R h from one (K, K) product, each row summed
+            # as the row loop below sums it
+            return ((h * r).sum(axis=-1) * h).sum(axis=-1)
         # R h one row of R at a time: no (..., K, K) temporary
         rh = np.empty_like(h)
-        for i, row in enumerate(self.autocorrelation()):
+        for i, row in enumerate(r):
             rh[..., i] = (h * row).sum(axis=-1)
         return (rh * h).sum(axis=-1)
 
@@ -436,7 +445,7 @@ class _Cell:
         ``S R^-1 S u`` instead of u)."""
         if self.algorithm != "qvlms":
             return 1.0
-        return float(QParams.uniform(self.q_value, 1).g[0])
+        return (self.q_value + 1.0) / 2.0
 
 
 def _config_cell(config: ExperimentConfig, channel: ChannelSpec, algorithm: str,
@@ -448,8 +457,17 @@ def _config_cell(config: ExperimentConfig, channel: ChannelSpec, algorithm: str,
     unless the step is positive and finite."""
     channel._check_noise("snr_db_values", snr_db)
     q = float(q_value) if algorithm == "qvlms" else None
-    qp = QParams.uniform(1.0 if q is None else q, channel.num_coefficients)
-    bound = step_size_bound(qp, channel.eigenvalues())
+    # step_size_bound of the uniform q, its bits and its overflow error,
+    # without a QParams: rounding is monotone, so the largest product is
+    # (q+1) lambda_max
+    q_bound = 1.0 if q is None else q
+    _check_positive("q_value", q_bound)
+    lam = float(channel.eigenvalues()[-1])
+    scaled = (q_bound + 1.0) * lam
+    if not math.isfinite(scaled):
+        raise ValueError(f"(q + 1) * lambda overflows for q up to {q_bound:g} "
+                         f"and lambda up to {lam:g}")
+    bound = 1.0 / scaled
     step = config.step_size
     if step is None:
         step = float(config.step_size_fraction) * bound
@@ -521,6 +539,19 @@ def _page_aligned(shape, dtype=np.float64) -> np.ndarray:
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
+def _page_aligned_views(*shapes) -> list[np.ndarray]:
+    """Empty float64 arrays of ``shapes``, each starting on an ``_ALIGN``-byte
+    boundary: views into one ``_page_aligned`` block in which each array
+    takes whole pages, so that they cost one allocation."""
+    page = _ALIGN // 8
+    sizes = [math.prod(shape) for shape in shapes]
+    spans = [-(-size // page) * page for size in sizes]
+    block = _page_aligned((sum(spans),))
+    starts = itertools.accumulate(spans, initial=0)
+    return [block[a:a + n].reshape(shape)
+            for a, n, shape in zip(starts, sizes, shapes)]
+
+
 #: Most products one line of ``_trial_steps``'s sum adds: the compiler
 #: recurses once per term, and a sum of a few thousand exceeds its limit.
 _LINE_TERMS = 64
@@ -535,9 +566,10 @@ def _trial_steps(m: int, mode: RegressorMode, whitened: bool):
     ``steps(xs, noise, delta, mu, g)`` takes the segment's inputs ``xs``,
     the M-1 inputs before its first step and then one a step, its noise
     ``sigma z`` (one a step) and the weight error ``delta`` (K) before it,
-    and returns the rows of weight error, one flat list, and the a priori
-    errors. A ``whitened`` cell's steps also take each step's direction
-    ``S R^-1 S u`` (a list of K per step).
+    and returns the weight error after its last step (a list of K) and the
+    a priori errors; it records no row, which ``_trial_lockstep`` rebuilds
+    from the errors. A ``whitened`` cell's steps also take each step's
+    direction ``S R^-1 S u`` (a list of K per step).
 
     Each step forms its regressor itself: the linear taps ``a0 .. aM-1``
     are the last M inputs, newest first, and the quadratic term of the lag
@@ -589,7 +621,7 @@ def _trial_steps(m: int, mode: RegressorMode, whitened: bool):
         *(f"    p{i}_{d} = {product(i, d)}"
           for i in range(m - 1) for d in range(m - 1 - i)),
         f"    {', '.join(ds)}, = delta",
-        "    rows, errors = [], []",
+        "    errors = []",
         "    error = errors.append",
         loop,
         *("        " + line for line in assign(lin[::-1], older + ["x"])),
@@ -600,9 +632,8 @@ def _trial_steps(m: int, mode: RegressorMode, whitened: bool):
         *(f"        e = e + {part}" for part in sums[1:]),
         "        s = e*mu*g",
         *(f"        {d} = {d} - s*{v}" for d, v in zip(ds, vs)),
-        f"        rows += ({', '.join(ds)},)",
         "        error(e)",
-        "    return rows, errors",
+        f"    return [{', '.join(ds)}], errors",
     ])
     namespace = {}
     exec(source, namespace)
@@ -617,34 +648,46 @@ def _trial_lockstep(h, w0, x_rng, z_rng, iterations: int, cell: _Cell,
 
     Each segment's inputs x (with the M-1 before it) and noise ``sigma z``
     go to ``_trial_steps`` as lists of Python floats, with the weight error
-    before it, and the rows it returns are packed into ``w_hist``, the
-    a priori errors into ``sq_buf``, in one call each. The guard then
-    takes the segment's NWD from ``kmajor (K, S)``, the weight error copied
-    K-major, so that einsum adds its K squares one after another as it does
-    for larger slabs; over one contiguous row it adds them in its own
-    unrolled order. A ``whitened`` cell's directions are one matrix product
-    a segment over the segment's regressors, as a block's are for larger
-    slabs. Python's cost grows with K: on one 2-CPU Xeon a step, draws,
-    guard and yields included, took about 1.0 us at K = 9, 2.0 us at
-    K = 20 and 4.5 us at K = 44, against 1.7, 2.9-4.6 and 5.5 us when each
-    64-step block's regressors were expanded by numpy.
+    before it; it returns the weight error after it and the a priori
+    errors, which are packed into ``sq_buf`` in one call. numpy then
+    rebuilds the segment's rows of weight error in ``w_hist`` with the same
+    IEEE operations in the same order: the steps ``s = (e mu) g``, the
+    regressors ``u (S, K)`` (a copy of x per linear tap, one product per
+    quadratic column), ``s v`` written into the rows, row 0 replaced by
+    ``delta - s_0 v_0``, and ``np.subtract.accumulate`` down the rows, the
+    left fold ``delta <- delta - s v``. A ``whitened`` cell's directions v
+    are one matrix product a segment over the regressors, as a block's are
+    for larger slabs, and go to the steps as lists too. The guard takes the
+    segment's NWD from ``kmajor (K, S)``, the weight error copied K-major,
+    so that einsum adds its K squares one after another as it does for
+    larger slabs; over one contiguous row it adds them in its own unrolled
+    order. Python's cost grows with K: on one 2-CPU Xeon a step, draws,
+    guard and yields included, took about 0.76 us at K = 9, 1.4 us at
+    K = 20 and 2.7 us at K = 44, against 1.0, 2.0 and 4.4 us when the
+    steps also recorded each row. The float buffers are views of one
+    block (``_page_aligned_views``): one allocation instead of eight.
     """
     k, m, n = h.shape[1], channel.memory_length, int(iterations)
     mode = channel.regressor_mode
     whitening = whitened_gain(channel) if cell.algorithm == "whitened" else None
     steps = _trial_steps(m, mode, whitening is not None)
     sigma = math.sqrt(noise_variance_for_snr(1.0, cell.snr_db)
-                      * float(channel.signal_power(h)[0]))
+                      * float(channel.signal_power(h[0])))
+    mu, g = cell.step_size, cell.gain
+    # the regressor's quadratic columns, lag pairs (i, j) in flattened order
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
 
     seg = min(_SEGMENT, n)
     hh = (h * h).sum(axis=1)
-    w_hist = _page_aligned((seg, k, 1, 1))
-    sq_buf, nwd_buf = _page_aligned((seg, 1, 1)), _page_aligned((seg, 1, 1))
+    w_hist, sq_buf, nwd_buf, kmajor, x, z, u, step = _page_aligned_views(
+        (seg, k, 1, 1), (seg, 1, 1), (seg, 1, 1),
+        # at least two columns: one column wide, delta is a row again
+        (k, max(seg, 2)),
+        # a segment's inputs, after the M-1 before it, and its unit noise
+        (seg + m - 1,), (seg,),
+        # a segment's regressors, one row a step, and its steps (e mu) g
+        (seg, k), (seg,))
     ok_buf = _page_aligned((seg, 1, 1), dtype=bool)
-    # at least two columns: one column wide, delta is a row again
-    kmajor = _page_aligned((k, max(seg, 2)))
-    # a segment's inputs, after the M-1 before it, and its unit noise
-    x, z = _page_aligned((seg + m - 1,)), _page_aligned((seg,))
 
     def guarded(row, b):
         """The yield of a segment whose ``b`` rows of weight error are in
@@ -660,6 +703,20 @@ def _trial_lockstep(h, w0, x_rng, z_rng, iterations: int, cell: _Cell,
             ok[...] = True
         return row, sq, cur, delta, ok
 
+    def regressors(s):
+        """The regressors of a segment of ``s`` steps whose inputs are in
+        ``x``: step r's tap i is x(r-i), its pair (i, j) x(r-i) x(r-j)."""
+        lag = [x[m - 1 - i:s + m - 1 - i] for i in range(m)]
+        for i in range(m):
+            np.copyto(u[:s, i], lag[i])
+        for col, (i, j) in enumerate(pairs, m):
+            out = u[:s, col]
+            np.multiply(lag[i], lag[j], out=out)
+            if i == j and mode is RegressorMode.ORTHONORMALIZED:
+                np.subtract(out, 1.0, out=out)
+                np.divide(out, SQRT2, out=out)
+        return u[:s]
+
     # the weight error each segment steps from, which no consumer sees
     delta = (h[0] - w0[0]).tolist()
     w_hist[0] = (h - w0).T[:, None]
@@ -672,20 +729,26 @@ def _trial_lockstep(h, w0, x_rng, z_rng, iterations: int, cell: _Cell,
             x[:m - 1] = x[seg:]  # only the last segment is short
         x_rng.standard_normal(out=x[(m - 1 if s0 else 0):s + m - 1])
         z_rng.standard_normal(out=z[:s])
+        v = regressors(s)
         operands = [x[:s + m - 1].tolist(),
                     np.multiply(z[:s], sigma, out=z[:s]).tolist(),
-                    delta, cell.step_size, cell.gain]
+                    delta, mu, g]
         if whitening is not None:
-            u = _expand_windows(sliding_window_view(x[:s + m - 1], m)[:, ::-1],
-                                mode)
-            operands.append(np.matmul(whitening, u[:, :, None])[:, :, 0].tolist())
-        rows, errors = steps(*operands)
+            v = np.matmul(whitening, v[:, :, None])[:, :, 0]
+            operands.append(v.tolist())
+        before = delta
+        delta, errors = steps(*operands)
         # struct packs Python floats into doubles about 3x faster than
         # numpy converts a list
-        struct.pack_into(f"{s * k}d", w_hist, 0, *rows)
+        e = sq_buf[:s, 0, 0]
         struct.pack_into(f"{s}d", sq_buf, 0, *errors)
-        np.multiply(sq_buf[:s], sq_buf[:s], out=sq_buf[:s])
-        delta = rows[-k:]
+        np.multiply(e, mu, out=step[:s])
+        np.multiply(step[:s], g, out=step[:s])
+        np.multiply(e, e, out=e)
+        rows = w_hist[:s, :, 0, 0]
+        np.multiply(v, step[:s, None], out=rows)
+        np.subtract(before, rows[0], out=rows[0])
+        np.subtract.accumulate(rows, axis=0, out=rows)
         yield guarded(s0 + 1, s)
 
 

@@ -1084,6 +1084,37 @@ class TestStepSizeResolution:
         # q applies to q-VLMS only: the others step at the q = 1 bound
         assert step("vlms", 10.0) == step("whitened", None) == step("qvlms", 1.0)
 
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_cell_gain_and_bound_have_the_bits_of_qparams(self, m, mode):
+        # a cell's gain (q+1)/2 and bound 1 / ((q+1) lambda_max), formed
+        # without a QParams, are QParams.uniform's g and step_size_bound's
+        # value bit for bit, or its ValueError; q = 1 for the algorithms
+        # without a q. The largest double overflows (q+1) lambda_max in the
+        # raw mode only, where lambda_max = M + 2
+        spec = ChannelSpec(memory_length=m, regressor_mode=mode)
+        k, lam = spec.num_coefficients, spec.eigenvalues()
+        cfg = small_config()
+        overflowed = []
+        for algorithm, q in [("qvlms", q) for q in (
+                1.0, 2.0, 5.0, 10.0, 1e-300, 1.7e307, sys.float_info.max)] + [
+                ("vlms", 5.0), ("whitened", None)]:
+            qp = QParams.uniform(1.0 if algorithm != "qvlms" else q, k)
+            try:
+                bound = step_size_bound(qp, lam)
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    experiment._config_cell(cfg, spec, algorithm, q, 20.0)
+                assert str(got.value) == str(err)
+                overflowed.append(q)
+                continue
+            cell = experiment._config_cell(cfg, spec, algorithm, q, 20.0)
+            assert cell.bound.hex() == bound.hex()
+            gain = float(qp.g[0]) if algorithm == "qvlms" else 1.0
+            assert cell.gain.hex() == gain.hex()
+        raw = mode is RegressorMode.RAW
+        assert overflowed == [sys.float_info.max] * raw
+
     def test_config_requires_exactly_one_rule(self):
         with pytest.raises(ValueError):
             small_config(step_size=None, step_size_fraction=None)
@@ -1139,14 +1170,16 @@ class TestKernelLayout:
         whitened = any(cell.algorithm == "whitened" for cell in cells)
         f8, b1 = np.dtype(float).str, np.dtype(bool).str
         if c * t == 1:
-            # one value a slab steps a segment at a time on Python floats
+            # one value a slab steps a segment at a time on Python floats;
+            # its float buffers take whole pages of one block
             s = min(experiment._SEGMENT, 600)
-            expected = [((s, k, 1, 1), f8),                # w_hist
-                        ((s, 1, 1), f8), ((s, 1, 1), f8),  # sq, nwd
-                        ((s, 1, 1), b1),                   # ok_buf
-                        ((k, max(s, 2)), f8),              # K-major delta
-                        ((s + memory_length - 1,), f8),    # x
-                        ((s,), f8)]                        # z
+            floats = [s * k,                               # w_hist
+                      s, s,                                # sq, nwd
+                      k * max(s, 2),                       # K-major delta
+                      s + memory_length - 1, s,            # x, z
+                      s * k, s]                            # u, steps
+            pages = sum(-(-n // 512) * 512 for n in floats)
+            expected = [((pages,), f8), ((s, 1, 1), b1)]   # block, ok_buf
         else:
             expected = (
                 [((b, k, c, t), f8)]                       # w_hist
@@ -1164,6 +1197,29 @@ class TestKernelLayout:
                 + [((c, t), f8)] * 2)                      # mu, gain
         assert sorted((a.shape, a.dtype.str) for a in made) == sorted(expected)
         assert all(a.ctypes.data % 4096 == 0 for a in made)
+
+    @pytest.mark.parametrize("shapes", [
+        [(1,)], [(1, 9, 1, 1), (1, 1, 1), (9, 2), (3,), (1, 9)],
+        [(512, 9, 1, 1), (512, 1, 1), (9, 512), (514,), (600,), (1024,)],
+    ])
+    def test_page_aligned_views_each_start_on_a_page(self, monkeypatch, shapes):
+        # one _page_aligned block, whose views do not overlap
+        blocks = []
+        helper = experiment._page_aligned
+
+        def spy(*args, **kwargs):
+            blocks.append(helper(*args, **kwargs))
+            return blocks[-1]
+
+        monkeypatch.setattr(experiment, "_page_aligned", spy)
+        views = experiment._page_aligned_views(*shapes)
+        assert len(blocks) == 1
+        assert [v.shape for v in views] == shapes
+        for i, v in enumerate(views):
+            assert v.dtype == np.float64 and v.flags.c_contiguous
+            assert v.ctypes.data % 4096 == 0
+            assert np.shares_memory(v, blocks[0])
+            assert not any(np.shares_memory(v, w) for w in views[i + 1:])
 
     @pytest.mark.parametrize("whitened", [False, True])
     @pytest.mark.parametrize("mode", list(RegressorMode))
@@ -1185,18 +1241,71 @@ class TestKernelLayout:
             operands.append(rng.standard_normal((4, k)).tolist())
         steps = experiment._trial_steps(m, mode, whitened)
         assert experiment._trial_steps(m, mode, whitened) is steps
-        rows, errors = steps(*operands)
-        want_rows, want_errors = [], []
+        last, errors = steps(*operands)
+        want_errors = []
         for j, z in enumerate(noise):
             u = expand_regressor(xs[j:j + m][::-1], mode).tolist()
             v = operands[5][j] if whitened else u
             e = _left_to_right([a * d for a, d in zip(u, delta)]) + z
             s = e * 1e-3 * 3.0
             delta = [d - s * vk for d, vk in zip(delta, v)]
-            want_rows += delta
             want_errors.append(e)
-        assert np.array(rows).tobytes() == np.array(want_rows).tobytes()
+        # the steps return the last weight error and the errors, no rows
+        assert {type(x) for x in last + errors} == {float}
+        assert np.array(last).tobytes() == np.array(delta).tobytes()
         assert np.array(errors).tobytes() == np.array(want_errors).tobytes()
+
+    @pytest.mark.parametrize("mu", [1e-3, 5.0], ids=["converging", "overflowing"])
+    @pytest.mark.parametrize("whitened", [False, True])
+    @pytest.mark.parametrize("mode", list(RegressorMode))
+    @pytest.mark.parametrize("m", [1, 2, 3, 10])
+    def test_rows_rebuilt_by_numpy_are_the_recursion(self, monkeypatch, m, mode,
+                                                     whitened, mu):
+        # numpy rebuilds each segment's rows of weight error from the
+        # steps' errors: every yielded row has the bits of the scalar
+        # recursion on the operands the steps were given, whitened
+        # directions included, over three segments (512, 512 and 76 steps);
+        # at mu = 5 the weight error overflows to inf and NaN, and the
+        # guard's divergence row is the recursion's
+        spec = ChannelSpec(memory_length=m, regressor_mode=mode)
+        compiled = experiment._trial_steps(m, mode, whitened)
+        calls = []
+
+        def spy(*operands):
+            calls.append(operands)
+            return compiled(*operands)
+
+        monkeypatch.setattr(experiment, "_trial_steps", lambda *key: spy)
+        cell = experiment._Cell("whitened" if whitened else "qvlms",
+                                None if whitened else 5.0, 20.0, mu, 0.1)
+        draw = experiment._draw_chunk(trial_seeds(1, 1), spec, True)
+        h = draw[0][0]
+        blocks = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, _, _, delta, ok in experiment._lockstep(*draw, 1100,
+                                                             [cell], spec):
+                blocks.append((row, delta[:, :, 0, 0].copy(), ok[:, 0, 0].copy()))
+        want = []
+        for xs, noise, delta, step_size, g, *directions in calls:
+            for j, z in enumerate(noise):
+                u = expand_regressor(xs[j:j + m][::-1], mode).tolist()
+                v = directions[0][j] if whitened else u
+                e = _left_to_right([a * d for a, d in zip(u, delta)]) + z
+                s = e * step_size * g
+                delta = [d - s * vk for d, vk in zip(delta, v)]
+                want.append(delta)
+        assert [row for row, _, _ in blocks] == [0, 1, 513, 1025]
+        rows = np.concatenate([delta for _, delta, _ in blocks[1:]])
+        assert rows.tobytes() == np.array(want).tobytes()
+        ok = np.concatenate([ok for _, _, ok in blocks[1:]])
+        hh = float((h * h).sum())
+        nwds = [_left_to_right([d * d for d in row]) / hh for row in want]
+        diverged = [not nwd <= experiment.DIVERGENCE_THRESHOLD for nwd in nwds]
+        assert ok.tolist() == [not bad for bad in diverged]
+        if mu > 1.0:
+            assert any(diverged) and np.isnan(rows).any()
+        else:
+            assert not any(diverged)
 
     @pytest.mark.parametrize("algorithm, q", [("qvlms", 5.0), ("whitened", None)])
     def test_one_value_blocks_step_on_python_floats(self, monkeypatch,
